@@ -29,11 +29,13 @@ from .decomp import (
 )
 from .ears import check_ears_axioms, check_semilattice, support_checks, support_sets
 from .finroot import FiniteRootSystem, Root, build_finite_root_system, root_string
-from .kernel import BACKEND
 from .quantum_torus import SignMatrix, TorusElement
 from .reporting import AxiomReport, CheckResult
 
 __version__ = "0.1.0"
+
+# The one arithmetic backend: every kernel is pure Python.
+BACKEND = "python"
 
 __all__ = [
     "AffinizedAlgebra",

@@ -64,6 +64,16 @@ def _parse_q(parser, nu, text):
         parser.error(str(err))
 
 
+def _window(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _parse_primes(parser, text):
     out = []
     if text:
@@ -293,7 +303,7 @@ def _add_common(sp):
     sp.add_argument("--q", default="", help="strict upper triangle of q, comma-separated ±1")
     sp.add_argument("--rank", type=int, default=0, help="finite rank for field-extension builds")
     sp.add_argument("--type", default="C", help="finite type label for field-extension builds")
-    sp.add_argument("--window", type=int, default=1, help="lattice window max-norm bound")
+    sp.add_argument("--window", type=_window, default=1, help="lattice window max-norm bound (>= 0)")
     sp.add_argument("--primes", default="", help="comma-separated primes for the field extension")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument("--underived", action="store_true",

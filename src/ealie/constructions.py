@@ -28,6 +28,7 @@ from .matlie import (
     zero_root_component,
 )
 from .quantum_torus import SignMatrix, TorusElement, lattice_box
+from .sparse import SparseMatrix, sparse_trace_pairing
 
 __all__ = [
     "TorusMatrixAlgebra",
@@ -570,86 +571,31 @@ def degree_derivation_spec(ell, q):
     )
 
 
-class SqrtMatrix:
+class SqrtMatrix(SparseMatrix):
     """Sparse 2l x 2l matrix with square-root-field entries."""
 
-    __slots__ = ("ell", "entries")
+    __slots__ = ("ell",)
 
     def __init__(self, ell, entries=None):
         self.ell = ell
-        clean = {}
-        if entries:
-            for pos, val in entries.items():
-                if val:
-                    clean[pos] = val
-        self.entries = clean
+        self.shape = ell
+        self.entries = self._nonzero(entries)
 
     @classmethod
     def zero(cls, ell):
         return cls(ell)
 
-    def __add__(self, other):
-        if not isinstance(other, SqrtMatrix):
-            return NotImplemented
-        out = dict(self.entries)
-        for pos, val in other.entries.items():
-            cur = out.get(pos)
-            cur = val if cur is None else cur + val
-            if cur:
-                out[pos] = cur
-            elif pos in out:
-                del out[pos]
-        r = SqrtMatrix(self.ell)
-        r.entries = out
+    def _with(self, entries):
+        r = object.__new__(SqrtMatrix)
+        r.ell = r.shape = self.ell
+        r.entries = entries
         return r
 
-    def __sub__(self, other):
-        if not isinstance(other, SqrtMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        r = SqrtMatrix(self.ell)
-        r.entries = {pos: -val for pos, val in self.entries.items()}
-        return r
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = SqrtFieldElement.from_rational(scalar)
-        if not isinstance(scalar, SqrtFieldElement):
-            return NotImplemented
-        r = SqrtMatrix(self.ell)
-        r.entries = {}
-        for pos, val in self.entries.items():
-            v = val * scalar
-            if v:
-                r.entries[pos] = v
-        return r
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if not isinstance(other, SqrtMatrix):
-            return NotImplemented
-        rows = {}
-        for (k, r_), val in other.entries.items():
-            rows.setdefault(k, []).append((r_, val))
-        out = {}
-        for (p, k), x in self.entries.items():
-            for r_, y in rows.get(k, ()):
-                v = x * y
-                if not v:
-                    continue
-                key = (p, r_)
-                cur = out.get(key)
-                cur = v if cur is None else cur + v
-                if cur:
-                    out[key] = cur
-                elif key in out:
-                    del out[key]
-        r = SqrtMatrix(self.ell)
-        r.entries = out
-        return r
+    @staticmethod
+    def _scalar(x):
+        if isinstance(x, (int, Fraction)):
+            return SqrtFieldElement.from_rational(x)
+        return x if isinstance(x, SqrtFieldElement) else None
 
     def coords(self):
         out = {}
@@ -657,23 +603,6 @@ class SqrtMatrix:
             for a, c in val.coeffs.items():
                 out[(a, p, r_)] = c
         return out
-
-    def is_zero(self):
-        return not self.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, SqrtMatrix):
-            return NotImplemented
-        return self.ell == other.ell and self.entries == other.entries
-
-    def __repr__(self):
-        if not self.entries:
-            return "SqrtMatrix(0)"
-        parts = ", ".join(f"{pos}: {val!r}" for pos, val in sorted(self.entries.items()))
-        return f"SqrtMatrix({{{parts}}})"
 
 
 def _is_prime(n):
@@ -723,13 +652,7 @@ class SqrtExtensionAlgebra:
         return (x @ y) - (y @ x)
 
     def form(self, x, y):
-        acc = _F0
-        ent = y.entries
-        for (p, k), a in x.entries.items():
-            b = ent.get((k, p))
-            if b is not None:
-                acc += sqrt_pairing(a, b)
-        return acc
+        return sparse_trace_pairing(x.entries, y.entries, sqrt_pairing)
 
     def coords(self, x):
         return x.coords()

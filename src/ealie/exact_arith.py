@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .linalg import solve_dense
+from .sparse import sparse_add
 
 __all__ = [
     "GaussianRational",
@@ -192,15 +193,8 @@ class SqrtFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for a, c in o.coeffs.items():
-            v = out.get(a, _ZERO) + c
-            if v:
-                out[a] = v
-            elif a in out:
-                del out[a]
         r = SqrtFieldElement.__new__(SqrtFieldElement)
-        r.coeffs = out
+        r.coeffs = sparse_add(self.coeffs, o.coeffs)
         return r
 
     __radd__ = __add__

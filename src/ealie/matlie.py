@@ -20,6 +20,7 @@ from fractions import Fraction
 from .exact_arith import GaussianRational
 from .linalg import SpanDict, span_equal
 from .quantum_torus import TorusElement, kappa, lattice_box, torus_form
+from .sparse import SparseMatrix, sparse_trace_pairing
 
 __all__ = [
     "LieElement",
@@ -42,91 +43,36 @@ __all__ = [
 _I = GaussianRational(0, 1)
 
 
-class LieElement:
+class LieElement(SparseMatrix):
     """Sparse 2l x 2l matrix with torus-algebra entries."""
 
-    __slots__ = ("ell", "q", "entries")
+    __slots__ = ("ell", "q")
 
     def __init__(self, ell, q, entries=None):
         self.ell = ell
         self.q = q
-        clean = {}
-        if entries:
-            for pos, val in entries.items():
-                if val:
-                    clean[pos] = val
-        self.entries = clean
+        self.shape = (ell, q)
+        self.entries = self._nonzero(entries)
 
     @classmethod
     def zero(cls, ell, q):
         return cls(ell, q)
 
-    def _check_compat(self, other):
-        if self.ell != other.ell or self.q != other.q:
-            raise ValueError("mixing matrices of different shapes or sign matrices")
-
-    def __add__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        self._check_compat(other)
-        out = dict(self.entries)
-        for pos, val in other.entries.items():
-            cur = out.get(pos)
-            cur = val if cur is None else cur + val
-            if cur:
-                out[pos] = cur
-            elif pos in out:
-                del out[pos]
-        r = LieElement(self.ell, self.q)
-        r.entries = out
+    def _with(self, entries):
+        r = object.__new__(LieElement)
+        r.ell = self.ell
+        r.q = self.q
+        r.shape = self.shape
+        r.entries = entries
         return r
 
-    def __sub__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self + (-other)
+    @staticmethod
+    def _scalar(x):
+        return x if isinstance(x, (int, Fraction, GaussianRational)) else None
 
-    def __neg__(self):
-        r = LieElement(self.ell, self.q)
-        r.entries = {pos: -val for pos, val in self.entries.items()}
-        return r
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        r = LieElement(self.ell, self.q)
-        r.entries = {}
-        for pos, val in self.entries.items():
-            v = val * scalar
-            if v:
-                r.entries[pos] = v
-        return r
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        self._check_compat(other)
-        rows = {}
-        for (k, r_), val in other.entries.items():
-            rows.setdefault(k, []).append((r_, val))
-        out = {}
-        for (p, k), x in self.entries.items():
-            for r_, y in rows.get(k, ()):
-                v = x * y
-                if not v:
-                    continue
-                key = (p, r_)
-                cur = out.get(key)
-                cur = v if cur is None else cur + v
-                if cur:
-                    out[key] = cur
-                elif key in out:
-                    del out[key]
-        r = LieElement(self.ell, self.q)
-        r.entries = out
-        return r
+    # Bound here rather than inherited, so that a per-layer tracer can wrap the
+    # torus-matrix product without touching other SparseMatrix types.
+    __matmul__ = SparseMatrix.__matmul__
 
     def trace(self):
         acc = TorusElement.zero(self.q)
@@ -152,25 +98,8 @@ class LieElement:
             degs.update(val.coeffs)
         return degs
 
-    def is_zero(self):
-        return not self.entries
-
     def is_real(self):
         return all(not c.im for val in self.entries.values() for c in val.coeffs.values())
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.ell == other.ell and self.q == other.q and self.entries == other.entries
-
-    def __repr__(self):
-        if not self.entries:
-            return "LieElement(0)"
-        parts = ", ".join(f"{pos}: {val!r}" for pos, val in sorted(self.entries.items()))
-        return f"LieElement({{{parts}}})"
 
 
 def e_mat(ell, q, p, r, sigma=None, coeff=1):
@@ -220,9 +149,7 @@ def star(x):
         if sp * sr < 0:
             v = -v
         out[(p, r_)] = v
-    r = LieElement(ell, x.q)
-    r.entries = {k: v for k, v in out.items() if v}
-    return r
+    return LieElement(ell, x.q, out)
 
 
 def mat_bracket(x, y):
@@ -233,13 +160,7 @@ def mat_bracket(x, y):
 def trace_form(x, y):
     """Symmetric pairing eps(tr(x y)), accumulated sparsely."""
     x._check_compat(y)
-    acc = Fraction(0)
-    ent = y.entries
-    for (p, k), a in x.entries.items():
-        b = ent.get((k, p))
-        if b is not None:
-            acc += torus_form(a, b)
-    return acc
+    return sparse_trace_pairing(x.entries, y.entries, torus_form)
 
 
 def _row_weight(ell, p):

@@ -15,8 +15,9 @@ coefficient and induces the symmetric pairing used by the matrix algebras.
 
 from fractions import Fraction
 
-from . import kernel
 from .exact_arith import GaussianRational
+from .kernel import g_cocycle, kappa, structure_constant
+from .sparse import sparse_add
 
 __all__ = [
     "SignMatrix",
@@ -94,21 +95,11 @@ class SignMatrix:
         return f"SignMatrix({self.nu}, {self.flat})"
 
 
-def kappa(sigma, q):
-    """Sign with t^sigma t^{-sigma} = kappa(sigma); also bar(t^sigma) = kappa * t^sigma."""
-    return kernel.kappa(sigma, q.flat, q.nu)
-
-
 def cocycles(sigma, tau, q):
     """Pair (g, f): the bilinear sign g(sigma, tau) and f = g(sigma, tau)*g(tau, sigma)."""
-    g = kernel.g_cocycle(sigma, tau, q.nu, q.flat)
-    f = g * kernel.g_cocycle(tau, sigma, q.nu, q.flat)
+    g = g_cocycle(sigma, tau, q)
+    f = g * g_cocycle(tau, sigma, q)
     return g, f
-
-
-def structure_constant(sigma, tau, q):
-    """Sign c with t^sigma t^tau = c * t^{sigma+tau}."""
-    return kernel.structure_constant(sigma, tau, q.nu, q.flat)
 
 
 def _add(sigma, tau):
@@ -155,16 +146,8 @@ class TorusElement:
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check_compat(other)
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            v = out.get(s)
-            v = c if v is None else v + c
-            if v:
-                out[s] = v
-            elif s in out:
-                del out[s]
         r = TorusElement(self.q)
-        r.coeffs = out
+        r.coeffs = sparse_add(self.coeffs, other.coeffs)
         return r
 
     def __sub__(self, other):
@@ -181,13 +164,11 @@ class TorusElement:
         if isinstance(other, TorusElement):
             self._check_compat(other)
             q = self.q
-            flat, nu = q.flat, q.nu
-            sc = kernel.structure_constant
             out = {}
             for s, c in self.coeffs.items():
                 for t, d in other.coeffs.items():
                     cd = c * d
-                    if sc(s, t, nu, flat) < 0:
+                    if structure_constant(s, t, q) < 0:
                         cd = -cd
                     key = _add(s, t)
                     v = out.get(key)
@@ -222,7 +203,7 @@ class TorusElement:
         out = {}
         for s, c in self.coeffs.items():
             c = c.conjugate()
-            if kernel.kappa(s, q.flat, q.nu) < 0:
+            if kappa(s, q) < 0:
                 c = -c
             out[s] = c
         r = TorusElement(q)
@@ -276,7 +257,6 @@ def epsilon(a):
 def torus_form(a, b):
     """Symmetric pairing eps(a*b), computed without assembling the product."""
     q = a.q
-    flat, nu = q.flat, q.nu
     acc = _F0
     other = b.coeffs
     for s, c in a.coeffs.items():
@@ -285,7 +265,7 @@ def torus_form(a, b):
             continue
         term = c.re * d.re - c.im * d.im
         if term:
-            if kernel.structure_constant(s, _neg(s), nu, flat) < 0:
+            if structure_constant(s, _neg(s), q) < 0:
                 term = -term
             acc += term
     return acc

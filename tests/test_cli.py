@@ -1,5 +1,6 @@
 """Command line interface: exit codes, JSON contracts, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -51,6 +52,13 @@ def test_inapplicable_suite(capsys):
     err = _usage_error(capsys, ["check", "--construction", "quantum-torus",
                                 "--nu", "1", "--suites", "T"])
     assert "not applicable" in err
+
+
+@pytest.mark.parametrize("command", ["check", "export", "serre", "ears"])
+def test_negative_window_rejected(capsys, command):
+    err = _usage_error(capsys, [command, "--construction", "quantum-torus",
+                                "--nu", "1", "--window", "-1"])
+    assert "--window" in err
 
 
 def test_cocycle_export_rejected(capsys):
@@ -158,3 +166,22 @@ def test_check_out_file(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(path.read_text())
     assert payload["suite_results"]["SERRE"]["passed"] is True
+
+
+# sha256 of the stdout bytes; a refactor of the arithmetic must leave them unchanged.
+PINNED_REPORTS = [
+    ("export --construction affinized --nu 2 --q -1 --window 1",
+     "8362102dabcaff39fb31da34bd9c6bb217eee60e47078ae91f5c606604f79e41"),
+    ("check --construction sqrt-extension --rank 2 --primes 2,3",
+     "72472b46e312ce4d6fbe7b00e16e489c10aec5c5898c6e7079e3fe7dd7c6b310"),
+    ("check --construction sp-classical --ell 2",
+     "d9f89ac686f4aa70917d4a246b0b176423a4a6cfb2455d5bd0f825336b18dd78"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS,
+                         ids=["export-affinized", "check-sqrt-extension", "check-sp-classical"])
+def test_report_bytes_pinned(capsys, argv, digest):
+    rc, out, _ = _run(capsys, argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

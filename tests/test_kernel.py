@@ -2,10 +2,8 @@
 
 import random
 
-import pytest
-
+import ealie
 from ealie import kernel
-from ealie import _kernel_py
 from ealie.linalg import rows_rank
 from ealie.quantum_torus import SignMatrix
 
@@ -26,28 +24,28 @@ def test_structure_constant_matches_word_oracle():
         taus = _draws(q.nu, 40, seed=12)
         for s in sigmas:
             for t in taus:
-                got = kernel.structure_constant(s, t, q.nu, q.flat)
+                got = kernel.structure_constant(s, t, q)
                 assert got == oracle_structure_constant(s, t, q)
 
 
 def test_kappa_matches_word_oracle():
     for q in (Q2, Q3):
         for s in _draws(q.nu, 200):
-            assert kernel.kappa(s, q.flat, q.nu) == oracle_kappa(s, q)
+            assert kernel.kappa(s, q) == oracle_kappa(s, q)
 
 
 def test_g_cocycle_matches_displayed_product():
     for q in (Q2, Q3):
         for s, t in zip(_draws(q.nu, 120), _draws(q.nu, 120, seed=13)):
-            assert kernel.g_cocycle(s, t, q.nu, q.flat) == oracle_g(s, t, q)
+            assert kernel.g_cocycle(s, t, q) == oracle_g(s, t, q)
 
 
 def test_structure_constant_is_g_transposed():
     # c(sigma, tau) = g(tau, sigma): reordering tau past sigma crosses pairwise
     for q in (Q2, Q3):
         for s, t in zip(_draws(q.nu, 80), _draws(q.nu, 80, seed=14)):
-            c = kernel.structure_constant(s, t, q.nu, q.flat)
-            assert c == kernel.g_cocycle(t, s, q.nu, q.flat)
+            c = kernel.structure_constant(s, t, q)
+            assert c == kernel.g_cocycle(t, s, q)
 
 
 def test_two_cocycle_identity():
@@ -58,23 +56,9 @@ def test_two_cocycle_identity():
         s, t, g = (tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(3))
         st = tuple(a + b for a, b in zip(s, t))
         tg = tuple(a + b for a, b in zip(t, g))
-        lhs = kernel.structure_constant(s, t, 3, q.flat) * kernel.structure_constant(st, g, 3, q.flat)
-        rhs = kernel.structure_constant(t, g, 3, q.flat) * kernel.structure_constant(s, tg, 3, q.flat)
+        lhs = kernel.structure_constant(s, t, q) * kernel.structure_constant(st, g, q)
+        rhs = kernel.structure_constant(t, g, q) * kernel.structure_constant(s, tg, q)
         assert lhs == rhs
-
-
-def test_backends_agree():
-    if kernel.BACKEND != "compiled":
-        pytest.skip("compiled kernel not loaded")
-    from ealie import _kernel as compiled
-
-    for q in (Q2, Q3):
-        for s, t in zip(_draws(q.nu, 100), _draws(q.nu, 100, seed=15)):
-            assert compiled.kappa(s, q.flat, q.nu) == _kernel_py.kappa(s, q.flat, q.nu)
-            assert compiled.structure_constant(s, t, q.nu, q.flat) == _kernel_py.structure_constant(
-                s, t, q.nu, q.flat
-            )
-            assert compiled.g_cocycle(s, t, q.nu, q.flat) == _kernel_py.g_cocycle(s, t, q.nu, q.flat)
 
 
 def test_int_rank_known_matrices():
@@ -92,6 +76,5 @@ def test_int_rank_matches_rational_rank():
         assert kernel.int_rank(rows, 4) == rows_rank([list(r) for r in rows])
 
 
-def test_backend_env_override(monkeypatch):
-    assert kernel.BACKEND in ("compiled", "python")
-    assert _kernel_py.BACKEND == "python"
+def test_backend_is_python():
+    assert ealie.BACKEND == "python"

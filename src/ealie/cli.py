@@ -64,14 +64,23 @@ def _parse_q(parser, nu, text):
         parser.error(str(err))
 
 
-def _window(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+def _at_least(minimum):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+# Every matrix construction needs rank l >= 2 (type C_l with l >= 2).
+MIN_RANK = 2
 
 
 def _parse_primes(parser, text):
@@ -105,6 +114,11 @@ def _parse_suites(parser, construction, text):
     return [s for s in SUITE_ORDER if s in picked]
 
 
+def _rank(args):
+    """The finite rank of the field-extension builds: --rank, else --ell."""
+    return args.rank if args.rank is not None else args.ell
+
+
 def _instance_meta(args, extra=None):
     meta = {
         "construction": args.construction,
@@ -116,7 +130,7 @@ def _instance_meta(args, extra=None):
     if args.construction in ("quantum-torus", "affinized", "cocycle-extension"):
         meta["q_upper"] = args.q or ""
     if args.construction in ("sp-classical", "sqrt-extension"):
-        meta["rank"] = args.rank if args.rank else args.ell
+        meta["rank"] = _rank(args)
         meta["nu"] = 0
     if args.construction == "sqrt-extension":
         meta["type"] = args.type.upper()
@@ -139,11 +153,11 @@ def _build_algebra(parser, args):
             base = TorusMatrixAlgebra(args.ell, q, derived=not args.underived)
             return affinize(base), base
         if c == "sp-classical":
-            rank = args.rank if args.rank else args.ell
+            rank = _rank(args)
             alg = TorusMatrixAlgebra(rank, SignMatrix(0), real_only=True)
             return alg, alg
         if c == "sqrt-extension":
-            rank = args.rank if args.rank else args.ell
+            rank = _rank(args)
             primes = _parse_primes(parser, args.primes or "2,3")
             alg = build_extension_example(args.type, rank, primes)
             return alg, None
@@ -298,12 +312,13 @@ def _cmd_list(parser, args):
 
 def _add_common(sp):
     sp.add_argument("--construction", choices=CONSTRUCTIONS, default="affinized")
-    sp.add_argument("--ell", type=int, default=2, help="matrix rank l (C_l)")
-    sp.add_argument("--nu", type=int, default=0, help="lattice rank")
+    sp.add_argument("--ell", type=_at_least(MIN_RANK), default=2, help="matrix rank l (C_l, >= 2)")
+    sp.add_argument("--nu", type=_at_least(0), default=0, help="lattice rank (>= 0)")
     sp.add_argument("--q", default="", help="strict upper triangle of q, comma-separated ±1")
-    sp.add_argument("--rank", type=int, default=0, help="finite rank for field-extension builds")
+    sp.add_argument("--rank", type=_at_least(MIN_RANK), default=None,
+                    help="finite rank for field-extension builds (>= 2; default --ell)")
     sp.add_argument("--type", default="C", help="finite type label for field-extension builds")
-    sp.add_argument("--window", type=_window, default=1, help="lattice window max-norm bound (>= 0)")
+    sp.add_argument("--window", type=_at_least(0), default=1, help="lattice window max-norm bound (>= 0)")
     sp.add_argument("--primes", default="", help="comma-separated primes for the field extension")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument("--underived", action="store_true",

@@ -17,7 +17,7 @@ Four families:
 
 from fractions import Fraction
 
-from .exact_arith import SqrtFieldElement, sqrt_pairing
+from .exact_arith import SqrtFieldElement, rational, sqrt_pairing
 from .finroot import Root, build_finite_root_system
 from .matlie import (
     LieElement,
@@ -56,8 +56,10 @@ def degree_derivation(g, i):
     for pos, val in g.entries.items():
         acc = {sigma: c * sigma[i] for sigma, c in val.coeffs.items() if sigma[i]}
         if acc:
-            out[pos] = TorusElement(g.q, acc)
-    return LieElement(g.ell, g.q, out)
+            t = TorusElement(g.q)
+            t.coeffs = acc
+            out[pos] = t
+    return g._with(out)
 
 
 class TorusMatrixAlgebra:
@@ -162,14 +164,17 @@ class TorusMatrixAlgebra:
 
 
 class AffinizedElement:
-    """Element g + sum mu_i c_i + sum lam_i d_i of the affinized algebra."""
+    """Element g + sum mu_i c_i + sum lam_i d_i of the affinized algebra.
+
+    The rational coefficients mu_i, lam_i are ints when integral, else Fractions.
+    """
 
     __slots__ = ("g", "c", "d")
 
     def __init__(self, g, c, d):
         self.g = g
-        self.c = tuple(Fraction(v) for v in c)
-        self.d = tuple(Fraction(v) for v in d)
+        self.c = tuple(map(rational, c))
+        self.d = tuple(map(rational, d))
 
     def __add__(self, other):
         if not isinstance(other, AffinizedElement):
@@ -192,7 +197,7 @@ class AffinizedElement:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return AffinizedElement(
-            self.g * Fraction(scalar),
+            self.g * scalar,
             tuple(a * scalar for a in self.c),
             tuple(a * scalar for a in self.d),
         )
@@ -259,14 +264,18 @@ class AffinizedAlgebra:
                 g = g + degree_derivation(y.g, i) * x.d[i]
             if y.d[i]:
                 g = g - degree_derivation(x.g, i) * y.d[i]
-        c = tuple(self.base.form(degree_derivation(x.g, i), y.g) for i in range(self.nu))
+        c = []
+        for i in range(self.nu):
+            dx = degree_derivation(x.g, i)
+            c.append(self.base.form(dx, y.g) if dx else 0)
         return AffinizedElement(g, c, (0,) * self.nu)
 
     def form(self, x, y):
         acc = self.base.form(x.g, y.g)
+        extra = 0
         for i in range(self.nu):
-            acc += x.c[i] * y.d[i] + x.d[i] * y.c[i]
-        return acc
+            extra += x.c[i] * y.d[i] + x.d[i] * y.c[i]
+        return acc + extra if extra else acc
 
     def coords(self, x):
         out = {}

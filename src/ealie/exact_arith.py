@@ -17,20 +17,36 @@ __all__ = [
     "GaussianRational",
     "SqrtFieldElement",
     "is_square_free",
+    "rational",
     "sqrt_pairing",
 ]
 
 _ZERO = Fraction(0)
 
 
+def rational(v):
+    """v as an int when it is integral, otherwise as a Fraction (never a float)."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class GaussianRational:
-    """A number re + im*i with rational re, im."""
+    """A number re + im*i with rational re, im.
+
+    Each component is stored canonically: an ``int`` when it is integral,
+    otherwise a ``Fraction``.  Almost every coefficient of the torus
+    constructions is a Gaussian integer, so the common case stays in machine
+    integers; ``/`` goes through ``Fraction`` so no component is ever a float.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is int else rational(re)
+        self.im = im if type(im) is int else rational(im)
 
     @classmethod
     def _coerce(cls, x):
@@ -41,6 +57,8 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
+        if type(other) is int:
+            return GaussianRational(self.re + other, self.im)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -49,12 +67,16 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is int:
+            return GaussianRational(self.re - other, self.im)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return GaussianRational(other - self.re, -self.im)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -64,6 +86,11 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return GaussianRational(a * c - b * d, a * d + b * c)
+        if type(other) is int:
+            return GaussianRational(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -82,8 +109,8 @@ class GaussianRational:
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
+            Fraction(self.re * o.re + self.im * o.im, n),
+            Fraction(self.im * o.re - self.re * o.im, n),
         )
 
     def __rtruediv__(self, other):
@@ -106,6 +133,8 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
+        if type(other) is int:
+            return not self.im and self.re == other
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -115,7 +144,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
 
 def is_square_free(n):

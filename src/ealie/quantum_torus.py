@@ -15,7 +15,7 @@ coefficient and induces the symmetric pairing used by the matrix algebras.
 
 from fractions import Fraction
 
-from .exact_arith import GaussianRational
+from .exact_arith import GaussianRational, rational
 from .kernel import g_cocycle, kappa, structure_constant
 from .sparse import sparse_add
 
@@ -28,8 +28,6 @@ __all__ = [
     "epsilon",
     "torus_form",
 ]
-
-_F0 = Fraction(0)
 
 
 class SignMatrix:
@@ -251,13 +249,16 @@ def lattice_box(nu, bound):
 def epsilon(a):
     """Trace functional: real part of the degree-0 coefficient."""
     c = a.coeffs.get(a.q.zero())
-    return c.re if c is not None else _F0
+    return c.re if c is not None else 0
 
 
 def torus_form(a, b):
-    """Symmetric pairing eps(a*b), computed without assembling the product."""
+    """Symmetric pairing eps(a*b), computed without assembling the product.
+
+    The value is an int when it is integral, otherwise a Fraction.
+    """
     q = a.q
-    acc = _F0
+    acc = 0
     other = b.coeffs
     for s, c in a.coeffs.items():
         d = other.get(_neg(s))
@@ -268,4 +269,4 @@ def torus_form(a, b):
             if structure_constant(s, _neg(s), q) < 0:
                 term = -term
             acc += term
-    return acc
+    return rational(acc)

@@ -10,8 +10,6 @@ from fractions import Fraction
 
 __all__ = ["SparseMatrix", "sparse_add", "sparse_trace_pairing"]
 
-_ZERO = Fraction(0)
-
 
 def sparse_add(a, b):
     """a + b: copy ``a``, merge ``b`` in its order, drop zero sums."""
@@ -27,13 +25,16 @@ def sparse_add(a, b):
 
 
 def sparse_trace_pairing(a, b, pair):
-    """Sum of pair(a[p, k], b[k, p]): the trace of ``a b`` under a rational coefficient pairing."""
-    acc = _ZERO
+    """Sum of pair(a[p, k], b[k, p]): the trace of ``a b`` under a rational coefficient pairing.
+
+    Sums in whatever rationals ``pair`` returns (ints stay ints) and hands back a Fraction.
+    """
+    acc = 0
     for (p, k), x in a.items():
         y = b.get((k, p))
         if y is not None:
             acc += pair(x, y)
-    return acc
+    return acc if type(acc) is Fraction else Fraction(acc)
 
 
 class SparseMatrix:

@@ -2,6 +2,8 @@
 eigenvector and independence properties, so rebuilding per test would just
 re-run the same checks."""
 
+from fractions import Fraction
+
 import pytest
 
 from ealie.constructions import TorusMatrixAlgebra, affinize, build_extension_example
@@ -10,6 +12,11 @@ from ealie.quantum_torus import SignMatrix
 
 Q_MIXED = SignMatrix.from_upper(2, [-1])
 Q_TRIVIAL = SignMatrix(0)
+
+
+def assert_int_first(v):
+    """An exact rational stored canonically: an int, or a Fraction that is not integral."""
+    assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from ealie.constructions import (
     affinize,
 )
 from ealie.decomp import core_and_center_window, decompose_window
+from ealie.finroot import Root
 from ealie.quantum_torus import SignMatrix
 
 from conftest import Q_MIXED
@@ -94,6 +95,44 @@ def test_asymmetric_form_detected(aff_win):
     assert not report.passed
     sym = next(r for r in report.results if r.name == "T1-form-symmetric")
     assert not sym.passed
+
+
+class _TwoAsymmetricRoots:
+    """Window wrapper whose form gains 1 on (x, y), in that order only, where x and
+    y are the first basis vectors of a root and of its opposite."""
+
+    def __init__(self, win, roots):
+        self._win = win
+        self._pairs = {(id(win.basis(r)[0]), id(win.basis(-r)[0])) for r in roots}
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def form(self, x, y):
+        val = self._win.form(x, y)
+        return val + 1 if (id(x), id(y)) in self._pairs else val
+
+
+def test_form_symmetry_witness_is_first_root(sp4_win):
+    a = Root(finite=(1, 1), lattice=())
+    b = Root(finite=(2, 0), lattice=())
+    report = check_T(_TwoAsymmetricRoots(sp4_win, [a, b]), seed=1)
+    sym = next(r for r in report.results if r.name == "T1-form-symmetric")
+    assert not sym.passed
+    # a, -a, b and -b all pair asymmetrically; the earliest window root is named
+    assert sym.witness == {"root": Root(finite=(-2, 0), lattice=())}
+
+
+def test_T4_enforces_nilpotency_bound(sp4_win):
+    t4 = next(r for r in check_T(sp4_win, seed=1).results if r.name == "T4-locally-nilpotent")
+    assert t4.passed
+    assert "longest chain 3 (bound 9, cap 17)" in t4.detail
+    report = check_T(sp4_win, seed=1, nilpotency_bound=2)
+    t4 = next(r for r in report.results if r.name == "T4-locally-nilpotent")
+    assert not t4.passed
+    assert t4.witness["chain_length"] == 3
+    assert t4.witness["bound"] == 2
+    assert _failed(report) == ["T4-locally-nilpotent"]
 
 
 # -- padding the center with a hyperbolic plane breaks tameness ------------------

@@ -61,6 +61,22 @@ def test_negative_window_rejected(capsys, command):
     assert "--window" in err
 
 
+def test_negative_nu_rejected(capsys):
+    err = _usage_error(capsys, ["check", "--construction", "quantum-torus", "--nu", "-1"])
+    assert "argument --nu: must be an integer >= 0" in err
+
+
+@pytest.mark.parametrize("rank", ["0", "1"])
+def test_rank_below_minimum_rejected(capsys, rank):
+    err = _usage_error(capsys, ["check", "--construction", "sp-classical", "--rank", rank])
+    assert "argument --rank: must be an integer >= 2" in err
+
+
+def test_ell_below_minimum_rejected(capsys):
+    err = _usage_error(capsys, ["check", "--construction", "cocycle-extension", "--ell", "1"])
+    assert "argument --ell: must be an integer >= 2" in err
+
+
 def test_cocycle_export_rejected(capsys):
     err = _usage_error(capsys, ["export", "--construction", "cocycle-extension"])
     assert "no windowed root data" in err
@@ -176,11 +192,14 @@ PINNED_REPORTS = [
      "72472b46e312ce4d6fbe7b00e16e489c10aec5c5898c6e7079e3fe7dd7c6b310"),
     ("check --construction sp-classical --ell 2",
      "d9f89ac686f4aa70917d4a246b0b176423a4a6cfb2455d5bd0f825336b18dd78"),
+    ("check --construction affinized --nu 2 --q -1 --window 1 --suites T",
+     "dd1f04dc0c663efe3d489bf9b105b5e1af27da23664e8096afc04485ddafcfc4"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_REPORTS,
-                         ids=["export-affinized", "check-sqrt-extension", "check-sp-classical"])
+                         ids=["export-affinized", "check-sqrt-extension", "check-sp-classical",
+                              "check-affinized-T"])
 def test_report_bytes_pinned(capsys, argv, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == 0

@@ -23,6 +23,8 @@ from ealie.exact_arith import SqrtFieldElement
 from ealie.finroot import Root
 from ealie.quantum_torus import SignMatrix, lattice_box
 
+from conftest import assert_int_first
+
 Q2 = SignMatrix.from_upper(2, [-1])
 
 
@@ -312,3 +314,28 @@ def test_sqrt_division_witness_errors(sqrt_alg, sqrt_win):
     wrong = sqrt_win.basis(sqrt_win.nonisotropic_roots()[1])[0]
     with pytest.raises(ValueError):
         sqrt_alg.division_witness(root, wrong, t)
+
+
+def _assert_int_first_element(el):
+    for val in el.g.entries.values():
+        for c in val.coeffs.values():
+            assert_int_first(c.re)
+            assert_int_first(c.im)
+    for v in el.c + el.d:
+        assert_int_first(v)
+
+
+def test_affinized_window_has_no_float_and_no_integral_fraction(aff_win):
+    """Coordinates, brackets and forms of every basis vector stay exact and int-first."""
+    for root, x in aff_win.all_basis():
+        _assert_int_first_element(x)
+        for v in aff_win.coords(x).values():
+            assert_int_first(v)
+        opp = -root
+        for y in aff_win.basis(opp) if opp in aff_win.pieces else ():
+            # forms reach reports as str(Fraction), so they stay Fractions
+            assert type(aff_win.form(x, y)) is Fraction
+            b = aff_win.bracket(x, y)
+            _assert_int_first_element(b)
+            for v in aff_win.coords(b).values():
+                assert_int_first(v)

@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 
 from ealie.exact_arith import GaussianRational, SqrtFieldElement, is_square_free, sqrt_pairing
 
+from conftest import assert_int_first
+
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 gaussians = st.builds(GaussianRational, fracs, fracs)
+# integer-valued operands as plain ints and as Fractions with denominator 1
+rationals = st.one_of(st.integers(-20, 20), fracs, st.integers(-20, 20).map(Fraction))
+mixed_gaussians = st.builds(GaussianRational, rationals, rationals)
 
 # square-free products of 2, 3, 5
 LABELS = (1, 2, 3, 5, 6, 10, 15, 30)
@@ -35,6 +40,34 @@ def test_gaussian_division_roundtrip(x, y):
     if y.is_zero():
         return
     assert (x / y) * y == x
+
+
+@given(mixed_gaussians, st.one_of(mixed_gaussians, rationals))
+def test_gaussian_components_int_or_fraction_never_float(x, y):
+    assert_int_first(x.re)
+    assert_int_first(x.im)
+    results = [x + y, y + x, x - y, y - x, x * y, y * x, -x, x.conjugate()]
+    if y:
+        results.append(x / y)
+    if x:
+        results.append(y / x)
+    for z in results:
+        assert isinstance(z, GaussianRational)
+        assert_int_first(z.re)
+        assert_int_first(z.im)
+
+
+def test_gaussian_integer_division_is_exact():
+    z = GaussianRational(1) / 2
+    assert z.re == Fraction(1, 2) and type(z.re) is Fraction
+    assert (GaussianRational(4, 2) / 2) == GaussianRational(2, 1)
+    assert type((GaussianRational(4, 2) / 2).re) is int
+    assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
+
+
+def test_gaussian_repr_renders_fractions():
+    assert repr(GaussianRational(1, 0)) == "GaussianRational(Fraction(1, 1), Fraction(0, 1))"
+    assert repr(GaussianRational(Fraction(1, 2), -3)) == "GaussianRational(Fraction(1, 2), Fraction(-3, 1))"
 
 
 def test_gaussian_scalar_coercion():

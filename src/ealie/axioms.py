@@ -25,8 +25,17 @@ arithmetic is exact.
 import random
 from fractions import Fraction
 
-from .decomp import centralizer_candidates, combine, isotropic_pair, sl2_search, sl2_triple, _small_generators
-from .finroot import Root, RootStringError, root_string
+from .decomp import (
+    _small_generators,
+    centralizer_candidates,
+    combine,
+    isotropic_pair,
+    sl2_search,
+    sl2_triple,
+    toral_commute,
+)
+from .ears import first_broken_string, first_isolated, nonisotropic_classes
+from .finroot import Root, components
 from .kernel import int_rank
 from .linalg import (
     SpanDict,
@@ -36,7 +45,7 @@ from .linalg import (
     solve_dense,
     span_equal,
 )
-from .quantum_torus import lattice_box
+from .quantum_torus import lattice_box, unit_degrees
 from .reporting import AxiomReport, CheckResult
 
 __all__ = [
@@ -50,6 +59,14 @@ __all__ = [
 ]
 
 _F1 = Fraction(1)
+
+# Zero-sum basis triples up to which form invariance is checked exhaustively;
+# above it, a seeded sample of 2000 is checked.
+EXHAUSTIVE_LIMIT = 100_000
+# Brackets after which an ad-chain that is still nonzero fails T4.
+NILPOTENCY_CAP = 17
+# Lattice degrees beyond the window that D8 brackets into each weight-0 slice.
+SPAN_MARGIN = 1
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -114,7 +131,7 @@ def _first_non_invariant_triple(win, triples):
     return None
 
 
-def _form_checks(win, prefix, seed, exhaustive_limit=100_000):
+def _form_checks(win, prefix, seed):
     """Symmetry, per-root nondegeneracy and invariance of the form.
 
     Witnesses name the first failure found.  Sampled loops always make all of
@@ -169,7 +186,7 @@ def _form_checks(win, prefix, seed, exhaustive_limit=100_000):
         win.dim(r1) * win.dim(r2) * win.dim(r3) for r1, r2, r3 in triples
     )
     inv_witness = None
-    if total <= exhaustive_limit:
+    if total <= EXHAUSTIVE_LIMIT:
         mode = f"exhaustive on all {total} zero-sum basis triples"
         bad_roots = _first_non_invariant_triple(win, triples)
         if bad_roots is not None:
@@ -206,58 +223,9 @@ def _graded_form_check(win, name):
     return CheckResult(name, True, "exhaustive on all window basis pairs")
 
 
-def _components(nodes, adjacent):
-    if not nodes:
-        return []
-    remaining = set(nodes)
-    comps = []
-    while remaining:
-        start = sorted(remaining)[0]
-        comp = {start}
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in sorted(remaining - comp):
-                if adjacent(a, b):
-                    comp.add(b)
-                    stack.append(b)
-        comps.append(sorted(comp))
-        remaining -= comp
-    return comps
-
-
-def _connectivity_check(win, name):
-    reps = {}
-    for r in win.nonisotropic_roots():
-        reps.setdefault(tuple(r.finite), r)
-    comps = _components(
-        sorted(reps),
-        lambda a, b: bool(win.pairing(reps[a], reps[b])),
-    )
-    ok = len(comps) <= 1
-    return CheckResult(
-        name,
-        ok,
-        "nonisotropic roots form one non-orthogonality class"
-        if ok else "nonisotropic roots split into orthogonal classes",
-        None if ok else {"components": comps},
-    )
-
-
-def _isolation_check(win, name):
-    for delta in win.isotropic_roots():
-        if not any(win.member(alpha + delta) for alpha in win.nonisotropic_roots()):
-            return CheckResult(
-                name, False,
-                "an isotropic root cannot be shifted into the root set",
-                {"delta": delta},
-            )
-    return CheckResult(name, True, "every isotropic root shifts into the set by a nonisotropic one")
-
-
 def _isotropic_rank_check(win, name):
     vecs = [list(r.lattice) for r in win.isotropic_roots()]
-    rank = int_rank(vecs, win.alg.nu) if win.alg.nu else 0
+    rank = int_rank(vecs, win.alg.nu)
     ok = rank == win.alg.nu
     return CheckResult(
         name,
@@ -291,20 +259,33 @@ def _longest_ad_chain(win, probes, bound, cap):
     return worst, None
 
 
+def _first_unsolvable_root(win, rng, combos):
+    """The first nonisotropic root with a probe x for which [x, y] = t_alpha has no solution.
+
+    The probes of a root are its slice basis plus, when the slice has more than
+    one vector, ``combos`` seeded random combinations of it.
+    """
+    for alpha in win.nonisotropic_roots():
+        basis = win.basis(alpha)
+        probes = list(basis)
+        if len(basis) > 1:
+            probes.extend(_random_combo(rng, basis, win.alg.zero()) for _ in range(combos))
+        if any(sl2_search(win, alpha, x) is None for x in probes):
+            return alpha
+    return None
+
+
 # -- the T suite ---------------------------------------------------------------
 
 
-def check_T(win, seed=0, nilpotency_bound=9, nilpotency_cap=17):
+def check_T(win, seed=0, nilpotency_bound=9):
     """The six-axiom suite on a windowed algebra with form and toral basis."""
     rng = random.Random(seed)
     results = list(_form_checks(win, "T1", seed))
     results.append(_graded_form_check(win, "T1-form-graded"))
 
     toral = win.toral
-    t2_ok = all(
-        win.bracket(h1, h2).is_zero()
-        for i, h1 in enumerate(toral) for h2 in toral[i + 1:]
-    )
+    t2_ok = toral_commute(win, toral)
     t2_gram = gram_nonsingular(win.toral_gram)
     spot = True
     flat = [(root, x) for root, x in win.all_basis()]
@@ -322,58 +303,45 @@ def check_T(win, seed=0, nilpotency_bound=9, nilpotency_cap=17):
         None if (t2_ok and t2_gram and spot) else {"commuting": t2_ok, "gram": t2_gram},
     ))
 
-    t3_ok = True
-    t3_witness = None
-    for alpha in win.nonisotropic_roots():
-        basis = win.basis(alpha)
-        probes = list(basis)
-        if len(basis) > 1:
-            probes.append(_random_combo(rng, basis, win.alg.zero()))
-            probes.append(_random_combo(rng, basis, win.alg.zero()))
-        for x in probes:
-            if sl2_search(win, alpha, x) is None:
-                t3_ok = False
-                t3_witness = {"root": alpha}
-                break
-        if not t3_ok:
-            break
-    if t3_ok:
-        for delta in win.isotropic_roots():
-            if isotropic_pair(win, delta) is None:
-                t3_ok = False
-                t3_witness = {"root": delta}
-                break
+    t3_root = _first_unsolvable_root(win, rng, 2)
+    if t3_root is None:
+        t3_root = next((d for d in win.isotropic_roots() if isotropic_pair(win, d) is None), None)
     results.append(CheckResult(
         "T3-bracket-representatives",
-        t3_ok,
+        t3_root is None,
         "window-verified: every nonisotropic basis vector and sampled combinations"
         " solve [x, y] = t; every isotropic window root has a normalized pair",
-        t3_witness,
+        None if t3_root is None else {"root": t3_root},
     ))
 
-    nu = win.alg.nu
-    probes = []
-    probe_degrees = [(0,) * nu]
-    for i in range(nu):
-        for sgn in (1, -1):
-            d = [0] * nu
-            d[i] = sgn
-            probe_degrees.append(tuple(d))
-    probe_set = set(probe_degrees)
-    for root, x in win.all_basis():
-        if tuple(root.lattice) in probe_set:
-            probes.append(x)
-    worst, t4_witness = _longest_ad_chain(win, probes, nilpotency_bound, nilpotency_cap)
+    probe_set = set(unit_degrees(win.alg.nu))
+    probes = [x for root, x in win.all_basis() if tuple(root.lattice) in probe_set]
+    worst, t4_witness = _longest_ad_chain(win, probes, nilpotency_bound, NILPOTENCY_CAP)
     results.append(CheckResult(
         "T4-locally-nilpotent",
         t4_witness is None,
         f"window-verified on degree-0 and unit-degree slices; longest chain {worst}"
-        f" (bound {nilpotency_bound}, cap {nilpotency_cap})",
+        f" (bound {nilpotency_bound}, cap {NILPOTENCY_CAP})",
         t4_witness,
     ))
 
-    results.append(_connectivity_check(win, "T5a-indecomposable"))
-    results.append(_isolation_check(win, "T5b-isotropic-not-isolated"))
+    comps = nonisotropic_classes(win)
+    connected = len(comps) <= 1
+    results.append(CheckResult(
+        "T5a-indecomposable",
+        connected,
+        "nonisotropic roots form one non-orthogonality class"
+        if connected else "nonisotropic roots split into orthogonal classes",
+        None if connected else {"components": comps},
+    ))
+    delta = first_isolated(win)
+    results.append(CheckResult(
+        "T5b-isotropic-not-isolated",
+        delta is None,
+        "every isotropic root shifts into the set by a nonisotropic one"
+        if delta is None else "an isotropic root cannot be shifted into the root set",
+        None if delta is None else {"delta": delta},
+    ))
     results.append(_isotropic_rank_check(win, "T6-free-abelian-rank"))
     return AxiomReport("T", results, _metadata(win))
 
@@ -381,7 +349,7 @@ def check_T(win, seed=0, nilpotency_bound=9, nilpotency_cap=17):
 # -- the D suite ---------------------------------------------------------------
 
 
-def check_D(win, seed=0, span_margin=1):
+def check_D(win, seed=0):
     """The twelve-axiom suite on a graded algebra window."""
     rng = random.Random(seed)
     alg = win.alg
@@ -389,13 +357,9 @@ def check_D(win, seed=0, span_margin=1):
     results = list(_form_checks(win, "D1", seed))
 
     toral = win.toral
-    d2_ok = all(
-        win.bracket(h1, h2).is_zero()
-        for i, h1 in enumerate(toral) for h2 in toral[i + 1:]
-    )
     results.append(CheckResult(
         "D2-toral-subalgebra",
-        d2_ok,
+        toral_commute(win, toral),
         f"{len(toral)} commuting generators; eigenvector property verified during decomposition",
     ))
 
@@ -419,7 +383,7 @@ def check_D(win, seed=0, span_margin=1):
 
     gram = [[fin.pairing(a, b) for b in simple] for a in simple]
     posdef = gram_positive_definite(gram)
-    comps = _components(
+    comps = components(
         list(range(len(simple))),
         lambda i, j: bool(fin.pairing(simple[i], simple[j])),
     )
@@ -483,7 +447,7 @@ def check_D(win, seed=0, span_margin=1):
 
     d8_ok = True
     d8_witness = None
-    margin_box = lattice_box(alg.nu, win.w + span_margin)
+    margin_box = lattice_box(alg.nu, win.w + SPAN_MARGIN)
     margin_set = set(margin_box)
     for sigma in alg.window_degrees(win.w):
         claim = SpanDict(
@@ -514,12 +478,12 @@ def check_D(win, seed=0, span_margin=1):
     results.append(CheckResult(
         "D8-zero-weight-spanned",
         d8_ok,
-        f"weight-0 slices equal the span of opposite-weight brackets (margin {span_margin})",
+        f"weight-0 slices equal the span of opposite-weight brackets (margin {SPAN_MARGIN})",
         d8_witness,
     ))
 
     degrees = sorted({tuple(r.lattice) for r in win.roots()})
-    rank = int_rank([list(d) for d in degrees], alg.nu) if alg.nu else 0
+    rank = int_rank([list(d) for d in degrees], alg.nu)
     results.append(CheckResult(
         "D9-support-rank",
         rank == alg.nu,
@@ -539,26 +503,12 @@ def check_D(win, seed=0, span_margin=1):
         None if not missing else {"missing": missing},
     ))
 
-    d12a_ok = True
-    d12a_witness = None
-    for alpha in win.nonisotropic_roots():
-        basis = win.basis(alpha)
-        probes = list(basis)
-        if len(basis) > 1:
-            probes.append(_random_combo(rng, basis, alg.zero()))
-        for x in probes:
-            y = sl2_search(win, alpha, x)
-            if y is None:
-                d12a_ok = False
-                d12a_witness = {"root": alpha}
-                break
-        if not d12a_ok:
-            break
+    d12a_root = _first_unsolvable_root(win, rng, 1)
     results.append(CheckResult(
         "D12a-division",
-        d12a_ok,
+        d12a_root is None,
         "window-verified: basis vectors and sampled combinations solve [x, y] = t",
-        d12a_witness,
+        None if d12a_root is None else {"root": d12a_root},
     ))
 
     d12b_ok = True
@@ -634,70 +584,54 @@ def serre_check(win, lattice_shifts=None):
     if len(shifts) != n:
         raise ValueError(f"expected {n} lattice shifts, got {len(shifts)}")
 
-    triples = []
-    for a, shift in zip(simple, shifts):
-        root = Root(finite=a, lattice=shift)
-        e, h, f = sl2_triple(win, root)
-        triples.append((e, h, f))
-
+    e, h, f = zip(*(
+        sl2_triple(win, Root(finite=a, lattice=shift)) for a, shift in zip(simple, shifts)
+    ))
     c = [[int(fin.cartan_integer(simple[j], simple[i])) for j in range(n)] for i in range(n)]
+
+    def h_commute(i, j):
+        if not win.bracket(h[i], h[j]).is_zero():
+            return {"i": i, "j": j}
+        return None
+
+    def h_action(i, j):
+        if not (win.bracket(h[i], e[j]) - e[j] * Fraction(c[i][j])).is_zero():
+            return {"relation": "h-e", "i": i, "j": j}
+        if not (win.bracket(h[i], f[j]) + f[j] * Fraction(c[i][j])).is_zero():
+            return {"relation": "h-f", "i": i, "j": j}
+        return None
+
+    def e_f_pairing(i, j):
+        b = win.bracket(e[i], f[j])
+        if not (b - h[i] if i == j else b).is_zero():
+            return {"i": i, "j": j}
+        return None
+
+    def theta(i, j):
+        if i == j:
+            return None
+        acc_e, acc_f = e[j], f[j]
+        for _ in range(1 - c[i][j]):
+            acc_e = win.bracket(e[i], acc_e)
+            acc_f = win.bracket(f[i], acc_f)
+        if not acc_e.is_zero():
+            return {"relation": "theta-plus", "i": i, "j": j}
+        if not acc_f.is_zero():
+            return {"relation": "theta-minus", "i": i, "j": j}
+        return None
+
     results = []
-
-    ok = True
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            if not win.bracket(triples[i][1], triples[j][1]).is_zero():
-                ok = False
-                witness = {"i": i, "j": j}
-    results.append(CheckResult("serre-h-commute", ok, "", witness))
-
-    ok = True
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            e_j = triples[j][0]
-            f_j = triples[j][2]
-            h_i = triples[i][1]
-            if not (win.bracket(h_i, e_j) - e_j * Fraction(c[i][j])).is_zero():
-                ok = False
-                witness = {"relation": "h-e", "i": i, "j": j}
-            if not (win.bracket(h_i, f_j) + f_j * Fraction(c[i][j])).is_zero():
-                ok = False
-                witness = {"relation": "h-f", "i": i, "j": j}
-    results.append(CheckResult("serre-h-action", ok, "", witness))
-
-    ok = True
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            b = win.bracket(triples[i][0], triples[j][2])
-            expect = triples[i][1] if i == j else None
-            residual = (b - expect) if expect is not None else b
-            if not residual.is_zero():
-                ok = False
-                witness = {"i": i, "j": j}
-    results.append(CheckResult("serre-e-f-pairing", ok, "", witness))
-
-    ok = True
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            power = 1 - c[i][j]
-            acc_e = triples[j][0]
-            acc_f = triples[j][2]
-            for _ in range(power):
-                acc_e = win.bracket(triples[i][0], acc_e)
-                acc_f = win.bracket(triples[i][2], acc_f)
-            if not acc_e.is_zero():
-                ok = False
-                witness = {"relation": "theta-plus", "i": i, "j": j}
-            if not acc_f.is_zero():
-                ok = False
-                witness = {"relation": "theta-minus", "i": i, "j": j}
-    results.append(CheckResult("serre-theta-relations", ok, "", witness))
+    for name, relation in (
+        ("serre-h-commute", h_commute),
+        ("serre-h-action", h_action),
+        ("serre-e-f-pairing", e_f_pairing),
+        ("serre-theta-relations", theta),
+    ):
+        witness = next(
+            (w for w in (relation(i, j) for i in range(n) for j in range(n)) if w is not None),
+            None,
+        )
+        results.append(CheckResult(name, witness is None, "", witness))
 
     reported = [
         [int(fin.cartan_integer(simple[i], simple[j])) for j in range(n)]
@@ -913,37 +847,13 @@ def check_props(win, core, seed=0):
         cartan_witness,
     ))
 
-    strings_ok = True
-    strings_witness = None
-    k = win.fin.ambient_dim
-
-    def member(v):
-        return win.member(Root(finite=tuple(v[:k]), lattice=tuple(v[k:])))
-
-    def pairing(a, b):
-        return win.pairing(
-            Root(finite=tuple(a[:k]), lattice=tuple(a[k:])),
-            Root(finite=tuple(b[:k]), lattice=tuple(b[k:])),
-        )
-
-    for alpha in win.nonisotropic_roots():
-        va = tuple(alpha.finite) + tuple(alpha.lattice)
-        for beta in win.roots():
-            vb = tuple(beta.finite) + tuple(beta.lattice)
-            try:
-                root_string(vb, va, member, pairing)
-            except RootStringError as err:
-                strings_ok = False
-                strings_witness = {"alpha": alpha, "beta": beta, "error": str(err)}
-                break
-        if not strings_ok:
-            break
+    broken = first_broken_string(win)
     results.append(CheckResult(
         "prop-root-strings",
-        strings_ok,
+        broken is None,
         "exhaustive: every string through the window is an unbroken interval"
         " with d - u = 2(beta,alpha)/(alpha,alpha)",
-        strings_witness,
+        None if broken is None else {"alpha": broken[0], "beta": broken[1], "error": str(broken[2])},
     ))
 
     perfect_ok = True

@@ -186,6 +186,12 @@ def _run_con_suite(parser, args):
     return AxiomReport("CON", results, _instance_meta(args, {"extension": spec.name}))
 
 
+def _ears_report(args, win):
+    """The EARS report (root-system axioms, then support checks) and the support sets."""
+    sup, sup_results = support_checks(win)
+    return AxiomReport("EARS", check_ears_axioms(win) + sup_results, _instance_meta(args)), sup
+
+
 def _collect_reports(parser, args, suites):
     if args.construction == "cocycle-extension":
         return {"CON": _run_con_suite(parser, args)}
@@ -205,9 +211,7 @@ def _collect_reports(parser, args, suites):
                 win_graded = decompose_window(graded, args.window)
             reports["D"] = check_D(win_graded, seed=args.seed)
         elif suite == "EARS":
-            _, sup_results = support_checks(win)
-            results = check_ears_axioms(win) + sup_results
-            reports["EARS"] = AxiomReport("EARS", results, _instance_meta(args))
+            reports["EARS"] = _ears_report(args, win)[0]
         elif suite == "SERRE":
             reports["SERRE"] = serre_check(win)
         elif suite in ("TAME", "PROPS"):
@@ -287,9 +291,7 @@ def _cmd_ears(parser, args):
         parser.error(f"suite EARS is not applicable to {args.construction}")
     alg, _ = _build_algebra(parser, args)
     win = decompose_window(alg, args.window)
-    sup, sup_results = support_checks(win)
-    results = check_ears_axioms(win) + sup_results
-    report = AxiomReport("EARS", results, _instance_meta(args))
+    report, sup = _ears_report(args, win)
     payload = {
         "instance": _instance_meta(args),
         "ears": report.as_json(),

@@ -62,19 +62,23 @@ def degree_derivation(g, i):
     return g._with(out)
 
 
+# Lattice margin of the spanning computation behind each derived weight-0 slice.
+ZERO_MARGIN = 1
+
+
 class TorusMatrixAlgebra:
     """Skew matrices over the twisted torus, or their derived algebra.
 
     ``derived`` selects G = [B, B] (only the weight-0 slices shrink);
     ``real_only`` restricts coefficients to the rationals, which at nu = 0
     yields sp_{2l}(Q) exactly.  Weight-0 derived slices are produced by the
-    exact spanning computation of zero_root_component (margin ``zero_margin``,
+    exact spanning computation of zero_root_component (margin ``ZERO_MARGIN``,
     diagonal pairs included) and carry its closed-form cross-check flag.
     """
 
     construction = "quantum-torus"
 
-    def __init__(self, ell, q, derived=True, real_only=False, zero_margin=1):
+    def __init__(self, ell, q, derived=True, real_only=False):
         if ell < 2:
             raise ValueError("matrix rank l must be >= 2")
         self.ell = ell
@@ -82,7 +86,6 @@ class TorusMatrixAlgebra:
         self.nu = q.nu
         self.derived = derived
         self.real_only = real_only
-        self.zero_margin = zero_margin
         self.fin = build_finite_root_system("C", ell)
         self._pieces = {}
         self._zero_components = {}
@@ -113,7 +116,7 @@ class TorusMatrixAlgebra:
                 self.ell,
                 self.q,
                 sigma,
-                margin=self.zero_margin,
+                margin=ZERO_MARGIN,
                 include_diagonal_pairs=True,
                 real_only=self.real_only,
             )
@@ -462,97 +465,82 @@ def check_extension_conditions(spec, sample_elements, triples=None):
     """
     base = spec.base
     alg = CocycleExtensionAlgebra(spec)
-    results = []
+    dims = range(spec.e_dim)
 
-    ok = True
-    detail = ""
-    for i in range(spec.e_dim):
-        for j in range(spec.e_dim):
-            lhs = spec.tau(i, j) + spec.tau(j, i)
-            if not lhs.is_zero():
-                ok = False
-                detail = f"tau({i},{j}) + tau({j},{i}) != 0"
-    results.append(("tau-antisymmetric", ok, detail))
+    def e_combination(coeffs, term):
+        """sum_m coeffs[m] * term(m) in the base algebra, over nonzero coefficients."""
+        acc = base.zero()
+        for m, v in enumerate(coeffs):
+            if v:
+                acc = acc + term(m) * v
+        return acc
 
-    ok = True
-    detail = ""
-    for i in range(spec.e_dim):
-        for a in sample_elements:
-            for b in sample_elements:
-                lhs = spec.rho(i, base.bracket(a, b))
-                rhs = base.bracket(spec.rho(i, a), b) + base.bracket(a, spec.rho(i, b))
-                if not (lhs - rhs).is_zero():
-                    ok = False
-                    detail = f"rho({i}) fails the derivation rule"
-    results.append(("rho-derivations", ok, detail))
+    def derivation_defect(i, a, b):
+        lhs = spec.rho(i, base.bracket(a, b))
+        return lhs - (base.bracket(spec.rho(i, a), b) + base.bracket(a, spec.rho(i, b)))
 
-    ok = True
-    detail = ""
-    for i in range(spec.e_dim):
-        for j in range(spec.e_dim):
-            for a in sample_elements:
-                lhs = base.bracket(spec.tau(i, j), a)
-                rhs = spec.rho(i, spec.rho(j, a)) - spec.rho(j, spec.rho(i, a))
-                rbr = base.zero()
-                for k, v in enumerate(spec.e_bracket(i, j)):
-                    if v:
-                        rbr = rbr + spec.rho(k, a) * v
-                if not (lhs - (rhs - rbr)).is_zero():
-                    ok = False
-                    detail = f"curvature identity fails at ({i},{j})"
-    results.append(("curvature-identity", ok, detail))
+    def curvature_defect(i, j, a):
+        lhs = base.bracket(spec.tau(i, j), a)
+        rhs = spec.rho(i, spec.rho(j, a)) - spec.rho(j, spec.rho(i, a))
+        return lhs - (rhs - e_combination(spec.e_bracket(i, j), lambda k: spec.rho(k, a)))
 
-    ok = True
-    detail = ""
-    for i in range(spec.e_dim):
-        for j in range(spec.e_dim):
-            for k in range(spec.e_dim):
-                lhs = base.zero()
-                for m, v in enumerate(spec.e_bracket(i, j)):
-                    if v:
-                        lhs = lhs + spec.tau(m, k) * v
-                for m, v in enumerate(spec.e_bracket(k, i)):
-                    if v:
-                        lhs = lhs + spec.tau(m, j) * v
-                for m, v in enumerate(spec.e_bracket(j, k)):
-                    if v:
-                        lhs = lhs + spec.tau(m, i) * v
-                rhs = (
-                    spec.rho(i, spec.tau(j, k))
-                    + spec.rho(k, spec.tau(i, j))
-                    + spec.rho(j, spec.tau(k, i))
-                )
-                if not (lhs - rhs).is_zero():
-                    ok = False
-                    detail = f"cyclic cochain identity fails at ({i},{j},{k})"
-    results.append(("cyclic-cochain-identity", ok, detail))
+    def cyclic_defect(i, j, k):
+        lhs = (
+            e_combination(spec.e_bracket(i, j), lambda m: spec.tau(m, k))
+            + e_combination(spec.e_bracket(k, i), lambda m: spec.tau(m, j))
+            + e_combination(spec.e_bracket(j, k), lambda m: spec.tau(m, i))
+        )
+        rhs = spec.rho(i, spec.tau(j, k)) + spec.rho(k, spec.tau(i, j)) + spec.rho(j, spec.tau(k, i))
+        return lhs - rhs
 
-    ok = True
-    detail = ""
-    mixed = [alg.lift(a) for a in sample_elements] + [alg.e_gen(i) for i in range(spec.e_dim)]
-    picked = triples if triples is not None else [
-        (x, y, z) for x in mixed for y in mixed for z in mixed
-    ]
-    for x, y, z in picked:
-        acc = (
+    def jacobi_sum(x, y, z):
+        return (
             alg.bracket(alg.bracket(x, y), z)
             + alg.bracket(alg.bracket(y, z), x)
             + alg.bracket(alg.bracket(z, x), y)
         )
-        if not acc.is_zero():
-            ok = False
-            detail = "Jacobi identity fails on a mixed triple"
-    results.append(("jacobi", ok, detail))
 
-    ok = True
-    detail = ""
-    for x in mixed:
-        for a in sample_elements:
-            if any(alg.bracket(x, alg.lift(a)).e):
-                ok = False
-                detail = "bracketing with the ideal leaks into E"
-    results.append(("ideal-and-quotient", ok, detail))
-
+    mixed = [alg.lift(a) for a in sample_elements] + [alg.e_gen(i) for i in dims]
+    picked = triples if triples is not None else [
+        (x, y, z) for x in mixed for y in mixed for z in mixed
+    ]
+    # Each check is a lazy stream of failure details; only its first item is drawn.
+    checks = (
+        ("tau-antisymmetric", (
+            f"tau({i},{j}) + tau({j},{i}) != 0"
+            for i in dims for j in dims
+            if not (spec.tau(i, j) + spec.tau(j, i)).is_zero()
+        )),
+        ("rho-derivations", (
+            f"rho({i}) fails the derivation rule"
+            for i in dims for a in sample_elements for b in sample_elements
+            if not derivation_defect(i, a, b).is_zero()
+        )),
+        ("curvature-identity", (
+            f"curvature identity fails at ({i},{j})"
+            for i in dims for j in dims for a in sample_elements
+            if not curvature_defect(i, j, a).is_zero()
+        )),
+        ("cyclic-cochain-identity", (
+            f"cyclic cochain identity fails at ({i},{j},{k})"
+            for i in dims for j in dims for k in dims
+            if not cyclic_defect(i, j, k).is_zero()
+        )),
+        ("jacobi", (
+            "Jacobi identity fails on a mixed triple"
+            for x, y, z in picked
+            if not jacobi_sum(x, y, z).is_zero()
+        )),
+        ("ideal-and-quotient", (
+            "bracketing with the ideal leaks into E"
+            for x in mixed for a in sample_elements
+            if any(alg.bracket(x, alg.lift(a)).e)
+        )),
+    )
+    results = []
+    for name, failures in checks:
+        detail = next(failures, "")
+        results.append((name, not detail, detail))
     return results
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .finroot import Root
 from .linalg import SpanDict, nullspace_dense, relations, solve_combination, solve_dense, span_equal
 from .matlie import GradedPiece
-from .quantum_torus import lattice_box
+from .quantum_torus import lattice_box, unit_degrees
 
 __all__ = [
     "DecompositionError",
@@ -33,6 +33,7 @@ __all__ = [
     "NilpotencyError",
     "RootSystemWindow",
     "decompose_window",
+    "toral_commute",
     "combine",
     "sl2_search",
     "sl2_triple",
@@ -150,13 +151,19 @@ class RootSystemWindow:
         return self.alg.coords(x)
 
 
+def toral_commute(alg, toral):
+    """True when the toral generators commute pairwise under ``alg.bracket``."""
+    return all(
+        alg.bracket(h1, h2).is_zero()
+        for i, h1 in enumerate(toral) for h2 in toral[i + 1:]
+    )
+
+
 def decompose_window(alg, w):
     """Decompose all lattice degrees with max-norm <= w and verify exactness."""
     toral = tuple(alg.toral_basis())
-    for i, h1 in enumerate(toral):
-        for h2 in toral[i + 1:]:
-            if not alg.bracket(h1, h2).is_zero():
-                raise DecompositionError("toral generators do not commute")
+    if not toral_commute(alg, toral):
+        raise DecompositionError("toral generators do not commute")
     pieces = {}
     for sigma in alg.window_degrees(w):
         degree_span = SpanDict()
@@ -305,7 +312,6 @@ class CoreData:
     h_alpha_sum: object
     h_perp: tuple
     h_alpha_sum_equals_h_perp: bool
-    generator_count: int
 
     def piece_basis(self, root):
         piece = self.pieces.get(root)
@@ -334,28 +340,24 @@ def _small_generators(win):
     (unit degrees generate the lattice), so killing them decides centrality;
     survivors are re-verified against the whole window basis anyway.
     """
-    alg = win.alg
-    nu = alg.nu
-    degrees = [(0,) * nu]
-    for i in range(nu):
-        for sgn in (1, -1):
-            d = [0] * nu
-            d[i] = sgn
-            degrees.append(tuple(d))
     gens = []
-    for sigma in degrees:
-        for weight, basis in sorted(alg.graded_pieces(sigma).items()):
+    for sigma in unit_degrees(win.alg.nu):
+        for weight, basis in sorted(win.alg.graded_pieces(sigma).items()):
             if any(weight):
                 gens.extend(basis)
     return gens
 
 
-def core_and_center_window(win, extra_margin=2):
+# Lattice degrees beyond the window whose brackets span the isotropic core slices.
+EXTRA_MARGIN = 2
+
+
+def core_and_center_window(win):
     """Core, center and form radical of the core, within the window.
 
     The core piece at a nonisotropic root is the full slice; at an isotropic
     root it is the exact span of all brackets of opposite nonzero-weight
-    slices whose lattice degrees stay within w + extra_margin.  The center is
+    slices whose lattice degrees stay within w + EXTRA_MARGIN.  The center is
     found per isotropic degree by solving the commutation equations against a
     small generating set and re-verifying survivors against the entire window
     core basis; nonisotropic slices cannot meet the center because a toral
@@ -368,7 +370,7 @@ def core_and_center_window(win, extra_margin=2):
         pieces[root] = GradedPiece(root=root, basis=tuple(win.basis(root)))
 
     weights = sorted(w for w in {r.finite for r in win.nonisotropic_roots()})
-    box = lattice_box(alg.nu, win.w + extra_margin)
+    box = lattice_box(alg.nu, win.w + EXTRA_MARGIN)
     for delta in win.isotropic_roots():
         span = SpanDict()
         greedy = []
@@ -449,5 +451,4 @@ def core_and_center_window(win, extra_margin=2):
         h_alpha_sum=h_sum,
         h_perp=tuple(h_perp),
         h_alpha_sum_equals_h_perp=span_equal(h_sum, h_perp_span),
-        generator_count=len(generators),
     )

@@ -13,7 +13,7 @@ must satisfy.
 
 from dataclasses import dataclass
 
-from .finroot import Root, RootStringError, root_string
+from .finroot import Root, RootStringError, components, root_string
 from .kernel import int_rank
 from .linalg import integer_lattice_basis, integer_lattice_member
 from .quantum_torus import lattice_box
@@ -21,6 +21,9 @@ from .reporting import CheckResult
 
 __all__ = [
     "check_ears_axioms",
+    "first_broken_string",
+    "nonisotropic_classes",
+    "first_isolated",
     "SupportSets",
     "support_sets",
     "support_checks",
@@ -37,7 +40,51 @@ def _split(win, v):
     return Root(finite=tuple(v[:k]), lattice=tuple(v[k:]))
 
 
-def check_ears_axioms(win, string_scan=6):
+# Offsets scanned on each side of the base point of a root string.
+STRING_SCAN = 6
+
+
+def first_broken_string(win):
+    """The first (alpha, beta, error) whose alpha-string through beta is broken, else None.
+
+    alpha runs over the nonisotropic window roots and beta over all window
+    roots; membership beyond the window goes through the oracle.
+    """
+
+    def member(v):
+        return win.member(_split(win, v))
+
+    def pairing(a, b):
+        return win.pairing(_split(win, a), _split(win, b))
+
+    for alpha in win.nonisotropic_roots():
+        va = _vec(alpha)
+        for beta in win.roots():
+            try:
+                root_string(_vec(beta), va, member, pairing, scan=STRING_SCAN)
+            except RootStringError as err:
+                return alpha, beta, err
+    return None
+
+
+def nonisotropic_classes(win):
+    """Non-orthogonality classes of the finite parts of the nonisotropic roots."""
+    reps = {}
+    for r in win.nonisotropic_roots():
+        reps.setdefault(tuple(r.finite), r)
+    return components(sorted(reps), lambda a, b: bool(win.pairing(reps[a], reps[b])))
+
+
+def first_isolated(win):
+    """The first isotropic root no nonisotropic root shifts into the root set, else None."""
+    nonzero = win.nonisotropic_roots()
+    for delta in win.isotropic_roots():
+        if not any(win.member(alpha + delta) for alpha in nonzero):
+            return delta
+    return None
+
+
+def check_ears_axioms(win):
     """The axiom report for the window root system; one result per axiom."""
     results = []
     roots = win.roots()
@@ -55,7 +102,7 @@ def check_ears_axioms(win, string_scan=6):
 
     vectors = [list(_vec(r)) for r in roots]
     expected = win.fin.rank + win.alg.nu
-    rank = int_rank(vectors, len(vectors[0])) if vectors else 0
+    rank = int_rank(vectors, win.fin.ambient_dim + win.alg.nu)
     results.append(CheckResult(
         "R2-spans",
         rank == expected,
@@ -80,66 +127,32 @@ def check_ears_axioms(win, string_scan=6):
         witness,
     ))
 
-    def member(v):
-        return win.member(_split(win, v))
+    broken = first_broken_string(win)
+    results.append(CheckResult(
+        "R4-root-strings",
+        broken is None,
+        "" if broken is None else str(broken[2]),
+        None if broken is None else {"alpha": broken[0], "beta": broken[1]},
+    ))
 
-    def pairing(a, b):
-        return win.pairing(_split(win, a), _split(win, b))
-
-    r4_ok = True
-    r4_detail = ""
-    r4_witness = None
-    for alpha in nonzero:
-        va = _vec(alpha)
-        for beta in roots:
-            try:
-                root_string(_vec(beta), va, member, pairing, scan=string_scan)
-            except RootStringError as err:
-                r4_ok = False
-                r4_detail = str(err)
-                r4_witness = {"alpha": alpha, "beta": beta}
-                break
-        if not r4_ok:
-            break
-    results.append(CheckResult("R4-root-strings", r4_ok, r4_detail, r4_witness))
-
-    reps = {}
-    for r in nonzero:
-        reps.setdefault(tuple(r.finite), r)
-    nodes = sorted(reps)
-    reached = set()
-    if nodes:
-        stack = [nodes[0]]
-        reached.add(nodes[0])
-        while stack:
-            a = stack.pop()
-            for b in nodes:
-                if b not in reached and win.pairing(reps[a], reps[b]):
-                    reached.add(b)
-                    stack.append(b)
-    missing = [n for n in nodes if n not in reached]
+    classes = nonisotropic_classes(win)
+    connected = len(classes) <= 1
     results.append(CheckResult(
         "R5a-connected",
-        not missing,
-        "" if not missing else "the nonisotropic part splits into orthogonal components",
-        None if not missing else {
-            "component": sorted(reached),
-            "complement": missing,
+        connected,
+        "" if connected else "the nonisotropic part splits into orthogonal components",
+        None if connected else {
+            "component": classes[0],
+            "complement": sorted(n for c in classes[1:] for n in c),
         },
     ))
 
-    r5b_ok = True
-    r5b_witness = None
-    for delta in isotropic:
-        if not any(win.member(alpha + delta) for alpha in nonzero):
-            r5b_ok = False
-            r5b_witness = {"delta": delta}
-            break
+    delta = first_isolated(win)
     results.append(CheckResult(
         "R5b-isotropic-not-isolated",
-        r5b_ok,
-        "" if r5b_ok else "an isotropic root cannot be shifted into the set by any nonisotropic root",
-        r5b_witness,
+        delta is None,
+        "" if delta is None else "an isotropic root cannot be shifted into the set by any nonisotropic root",
+        None if delta is None else {"delta": delta},
     ))
 
     doubled = next(
@@ -228,7 +241,7 @@ def check_semilattice(members, nu, bound):
                     "sigma + 2 tau escapes the set inside the window",
                     {"sigma": sigma, "tau": tau, "missing": out},
                 )
-    rank = int_rank([list(m) for m in sorted(members)], nu) if nu else 0
+    rank = int_rank([list(m) for m in sorted(members)], nu)
     if rank != nu:
         return CheckResult(
             "semilattice", False, f"span rank {rank} is less than the ambient rank {nu}", None
@@ -290,7 +303,7 @@ def support_checks(win):
     ))
 
     iso = [list(r.lattice) for r in win.isotropic_roots()]
-    rank = int_rank(iso, win.alg.nu) if win.alg.nu else 0
+    rank = int_rank(iso, win.alg.nu)
     results.append(CheckResult(
         "isotropic-span-rank",
         rank == win.alg.nu,

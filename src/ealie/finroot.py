@@ -16,6 +16,7 @@ __all__ = [
     "RootStringError",
     "FiniteRootSystem",
     "build_finite_root_system",
+    "components",
     "reflect_vec",
     "root_string",
 ]
@@ -64,6 +65,29 @@ class RootStringError(ValueError):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def components(nodes, adjacent):
+    """Connected components of ``nodes`` under ``adjacent``, each sorted.
+
+    Components come in the order of their smallest node, so the first one holds
+    the smallest node of all.
+    """
+    remaining = set(nodes)
+    comps = []
+    while remaining:
+        start = min(remaining)
+        comp = {start}
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b in sorted(remaining - comp):
+                if adjacent(a, b):
+                    comp.add(b)
+                    stack.append(b)
+        comps.append(sorted(comp))
+        remaining -= comp
+    return comps
 
 
 def reflect_vec(beta, alpha, pairing):
@@ -186,18 +210,7 @@ class FiniteRootSystem:
         return True
 
     def is_irreducible(self):
-        roots = sorted(self.nonzero_roots)
-        if not roots:
-            return False
-        seen = {roots[0]}
-        frontier = [roots[0]]
-        while frontier:
-            a = frontier.pop()
-            for b in roots:
-                if b not in seen and _dot(a, b):
-                    seen.add(b)
-                    frontier.append(b)
-        return len(seen) == len(roots)
+        return len(components(self.nonzero_roots, lambda a, b: bool(_dot(a, b)))) == 1
 
     def root_string(self, beta, alpha, scan=6):
         return root_string(beta, alpha, self.contains, self.pairing, scan=scan)

@@ -241,9 +241,6 @@ class SpanDict:
     def dim(self):
         return len(self._rows)
 
-    def basis_rows(self):
-        return [dict(row) for _, row in sorted(self._rows.items())]
-
     def issubspace_of(self, other):
         return all(other.contains(row) for row in self._rows.values())
 

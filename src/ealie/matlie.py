@@ -74,13 +74,6 @@ class LieElement(SparseMatrix):
     # torus-matrix product without touching other SparseMatrix types.
     __matmul__ = SparseMatrix.__matmul__
 
-    def trace(self):
-        acc = TorusElement.zero(self.q)
-        for (p, r_), val in self.entries.items():
-            if p == r_:
-                acc = acc + val
-        return acc
-
     def coords(self):
         """Sparse rational coordinates keyed (degree, row, col, part) with part 0=re, 1=im."""
         out = {}

@@ -27,6 +27,7 @@ __all__ = [
     "structure_constant",
     "epsilon",
     "torus_form",
+    "unit_degrees",
 ]
 
 
@@ -243,6 +244,17 @@ def lattice_box(nu, bound):
     out = [()]
     for _ in range(nu):
         out = [t + (v,) for t in out for v in range(-bound, bound + 1)]
+    return out
+
+
+def unit_degrees(nu):
+    """Degree 0, then +e_i and -e_i for each i: the degrees that generate Z^nu."""
+    out = [(0,) * nu]
+    for i in range(nu):
+        for sgn in (1, -1):
+            d = [0] * nu
+            d[i] = sgn
+            out.append(tuple(d))
     return out
 
 

@@ -9,7 +9,7 @@ from ealie.constructions import (
     TorusMatrixAlgebra,
     affinize,
 )
-from ealie.decomp import core_and_center_window, decompose_window
+from ealie.decomp import core_and_center_window, decompose_window, sl2_triple
 from ealie.finroot import Root
 from ealie.quantum_torus import SignMatrix
 
@@ -222,3 +222,35 @@ def test_serre_shifted_preimages(torus_win):
 def test_serre_shift_count_validated(torus_win):
     with pytest.raises(ValueError):
         serre_check(torus_win, lattice_shifts=[(1, 0)])
+
+
+class _CartansDoNotCommute:
+    """Window wrapper whose bracket of two different Serre Cartan elements h_i, h_j
+    returns h_i instead of 0."""
+
+    def __init__(self, win):
+        self._win = win
+        self._hs = [
+            sl2_triple(win, Root(finite=a, lattice=(0,) * win.alg.nu))[1]
+            for a in win.fin.simple_roots
+        ]
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def _index(self, x):
+        return next((k for k, h in enumerate(self._hs) if x == h), None)
+
+    def bracket(self, x, y):
+        i, j = self._index(x), self._index(y)
+        if i is not None and j is not None and i != j:
+            return x
+        return self._win.bracket(x, y)
+
+
+def test_serre_witness_is_first_failing_pair(torus_win):
+    report = serre_check(_CartansDoNotCommute(torus_win))
+    byname = {r.name: r for r in report.results}
+    assert _failed(report) == ["serre-h-commute"]
+    # (0, 1) and (1, 0) both fail; the first one in (i, j) order is named
+    assert byname["serre-h-commute"].witness == {"i": 0, "j": 1}

@@ -184,23 +184,28 @@ def test_check_out_file(tmp_path, capsys):
     assert payload["suite_results"]["SERRE"]["passed"] is True
 
 
-# sha256 of the stdout bytes; a refactor of the arithmetic must leave them unchanged.
+# sha256 of the stdout bytes and the exit code; a refactor must leave both unchanged.
 PINNED_REPORTS = [
-    ("export --construction affinized --nu 2 --q -1 --window 1",
+    ("export --construction affinized --nu 2 --q -1 --window 1", 0,
      "8362102dabcaff39fb31da34bd9c6bb217eee60e47078ae91f5c606604f79e41"),
-    ("check --construction sqrt-extension --rank 2 --primes 2,3",
+    ("check --construction sqrt-extension --rank 2 --primes 2,3", 0,
      "72472b46e312ce4d6fbe7b00e16e489c10aec5c5898c6e7079e3fe7dd7c6b310"),
-    ("check --construction sp-classical --ell 2",
+    ("check --construction sp-classical --ell 2", 0,
      "d9f89ac686f4aa70917d4a246b0b176423a4a6cfb2455d5bd0f825336b18dd78"),
-    ("check --construction affinized --nu 2 --q -1 --window 1 --suites T",
+    ("check --construction affinized --nu 2 --q -1 --window 1 --suites T", 0,
      "dd1f04dc0c663efe3d489bf9b105b5e1af27da23664e8096afc04485ddafcfc4"),
+    ("ears --construction quantum-torus --nu 2 --q -1 --window 1", 0,
+     "c27c7ed5b4cbd8bc75ba382fe26efa9623bc531768a82c8f981afc9d187db97e"),
+    # fails D8 with a witness, so the failing-witness bytes are pinned too
+    ("check --construction quantum-torus --nu 2 --q -1 --underived --suites D,EARS", 1,
+     "9a943205982a13553559346781c42f4cf5b3f84b0a9e40a716fb829c071482c5"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_REPORTS,
+@pytest.mark.parametrize("argv, code, digest", PINNED_REPORTS,
                          ids=["export-affinized", "check-sqrt-extension", "check-sp-classical",
-                              "check-affinized-T"])
-def test_report_bytes_pinned(capsys, argv, digest):
+                              "check-affinized-T", "ears-torus", "check-underived-D-EARS"])
+def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
-    assert rc == 0
+    assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -235,6 +235,20 @@ def test_non_central_cochain_fails_curvature():
     assert results["curvature-identity"] is False
 
 
+def test_extension_detail_names_first_failure():
+    base = TorusMatrixAlgebra(2, Q2)
+    # the identity map is no derivation: rho([a, b]) = [a, b], not 2 [a, b]
+    spec = ExtensionSpec(base, 2, rho=lambda i, a: a, name="identity-rho")
+    samples = [
+        base.root_piece(Root(finite=(1, 1), lattice=(0, 0)))[0],
+        base.root_piece(Root(finite=(-1, -1), lattice=(0, 0)))[0],
+    ]
+    results = {name: (passed, detail) for name, passed, detail in check_extension_conditions(spec, samples)}
+    # rho(0) and rho(1) both fail; the detail names the first
+    assert results["rho-derivations"] == (False, "rho(0) fails the derivation rule")
+    assert results["tau-antisymmetric"] == (True, "")
+
+
 def test_sqrt_matrix_arithmetic():
     r2 = SqrtFieldElement.sqrt(2)
     a = SqrtMatrix(2, {(0, 1): r2})

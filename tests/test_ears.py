@@ -64,7 +64,10 @@ class _FakeWindow:
 def test_orthogonal_components_fail_connectedness():
     results = _by_name(check_ears_axioms(_FakeWindow()))
     assert not results["R5a-connected"].passed
-    assert results["R5a-connected"].witness is not None
+    assert results["R5a-connected"].witness == {
+        "component": [(-1, 0), (1, 0)],
+        "complement": [(0, -1), (0, 1)],
+    }
     for name in ("R1-negation-closed", "R2-spans", "R3-discrete", "R4-root-strings",
                  "R5b-isotropic-not-isolated", "R6-reduced"):
         assert results[name].passed, name

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ealie.finroot import Root, RootStringError, build_finite_root_system, root_string
+from ealie.finroot import Root, RootStringError, build_finite_root_system, components, root_string
 
 EXPECTED_COUNTS = {
     ("A", 3): 12,
@@ -33,6 +33,13 @@ def test_reflection_closure_and_irreducibility(label, rank):
     assert fin.is_closed_under_reflections()
     assert fin.is_irreducible()
     assert len(fin.simple_roots) == rank
+
+
+def test_components_order_and_membership():
+    comps = components([5, 1, 4, 2, 3], lambda a, b: (a + b) % 2 == 0)
+    # components come in the order of their smallest node
+    assert comps == [[1, 3, 5], [2, 4]]
+    assert components([], lambda a, b: True) == []
 
 
 def test_cartan_matrix_c2():

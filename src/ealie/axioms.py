@@ -34,7 +34,7 @@ from .decomp import (
     sl2_triple,
     toral_commute,
 )
-from .ears import first_broken_string, first_isolated, nonisotropic_classes
+from .ears import first_broken_string, first_isolated, isotropic_rank, nonisotropic_classes
 from .finroot import Root, components
 from .kernel import int_rank
 from .linalg import (
@@ -223,18 +223,6 @@ def _graded_form_check(win, name):
     return CheckResult(name, True, "exhaustive on all window basis pairs")
 
 
-def _isotropic_rank_check(win, name):
-    vecs = [list(r.lattice) for r in win.isotropic_roots()]
-    rank = int_rank(vecs, win.alg.nu)
-    ok = rank == win.alg.nu
-    return CheckResult(
-        name,
-        ok,
-        f"isotropic roots generate a free abelian group of rank {rank} (nullity {win.alg.nu})",
-        None if ok else {"rank": rank},
-    )
-
-
 def _longest_ad_chain(win, probes, bound, cap):
     """Longest chain seen, and a witness at the first chain longer than ``bound``.
 
@@ -342,7 +330,13 @@ def check_T(win, seed=0, nilpotency_bound=9):
         if delta is None else "an isotropic root cannot be shifted into the root set",
         None if delta is None else {"delta": delta},
     ))
-    results.append(_isotropic_rank_check(win, "T6-free-abelian-rank"))
+    rank = isotropic_rank(win)
+    results.append(CheckResult(
+        "T6-free-abelian-rank",
+        rank == win.alg.nu,
+        f"isotropic roots generate a free abelian group of rank {rank} (nullity {win.alg.nu})",
+        None if rank == win.alg.nu else {"rank": rank},
+    ))
     return AxiomReport("T", results, _metadata(win))
 
 

@@ -1,8 +1,10 @@
 """Command-line front end: build instances, run suites, export root data.
 
 Exit status: 0 when every requested suite passes, 1 on any suite failure,
-2 on usage errors.  Reports are JSON with sorted keys; exports are JSON
-Lines ordered lexicographically by (finite, lattice).  Identical arguments
+2 on usage errors, 3 on an internal error: an exception raised while
+building or checking, reported by ``run`` without a report, so a crash never
+reads as an axiom failure.  Reports are JSON with sorted keys; exports are
+JSON Lines ordered lexicographically by (finite, lattice).  Identical arguments
 and seed produce byte-identical output.
 """
 
@@ -24,7 +26,7 @@ from .finroot import Root
 from .quantum_torus import SignMatrix
 from .reporting import AxiomReport, CheckResult
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 CONSTRUCTIONS = (
     "quantum-torus",
@@ -362,5 +364,24 @@ def main(argv=None):
     return _cmd_list(parser, args)
 
 
+def run(argv=None):
+    """The process entry point: ``main``, with an uncaught exception mapped to exit 3.
+
+    An exception escaping the interpreter exits 1, the status of a suite
+    failure, so it is reported here instead: its traceback, then one
+    ``ealie: internal error`` line, on stderr.  ``main`` itself lets
+    exceptions propagate to in-process callers.  SystemExit (usage errors,
+    exit 2) and KeyboardInterrupt pass through.
+    """
+    try:
+        return main(argv)
+    except Exception as err:
+        import traceback  # only a crash pays for this import, not every start-up
+
+        traceback.print_exc()
+        sys.stderr.write(f"ealie: internal error: {type(err).__name__}: {err}\n")
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -24,6 +24,7 @@ __all__ = [
     "first_broken_string",
     "nonisotropic_classes",
     "first_isolated",
+    "isotropic_rank",
     "SupportSets",
     "support_sets",
     "support_checks",
@@ -35,11 +36,6 @@ def _vec(root):
     return tuple(root.finite) + tuple(root.lattice)
 
 
-def _split(win, v):
-    k = win.fin.ambient_dim
-    return Root(finite=tuple(v[:k]), lattice=tuple(v[k:]))
-
-
 # Offsets scanned on each side of the base point of a root string.
 STRING_SCAN = 6
 
@@ -48,22 +44,34 @@ def first_broken_string(win):
     """The first (alpha, beta, error) whose alpha-string through beta is broken, else None.
 
     alpha runs over the nonisotropic window roots and beta over all window
-    roots; membership beyond the window goes through the oracle.
+    roots; membership beyond the window goes through the oracle.  The
+    -alpha-string through beta is the alpha-string read backwards, so it
+    breaks exactly when the alpha-string does: once alpha has passed against
+    every beta, -alpha is skipped.  A failing alpha is reached before its
+    negative could be skipped, so the witness is the one the full double loop
+    finds.
     """
+    k = win.fin.ambient_dim
+    roots = [(_vec(r), r) for r in win.roots()]
+    by_vec = dict(roots)
 
     def member(v):
-        return win.member(_split(win, v))
+        return win.member(Root(finite=v[:k], lattice=v[k:]))
 
     def pairing(a, b):
-        return win.pairing(_split(win, a), _split(win, b))
+        return win.pairing(by_vec[a], by_vec[b])
 
+    done = set()
     for alpha in win.nonisotropic_roots():
+        if -alpha in done:
+            continue
         va = _vec(alpha)
-        for beta in win.roots():
+        for vb, beta in roots:
             try:
-                root_string(_vec(beta), va, member, pairing, scan=STRING_SCAN)
+                root_string(vb, va, member, pairing, scan=STRING_SCAN)
             except RootStringError as err:
                 return alpha, beta, err
+        done.add(alpha)
     return None
 
 
@@ -82,6 +90,11 @@ def first_isolated(win):
         if not any(win.member(alpha + delta) for alpha in nonzero):
             return delta
     return None
+
+
+def isotropic_rank(win):
+    """Rank of the free abelian group the isotropic window roots' degrees generate."""
+    return int_rank([list(r.lattice) for r in win.isotropic_roots()], win.alg.nu)
 
 
 def check_ears_axioms(win):
@@ -249,6 +262,18 @@ def check_semilattice(members, nu, bound):
     return CheckResult("semilattice", True, "0-membership, symmetry, closure and full rank hold")
 
 
+def _first_escaping_sum(win, da, db):
+    """The first s + t (s in da, t in db) inside the window that is not an isotropic root."""
+    for s in sorted(da):
+        for t in sorted(db):
+            tot = tuple(x + y for x, y in zip(s, t))
+            if not all(abs(v) <= win.w for v in tot):
+                continue
+            if Root(finite=win.fin.zero, lattice=tot) not in win.pieces:
+                return {"first": s, "second": t, "sum": tot}
+    return None
+
+
 def support_checks(win):
     """Support-set validation: partition, pairwise sums, span rank, semilattices."""
     sup = support_sets(win)
@@ -275,26 +300,16 @@ def support_checks(win):
         None if partition_ok else {"overlap": overlap, "difference": diff[:5]},
     ))
 
-    sums_ok = True
+    # The check depends only on the two support sets, so each distinct pair
+    # of sets is checked once, in the order its first (a, b) comes.
+    sets = [deltas for _, deltas in sorted(sup.per_root.items())]
+    pairs = dict.fromkeys((da, db) for da in sets for db in sets)
     sums_witness = None
-    supports = sorted(sup.per_root.items())
-    for a, da in supports:
-        for b, db in supports:
-            for s in sorted(da):
-                for t in sorted(db):
-                    tot = tuple(x + y for x, y in zip(s, t))
-                    if not all(abs(v) <= win.w for v in tot):
-                        continue
-                    if Root(finite=win.fin.zero, lattice=tot) not in win.pieces:
-                        sums_ok = False
-                        sums_witness = {"first": s, "second": t, "sum": tot}
-                        break
-                if not sums_ok:
-                    break
-            if not sums_ok:
-                break
-        if not sums_ok:
+    for da, db in pairs:
+        sums_witness = _first_escaping_sum(win, da, db)
+        if sums_witness is not None:
             break
+    sums_ok = sums_witness is None
     results.append(CheckResult(
         "support-sums-isotropic",
         sums_ok,
@@ -302,8 +317,7 @@ def support_checks(win):
         sums_witness,
     ))
 
-    iso = [list(r.lattice) for r in win.isotropic_roots()]
-    rank = int_rank(iso, win.alg.nu)
+    rank = isotropic_rank(win)
     results.append(CheckResult(
         "isotropic-span-rank",
         rank == win.alg.nu,

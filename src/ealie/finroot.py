@@ -10,6 +10,7 @@ entries never appear.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add
 
 __all__ = [
     "Root",
@@ -116,9 +117,10 @@ def root_string(beta, alpha, member, pairing, scan=6):
         raise RootStringError(beta, alpha, f"non-integral length difference {c}")
     c = int(c)
     hits = {}
+    point = tuple(b - scan * a for b, a in zip(beta, alpha))
     for n in range(-scan, scan + 1):
-        shifted = tuple(b + n * a for b, a in zip(beta, alpha))
-        hits[n] = bool(member(shifted))
+        hits[n] = bool(member(point))
+        point = tuple(map(add, point, alpha))
     if not hits[0]:
         raise RootStringError(beta, alpha, "base point is not a member")
     u = 0

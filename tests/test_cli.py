@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ealie import cli
 from ealie.cli import main
 
 
@@ -199,13 +200,33 @@ PINNED_REPORTS = [
     # fails D8 with a witness, so the failing-witness bytes are pinned too
     ("check --construction quantum-torus --nu 2 --q -1 --underived --suites D,EARS", 1,
      "9a943205982a13553559346781c42f4cf5b3f84b0a9e40a716fb829c071482c5"),
+    ("ears --construction quantum-torus --nu 2 --q -1 --window 2", 0,
+     "a264731cf43bac312f7e879008f567237a74e57d9a1e697a447a5bd14f7b8d73"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", PINNED_REPORTS,
                          ids=["export-affinized", "check-sqrt-extension", "check-sp-classical",
-                              "check-affinized-T", "ears-torus", "check-underived-D-EARS"])
+                              "check-affinized-T", "ears-torus", "check-underived-D-EARS",
+                              "ears-torus-w2"])
 def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_internal_error_exits_3_without_report(capsys, monkeypatch):
+    def crash(alg, w):
+        raise RuntimeError("decomposition blew up")
+
+    monkeypatch.setattr(cli, "decompose_window", crash)
+    argv = ["check", "--construction", "quantum-torus", "--nu", "1"]
+    with pytest.raises(RuntimeError):
+        main(argv)  # in-process callers see the exception itself
+    capsys.readouterr()
+    rc = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "ealie: internal error: RuntimeError: decomposition blew up"

@@ -3,8 +3,19 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
-from ealie.ears import check_ears_axioms, check_semilattice, support_checks, support_sets
-from ealie.finroot import Root
+import pytest
+
+import ealie.ears
+from ealie.decomp import RootSystemWindow
+from ealie.ears import (
+    STRING_SCAN,
+    check_ears_axioms,
+    check_semilattice,
+    first_broken_string,
+    support_checks,
+    support_sets,
+)
+from ealie.finroot import Root, RootStringError, root_string
 from ealie.quantum_torus import lattice_box
 
 
@@ -28,18 +39,18 @@ def test_ears_axioms_pass_at_nullity_zero(sp4_win):
 
 
 class _FakeWindow:
-    """Two orthogonal rank-1 systems: everything holds except connectedness."""
+    """A finite root set at nullity 0 with the dot product as its form.
 
-    def __init__(self):
-        self.fin = SimpleNamespace(rank=2, ambient_dim=2)
+    By default two orthogonal rank-1 systems: everything holds except
+    connectedness.
+    """
+
+    def __init__(self, finite=((1, 0), (-1, 0), (0, 1), (0, -1))):
+        dim = len(finite[0])
+        self.fin = SimpleNamespace(rank=dim, ambient_dim=dim)
         self.alg = SimpleNamespace(nu=0)
-        self._nonzero = [
-            Root(finite=(1, 0), lattice=()),
-            Root(finite=(-1, 0), lattice=()),
-            Root(finite=(0, 1), lattice=()),
-            Root(finite=(0, -1), lattice=()),
-        ]
-        self._zero = Root(finite=(0, 0), lattice=())
+        self._nonzero = [Root(finite=a, lattice=()) for a in finite]
+        self._zero = Root(finite=(0,) * dim, lattice=())
         self._set = set(self._nonzero) | {self._zero}
 
     def roots(self):
@@ -71,6 +82,72 @@ def test_orthogonal_components_fail_connectedness():
     for name in ("R1-negation-closed", "R2-spans", "R3-discrete", "R4-root-strings",
                  "R5b-isotropic-not-isolated", "R6-reduced"):
         assert results[name].passed, name
+
+
+# A1 on the first coordinate, orthogonal to A2 on the other three with the
+# root e1 - e2 removed: +-a passes against every beta, the A2 strings that
+# reach the removed root break, and -(e1 - e2) is left without a negative.
+_A1 = ((1, 0, 0, 0), (-1, 0, 0, 0))
+_A2_BROKEN = ((0, 1, 0, -1), (0, 0, 1, -1), (0, -1, 1, 0), (0, -1, 0, 1), (0, 0, -1, 1))
+
+
+def _literal_first_broken(win):
+    """Every alpha against every beta, in order: what the EARS R4 axiom asks."""
+    def member(v):
+        return win.member(Root(finite=v, lattice=()))
+
+    def pairing(a, b):
+        return win.pairing(Root(finite=a, lattice=()), Root(finite=b, lattice=()))
+
+    for alpha in win.nonisotropic_roots():
+        for beta in win.roots():
+            try:
+                root_string(beta.finite, alpha.finite, member, pairing, scan=STRING_SCAN)
+            except RootStringError as err:
+                return alpha, beta, str(err)
+    return None
+
+
+def _counting_root_string(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])  # the direction alpha
+        return root_string(*args, **kwargs)
+
+    monkeypatch.setattr(ealie.ears, "root_string", counted)
+    return calls
+
+
+@pytest.mark.parametrize("finite", [_A1 + _A2_BROKEN, _A2_BROKEN + _A1],
+                         ids=["passing-pair-first", "broken-first"])
+def test_first_broken_string_matches_literal_double_loop(monkeypatch, finite):
+    win = _FakeWindow(finite)
+    expected = _literal_first_broken(win)
+    assert expected is not None
+    calls = _counting_root_string(monkeypatch)
+    alpha, beta, err = first_broken_string(win)
+    assert (alpha, beta, str(err)) == expected
+    if finite[0] in _A1:
+        # -a is skipped: a's strings ran, then the first broken A2 alpha
+        assert _A1[0] in calls and _A1[1] not in calls
+
+
+def test_each_plus_minus_alpha_pair_scanned_once(monkeypatch, torus_win):
+    calls = _counting_root_string(monkeypatch)
+    assert first_broken_string(torus_win) is None
+    nonisotropic = torus_win.nonisotropic_roots()
+    assert len(calls) == len(nonisotropic) // 2 * len(torus_win.roots())
+
+
+def test_support_sum_witness_with_a_missing_isotropic_piece(torus_win):
+    missing = Root(finite=(0, 0), lattice=(1, 0))
+    pieces = {r: p for r, p in torus_win.pieces.items() if r != missing}
+    win = RootSystemWindow(torus_win.alg, torus_win.w, pieces)
+    _, results = support_checks(win)
+    sums = _by_name(results)["support-sums-isotropic"]
+    assert not sums.passed
+    assert sums.witness == {"first": (0, -1), "second": (1, 1), "sum": (1, 0)}
 
 
 def test_semilattice_full_box_passes():

@@ -34,7 +34,7 @@ from .decomp import (
     sl2_triple,
     toral_commute,
 )
-from .ears import first_broken_string, first_isolated, isotropic_rank, nonisotropic_classes
+from .ears import first_isolated, isotropic_rank, nonisotropic_classes
 from .finroot import Root, components
 from .kernel import int_rank
 from .linalg import (
@@ -55,7 +55,6 @@ __all__ = [
     "SerreReport",
     "tameness_check",
     "check_props",
-    "newp_pair",
 ]
 
 _F1 = Fraction(1)
@@ -841,7 +840,7 @@ def check_props(win, core, seed=0):
         cartan_witness,
     ))
 
-    broken = first_broken_string(win)
+    broken = win.broken_string()
     results.append(CheckResult(
         "prop-root-strings",
         broken is None,

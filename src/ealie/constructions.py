@@ -27,7 +27,7 @@ from .matlie import (
     trace_form,
     zero_root_component,
 )
-from .quantum_torus import SignMatrix, TorusElement, lattice_box
+from .quantum_torus import SignMatrix, TorusElement, kappa, lattice_box
 from .sparse import SparseMatrix, sparse_trace_pairing
 
 __all__ = [
@@ -56,10 +56,39 @@ def degree_derivation(g, i):
     for pos, val in g.entries.items():
         acc = {sigma: c * sigma[i] for sigma, c in val.coeffs.items() if sigma[i]}
         if acc:
-            t = TorusElement(g.q)
-            t.coeffs = acc
-            out[pos] = t
+            out[pos] = TorusElement.wrap(g.q, acc)
     return g._with(out)
+
+
+def _degree_pairings(g, h):
+    """[(d_i g, h) for each direction i], in one pass and without building d_i g.
+
+    (d_i g, h) is the sum over entries (p, k) of g and (k, p) of h, and over
+    degrees sigma, of sigma_i eps(g_sigma t^sigma h_{-sigma} t^{-sigma}), where
+    t^sigma t^{-sigma} = kappa(sigma).
+    """
+    q = g.q
+    out = [0] * q.nu
+    other = h.entries
+    for (p, k), a in g.entries.items():
+        b = other.get((k, p))
+        if b is None:
+            continue
+        bc = b.coeffs
+        for sigma, u in a.coeffs.items():
+            if not any(sigma):
+                continue
+            v = bc.get(tuple(-s for s in sigma))
+            if v is None:
+                continue
+            term = u.re * v.re - u.im * v.im
+            if term:
+                if kappa(sigma, q) < 0:
+                    term = -term
+                for i, s in enumerate(sigma):
+                    if s:
+                        out[i] += s * term
+    return out
 
 
 # Lattice margin of the spanning computation behind each derived weight-0 slice.
@@ -267,11 +296,7 @@ class AffinizedAlgebra:
                 g = g + degree_derivation(y.g, i) * x.d[i]
             if y.d[i]:
                 g = g - degree_derivation(x.g, i) * y.d[i]
-        c = []
-        for i in range(self.nu):
-            dx = degree_derivation(x.g, i)
-            c.append(self.base.form(dx, y.g) if dx else 0)
-        return AffinizedElement(g, c, (0,) * self.nu)
+        return AffinizedElement(g, _degree_pairings(x.g, y.g), (0,) * self.nu)
 
     def form(self, x, y):
         acc = self.base.form(x.g, y.g)

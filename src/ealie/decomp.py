@@ -22,6 +22,7 @@ window object.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ears import first_broken_string
 from .finroot import Root
 from .linalg import SpanDict, nullspace_dense, relations, solve_combination, solve_dense, span_equal
 from .matlie import GradedPiece
@@ -77,6 +78,7 @@ class RootSystemWindow:
         self.pieces = pieces
         self._roots = sorted(pieces)
         self._t_cache = {}
+        self._strings = None  # (first_broken_string(self),) once scanned
         self._toral = tuple(alg.toral_basis())
         self._gram = [[alg.form(h1, h2) for h2 in self._toral] for h1 in self._toral]
 
@@ -140,6 +142,12 @@ class RootSystemWindow:
             cached = combine(self._toral, sol, self.alg.zero())
             self._t_cache[root] = cached
         return cached
+
+    def broken_string(self):
+        """``ears.first_broken_string`` of this window, scanned once: R4 and PROPS share it."""
+        if self._strings is None:
+            self._strings = (first_broken_string(self),)
+        return self._strings[0]
 
     def bracket(self, x, y):
         return self.alg.bracket(x, y)
@@ -352,6 +360,47 @@ def _small_generators(win):
 EXTRA_MARGIN = 2
 
 
+def _core_basis(win, delta):
+    """Greedy basis of the core slice at the isotropic root delta.
+
+    Brackets [x, y] of opposite nonzero-weight slices with lattice degrees
+    sigma and delta - sigma, sigma in the box of max-norm w + EXTRA_MARGIN, in
+    box order; each one that grows the span joins the basis.  Every bracket
+    lies in the algebra's slice at delta, which the window built from the
+    same graded pieces.  So once every vector that grew the span lies in the
+    window slice's span and the span has that slice's dimension, the span is
+    the whole slice, no later bracket can grow it, and the scan stops.  After
+    a vector from outside the window slice, the whole box is scanned.
+    """
+    alg = win.alg
+    target = win.dim(delta)
+    window_slice = SpanDict(alg.coords(v) for v in win.basis(delta))
+    inside = True
+    span = SpanDict()
+    greedy = []
+    weights = sorted({r.finite for r in win.nonisotropic_roots()})
+    for sigma in lattice_box(alg.nu, win.w + EXTRA_MARGIN):
+        tau = tuple(d - s for d, s in zip(delta.lattice, sigma))
+        for weight in weights:
+            xs = alg.root_piece(Root(finite=weight, lattice=sigma))
+            if not xs:
+                continue
+            nw = tuple(-v for v in weight)
+            ys = alg.root_piece(Root(finite=nw, lattice=tau))
+            for x in xs:
+                for y in ys:
+                    b = alg.bracket(x, y)
+                    if b.is_zero():
+                        continue
+                    coords = alg.coords(b)
+                    if span.add(coords):
+                        greedy.append(b)
+                        inside = inside and window_slice.contains(coords)
+                        if inside and span.dim == target:
+                            return tuple(greedy)
+    return tuple(greedy)
+
+
 def core_and_center_window(win):
     """Core, center and form radical of the core, within the window.
 
@@ -369,25 +418,8 @@ def core_and_center_window(win):
     for root in win.nonisotropic_roots():
         pieces[root] = GradedPiece(root=root, basis=tuple(win.basis(root)))
 
-    weights = sorted(w for w in {r.finite for r in win.nonisotropic_roots()})
-    box = lattice_box(alg.nu, win.w + EXTRA_MARGIN)
     for delta in win.isotropic_roots():
-        span = SpanDict()
-        greedy = []
-        for sigma in box:
-            tau = tuple(d - s for d, s in zip(delta.lattice, sigma))
-            for weight in weights:
-                xs = alg.root_piece(Root(finite=weight, lattice=sigma))
-                if not xs:
-                    continue
-                nw = tuple(-v for v in weight)
-                ys = alg.root_piece(Root(finite=nw, lattice=tau))
-                for x in xs:
-                    for y in ys:
-                        b = alg.bracket(x, y)
-                        if not b.is_zero() and span.add(alg.coords(b)):
-                            greedy.append(b)
-        pieces[delta] = GradedPiece(root=delta, basis=tuple(greedy))
+        pieces[delta] = GradedPiece(root=delta, basis=_core_basis(win, delta))
 
     generators = _small_generators(win)
     all_core_basis = [x for p in pieces.values() for x in p.basis]

@@ -140,7 +140,7 @@ def check_ears_axioms(win):
         witness,
     ))
 
-    broken = first_broken_string(win)
+    broken = win.broken_string()
     results.append(CheckResult(
         "R4-root-strings",
         broken is None,

@@ -122,10 +122,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    def norm2(self):
-        """re**2 + im**2."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self):
         return not self.re and not self.im
 

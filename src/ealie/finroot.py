@@ -42,13 +42,6 @@ class Root:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale_add(self, n, other):
-        """self + n*other, exact in integers."""
-        return Root(
-            tuple(a + n * b for a, b in zip(self.finite, other.finite)),
-            tuple(a + n * b for a, b in zip(self.lattice, other.lattice)),
-        )
-
     @property
     def is_zero(self):
         return not any(self.finite) and not any(self.lattice)
@@ -173,9 +166,6 @@ class FiniteRootSystem:
         v = tuple(v)
         return v == self._zero or v in self.nonzero_roots
 
-    def all_roots(self):
-        return sorted(self.nonzero_roots) + [self._zero]
-
     # -- length classes ----------------------------------------------------
 
     def extra_roots(self):
@@ -203,16 +193,6 @@ class FiniteRootSystem:
     def reflect(self, alpha, beta):
         """w_alpha(beta)."""
         return reflect_vec(beta, alpha, self.pairing)
-
-    def is_closed_under_reflections(self):
-        for alpha in self.nonzero_roots:
-            for beta in self.nonzero_roots:
-                if self.reflect(alpha, beta) not in self.nonzero_roots:
-                    return False
-        return True
-
-    def is_irreducible(self):
-        return len(components(self.nonzero_roots, lambda a, b: bool(_dot(a, b)))) == 1
 
     def root_string(self, beta, alpha, scan=6):
         return root_string(beta, alpha, self.contains, self.pairing, scan=scan)

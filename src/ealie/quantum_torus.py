@@ -14,6 +14,7 @@ coefficient and induces the symmetric pairing used by the matrix algebras.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .exact_arith import GaussianRational, rational
 from .kernel import g_cocycle, kappa, structure_constant
@@ -22,6 +23,7 @@ from .sparse import sparse_add
 __all__ = [
     "SignMatrix",
     "TorusElement",
+    "coeff_product",
     "kappa",
     "cocycles",
     "structure_constant",
@@ -78,9 +80,6 @@ class SignMatrix:
     def entry(self, i, j):
         return self.flat[i * self.nu + j]
 
-    def upper_entries(self):
-        return tuple(self.flat[i * self.nu + j] for i in range(self.nu) for j in range(i + 1, self.nu))
-
     def zero(self):
         return (0,) * self.nu
 
@@ -101,12 +100,33 @@ def cocycles(sigma, tau, q):
     return g, f
 
 
-def _add(sigma, tau):
-    return tuple(a + b for a, b in zip(sigma, tau))
-
-
 def _neg(sigma):
     return tuple(-a for a in sigma)
+
+
+def coeff_product(a, b, q, sign=1):
+    """Coefficients of sign * (sum a[s] t^s)(sum b[t] t^t), as a new dict.
+
+    ``a`` and ``b`` are coefficient dicts {degree: nonzero GaussianRational}.
+    Each term a[s] b[t] c(s, t) t^{s+t} is merged in the order of ``a``, then
+    ``b``, and a sum that vanishes is dropped; ``sign`` (+1 or -1) is folded
+    into the normal-ordering sign c(s, t).  The torus product and the matrix
+    commutator both multiply coefficients here.
+    """
+    out = {}
+    for s, c in a.items():
+        for t, d in b.items():
+            cd = c * d
+            if structure_constant(s, t, q) != sign:
+                cd = -cd
+            key = tuple(map(add, s, t))
+            v = out.get(key)
+            v = cd if v is None else v + cd
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return out
 
 
 class TorusElement:
@@ -124,6 +144,14 @@ class TorusElement:
                 if c:
                     clean[tuple(sigma)] = c
         self.coeffs = clean
+
+    @classmethod
+    def wrap(cls, q, coeffs):
+        """The element whose coefficient dict is ``coeffs`` itself (tuple keys, nonzero values)."""
+        r = object.__new__(cls)
+        r.q = q
+        r.coeffs = coeffs
+        return r
 
     @classmethod
     def zero(cls, q):
@@ -145,9 +173,7 @@ class TorusElement:
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check_compat(other)
-        r = TorusElement(self.q)
-        r.coeffs = sparse_add(self.coeffs, other.coeffs)
-        return r
+        return TorusElement.wrap(self.q, sparse_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, TorusElement):
@@ -155,30 +181,12 @@ class TorusElement:
         return self + (-other)
 
     def __neg__(self):
-        r = TorusElement(self.q)
-        r.coeffs = {s: -c for s, c in self.coeffs.items()}
-        return r
+        return TorusElement.wrap(self.q, {s: -c for s, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, TorusElement):
             self._check_compat(other)
-            q = self.q
-            out = {}
-            for s, c in self.coeffs.items():
-                for t, d in other.coeffs.items():
-                    cd = c * d
-                    if structure_constant(s, t, q) < 0:
-                        cd = -cd
-                    key = _add(s, t)
-                    v = out.get(key)
-                    v = cd if v is None else v + cd
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-            r = TorusElement(q)
-            r.coeffs = out
-            return r
+            return TorusElement.wrap(self.q, coeff_product(self.coeffs, other.coeffs, self.q))
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self._scale(other)
         return NotImplemented
@@ -191,10 +199,8 @@ class TorusElement:
     def _scale(self, scalar):
         if not isinstance(scalar, GaussianRational):
             scalar = GaussianRational(scalar)
-        r = TorusElement(self.q)
-        if scalar:
-            r.coeffs = {s: c * scalar for s, c in self.coeffs.items()}
-        return r
+        out = {s: c * scalar for s, c in self.coeffs.items()} if scalar else {}
+        return TorusElement.wrap(self.q, out)
 
     def bar(self):
         """Semilinear conjugation fixing the generators."""
@@ -205,18 +211,10 @@ class TorusElement:
             if kappa(s, q) < 0:
                 c = -c
             out[s] = c
-        r = TorusElement(q)
-        r.coeffs = out
-        return r
+        return TorusElement.wrap(q, out)
 
     def support(self):
         return tuple(sorted(self.coeffs))
-
-    def homogeneous_degree(self):
-        """The unique degree when the support is a single monomial, else None."""
-        if len(self.coeffs) == 1:
-            return next(iter(self.coeffs))
-        return None
 
     def coefficient(self, sigma):
         return self.coeffs.get(tuple(sigma), GaussianRational(0))
@@ -278,7 +276,7 @@ def torus_form(a, b):
             continue
         term = c.re * d.re - c.im * d.im
         if term:
-            if structure_constant(s, _neg(s), q) < 0:
+            if kappa(s, q) < 0:  # t^s t^{-s} = kappa(s)
                 term = -term
             acc += term
     return rational(acc)

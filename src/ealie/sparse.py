@@ -8,12 +8,11 @@ choices follow that order, so report bytes depend on it.
 
 from fractions import Fraction
 
-__all__ = ["SparseMatrix", "sparse_add", "sparse_trace_pairing"]
+__all__ = ["SparseMatrix", "sparse_add", "sparse_iadd", "sparse_trace_pairing"]
 
 
-def sparse_add(a, b):
-    """a + b: copy ``a``, merge ``b`` in its order, drop zero sums."""
-    out = dict(a)
+def sparse_iadd(out, b):
+    """out += b in place: merge ``b`` in its order, drop zero sums; returns ``out``."""
     for key, val in b.items():
         cur = out.get(key)
         cur = val if cur is None else cur + val
@@ -22,6 +21,11 @@ def sparse_add(a, b):
         elif key in out:
             del out[key]
     return out
+
+
+def sparse_add(a, b):
+    """a + b: copy ``a``, merge ``b`` in its order, drop zero sums."""
+    return sparse_iadd(dict(a), b)
 
 
 def sparse_trace_pairing(a, b, pair):

@@ -202,13 +202,16 @@ PINNED_REPORTS = [
      "9a943205982a13553559346781c42f4cf5b3f84b0a9e40a716fb829c071482c5"),
     ("ears --construction quantum-torus --nu 2 --q -1 --window 2", 0,
      "a264731cf43bac312f7e879008f567237a74e57d9a1e697a447a5bd14f7b8d73"),
+    # the full default check: every suite, TAME and PROPS on the affinized core
+    ("check --construction affinized --nu 2 --q -1 --window 1", 0,
+     "be8f676982a4cba47f019a59340ecd190dc065ebc12b111c55fb65deb06d73b7"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", PINNED_REPORTS,
                          ids=["export-affinized", "check-sqrt-extension", "check-sp-classical",
                               "check-affinized-T", "ears-torus", "check-underived-D-EARS",
-                              "ears-torus-w2"])
+                              "ears-torus-w2", "check-affinized"])
 def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == code

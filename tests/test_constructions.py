@@ -353,3 +353,21 @@ def test_affinized_window_has_no_float_and_no_integral_fraction(aff_win):
             _assert_int_first_element(b)
             for v in aff_win.coords(b).values():
                 assert_int_first(v)
+
+
+def test_affinized_central_term_is_literal_degree_derivation_form(aff_alg, aff_win):
+    # The bracket's c-part, taken in one pass, against (d_i x.g, y.g) built literally.
+    base = aff_alg.base
+    basis = [x for _, x in aff_win.all_basis()]
+    rng = random.Random(11)
+    extra = [aff_alg.lift(degree_derivation(x.g, i)) for x in rng.sample(basis, 12) for i in range(2)]
+    extra += [sum(rng.sample(basis, 5), aff_alg.zero()) for _ in range(12)]
+    elements = basis + extra
+    assert any(x.c != (0, 0) for x in elements) and any(x.d != (0, 0) for x in elements)
+    nonzero = 0
+    for x in elements:
+        for y in elements:
+            literal = tuple(base.form(degree_derivation(x.g, i), y.g) for i in range(2))
+            assert aff_alg.bracket(x, y).c == literal
+            nonzero += any(literal)
+    assert nonzero

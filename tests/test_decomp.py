@@ -6,9 +6,13 @@ import pytest
 
 from ealie.constructions import TorusMatrixAlgebra
 from ealie.decomp import (
+    EXTRA_MARGIN,
     NilpotencyError,
+    RootSystemWindow,
     SL2Error,
+    _core_basis,
     combine,
+    core_and_center_window,
     decompose_window,
     exp_ad,
     isotropic_pair,
@@ -17,8 +21,8 @@ from ealie.decomp import (
 )
 from ealie.finroot import Root
 from ealie.linalg import SpanDict, span_equal
-from ealie.matlie import hdot
-from ealie.quantum_torus import SignMatrix
+from ealie.matlie import GradedPiece, hdot
+from ealie.quantum_torus import SignMatrix, lattice_box
 
 
 def test_sp4_window_shape(sp4_win):
@@ -144,3 +148,85 @@ def test_window_member_and_oracle(torus_win):
     assert torus_win.member(Root(finite=(1, 1), lattice=(5, 0)))
     assert torus_win.member(Root(finite=(0, 0), lattice=(0, 7)))
     assert not torus_win.member(Root(finite=(1, 0), lattice=(5, 0)))
+
+
+def _box_pairs(win, delta):
+    """The bracket pairs of the core scan at delta, in scan order: opposite
+    nonzero-weight slices with degrees sigma and delta - sigma over the box."""
+    alg = win.alg
+    weights = sorted({r.finite for r in win.nonisotropic_roots()})
+    for sigma in lattice_box(alg.nu, win.w + EXTRA_MARGIN):
+        tau = tuple(d - s for d, s in zip(delta.lattice, sigma))
+        for weight in weights:
+            xs = alg.root_piece(Root(finite=weight, lattice=sigma))
+            ys = alg.root_piece(Root(finite=tuple(-v for v in weight), lattice=tau))
+            for x in xs:
+                for y in ys:
+                    yield x, y
+
+
+def _full_box_core(win, delta):
+    """Oracle: the greedy basis of every bracket in the box, with no early stop."""
+    span = SpanDict()
+    greedy = []
+    for x, y in _box_pairs(win, delta):
+        b = win.alg.bracket(x, y)
+        if not b.is_zero() and span.add(win.coords(b)):
+            greedy.append(b)
+    return greedy
+
+
+def _layout(win, basis):
+    return [list(win.coords(b).items()) for b in basis]
+
+
+def _counting_brackets(monkeypatch, alg):
+    calls = []
+    bracket = type(alg).bracket
+
+    def counted(self, x, y):
+        calls.append(1)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(type(alg), "bracket", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["aff_win", "sp4_win", "sqrt_win"])
+def test_core_pieces_match_full_box_oracle(request, name):
+    win = request.getfixturevalue(name)
+    core = request.getfixturevalue("aff_core") if name == "aff_win" else core_and_center_window(win)
+    for delta in win.isotropic_roots():
+        expected = _full_box_core(win, delta)
+        got = core.piece_basis(delta)
+        assert list(got) == expected
+        assert _layout(win, got) == _layout(win, expected)
+
+
+def test_core_scan_stops_when_each_span_is_full(monkeypatch, aff_win):
+    calls = _counting_brackets(monkeypatch, aff_win.alg)
+    fewer = 0
+    for delta in aff_win.isotropic_roots():
+        calls.clear()
+        _core_basis(aff_win, delta)
+        box = sum(1 for _ in _box_pairs(aff_win, delta))
+        assert len(calls) <= box
+        fewer += len(calls) < box
+    # every degree but 0, whose window slice also holds c and d, stops early
+    assert fewer == len(aff_win.isotropic_roots()) - 1
+
+
+def test_core_scan_runs_the_whole_box_past_a_bracket_outside_the_window_slice(monkeypatch, aff_win):
+    delta = Root(finite=(0, 0), lattice=(1, 0))
+    expected = _full_box_core(aff_win, delta)
+    # A window slice missing the first spanning bracket: that bracket grows the
+    # span from outside the slice, so a span of the slice's dimension is not it.
+    pieces = dict(aff_win.pieces)
+    pieces[delta] = GradedPiece(root=delta, basis=tuple(expected[1:]))
+    broken = RootSystemWindow(aff_win.alg, aff_win.w, pieces)
+    assert not SpanDict(broken.coords(b) for b in expected[1:]).contains(broken.coords(expected[0]))
+    calls = _counting_brackets(monkeypatch, aff_win.alg)
+    got = _core_basis(broken, delta)
+    assert len(calls) == sum(1 for _ in _box_pairs(aff_win, delta))
+    assert list(got) == expected
+    assert _layout(broken, got) == _layout(broken, expected)

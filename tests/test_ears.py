@@ -1,11 +1,13 @@
 """Root-system axioms, support sets, semilattice conditions."""
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 import ealie.ears
+from ealie import cli
 from ealie.decomp import RootSystemWindow
 from ealie.ears import (
     STRING_SCAN,
@@ -70,6 +72,9 @@ class _FakeWindow:
 
     def is_isotropic(self, root):
         return not self.pairing(root, root)
+
+    def broken_string(self):
+        return first_broken_string(self)
 
 
 def test_orthogonal_components_fail_connectedness():
@@ -138,6 +143,16 @@ def test_each_plus_minus_alpha_pair_scanned_once(monkeypatch, torus_win):
     assert first_broken_string(torus_win) is None
     nonisotropic = torus_win.nonisotropic_roots()
     assert len(calls) == len(nonisotropic) // 2 * len(torus_win.roots())
+
+
+def test_r4_and_prop_root_strings_share_one_scan(monkeypatch, capsys, sp4_win):
+    calls = _counting_root_string(monkeypatch)
+    argv = ["check", "--construction", "sp-classical", "--ell", "2", "--suites", "EARS,PROPS"]
+    assert cli.main(argv) == 0
+    results = {r["name"]: r["passed"] for suite in json.loads(capsys.readouterr().out)["suite_results"].values()
+               for r in suite["results"]}
+    assert results["R4-root-strings"] and results["prop-root-strings"]
+    assert len(calls) == len(sp4_win.nonisotropic_roots()) // 2 * len(sp4_win.roots())
 
 
 def test_support_sum_witness_with_a_missing_isotropic_piece(torus_win):

@@ -95,7 +95,7 @@ def test_skew_basis_is_skew_and_independent():
         k = kappa(sigma, Q2)
         real = skew_basis(2, Q2, sigma, real_only=True)
         assert len(real) == (10 if k > 0 else 6)
-        assert all(x.is_real() for x in real)
+        assert all(not c.im for x in real for val in x.entries.values() for c in val.coeffs.values())
 
 
 def test_skew_root_basis_weights_and_dims():
@@ -185,3 +185,34 @@ def test_hddot_definition():
     assert h.entries[(2, 2)].coefficient((0, 0)) == GaussianRational(1)
     d = hdot(2, Q2, 0) * Fraction(1, 2)
     assert (d + d) == hdot(2, Q2, 0)
+
+
+def _entry_layout(x):
+    """Entries and their coefficients, in dict order: report bytes follow this order."""
+    return [(pos, list(val.coeffs.items())) for pos, val in x.entries.items()]
+
+
+def _assert_fused_bracket_is_literal(x, y):
+    fused = mat_bracket(x, y)
+    literal = (x @ y) - (y @ x)
+    assert fused == literal
+    assert _entry_layout(fused) == _entry_layout(literal)
+
+
+def test_fused_bracket_is_literal_commutator_on_window_bases(torus_win, aff_win):
+    for win, part in ((torus_win, lambda v: v), (aff_win, lambda v: v.g)):
+        basis = [part(x) for _, x in win.all_basis()]
+        for x in basis:
+            for y in basis:
+                _assert_fused_bracket_is_literal(x, y)
+
+
+def test_fused_bracket_is_literal_commutator_with_cancellations(torus_win):
+    # Sums of basis vectors over several degrees: entry and coefficient sums
+    # vanish and re-appear mid-product, which moves them in dict order.
+    rng = random.Random(6)
+    basis = [x for _, x in torus_win.all_basis()]
+    for _ in range(300):
+        x, y = (sum(rng.sample(basis, 4), LieElement.zero(2, Q2)) for _ in range(2))
+        _assert_fused_bracket_is_literal(x, y)
+        _assert_fused_bracket_is_literal(x, x + y)

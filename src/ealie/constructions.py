@@ -17,7 +17,7 @@ Four families:
 
 from fractions import Fraction
 
-from .exact_arith import SqrtFieldElement, rational, sqrt_pairing
+from .exact_arith import SqrtFieldElement, rational, sqrt_coeff_product, sqrt_pairing
 from .finroot import Root, build_finite_root_system
 from .matlie import (
     LieElement,
@@ -28,7 +28,7 @@ from .matlie import (
     zero_root_component,
 )
 from .quantum_torus import SignMatrix, TorusElement, kappa, lattice_box
-from .sparse import SparseMatrix, sparse_trace_pairing
+from .sparse import SparseMatrix, sparse_commutator, sparse_trace_pairing
 
 __all__ = [
     "TorusMatrixAlgebra",
@@ -671,7 +671,9 @@ class SqrtExtensionAlgebra:
         return SqrtMatrix.zero(self.ell)
 
     def bracket(self, x, y):
-        return (x @ y) - (y @ x)
+        x._check_compat(y)
+        out = sparse_commutator(x.entries, y.entries, sqrt_coeff_product)
+        return x._with({pos: SqrtFieldElement.wrap(coeffs) for pos, coeffs in out.items()})
 
     def form(self, x, y):
         return sparse_trace_pairing(x.entries, y.entries, sqrt_pairing)

@@ -4,7 +4,8 @@ GaussianRational is the coefficient field Q(i) used by the twisted-torus
 coefficient algebra.  SqrtFieldElement models the subfield of R spanned over Q
 by square roots of square-free positive integers; products never need integer
 factorization beyond a gcd because square-free labels multiply by
-sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)) with g = gcd(a, b).
+sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)) with g = gcd(a, b).  Both store their
+rationals int-first (see ``rational``).
 """
 
 from fractions import Fraction
@@ -18,11 +19,9 @@ __all__ = [
     "SqrtFieldElement",
     "is_square_free",
     "rational",
+    "sqrt_coeff_product",
     "sqrt_pairing",
 ]
-
-_ZERO = Fraction(0)
-
 
 def rational(v):
     """v as an int when it is integral, otherwise as a Fraction (never a float)."""
@@ -173,13 +172,43 @@ def _prime_factors(n):
     return out
 
 
+def sqrt_coeff_product(a, b, sign=1):
+    """Coefficients of sign * (sum a[x] sqrt(x))(sum b[y] sqrt(y)), as a new dict.
+
+    ``a`` and ``b`` are coefficient dicts {square-free label: nonzero rational}.
+    Each term a[x] b[y] g sqrt((x/g)(y/g)), g = gcd(x, y), is merged in the
+    order of ``a``, then ``b``, and a sum that vanishes is dropped; ``sign``
+    (+1 or -1) is folded into each term.  Values are exact but may be integral
+    Fractions: ``SqrtFieldElement.wrap`` makes them int-first.  The field
+    product and the matrix commutator both multiply coefficients here.
+    """
+    out = {}
+    for x, c in a.items():
+        if sign < 0:
+            c = -c
+        for y, d in b.items():
+            g = gcd(x, y)
+            key = (x // g) * (y // g)
+            v = c * d * g
+            cur = out.get(key)
+            if cur is not None:
+                v += cur
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return out
+
+
 class SqrtFieldElement:
     """Element of Q(sqrt(p) : p prime), stored as {square-free label: coefficient}.
 
     The label a stands for sqrt(a); label 1 is the rational part.  Supports of
     all elements stay square-free under the gcd product rule, so no
     factorization is ever required for arithmetic (only for inverses, which
-    factor the support labels to enumerate the subfield they generate).
+    factor the support labels to enumerate the subfield they generate).  Like
+    ``GaussianRational``, each coefficient is stored int-first: an ``int`` when
+    it is integral, otherwise a ``Fraction``; ``/`` goes through ``Fraction``.
     """
 
     __slots__ = ("coeffs",)
@@ -188,7 +217,7 @@ class SqrtFieldElement:
         clean = {}
         if coeffs:
             for a, c in coeffs.items():
-                c = Fraction(c)
+                c = rational(c)
                 if not c:
                     continue
                 if not is_square_free(a):
@@ -197,14 +226,28 @@ class SqrtFieldElement:
         self.coeffs = clean
 
     @classmethod
+    def wrap(cls, coeffs):
+        """The element whose coefficient dict is ``coeffs`` itself (square-free labels, nonzero values).
+
+        Integral ``Fraction`` values are made ``int`` in place, so the products and
+        sums that build ``coeffs`` need not keep their values canonical.
+        """
+        for a, c in coeffs.items():
+            if type(c) is not int and c.denominator == 1:
+                coeffs[a] = c.numerator
+        r = object.__new__(cls)
+        r.coeffs = coeffs
+        return r
+
+    @classmethod
     def from_rational(cls, x):
-        return cls({1: Fraction(x)})
+        return cls({1: x})
 
     @classmethod
     def sqrt(cls, a):
         if not is_square_free(a):
             raise ValueError(f"sqrt label {a} must be a square-free positive integer")
-        return cls({a: Fraction(1)})
+        return cls.wrap({a: 1})
 
     @classmethod
     def _coerce(cls, x):
@@ -218,16 +261,12 @@ class SqrtFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        r = SqrtFieldElement.__new__(SqrtFieldElement)
-        r.coeffs = sparse_add(self.coeffs, o.coeffs)
-        return r
+        return SqrtFieldElement.wrap(sparse_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = SqrtFieldElement.__new__(SqrtFieldElement)
-        r.coeffs = {a: -c for a, c in self.coeffs.items()}
-        return r
+        return SqrtFieldElement.wrap({a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -245,19 +284,7 @@ class SqrtFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for a, c in self.coeffs.items():
-            for b, d in o.coeffs.items():
-                g = gcd(a, b)
-                key = (a // g) * (b // g)
-                v = out.get(key, _ZERO) + c * d * g
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        r = SqrtFieldElement.__new__(SqrtFieldElement)
-        r.coeffs = out
-        return r
+        return SqrtFieldElement.wrap(sqrt_coeff_product(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -271,7 +298,7 @@ class SqrtFieldElement:
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero")
         if set(self.coeffs) == {1}:
-            return SqrtFieldElement({1: 1 / self.coeffs[1]})
+            return SqrtFieldElement({1: Fraction(1) / self.coeffs[1]})
         primes = sorted({p for a in self.coeffs for p in _prime_factors(a)})
         basis = [1]
         for p in primes:
@@ -281,14 +308,14 @@ class SqrtFieldElement:
         n = len(basis)
         cols = []
         for b in basis:
-            col = [_ZERO] * n
+            col = [0] * n
             prod = self * SqrtFieldElement.sqrt(b)
             for a, c in prod.coeffs.items():
                 col[index[a]] = c
             cols.append(col)
         a_rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rhs = [_ZERO] * n
-        rhs[index[1]] = Fraction(1)
+        rhs = [0] * n
+        rhs[index[1]] = 1
         x = solve_dense(a_rows, rhs)
         if x is None:  # unreachable: nonzero field elements are invertible
             raise ZeroDivisionError("singular multiplication matrix")
@@ -308,7 +335,7 @@ class SqrtFieldElement:
 
     def rational_part(self):
         """Coefficient of the label 1."""
-        return self.coeffs.get(1, _ZERO)
+        return self.coeffs.get(1, 0)
 
     def is_zero(self):
         return not self.coeffs
@@ -335,7 +362,15 @@ class SqrtFieldElement:
 def sqrt_pairing(u, v):
     """Symmetric Q-bilinear pairing with sqrt(a) ~ sqrt(b) equal to a if a == b else 0.
 
-    Equals the rational part of u*v: distinct square-free labels multiply into a
-    non-rational label, equal labels multiply to the integer a.
+    Equals the rational part of u*v, computed without assembling the product:
+    distinct square-free labels multiply into a non-rational label, equal labels
+    multiply to the integer a.  The value is an int when it is integral,
+    otherwise a Fraction.
     """
-    return (u * v).rational_part()
+    other = v.coeffs
+    acc = 0
+    for a, c in u.coeffs.items():
+        d = other.get(a)
+        if d is not None:
+            acc += c * d * a
+    return rational(acc)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .exact_arith import GaussianRational
 from .linalg import SpanDict, span_equal
 from .quantum_torus import TorusElement, coeff_product, kappa, lattice_box, torus_form
-from .sparse import SparseMatrix, sparse_iadd, sparse_trace_pairing
+from .sparse import SparseMatrix, sparse_commutator, sparse_trace_pairing
 
 __all__ = [
     "LieElement",
@@ -143,49 +143,15 @@ def star(x):
     return LieElement(ell, x.q, out)
 
 
-def _accumulate(out, key, coeffs):
-    """out[key] += coeffs for coefficient-dict entries, in place; a vanishing entry is dropped.
-
-    ``coeffs`` must be a dict the caller no longer uses: it may become the entry.
-    """
-    cur = out.get(key)
-    if cur is None:
-        out[key] = coeffs
-    elif not sparse_iadd(cur, coeffs):
-        del out[key]
-
-
-def _product_coeffs(a, b, q, sign):
-    """sign * (a b) for entry dicts of LieElements, as {(row, col): coefficient dict}.
-
-    Entries and coefficients come out in the order of ``SparseMatrix.__matmul__``.
-    """
-    rows = {}
-    for (k, col), val in b.items():
-        rows.setdefault(k, []).append((col, val.coeffs))
-    out = {}
-    for (row, k), val in a.items():
-        xc = val.coeffs
-        for col, yc in rows.get(k, ()):
-            v = coeff_product(xc, yc, q, sign)
-            if v:
-                _accumulate(out, (row, col), v)
-    return out
-
-
 def mat_bracket(x, y):
     """Commutator [x, y] = x y - y x, fused on the torus coefficient dicts.
 
-    No intermediate matrix, negated copy or per-product TorusElement is built.
-    y x is formed with the sign folded into each coefficient product, so the
-    entries and their coefficients come out in exactly the order of
-    ``(x @ y) - (y @ x)``: those of x y, then the new ones of y x.
+    Entries and coefficients come out in exactly the order of
+    ``(x @ y) - (y @ x)`` (see ``sparse_commutator``).
     """
     x._check_compat(y)
     q = x.q
-    out = _product_coeffs(x.entries, y.entries, q, 1)
-    for key, coeffs in _product_coeffs(y.entries, x.entries, q, -1).items():
-        _accumulate(out, key, coeffs)
+    out = sparse_commutator(x.entries, y.entries, coeff_product, q)
     return x._with({pos: TorusElement.wrap(q, coeffs) for pos, coeffs in out.items()})
 
 

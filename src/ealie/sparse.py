@@ -3,12 +3,14 @@
 A sparse dictionary maps keys to nonzero coefficients of any ring type.
 Every sum here keeps one insertion order: copy the left operand, merge the
 right one in its own order, drop sums that vanish.  Coordinates and basis
-choices follow that order, so report bytes depend on it.
+choices follow that order, so report bytes depend on it.  The matrix
+commutator of both matrix rings (torus and square-root entries) is one kernel
+here, ``sparse_commutator``, parametrized by the ring's coefficient product.
 """
 
 from fractions import Fraction
 
-__all__ = ["SparseMatrix", "sparse_add", "sparse_iadd", "sparse_trace_pairing"]
+__all__ = ["SparseMatrix", "sparse_add", "sparse_commutator", "sparse_iadd", "sparse_trace_pairing"]
 
 
 def sparse_iadd(out, b):
@@ -26,6 +28,51 @@ def sparse_iadd(out, b):
 def sparse_add(a, b):
     """a + b: copy ``a``, merge ``b`` in its order, drop zero sums."""
     return sparse_iadd(dict(a), b)
+
+
+def _signed_product(a, b, product, ctx, sign):
+    """sign * (a b) for matrix entry dicts, as {(row, col): coefficient dict}."""
+    rows = {}
+    for (k, col), val in b.items():
+        rows.setdefault(k, []).append((col, val.coeffs))
+    out = {}
+    for (row, k), val in a.items():
+        xc = val.coeffs
+        for col, yc in rows.get(k, ()):
+            v = product(xc, yc, sign) if ctx is None else product(xc, yc, ctx, sign)
+            if v:
+                key = (row, col)
+                cur = out.get(key)
+                if cur is None:
+                    out[key] = v
+                elif not sparse_iadd(cur, v):
+                    del out[key]
+    return out
+
+
+def sparse_commutator(a, b, product, ctx=None):
+    """a b - b a for matrix entry dicts, as {(row, col): coefficient dict}.
+
+    Entries of ``a`` and ``b`` carry their coefficient dicts as ``.coeffs``.
+    ``product(xc, yc, sign)``, or ``product(xc, yc, ctx, sign)`` when the ring
+    passes a ``ctx`` (the torus passes its sign matrix), is the ring's
+    coefficient product with the sign (+1 or -1) folded in, returning a new
+    dict; ``ctx`` is passed through rather than bound in a closure, which would
+    cost a call per product.
+
+    No intermediate matrix, negated copy or per-product element is built, yet
+    the entries and their coefficients come out in exactly the order of
+    ``(x @ y) - (y @ x)``: b a is accumulated apart, then merged into a b in its
+    own order.  The ring wraps each coefficient dict back into an element.
+    """
+    out = _signed_product(a, b, product, ctx, 1)
+    for key, coeffs in _signed_product(b, a, product, ctx, -1).items():
+        cur = out.get(key)
+        if cur is None:
+            out[key] = coeffs
+        elif not sparse_iadd(cur, coeffs):
+            del out[key]
+    return out
 
 
 def sparse_trace_pairing(a, b, pair):

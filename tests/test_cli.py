@@ -205,13 +205,18 @@ PINNED_REPORTS = [
     # the full default check: every suite, TAME and PROPS on the affinized core
     ("check --construction affinized --nu 2 --q -1 --window 1", 0,
      "be8f676982a4cba47f019a59340ecd190dc065ebc12b111c55fb65deb06d73b7"),
+    # three primes: products such as sqrt6 * sqrt10 = 2 sqrt15 reach the report;
+    # its T1 invariance is sampled (2,000 of 158,208 triples, seed 0)
+    ("check --construction sqrt-extension --rank 3 --primes 2,3,5", 0,
+     "ff810c8a5901e3c826fac377e63978ae774ff74fe5c2347dac00246332304702"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", PINNED_REPORTS,
                          ids=["export-affinized", "check-sqrt-extension", "check-sp-classical",
                               "check-affinized-T", "ears-torus", "check-underived-D-EARS",
-                              "ears-torus-w2", "check-affinized"])
+                              "ears-torus-w2", "check-affinized",
+                              "check-sqrt-extension-3-primes"])
 def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == code

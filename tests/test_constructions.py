@@ -355,6 +355,19 @@ def test_affinized_window_has_no_float_and_no_integral_fraction(aff_win):
                 assert_int_first(v)
 
 
+def test_sqrt_window_has_no_float_and_no_integral_fraction(sqrt_win):
+    """Field coefficients, coordinates and brackets of every basis vector stay int-first."""
+    for root, x in sqrt_win.all_basis():
+        for v in list(sqrt_win.coords(x).values()) + [c for val in x.entries.values() for c in val.coeffs.values()]:
+            assert_int_first(v)
+        opp = -root
+        for y in sqrt_win.basis(opp) if opp in sqrt_win.pieces else ():
+            assert type(sqrt_win.form(x, y)) is Fraction
+            b = sqrt_win.bracket(x, y)
+            for v in list(sqrt_win.coords(b).values()) + [c for val in b.entries.values() for c in val.coeffs.values()]:
+                assert_int_first(v)
+
+
 def test_affinized_central_term_is_literal_degree_derivation_form(aff_alg, aff_win):
     # The bracket's c-part, taken in one pass, against (d_i x.g, y.g) built literally.
     base = aff_alg.base

@@ -19,6 +19,10 @@ sqrts = st.builds(
     SqrtFieldElement,
     st.dictionaries(st.sampled_from(LABELS), fracs, max_size=4),
 )
+mixed_sqrts = st.builds(
+    SqrtFieldElement,
+    st.dictionaries(st.sampled_from(LABELS), rationals, max_size=4),
+)
 
 
 @given(gaussians, gaussians, gaussians)
@@ -125,6 +129,39 @@ def test_sqrt_inverse_known_value():
 @given(sqrts, sqrts)
 def test_sqrt_pairing_symmetric(u, v):
     assert sqrt_pairing(u, v) == sqrt_pairing(v, u)
+
+
+@given(mixed_sqrts, mixed_sqrts)
+def test_sqrt_pairing_is_rational_part_of_product(u, v):
+    got = sqrt_pairing(u, v)
+    assert got == (u * v).rational_part()
+    assert_int_first(got)
+
+
+@settings(max_examples=60)
+@given(mixed_sqrts, st.one_of(mixed_sqrts, rationals))
+def test_sqrt_coefficients_int_or_fraction_never_float(x, y):
+    for c in x.coeffs.values():
+        assert_int_first(c)
+    results = [x + y, y + x, x - y, y - x, x * y, y * x, -x]
+    if y:
+        results.append(x / y)
+    if x:
+        results += [y / x, x.inverse()]
+    for z in results:
+        assert isinstance(z, SqrtFieldElement)
+        for c in z.coeffs.values():
+            assert_int_first(c)
+
+
+def test_sqrt_integral_values_are_ints():
+    assert type(SqrtFieldElement.sqrt(2).coeffs[2]) is int
+    assert type(SqrtFieldElement.from_rational(Fraction(4, 2)).coeffs[1]) is int
+    half = SqrtFieldElement.from_rational(Fraction(1, 2))
+    assert type((half + half).coeffs[1]) is int
+    inv = SqrtFieldElement.from_rational(2).inverse()
+    assert inv.coeffs == {1: Fraction(1, 2)} and type(inv.coeffs[1]) is Fraction
+    assert type(SqrtFieldElement.from_rational(Fraction(1, 2)).inverse().coeffs[1]) is int
 
 
 def test_sqrt_pairing_on_labels():

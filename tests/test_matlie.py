@@ -192,27 +192,43 @@ def _entry_layout(x):
     return [(pos, list(val.coeffs.items())) for pos, val in x.entries.items()]
 
 
-def _assert_fused_bracket_is_literal(x, y):
-    fused = mat_bracket(x, y)
+def _assert_fused_bracket_is_literal(bracket, x, y):
+    fused = bracket(x, y)
     literal = (x @ y) - (y @ x)
     assert fused == literal
     assert _entry_layout(fused) == _entry_layout(literal)
+    return fused
 
 
-def test_fused_bracket_is_literal_commutator_on_window_bases(torus_win, aff_win):
-    for win, part in ((torus_win, lambda v: v), (aff_win, lambda v: v.g)):
+def test_fused_bracket_is_literal_commutator_on_window_bases(torus_win, aff_win, sqrt_alg, sqrt_win):
+    # The torus ring (mat_bracket) and the square-root ring share one kernel.
+    for win, part, bracket in ((torus_win, lambda v: v, mat_bracket),
+                               (aff_win, lambda v: v.g, mat_bracket),
+                               (sqrt_win, lambda v: v, sqrt_alg.bracket)):
         basis = [part(x) for _, x in win.all_basis()]
         for x in basis:
             for y in basis:
-                _assert_fused_bracket_is_literal(x, y)
+                _assert_fused_bracket_is_literal(bracket, x, y)
 
 
-def test_fused_bracket_is_literal_commutator_with_cancellations(torus_win):
+def test_fused_bracket_is_literal_commutator_with_cancellations(torus_win, sqrt_alg, sqrt_win):
     # Sums of basis vectors over several degrees: entry and coefficient sums
     # vanish and re-appear mid-product, which moves them in dict order.
     rng = random.Random(6)
     basis = [x for _, x in torus_win.all_basis()]
     for _ in range(300):
         x, y = (sum(rng.sample(basis, 4), LieElement.zero(2, Q2)) for _ in range(2))
-        _assert_fused_bracket_is_literal(x, y)
-        _assert_fused_bracket_is_literal(x, x + y)
+        _assert_fused_bracket_is_literal(mat_bracket, x, y)
+        _assert_fused_bracket_is_literal(mat_bracket, x, x + y)
+    # Signed sums over several square-root labels: sqrt6 arises as sqrt2 sqrt3
+    # and as sqrt3 sqrt2, so coefficients cancel inside one product as well as
+    # between x y and y x.
+    basis = [x for _, x in sqrt_win.all_basis()]
+    cancelled = 0
+    for _ in range(300):
+        x, y = (sum((b * rng.choice((1, -1, 2)) for b in rng.sample(basis, 5)), sqrt_alg.zero())
+                for _ in range(2))
+        for u, v in ((x, y), (x, x + y)):
+            fused = _assert_fused_bracket_is_literal(sqrt_alg.bracket, u, v)
+            cancelled += len(fused.entries) < len((u @ v).entries.keys() | (v @ u).entries.keys())
+    assert cancelled > 50

@@ -30,6 +30,7 @@ from .decomp import (
     centralizer_candidates,
     combine,
     isotropic_pair,
+    normalized_pair,
     sl2_search,
     sl2_triple,
     toral_commute,
@@ -42,7 +43,6 @@ from .linalg import (
     gram_nonsingular,
     gram_positive_definite,
     nullspace_dense,
-    solve_dense,
     span_equal,
 )
 from .quantum_torus import lattice_box, unit_degrees
@@ -56,8 +56,6 @@ __all__ = [
     "tameness_check",
     "check_props",
 ]
-
-_F1 = Fraction(1)
 
 # Zero-sum basis triples up to which form invariance is checked exhaustively;
 # above it, a seeded sample of 2000 is checked.
@@ -403,7 +401,7 @@ def check_D(win, seed=0):
         r2, y = flat[rng.randrange(len(flat))]
         b = win.bracket(x, y)
         target = tuple(a + c for a, c in zip(r1.lattice, r2.lattice))
-        if not b.is_zero() and set(_support_degrees(alg, b)) - {target}:
+        if not b.is_zero() and set(_support_degrees(b)) - {target}:
             d5_ok = False
             d5_witness = {"first": r1, "second": r2}
             break
@@ -417,7 +415,7 @@ def check_D(win, seed=0):
     d6_ok = True
     d6_witness = None
     for root, x in flat:
-        degs = _support_degrees(alg, x)
+        degs = _support_degrees(x)
         if len(set(degs)) > 1:
             d6_ok = False
             d6_witness = {"root": root}
@@ -442,7 +440,7 @@ def check_D(win, seed=0):
     d8_witness = None
     margin_box = lattice_box(alg.nu, win.w + SPAN_MARGIN)
     margin_set = set(margin_box)
-    for sigma in alg.window_degrees(win.w):
+    for sigma in lattice_box(alg.nu, win.w):
         claim = SpanDict(
             win.coords(x) for x in win.basis(Root(finite=fin.zero, lattice=sigma))
         )
@@ -520,7 +518,7 @@ def check_D(win, seed=0):
     return AxiomReport("D", results, _metadata(win))
 
 
-def _support_degrees(alg, x):
+def _support_degrees(x):
     base = getattr(x, "g", x)
     if hasattr(base, "support_degrees"):
         return base.support_degrees()
@@ -719,21 +717,7 @@ def newp_pair(win, core, delta, center_basis):
     ys = core.piece_basis(-delta)
     if not xs or not ys:
         return None
-    z_coords = [win.coords(z) for z in center_basis]
-    for x in xs:
-        vecs = [win.coords(win.bracket(x, b)) for b in ys]
-        keys = sorted(set().union(*vecs, *z_coords)) if (vecs or z_coords) else []
-        rows = [
-            [v.get(k, 0) for v in vecs] + [-z.get(k, 0) for z in z_coords]
-            for k in keys
-        ]
-        rows.append([win.form(x, b) for b in ys] + [0] * len(z_coords))
-        rhs = [Fraction(0)] * len(keys) + [_F1]
-        sol = solve_dense(rows, rhs)
-        if sol is not None:
-            y = combine(ys, sol[:len(ys)], win.alg.zero())
-            return x, y
-    return None
+    return normalized_pair(win, xs, ys, win.alg.zero(), free=center_basis)
 
 
 def check_props(win, core, seed=0):

@@ -18,7 +18,7 @@ Four families:
 from fractions import Fraction
 
 from .exact_arith import SqrtFieldElement, rational, sqrt_coeff_product, sqrt_pairing
-from .finroot import Root, build_finite_root_system
+from .finroot import build_finite_root_system
 from .matlie import (
     LieElement,
     hdot,
@@ -27,7 +27,7 @@ from .matlie import (
     trace_form,
     zero_root_component,
 )
-from .quantum_torus import SignMatrix, TorusElement, kappa, lattice_box
+from .quantum_torus import SignMatrix, TorusElement, kappa
 from .sparse import SparseMatrix, sparse_commutator, sparse_trace_pairing
 
 __all__ = [
@@ -102,7 +102,8 @@ class TorusMatrixAlgebra:
     ``real_only`` restricts coefficients to the rationals, which at nu = 0
     yields sp_{2l}(Q) exactly.  Weight-0 derived slices are produced by the
     exact spanning computation of zero_root_component (margin ``ZERO_MARGIN``,
-    diagonal pairs included) and carry its closed-form cross-check flag.
+    diagonal pairs included); ``zero_component(sigma)`` keeps that
+    computation's closed-form cross-check flag.
     """
 
     construction = "quantum-torus"
@@ -116,7 +117,6 @@ class TorusMatrixAlgebra:
         self.derived = derived
         self.real_only = real_only
         self.fin = build_finite_root_system("C", ell)
-        self._pieces = {}
         self._zero_components = {}
 
     # -- element basics ------------------------------------------------------
@@ -134,9 +134,6 @@ class TorusMatrixAlgebra:
         return x.coords()
 
     # -- grading -------------------------------------------------------------
-
-    def window_degrees(self, w):
-        return lattice_box(self.nu, w)
 
     def zero_component(self, sigma):
         comp = self._zero_components.get(sigma)
@@ -162,29 +159,6 @@ class TorusMatrixAlgebra:
         if weight not in self.fin.nonzero_roots:
             return ()
         return tuple(skew_root_basis(self.ell, self.q, weight, sigma, self.real_only))
-
-    def graded_pieces(self, sigma):
-        sigma = tuple(sigma)
-        got = self._pieces.get(sigma)
-        if got is None:
-            got = {}
-            zero_w = self.fin.zero
-            got[zero_w] = self.root_piece(Root(finite=zero_w, lattice=sigma))
-            for weight in sorted(self.fin.nonzero_roots):
-                got[weight] = self.root_piece(Root(finite=weight, lattice=sigma))
-            self._pieces[sigma] = got
-        return got
-
-    def member_oracle(self, root):
-        """Nonzero weights in the type-C system always carry a 2-real-dimension
-        (or 1, for long roots) slice at every degree; the weight-0 slice is
-        never empty either (its dimension is at least l - 1 in every case of
-        the verified closed form).  Inside the window this oracle is checked
-        against the actual slices by decompose_window."""
-        weight = tuple(root.finite)
-        if not any(weight):
-            return True
-        return weight in self.fin.nonzero_roots
 
     # -- toral data ------------------------------------------------------------
 
@@ -319,25 +293,12 @@ class AffinizedAlgebra:
 
     # -- grading ---------------------------------------------------------------
 
-    def window_degrees(self, w):
-        return self.base.window_degrees(w)
-
     def root_piece(self, root):
         basis = [self.lift(g) for g in self.base.root_piece(root)]
         if not any(root.finite) and not any(root.lattice):
             basis += [self.c_gen(i) for i in range(self.nu)]
             basis += [self.d_gen(i) for i in range(self.nu)]
         return tuple(basis)
-
-    def graded_pieces(self, sigma):
-        sigma = tuple(sigma)
-        out = {}
-        for weight in self.base.graded_pieces(sigma):
-            out[weight] = self.root_piece(Root(finite=weight, lattice=sigma))
-        return out
-
-    def member_oracle(self, root):
-        return self.base.member_oracle(root)
 
     # -- toral data --------------------------------------------------------------
 
@@ -480,7 +441,7 @@ class CocycleExtensionAlgebra:
         return out
 
 
-def check_extension_conditions(spec, sample_elements, triples=None):
+def check_extension_conditions(spec, sample_elements):
     """Exact checks of the extension compatibility conditions.
 
     Returns a list of (name, passed, detail) triples covering: tau
@@ -526,9 +487,6 @@ def check_extension_conditions(spec, sample_elements, triples=None):
         )
 
     mixed = [alg.lift(a) for a in sample_elements] + [alg.e_gen(i) for i in dims]
-    picked = triples if triples is not None else [
-        (x, y, z) for x in mixed for y in mixed for z in mixed
-    ]
     # Each check is a lazy stream of failure details; only its first item is drawn.
     checks = (
         ("tau-antisymmetric", (
@@ -553,7 +511,7 @@ def check_extension_conditions(spec, sample_elements, triples=None):
         )),
         ("jacobi", (
             "Jacobi identity fails on a mixed triple"
-            for x, y, z in picked
+            for x in mixed for y in mixed for z in mixed
             if not jacobi_sum(x, y, z).is_zero()
         )),
         ("ideal-and-quotient", (
@@ -683,9 +641,6 @@ class SqrtExtensionAlgebra:
 
     # -- grading -----------------------------------------------------------------
 
-    def window_degrees(self, w):
-        return [()]
-
     def _base_matrix(self, weight):
         lies = skew_root_basis(self.ell, self._trivial_q, weight, (), real_only=True)
         out = []
@@ -712,18 +667,6 @@ class SqrtExtensionAlgebra:
             for a in self.keys:
                 out.append(m * SqrtFieldElement.sqrt(a))
         return tuple(out)
-
-    def graded_pieces(self, sigma):
-        out = {self.fin.zero: self.root_piece(Root(finite=self.fin.zero, lattice=()))}
-        for weight in sorted(self.fin.nonzero_roots):
-            out[weight] = self.root_piece(Root(finite=weight, lattice=()))
-        return out
-
-    def member_oracle(self, root):
-        if any(root.lattice):
-            return False
-        weight = tuple(root.finite)
-        return not any(weight) or weight in self.fin.nonzero_roots
 
     # -- toral data -----------------------------------------------------------------
 

@@ -1,19 +1,24 @@
 """Windowed root-space decomposition and sl2 machinery over any graded algebra.
 
-An algebra object must provide:
+An algebra object must provide nine members:
 
-- ``nu``, ``fin`` (a FiniteRootSystem), ``window_degrees(w)``;
-- ``graded_pieces(sigma)`` mapping weight tuples to basis element tuples, and
-  ``root_piece(root)`` for a single slice (usable beyond the window);
-- ``toral_basis()``, ``root_functional(root)`` with the expected bracket
+- ``nu`` (the lattice rank) and ``fin`` (a FiniteRootSystem);
+- ``root_piece(root)``, the basis tuple of one slice (usable beyond the window);
+- ``toral_basis()`` and ``root_functional(root)``, the expected bracket
   eigenvalue of each toral generator on the given slice;
-- ``bracket``, ``form``, ``coords``, ``zero``, ``member_oracle(root)``;
+- ``bracket``, ``form``, ``coords`` and ``zero``;
 - elements supporting +, -, and scalar multiplication by Fraction.
+
+Every construction has one slice per (finite root, lattice degree) pair, and
+every finite root occurs at every degree.  So the rest is derived here, once:
+the window degrees are ``lattice_box(nu, w)``, ``graded_pieces(alg, sigma)``
+lists the slices of one degree, and beyond the window a root is a member
+exactly when its finite part lies in ``fin``.
 
 decompose_window builds the slices for all lattice degrees of max-norm <= w
 and verifies, entry by entry, that every claimed basis vector is an exact
 simultaneous eigenvector of the toral generators, that slices of a common
-degree are linearly independent, and that the membership oracle agrees with
+degree are linearly independent, and that the membership rule agrees with
 the computed slices inside the window.  Everything downstream (sl2 triples,
 reflections, core/center/radical extraction) works through the verified
 window object.
@@ -34,11 +39,13 @@ __all__ = [
     "NilpotencyError",
     "RootSystemWindow",
     "decompose_window",
+    "graded_pieces",
     "toral_commute",
     "combine",
     "sl2_search",
     "sl2_triple",
     "isotropic_pair",
+    "normalized_pair",
     "exp_ad",
     "theta_automorphism",
     "CoreData",
@@ -114,7 +121,7 @@ class RootSystemWindow:
             return True
         if all(abs(v) <= self.w for v in root.lattice):
             return False
-        return self.alg.member_oracle(root)
+        return self.fin.contains(root.finite)
 
     def all_basis(self):
         for root in self._roots:
@@ -167,19 +174,25 @@ def toral_commute(alg, toral):
     )
 
 
+def graded_pieces(alg, sigma):
+    """The slices of one lattice degree: weight 0, then the sorted nonzero roots."""
+    weights = [alg.fin.zero] + sorted(alg.fin.nonzero_roots)
+    return {weight: alg.root_piece(Root(finite=weight, lattice=sigma)) for weight in weights}
+
+
 def decompose_window(alg, w):
     """Decompose all lattice degrees with max-norm <= w and verify exactness."""
     toral = tuple(alg.toral_basis())
     if not toral_commute(alg, toral):
         raise DecompositionError("toral generators do not commute")
     pieces = {}
-    for sigma in alg.window_degrees(w):
+    for sigma in lattice_box(alg.nu, w):
         degree_span = SpanDict()
         total = 0
-        for weight, basis in sorted(alg.graded_pieces(sigma).items()):
-            if not basis:
-                continue
+        for weight, basis in sorted(graded_pieces(alg, sigma).items()):
             root = Root(finite=weight, lattice=sigma)
+            if not basis:  # every finite root is a member at every degree
+                raise DecompositionError(f"membership rule disagrees with window at {root}")
             lams = alg.root_functional(root)
             for x in basis:
                 for lam, h in zip(lams, toral):
@@ -193,11 +206,6 @@ def decompose_window(alg, w):
             pieces[root] = GradedPiece(root=root, basis=tuple(basis))
         if degree_span.dim != total:  # unreachable: add() counted each vector
             raise DecompositionError("slice dimensions do not add up")
-        for weight in list(alg.graded_pieces(sigma)) + [alg.fin.zero]:
-            root = Root(finite=weight, lattice=sigma)
-            present = root in pieces and bool(pieces[root].basis)
-            if alg.member_oracle(root) != present:
-                raise DecompositionError(f"membership oracle disagrees with window at {root}")
     return RootSystemWindow(alg, w, pieces)
 
 
@@ -253,22 +261,29 @@ def isotropic_pair(win, delta, require_zero_bracket=False):
     opp = -delta
     if delta not in win.pieces or opp not in win.pieces:
         return None
-    ys = win.basis(opp)
-    if require_zero_bracket:
-        target_elem = win.alg.zero()
-    else:
-        target_elem = win.rep_t(delta)
-    tgt_coords = win.coords(target_elem)
-    for x in win.basis(delta):
+    target = win.alg.zero() if require_zero_bracket else win.rep_t(delta)
+    return normalized_pair(win, win.basis(delta), win.basis(opp), target)
+
+
+def normalized_pair(win, xs, ys, target, free=()):
+    """The first x in xs with a y in the span of ys: (x, y) = 1 and [x, y] =
+    target plus some combination of the ``free`` elements.
+
+    One exact solve per x: the bracket coordinates over the sorted key union,
+    the free elements negated as extra columns, and a form row equal to 1.
+    Returns (x, y), or None when no x admits a partner.
+    """
+    tgt = win.coords(target)
+    free = [win.coords(z) for z in free]
+    for x in xs:
         vecs = [win.coords(win.bracket(x, b)) for b in ys]
-        all_keys = sorted(set().union(tgt_coords, *vecs))
-        a_rows = [[v.get(k, 0) for v in vecs] for k in all_keys]
-        a_rows.append([win.form(x, b) for b in ys])
-        rhs = [tgt_coords.get(k, 0) for k in all_keys] + [Fraction(1)]
-        sol = solve_dense(a_rows, rhs)
+        keys = sorted(set().union(tgt, *vecs, *free))
+        rows = [[v.get(k, 0) for v in vecs] + [-z.get(k, 0) for z in free] for k in keys]
+        rows.append([win.form(x, b) for b in ys] + [0] * len(free))
+        rhs = [tgt.get(k, 0) for k in keys] + [Fraction(1)]
+        sol = solve_dense(rows, rhs)
         if sol is not None:
-            y = combine(ys, sol, win.alg.zero())
-            return x, y
+            return x, combine(ys, sol[:len(ys)], win.alg.zero())
     return None
 
 
@@ -350,7 +365,7 @@ def _small_generators(win):
     """
     gens = []
     for sigma in unit_degrees(win.alg.nu):
-        for weight, basis in sorted(win.alg.graded_pieces(sigma).items()):
+        for weight, basis in sorted(graded_pieces(win.alg, sigma).items()):
             if any(weight):
                 gens.extend(basis)
     return gens

@@ -319,7 +319,6 @@ class GradedPiece:
 
     root: object
     basis: tuple
-    closed_form_match: bool = True
 
     @property
     def dim(self):

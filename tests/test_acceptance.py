@@ -21,7 +21,12 @@ from ealie.constructions import (
     affinize,
     build_extension_example,
 )
-from ealie.decomp import core_and_center_window, decompose_window, theta_automorphism
+from ealie.decomp import (
+    core_and_center_window,
+    decompose_window,
+    graded_pieces,
+    theta_automorphism,
+)
 from ealie.ears import check_ears_axioms, support_checks, support_sets
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import Root, root_string
@@ -318,7 +323,7 @@ def test_criterion_13_jacobi_sampling(aff_alg, aff_win):
 
         full = TorusMatrixAlgebra(2, Q_MIXED, derived=False)
         full_pool = [x for sigma in lattice_box(2, 1)
-                     for basis in full.graded_pieces(sigma).values() for x in basis]
+                     for basis in graded_pieces(full, sigma).values() for x in basis]
         jacobi(full, full_pool)
         aff_pool = [x for _, x in aff_win.all_basis()]
         aff_pool += [aff_alg.c_gen(i) for i in range(2)]

@@ -2,15 +2,16 @@
 
 import pytest
 
-from ealie.axioms import check_D, check_props, check_T, serre_check, tameness_check
+from ealie.axioms import check_D, check_props, check_T, newp_pair, serre_check, tameness_check
 from ealie.constructions import (
     CocycleExtensionAlgebra,
     ExtensionSpec,
     TorusMatrixAlgebra,
     affinize,
 )
-from ealie.decomp import core_and_center_window, decompose_window, sl2_triple
+from ealie.decomp import core_and_center_window, decompose_window, isotropic_pair, sl2_triple
 from ealie.finroot import Root
+from ealie.linalg import SpanDict
 from ealie.quantum_torus import SignMatrix
 
 from conftest import Q_MIXED
@@ -50,6 +51,19 @@ def test_check_D_passes_at_nullity_one():
 def test_props_pass_on_affinized_core(aff_win, aff_core):
     report = check_props(aff_win, aff_core, seed=1)
     assert report.passed, _failed(report)
+
+
+def test_normalized_pairs(torus_win, aff_win, aff_core):
+    # D12b and prop-central-image-pairs share one solve; check what each returns
+    for delta in torus_win.isotropic_roots():
+        x, y = isotropic_pair(torus_win, delta, require_zero_bracket=True)
+        assert torus_win.bracket(x, y).is_zero() and torus_win.form(x, y) == 1
+    center = SpanDict(aff_win.coords(z) for z in aff_core.center)
+    assert center.dim
+    for delta in aff_win.isotropic_roots():
+        x, y = newp_pair(aff_win, aff_core, delta, list(aff_core.center))
+        assert center.contains(aff_win.coords(aff_win.bracket(x, y)))
+        assert aff_win.form(x, y) == 1
 
 
 def test_tameness_passes_on_affinized_core(aff_win, aff_core):
@@ -157,27 +171,14 @@ class _CenterPadded(CocycleExtensionAlgebra):
     def toral_basis(self):
         return [self.lift(h) for h in self.base.toral_basis()]
 
-    def window_degrees(self, w):
-        return self.base.window_degrees(w)
-
-    def graded_pieces(self, sigma):
-        out = {
-            weight: [self.lift(x) for x in basis]
-            for weight, basis in self.base.graded_pieces(sigma).items()
-        }
-        if not any(sigma):
-            zero = self.fin.zero
-            out[zero] = list(out.get(zero, ())) + [self.e_gen(0), self.e_gen(1)]
-        return out
-
     def root_piece(self, root):
-        return self.graded_pieces(root.lattice).get(root.finite, [])
+        basis = tuple(self.lift(x) for x in self.base.root_piece(root))
+        if not any(root.finite) and not any(root.lattice):
+            basis += (self.e_gen(0), self.e_gen(1))
+        return basis
 
     def root_functional(self, root):
         return self.base.root_functional(root)
-
-    def member_oracle(self, root):
-        return self.base.member_oracle(root)
 
 
 def test_padded_center_fails_both_tameness_routes():

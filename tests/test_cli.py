@@ -209,6 +209,12 @@ PINNED_REPORTS = [
     # its T1 invariance is sampled (2,000 of 158,208 triples, seed 0)
     ("check --construction sqrt-extension --rank 3 --primes 2,3,5", 0,
      "ff810c8a5901e3c826fac377e63978ae774ff74fe5c2347dac00246332304702"),
+    # underived at nullity 1: D8, TAME and PROPS witnesses from the affinized path
+    ("check --construction affinized --nu 1 --window 1 --underived", 1,
+     "8ec2ab1cc607c17f8ab62c7118e76db8f5ceb1c1b4839211c1169f92086dcf2a"),
+    # nullity 0: the window is the single empty lattice degree
+    ("check --construction sp-classical --ell 3", 0,
+     "c9d22d7ffa6c65a08105b27b0619e2c10ccca87ca163c29ffbc4a3baf7460c62"),
 ]
 
 
@@ -216,7 +222,8 @@ PINNED_REPORTS = [
                          ids=["export-affinized", "check-sqrt-extension", "check-sp-classical",
                               "check-affinized-T", "ears-torus", "check-underived-D-EARS",
                               "ears-torus-w2", "check-affinized",
-                              "check-sqrt-extension-3-primes"])
+                              "check-sqrt-extension-3-primes", "check-affinized-underived",
+                              "check-sp-classical-3"])
 def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == code

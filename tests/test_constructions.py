@@ -19,6 +19,7 @@ from ealie.constructions import (
     degree_derivation,
     degree_derivation_spec,
 )
+from ealie.decomp import graded_pieces
 from ealie.exact_arith import SqrtFieldElement
 from ealie.finroot import Root
 from ealie.quantum_torus import SignMatrix, lattice_box
@@ -32,7 +33,7 @@ def _random_homogeneous(rng, alg, w=1):
     degrees = lattice_box(alg.nu, w)
     while True:
         sigma = degrees[rng.randrange(len(degrees))]
-        pieces = alg.graded_pieces(sigma)
+        pieces = graded_pieces(alg, sigma)
         weight = sorted(pieces)[rng.randrange(len(pieces))]
         basis = pieces[weight]
         if basis:

@@ -7,6 +7,7 @@ import pytest
 from ealie.constructions import TorusMatrixAlgebra
 from ealie.decomp import (
     EXTRA_MARGIN,
+    DecompositionError,
     NilpotencyError,
     RootSystemWindow,
     SL2Error,
@@ -15,6 +16,7 @@ from ealie.decomp import (
     core_and_center_window,
     decompose_window,
     exp_ad,
+    graded_pieces,
     isotropic_pair,
     sl2_triple,
     theta_automorphism,
@@ -23,6 +25,8 @@ from ealie.finroot import Root
 from ealie.linalg import SpanDict, span_equal
 from ealie.matlie import GradedPiece, hdot
 from ealie.quantum_torus import SignMatrix, lattice_box
+
+from conftest import Q_MIXED
 
 
 def test_sp4_window_shape(sp4_win):
@@ -141,13 +145,65 @@ def test_core_nonisotropic_pieces_are_full_slices(aff_win, aff_core):
         assert aff_core.piece_basis(root) == aff_win.basis(root)
 
 
-def test_window_member_and_oracle(torus_win):
-    assert torus_win.member(Root(finite=(1, 1), lattice=(0, 0)))
-    assert not torus_win.member(Root(finite=(1, 0), lattice=(0, 0)))
-    # outside the window the membership oracle answers
-    assert torus_win.member(Root(finite=(1, 1), lattice=(5, 0)))
-    assert torus_win.member(Root(finite=(0, 0), lattice=(0, 7)))
-    assert not torus_win.member(Root(finite=(1, 0), lattice=(5, 0)))
+def test_window_member_and_oracle(torus_win, aff_win, sqrt_win):
+    for win in (torus_win, aff_win):
+        assert win.member(Root(finite=(1, 1), lattice=(0, 0)))
+        assert not win.member(Root(finite=(1, 0), lattice=(0, 0)))
+        # outside the window a root is a member when its finite part is
+        assert win.member(Root(finite=(1, 1), lattice=(5, 0)))
+        assert win.member(Root(finite=(0, 0), lattice=(0, 7)))
+        assert not win.member(Root(finite=(1, 0), lattice=(5, 0)))
+    # at nullity 0 every root lies inside the window
+    assert sqrt_win.member(Root(finite=(1, 1), lattice=()))
+    assert sqrt_win.member(Root(finite=(0, 0), lattice=()))
+    assert not sqrt_win.member(Root(finite=(1, 0), lattice=()))
+
+
+class _MissingSlice(TorusMatrixAlgebra):
+    """A torus algebra whose slice at one finite root inside the window is empty."""
+
+    def __init__(self, missing):
+        super().__init__(2, Q_MIXED)
+        self.missing = missing
+
+    def root_piece(self, root):
+        return () if root == self.missing else super().root_piece(root)
+
+
+@pytest.mark.parametrize("weight", [(1, 1), (0, 0)])
+def test_decompose_window_rejects_an_empty_slice_at_a_finite_root(weight):
+    missing = Root(finite=weight, lattice=(1, 0))
+    with pytest.raises(DecompositionError, match="membership rule disagrees"):
+        decompose_window(_MissingSlice(missing), 1)
+
+
+def _per_class_pieces(alg, sigma):
+    """Oracle: the graded_pieces each construction class carried before decomp
+    derived them; the affinized one took its weights from the base algebra."""
+    base = getattr(alg, "base", alg)
+    out = {base.fin.zero: base.root_piece(Root(finite=base.fin.zero, lattice=sigma))}
+    for weight in sorted(base.fin.nonzero_roots):
+        out[weight] = base.root_piece(Root(finite=weight, lattice=sigma))
+    if base is alg:
+        return out
+    return {weight: alg.root_piece(Root(finite=weight, lattice=sigma)) for weight in out}
+
+
+@pytest.mark.parametrize("name", ["torus_alg", "underived", "real_only", "sp4_alg",
+                                  "aff_alg", "sqrt_alg"])
+def test_graded_pieces_match_per_class_enumeration(request, name):
+    if name == "underived":
+        alg = TorusMatrixAlgebra(2, Q_MIXED, derived=False)
+    elif name == "real_only":
+        alg = TorusMatrixAlgebra(2, Q_MIXED, real_only=True)
+    else:
+        alg = request.getfixturevalue(name)
+    for sigma in lattice_box(alg.nu, 1):
+        got = graded_pieces(alg, sigma)
+        expected = _per_class_pieces(alg, sigma)
+        assert list(got) == list(expected)
+        for weight, basis in expected.items():
+            assert [alg.coords(x) for x in got[weight]] == [alg.coords(x) for x in basis]
 
 
 def _box_pairs(win, delta):

@@ -654,19 +654,10 @@ class SqrtExtensionAlgebra:
 
     def root_piece(self, root):
         weight = tuple(root.finite)
-        if any(root.lattice):
+        if any(root.lattice) or (any(weight) and weight not in self.fin.nonzero_roots):
             return ()
-        if not any(weight):
-            mats = [self._base_matrix((0,) * self.ell)[r] for r in range(self.ell)]
-        elif weight in self.fin.nonzero_roots:
-            mats = self._base_matrix(weight)
-        else:
-            return ()
-        out = []
-        for m in mats:
-            for a in self.keys:
-                out.append(m * SqrtFieldElement.sqrt(a))
-        return tuple(out)
+        mats = self._base_matrix(weight)
+        return tuple(m * SqrtFieldElement.sqrt(a) for m in mats for a in self.keys)
 
     # -- toral data -----------------------------------------------------------------
 

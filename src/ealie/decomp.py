@@ -30,13 +30,13 @@ from fractions import Fraction
 from .ears import first_broken_string
 from .finroot import Root
 from .linalg import SpanDict, nullspace_dense, relations, solve_combination, solve_dense, span_equal
-from .matlie import GradedPiece
 from .quantum_torus import lattice_box, unit_degrees
 
 __all__ = [
     "DecompositionError",
     "SL2Error",
     "NilpotencyError",
+    "GradedPiece",
     "RootSystemWindow",
     "decompose_window",
     "graded_pieces",
@@ -64,6 +64,18 @@ class SL2Error(ValueError):
 
 class NilpotencyError(ValueError):
     """An ad-exponential did not terminate within the step cap."""
+
+
+@dataclass(frozen=True)
+class GradedPiece:
+    """A verified weight/degree slice: its root label, basis and dimension."""
+
+    root: object
+    basis: tuple
+
+    @property
+    def dim(self):
+        return len(self.basis)
 
 
 def combine(elements, coeffs, zero):
@@ -361,13 +373,17 @@ def _small_generators(win):
 
     Together with repeated brackets these generate every nonzero-weight slice
     (unit degrees generate the lattice), so killing them decides centrality;
-    survivors are re-verified against the whole window basis anyway.
+    survivors are re-verified against the whole window basis anyway.  Slices
+    inside the window are read from it; only beyond it (window 0) are they
+    built again.
     """
     gens = []
+    weights = sorted(win.fin.nonzero_roots)
     for sigma in unit_degrees(win.alg.nu):
-        for weight, basis in sorted(graded_pieces(win.alg, sigma).items()):
-            if any(weight):
-                gens.extend(basis)
+        for weight in weights:
+            root = Root(finite=weight, lattice=sigma)
+            piece = win.pieces.get(root)
+            gens.extend(piece.basis if piece is not None else win.alg.root_piece(root))
     return gens
 
 

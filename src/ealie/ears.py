@@ -193,7 +193,6 @@ class SupportSets:
     l_set: frozenset
     e_set: frozenset | None
     per_root: dict
-    window: int
 
 
 def support_sets(win):
@@ -224,7 +223,7 @@ def support_sets(win):
         per_root[a] = frozenset(
             delta for delta in box if Root(finite=a, lattice=delta) in win.pieces
         )
-    return SupportSets(s_set=s_set, l_set=l_set, e_set=e_set, per_root=per_root, window=win.w)
+    return SupportSets(s_set=s_set, l_set=l_set, e_set=e_set, per_root=per_root)
 
 
 def check_semilattice(members, nu, bound):

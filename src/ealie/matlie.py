@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import GaussianRational
+from .finroot import build_finite_root_system
 from .linalg import SpanDict, span_equal
 from .quantum_torus import TorusElement, coeff_product, kappa, lattice_box, torus_form
 from .sparse import SparseMatrix, sparse_commutator, sparse_trace_pairing
@@ -31,11 +32,7 @@ __all__ = [
     "star",
     "mat_bracket",
     "trace_form",
-    "symplectic_eigenbasis",
-    "skew_basis",
     "skew_root_basis",
-    "nonzero_weights",
-    "GradedPiece",
     "ZeroWeightComponent",
     "zero_root_component",
 ]
@@ -161,107 +158,6 @@ def trace_form(x, y):
     return sparse_trace_pairing(x.entries, y.entries, torus_form)
 
 
-def _row_weight(ell, p):
-    w = [0] * ell
-    if p < ell:
-        w[p] = 1
-    else:
-        w[p - ell] = -1
-    return w
-
-
-def _unit_weight(ell, terms):
-    (p, r_), _ = terms[0]
-    a = _row_weight(ell, p)
-    b = _row_weight(ell, r_)
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def symplectic_eigenbasis(ell):
-    """Eigenbasis specs of the real involution M -> E^{-1} M^t E on 2l x 2l matrices.
-
-    Returns (minus, plus); each item is (terms, weight) where terms is a list
-    of ((row, col), sign) and weight the diagonal weight tuple.  The -1
-    eigenspace is sp_{2l} (dimension 2l^2 + l), the +1 eigenspace has
-    dimension 2l^2 - l.  All listed matrices are weight-homogeneous.
-    """
-    minus = []
-    plus = []
-    for r in range(ell):
-        minus.append(([((r, r), 1), ((ell + r, ell + r), -1)], (0,) * ell))
-        plus.append(([((r, r), 1), ((ell + r, ell + r), 1)], (0,) * ell))
-    for r in range(ell):
-        for s in range(ell):
-            if r != s:
-                terms_m = [((r, s), 1), ((ell + s, ell + r), -1)]
-                terms_p = [((r, s), 1), ((ell + s, ell + r), 1)]
-                minus.append((terms_m, _unit_weight(ell, [terms_m[0]])))
-                plus.append((terms_p, _unit_weight(ell, [terms_p[0]])))
-    for r in range(ell):
-        for s in range(r, ell):
-            if r == s:
-                t_up = [((r, ell + r), 1)]
-                t_dn = [((ell + r, r), 1)]
-                minus.append((t_up, _unit_weight(ell, t_up)))
-                minus.append((t_dn, _unit_weight(ell, t_dn)))
-            else:
-                up_m = [((r, ell + s), 1), ((s, ell + r), 1)]
-                up_p = [((r, ell + s), 1), ((s, ell + r), -1)]
-                dn_m = [((ell + r, s), 1), ((ell + s, r), 1)]
-                dn_p = [((ell + r, s), 1), ((ell + s, r), -1)]
-                minus.append((up_m, _unit_weight(ell, [up_m[0]])))
-                plus.append((up_p, _unit_weight(ell, [up_p[0]])))
-                minus.append((dn_m, _unit_weight(ell, [dn_m[0]])))
-                plus.append((dn_p, _unit_weight(ell, [dn_p[0]])))
-    return minus, plus
-
-
-def _spec_to_element(ell, q, terms, sigma, imaginary):
-    coeff = _I if imaginary else GaussianRational(1)
-    out = LieElement.zero(ell, q)
-    for (p, r_), sign in terms:
-        out = out + e_mat(ell, q, p, r_, sigma, coeff if sign > 0 else -coeff)
-    return out
-
-
-def skew_basis(ell, q, sigma, real_only=False):
-    """Basis of the degree-sigma slice of the skew algebra B.
-
-    An element t^sigma (P + iQ) is skew exactly when the real matrices satisfy
-    J(P) = -kappa(sigma) P and J(Q) = +kappa(sigma) Q for the real involution
-    J; the slice has real dimension 4l^2 (2l^2 + l real generators and
-    2l^2 - l imaginary ones, swapped between eigenspaces when kappa = -1).
-    With real_only, just the real generators are returned.
-    """
-    k = kappa(sigma, q)
-    minus, plus = symplectic_eigenbasis(ell)
-    p_list = minus if k > 0 else plus
-    q_list = plus if k > 0 else minus
-    out = [_spec_to_element(ell, q, terms, sigma, False) for terms, _ in p_list]
-    if not real_only:
-        out += [_spec_to_element(ell, q, terms, sigma, True) for terms, _ in q_list]
-    return out
-
-
-def nonzero_weights(ell):
-    """All nonzero diagonal weights (the type-C root system of rank l)."""
-    out = []
-    for r in range(ell):
-        for s in range(ell):
-            if r != s:
-                w = [0] * ell
-                w[r], w[s] = 1, -1
-                out.append(tuple(w))
-    for r in range(ell):
-        for s in range(r, ell):
-            w = [0] * ell
-            w[r] += 1
-            w[s] += 1
-            out.append(tuple(w))
-            out.append(tuple(-x for x in w))
-    return out
-
-
 def skew_root_basis(ell, q, weight, sigma, real_only=False):
     """Basis of the weight/degree slice of B for a nonzero or zero weight.
 
@@ -311,18 +207,6 @@ def skew_root_basis(ell, q, weight, sigma, real_only=False):
     if real_only:
         return [el for el, imag in elems if not imag]
     return [el for el, _ in elems]
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    """A verified weight/degree slice: its root label, basis and dimension."""
-
-    root: object
-    basis: tuple
-
-    @property
-    def dim(self):
-        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -401,7 +285,7 @@ def zero_root_component(ell, q, gamma, margin=3, include_diagonal_pairs=False, r
             greedy.append(b)
 
     box = lattice_box(nu, margin)
-    weights = nonzero_weights(ell)
+    weights = sorted(build_finite_root_system("C", ell).nonzero_roots)
     for s in box:
         t = tuple(g - v for g, v in zip(gamma, s))
         for w in weights:

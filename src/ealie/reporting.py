@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-__all__ = ["CheckResult", "AxiomReport", "jsonable", "all_passed"]
+__all__ = ["CheckResult", "AxiomReport", "jsonable"]
 
 
 def jsonable(value):
@@ -39,10 +39,6 @@ class CheckResult:
             "detail": self.detail,
             "witness": jsonable(self.witness) if self.witness else None,
         }
-
-
-def all_passed(results):
-    return all(r.passed for r in results)
 
 
 @dataclass

@@ -8,10 +8,12 @@ from ealie.constructions import TorusMatrixAlgebra
 from ealie.decomp import (
     EXTRA_MARGIN,
     DecompositionError,
+    GradedPiece,
     NilpotencyError,
     RootSystemWindow,
     SL2Error,
     _core_basis,
+    _small_generators,
     combine,
     core_and_center_window,
     decompose_window,
@@ -23,8 +25,8 @@ from ealie.decomp import (
 )
 from ealie.finroot import Root
 from ealie.linalg import SpanDict, span_equal
-from ealie.matlie import GradedPiece, hdot
-from ealie.quantum_torus import SignMatrix, lattice_box
+from ealie.matlie import hdot
+from ealie.quantum_torus import SignMatrix, lattice_box, unit_degrees
 
 from conftest import Q_MIXED
 
@@ -204,6 +206,22 @@ def test_graded_pieces_match_per_class_enumeration(request, name):
         assert list(got) == list(expected)
         for weight, basis in expected.items():
             assert [alg.coords(x) for x in got[weight]] == [alg.coords(x) for x in basis]
+
+
+@pytest.mark.parametrize("w", [0, 1])
+def test_small_generators_are_the_unit_degree_slices(aff_alg, monkeypatch, w):
+    win = decompose_window(aff_alg, w)
+    expected = [x for sigma in unit_degrees(aff_alg.nu)
+                for weight, basis in sorted(graded_pieces(aff_alg, sigma).items()) if any(weight)
+                for x in basis]
+    calls = []
+    build = aff_alg.root_piece
+    monkeypatch.setattr(aff_alg, "root_piece", lambda root: calls.append(root) or build(root))
+    got = _small_generators(win)
+    assert [aff_alg.coords(x) for x in got] == [aff_alg.coords(x) for x in expected]
+    # only the slices beyond the window are built again
+    assert all(root not in win.pieces for root in calls)
+    assert len(calls) == (0 if w else 2 * aff_alg.nu * len(aff_alg.fin.nonzero_roots))
 
 
 def _box_pairs(win, delta):

@@ -1,0 +1,47 @@
+"""Layering: the generic modules never import the concrete matrix algebras."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ealie
+
+PACKAGE = Path(ealie.__file__).parent
+GENERIC = ["decomp", "ears", "axioms", "finroot", "linalg", "reporting"]
+CONCRETE = {"matlie", "constructions"}
+
+
+def imported_modules(path):
+    """Names of the ealie modules a source file imports, relative or absolute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("ealie."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "ealie":
+                    continue
+                parts = parts[1:]
+            elif node.level > 1:
+                continue
+            if parts and parts[0]:
+                out.add(parts[0])
+            else:  # from . import x / from ealie import x
+                out.update(a.name for a in node.names)
+    return out
+
+
+def test_imported_modules_reads_every_import_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import os\nimport ealie.kernel\nfrom . import sparse\nfrom .linalg import SpanDict\n"
+        "from ealie import finroot\nfrom ealie.ears import support_sets\n"
+    )
+    assert imported_modules(src) == {"kernel", "sparse", "linalg", "finroot", "ears"}
+
+
+@pytest.mark.parametrize("module", GENERIC)
+def test_generic_module_does_not_import_matrix_algebras(module):
+    assert not imported_modules(PACKAGE / f"{module}.py") & CONCRETE

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ealie.exact_arith import GaussianRational
+from ealie.finroot import build_finite_root_system
 from ealie.linalg import SpanDict
 from ealie.matlie import (
     LieElement,
@@ -12,11 +15,8 @@ from ealie.matlie import (
     hddot,
     hdot,
     mat_bracket,
-    nonzero_weights,
-    skew_basis,
     skew_root_basis,
     star,
-    symplectic_eigenbasis,
     trace_form,
     zero_root_component,
 )
@@ -77,24 +77,27 @@ def test_star_involutive_antiautomorphism():
         assert star(x @ y) == star(y) @ star(x)
 
 
-def test_symplectic_eigenbasis_dimensions():
-    for ell in (2, 3):
-        minus, plus = symplectic_eigenbasis(ell)
-        assert len(minus) == 2 * ell * ell + ell
-        assert len(plus) == 2 * ell * ell - ell
+def _degree_slice(ell, q, sigma, real_only=False):
+    """skew_root_basis joined over weight 0 and the sorted type-C roots."""
+    weights = [(0,) * ell] + sorted(build_finite_root_system("C", ell).nonzero_roots)
+    return [x for w in weights for x in skew_root_basis(ell, q, w, sigma, real_only)]
 
 
-def test_skew_basis_is_skew_and_independent():
-    for sigma in ((0, 0), (1, 0), (1, 1)):
-        basis = skew_basis(2, Q2, sigma)
-        assert len(basis) == 16  # 4 l^2 rational dimensions per degree
+@pytest.mark.parametrize("ell, q, degrees", [
+    (2, Q2, ((0, 0), (1, 0), (1, 1))),  # kappa +1, +1, -1
+    (3, Q0, ((),)),
+], ids=["ell2-nu2", "ell3-nu0"])
+def test_degree_slices_are_skew_and_independent(ell, q, degrees):
+    for sigma in degrees:
+        basis = _degree_slice(ell, q, sigma)
+        assert len(basis) == 4 * ell * ell  # 4 l^2 rational dimensions per degree
         span = SpanDict()
         for x in basis:
             assert (star(x) + x).is_zero()
             assert span.add(x.coords())
-        k = kappa(sigma, Q2)
-        real = skew_basis(2, Q2, sigma, real_only=True)
-        assert len(real) == (10 if k > 0 else 6)
+        real = _degree_slice(ell, q, sigma, real_only=True)
+        k = kappa(sigma, q)
+        assert len(real) == (2 * ell * ell + ell if k > 0 else 2 * ell * ell - ell)
         assert all(not c.im for x in real for val in x.entries.values() for c in val.coeffs.values())
 
 
@@ -102,7 +105,7 @@ def test_skew_root_basis_weights_and_dims():
     ell, q = 2, Q2
     hs = [hdot(ell, q, r) for r in range(ell)]
     for sigma in ((0, 0), (0, 1), (1, 1)):
-        for weight in nonzero_weights(ell):
+        for weight in sorted(build_finite_root_system("C", ell).nonzero_roots):
             basis = skew_root_basis(ell, q, weight, sigma)
             long_root = any(abs(v) == 2 for v in weight)
             assert len(basis) == (1 if long_root else 2)
@@ -115,14 +118,6 @@ def test_skew_root_basis_weights_and_dims():
 def test_skew_root_basis_unknown_weight_empty():
     assert skew_root_basis(2, Q2, (3, 0), (0, 0)) == []
     assert skew_root_basis(2, Q2, (1, 1, 1), (0, 0)) == []
-
-
-def test_nonzero_weights_is_type_c():
-    ws = nonzero_weights(2)
-    assert len(ws) == 8
-    assert set(ws) == {
-        (1, -1), (-1, 1), (2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-1, -1),
-    }
 
 
 def test_trace_form_symmetric_invariant():

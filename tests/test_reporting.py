@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 from ealie.finroot import Root
-from ealie.reporting import AxiomReport, CheckResult, all_passed, jsonable
+from ealie.reporting import AxiomReport, CheckResult, jsonable
 
 
 def test_jsonable_fraction_and_root():
@@ -32,8 +32,6 @@ def test_check_result_json_shapes():
     bad = CheckResult("y", False, "broken", {"root": Root(finite=(2,), lattice=())})
     assert ok.as_json() == {"name": "x", "passed": True, "detail": "fine", "witness": None}
     assert bad.as_json()["witness"] == {"root": {"finite": [2], "lattice": []}}
-    assert all_passed([ok])
-    assert not all_passed([ok, bad])
 
 
 def test_axiom_report_passed_and_json():

@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import build_finite_root_system
 from ealie.linalg import SpanDict
@@ -83,22 +81,30 @@ def _degree_slice(ell, q, sigma, real_only=False):
     return [x for w in weights for x in skew_root_basis(ell, q, w, sigma, real_only)]
 
 
-@pytest.mark.parametrize("ell, q, degrees", [
-    (2, Q2, ((0, 0), (1, 0), (1, 1))),  # kappa +1, +1, -1
-    (3, Q0, ((),)),
-], ids=["ell2-nu2", "ell3-nu0"])
-def test_degree_slices_are_skew_and_independent(ell, q, degrees):
-    for sigma in degrees:
-        basis = _degree_slice(ell, q, sigma)
-        assert len(basis) == 4 * ell * ell  # 4 l^2 rational dimensions per degree
-        span = SpanDict()
-        for x in basis:
-            assert (star(x) + x).is_zero()
-            assert span.add(x.coords())
-        real = _degree_slice(ell, q, sigma, real_only=True)
-        k = kappa(sigma, q)
-        assert len(real) == (2 * ell * ell + ell if k > 0 else 2 * ell * ell - ell)
-        assert all(not c.im for x in real for val in x.entries.values() for c in val.coeffs.values())
+def test_symplectic_eigenbasis_dimensions():
+    # The real skew part of a degree-sigma slice is the -1 (kappa > 0) or +1
+    # (kappa < 0) eigenspace of the symplectic transpose: 2l^2+l or 2l^2-l.
+    for ell in (2, 3):
+        assert len(_degree_slice(ell, Q2, (0, 0), real_only=True)) == 2 * ell * ell + ell
+        assert len(_degree_slice(ell, Q2, (1, 1), real_only=True)) == 2 * ell * ell - ell
+
+
+def test_skew_basis_is_skew_and_independent():
+    for ell, q, degrees in (
+        (2, Q2, ((0, 0), (1, 0), (1, 1))),  # kappa +1, +1, -1
+        (3, Q0, ((),)),
+    ):
+        for sigma in degrees:
+            basis = _degree_slice(ell, q, sigma)
+            assert len(basis) == 4 * ell * ell  # 4 l^2 rational dimensions per degree
+            span = SpanDict()
+            for x in basis:
+                assert (star(x) + x).is_zero()
+                assert span.add(x.coords())
+            real = _degree_slice(ell, q, sigma, real_only=True)
+            k = kappa(sigma, q)
+            assert len(real) == (2 * ell * ell + ell if k > 0 else 2 * ell * ell - ell)
+            assert all(not c.im for x in real for val in x.entries.values() for c in val.coeffs.values())
 
 
 def test_skew_root_basis_weights_and_dims():

@@ -96,6 +96,7 @@ class RootSystemWindow:
         self.fin = alg.fin
         self.pieces = pieces
         self._roots = sorted(pieces)
+        self._vectors = frozenset(r.finite + r.lattice for r in pieces)
         self._t_cache = {}
         self._strings = None  # (first_broken_string(self),) once scanned
         self._toral = tuple(alg.toral_basis())
@@ -128,12 +129,26 @@ class RootSystemWindow:
     def isotropic_roots(self):
         return [r for r in self._roots if self.is_isotropic(r)]
 
-    def member(self, root):
-        if root in self.pieces:
+    def in_box(self, lattice):
+        """True when the lattice degree has max-norm <= w, i.e. lies in the window."""
+        w = self.w
+        for x in lattice:
+            if x > w or x < -w:
+                return False
+        return True
+
+    def member(self, v):
+        """Root membership of the flat vector ``finite + lattice``.
+
+        Inside the window's box the computed slices decide; beyond it a vector
+        is a root exactly when its finite part lies in ``fin`` (or is zero).
+        """
+        if v in self._vectors:
             return True
-        if all(abs(v) <= self.w for v in root.lattice):
+        k = self.fin.ambient_dim
+        if self.in_box(v[k:]):
             return False
-        return self.fin.contains(root.finite)
+        return self.fin.contains(v[:k])
 
     def all_basis(self):
         for root in self._roots:

@@ -49,26 +49,24 @@ def first_broken_string(win):
     breaks exactly when the alpha-string does: once alpha has passed against
     every beta, -alpha is skipped.  A failing alpha is reached before its
     negative could be skipped, so the witness is the one the full double loop
-    finds.
+    finds.  The Cartan number 2(beta,alpha)/(alpha,alpha) depends only on the
+    finite parts, so it is computed once per alpha and finite part of beta.
     """
-    k = win.fin.ambient_dim
     roots = [(_vec(r), r) for r in win.roots()]
-    by_vec = dict(roots)
-
-    def member(v):
-        return win.member(Root(finite=v[:k], lattice=v[k:]))
-
-    def pairing(a, b):
-        return win.pairing(by_vec[a], by_vec[b])
-
+    member = win.member
     done = set()
     for alpha in win.nonisotropic_roots():
         if -alpha in done:
             continue
         va = _vec(alpha)
+        nn = win.pairing(alpha, alpha)
+        cartan = {}
         for vb, beta in roots:
+            c = cartan.get(beta.finite)
+            if c is None:
+                c = cartan[beta.finite] = 2 * win.pairing(beta, alpha) / nn
             try:
-                root_string(vb, va, member, pairing, scan=STRING_SCAN)
+                root_string(vb, va, member, c, scan=STRING_SCAN)
             except RootStringError as err:
                 return alpha, beta, err
         done.add(alpha)
@@ -87,7 +85,7 @@ def first_isolated(win):
     """The first isotropic root no nonisotropic root shifts into the root set, else None."""
     nonzero = win.nonisotropic_roots()
     for delta in win.isotropic_roots():
-        if not any(win.member(alpha + delta) for alpha in nonzero):
+        if not any(win.member(_vec(alpha + delta)) for alpha in nonzero):
             return delta
     return None
 
@@ -169,10 +167,7 @@ def check_ears_axioms(win):
     ))
 
     doubled = next(
-        (a for a in sorted(nonzero) if win.member(Root(
-            finite=tuple(2 * v for v in a.finite),
-            lattice=tuple(2 * v for v in a.lattice),
-        ))),
+        (a for a in sorted(nonzero) if win.member(tuple(2 * v for v in _vec(a)))),
         None,
     )
     results.append(CheckResult(
@@ -266,7 +261,7 @@ def _first_escaping_sum(win, da, db):
     for s in sorted(da):
         for t in sorted(db):
             tot = tuple(x + y for x, y in zip(s, t))
-            if not all(abs(v) <= win.w for v in tot):
+            if not win.in_box(tot):
                 continue
             if Root(finite=win.fin.zero, lattice=tot) not in win.pieces:
                 return {"first": s, "second": t, "sum": tot}

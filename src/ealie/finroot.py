@@ -93,39 +93,36 @@ def reflect_vec(beta, alpha, pairing):
     return tuple(b - n * a for b, a in zip(beta, alpha))
 
 
-def root_string(beta, alpha, member, pairing, scan=6):
+def root_string(beta, alpha, member, c, scan=6):
     """Verify the alpha-string through beta and return (d, u).
 
     The string {beta + n*alpha : -d <= n <= u} must be an unbroken interval
     within the scan range, must not re-enter after leaving, must not touch the
-    scan boundary, and must satisfy d - u = 2(beta,alpha)/(alpha,alpha).
-    ``member`` decides membership (zero must count as a member); raises
-    RootStringError otherwise.
+    scan boundary, and must satisfy d - u = c, where c is the exact Cartan
+    number 2(beta,alpha)/(alpha,alpha).  ``member`` decides membership (zero
+    must count as a member); raises RootStringError otherwise.
     """
-    nn = pairing(alpha, alpha)
-    if not nn:
-        raise ValueError("string direction must be nonisotropic")
-    c = 2 * pairing(beta, alpha) / nn
     if c.denominator != 1:
         raise RootStringError(beta, alpha, f"non-integral length difference {c}")
     c = int(c)
-    hits = {}
+    # hits[scan + n] is the membership of beta + n*alpha, -scan <= n <= scan
+    hits = []
     point = tuple(b - scan * a for b, a in zip(beta, alpha))
-    for n in range(-scan, scan + 1):
-        hits[n] = bool(member(point))
+    for _ in range(2 * scan + 1):
+        hits.append(member(point))
         point = tuple(map(add, point, alpha))
-    if not hits[0]:
+    if not hits[scan]:
         raise RootStringError(beta, alpha, "base point is not a member")
     u = 0
-    while u < scan and hits[u + 1]:
+    while u < scan and hits[scan + u + 1]:
         u += 1
     d = 0
-    while d < scan and hits[-(d + 1)]:
+    while d < scan and hits[scan - d - 1]:
         d += 1
     if u == scan or d == scan:
         raise RootStringError(beta, alpha, f"string reaches the scan bound {scan}")
     for n in range(-scan, scan + 1):
-        if hits[n] and not (-d <= n <= u):
+        if hits[scan + n] and not (-d <= n <= u):
             raise RootStringError(beta, alpha, f"string re-enters at offset {n}")
     if d - u != c:
         raise RootStringError(beta, alpha, f"d - u = {d - u} but 2(beta,alpha)/(alpha,alpha) = {c}")
@@ -195,7 +192,9 @@ class FiniteRootSystem:
         return reflect_vec(beta, alpha, self.pairing)
 
     def root_string(self, beta, alpha, scan=6):
-        return root_string(beta, alpha, self.contains, self.pairing, scan=scan)
+        if not self.norm(alpha):
+            raise ValueError("string direction must be nonisotropic")
+        return root_string(beta, alpha, self.contains, self.cartan_integer(beta, alpha), scan=scan)
 
     # -- base and Cartan matrix ---------------------------------------------
 

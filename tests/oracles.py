@@ -1,4 +1,4 @@
-"""Independent oracles for the sign kernel.
+"""Independent oracles for the sign kernel and for window root membership.
 
 The kernel computes normal-ordering signs by a crossing-count formula; the
 oracle here knows nothing about that.  It writes t^sigma as a literal word of
@@ -45,3 +45,13 @@ def oracle_g(sigma, tau, q):
             if (sigma[i] * tau[j]) % 2:
                 sign *= q.entry(i, j)
     return sign
+
+
+def literal_member(win, root):
+    """Window membership written out on a Root: in ``pieces``, else ``False``
+    inside the box of max-norm ``w``, else the finite part is zero or a root."""
+    if root in win.pieces:
+        return True
+    if all(abs(v) <= win.w for v in root.lattice):
+        return False
+    return root.finite == win.fin.zero or root.finite in win.fin.nonzero_roots

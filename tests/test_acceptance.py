@@ -228,15 +228,6 @@ def test_criterion_08_ears_suite(torus_win2):
 def test_criterion_09_root_strings(torus_win2):
     with criterion(9, "exhaustive root strings at window 2"):
         win = torus_win2
-        k = win.fin.ambient_dim
-
-        def member(v):
-            return win.member(Root(finite=tuple(v[:k]), lattice=tuple(v[k:])))
-
-        def pairing(a, b):
-            return win.pairing(Root(finite=tuple(a[:k]), lattice=tuple(a[k:])),
-                               Root(finite=tuple(b[:k]), lattice=tuple(b[k:])))
-
         roots = win.roots()
         for alpha in win.nonisotropic_roots():
             va = tuple(alpha.finite) + tuple(alpha.lattice)
@@ -245,7 +236,7 @@ def test_criterion_09_root_strings(torus_win2):
                 vb = tuple(beta.finite) + tuple(beta.lattice)
                 c = 2 * win.pairing(beta, alpha) / nn
                 assert c.denominator == 1 and abs(c) <= 4, (beta, alpha, c)
-                d, u = root_string(vb, va, member, pairing)
+                d, u = root_string(vb, va, win.member, c)
                 assert d - u == c, (beta, alpha)
 
 

@@ -29,6 +29,7 @@ from ealie.matlie import hdot
 from ealie.quantum_torus import SignMatrix, lattice_box, unit_degrees
 
 from conftest import Q_MIXED
+from oracles import literal_member
 
 
 def test_sp4_window_shape(sp4_win):
@@ -149,16 +150,43 @@ def test_core_nonisotropic_pieces_are_full_slices(aff_win, aff_core):
 
 def test_window_member_and_oracle(torus_win, aff_win, sqrt_win):
     for win in (torus_win, aff_win):
-        assert win.member(Root(finite=(1, 1), lattice=(0, 0)))
-        assert not win.member(Root(finite=(1, 0), lattice=(0, 0)))
+        assert win.member((1, 1, 0, 0))
+        assert not win.member((1, 0, 0, 0))
         # outside the window a root is a member when its finite part is
-        assert win.member(Root(finite=(1, 1), lattice=(5, 0)))
-        assert win.member(Root(finite=(0, 0), lattice=(0, 7)))
-        assert not win.member(Root(finite=(1, 0), lattice=(5, 0)))
+        assert win.member((1, 1, 5, 0))
+        assert win.member((0, 0, 0, 7))
+        assert not win.member((1, 0, 5, 0))
     # at nullity 0 every root lies inside the window
-    assert sqrt_win.member(Root(finite=(1, 1), lattice=()))
-    assert sqrt_win.member(Root(finite=(0, 0), lattice=()))
-    assert not sqrt_win.member(Root(finite=(1, 0), lattice=()))
+    assert sqrt_win.member((1, 1))
+    assert sqrt_win.member((0, 0))
+    assert not sqrt_win.member((1, 0))
+
+
+@pytest.mark.parametrize("name", ["torus_win", "aff_win", "sqrt_win", "torus_win-missing"])
+def test_window_member_is_the_literal_rule(request, name):
+    if name == "torus_win-missing":
+        # inside the box the slices alone decide, even where fin has the root
+        full = request.getfixturevalue("torus_win")
+        missing = Root(finite=(1, 1), lattice=(1, 0))
+        win = RootSystemWindow(full.alg, full.w, {r: p for r, p in full.pieces.items() if r != missing})
+        assert not win.member((1, 1, 1, 0))
+    else:
+        win = request.getfixturevalue(name)
+    finites = sorted(win.fin.nonzero_roots) + [win.fin.zero, (1, 0)]
+    seen = set()
+    for finite in finites:
+        for lattice in lattice_box(win.alg.nu, win.w + 2):
+            expected = literal_member(win, Root(finite=finite, lattice=lattice))
+            assert win.member(finite + lattice) == expected, (finite, lattice)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_in_box_is_the_window_box(torus_win, sqrt_win):
+    box = set(lattice_box(2, torus_win.w))
+    for lattice in lattice_box(2, torus_win.w + 2):
+        assert torus_win.in_box(lattice) == (lattice in box)
+    assert sqrt_win.in_box(())
 
 
 class _MissingSlice(TorusMatrixAlgebra):

@@ -20,6 +20,8 @@ from ealie.ears import (
 from ealie.finroot import Root, RootStringError, root_string
 from ealie.quantum_torus import lattice_box
 
+from oracles import literal_member
+
 
 def _by_name(results):
     return {r.name: r for r in results}
@@ -51,9 +53,11 @@ class _FakeWindow:
         dim = len(finite[0])
         self.fin = SimpleNamespace(rank=dim, ambient_dim=dim)
         self.alg = SimpleNamespace(nu=0)
+        self.w = 0
         self._nonzero = [Root(finite=a, lattice=()) for a in finite]
         self._zero = Root(finite=(0,) * dim, lattice=())
         self._set = set(self._nonzero) | {self._zero}
+        self.pieces = dict.fromkeys(self._set)
 
     def roots(self):
         return sorted(self._set)
@@ -64,8 +68,8 @@ class _FakeWindow:
     def isotropic_roots(self):
         return [self._zero]
 
-    def member(self, root):
-        return root in self._set
+    def member(self, v):
+        return Root(finite=tuple(v), lattice=()) in self._set
 
     def pairing(self, a, b):
         return Fraction(sum(x * y for x, y in zip(a.finite, b.finite)))
@@ -98,16 +102,18 @@ _A2_BROKEN = ((0, 1, 0, -1), (0, 0, 1, -1), (0, -1, 1, 0), (0, -1, 0, 1), (0, 0,
 
 def _literal_first_broken(win):
     """Every alpha against every beta, in order: what the EARS R4 axiom asks."""
-    def member(v):
-        return win.member(Root(finite=v, lattice=()))
+    roots = win.roots()
+    k = len(roots[0].finite)
 
-    def pairing(a, b):
-        return win.pairing(Root(finite=a, lattice=()), Root(finite=b, lattice=()))
+    def member(v):
+        return literal_member(win, Root(finite=v[:k], lattice=v[k:]))
 
     for alpha in win.nonisotropic_roots():
-        for beta in win.roots():
+        for beta in roots:
+            c = 2 * win.pairing(beta, alpha) / win.pairing(alpha, alpha)
             try:
-                root_string(beta.finite, alpha.finite, member, pairing, scan=STRING_SCAN)
+                root_string(beta.finite + beta.lattice, alpha.finite + alpha.lattice, member, c,
+                            scan=STRING_SCAN)
             except RootStringError as err:
                 return alpha, beta, str(err)
     return None
@@ -136,6 +142,41 @@ def test_first_broken_string_matches_literal_double_loop(monkeypatch, finite):
     if finite[0] in _A1:
         # -a is skipped: a's strings ran, then the first broken A2 alpha
         assert _A1[0] in calls and _A1[1] not in calls
+
+
+def test_first_broken_string_non_integral_cartan_number(monkeypatch):
+    # the string through -(1,1) along (3,0) would need 2(-3)/9 = -2/3 as d - u
+    win = _FakeWindow(((3, 0), (-3, 0), (1, 1), (-1, -1)))
+    expected = _literal_first_broken(win)
+    assert expected is not None
+    assert expected[2].endswith("along (3, 0): non-integral length difference -2/3")
+    alpha, beta, err = first_broken_string(win)
+    assert (alpha, beta, str(err)) == expected
+
+
+def test_first_broken_string_matches_literal_double_loop_at_nullity_two(torus_win):
+    missing = Root(finite=(1, 1), lattice=(1, 0))
+    pieces = {r: p for r, p in torus_win.pieces.items() if r != missing}
+    win = RootSystemWindow(torus_win.alg, torus_win.w, pieces)
+    expected = _literal_first_broken(win)
+    assert expected is not None
+    alpha, beta, err = first_broken_string(win)
+    assert (alpha, beta, str(err)) == expected
+
+
+def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
+    calls = _counting_root_string(monkeypatch)
+    member = RootSystemWindow.member
+    probes = []
+
+    def counted(self, v):
+        probes.append(v)
+        return member(self, v)
+
+    monkeypatch.setattr(RootSystemWindow, "member", counted)
+    assert first_broken_string(torus_win) is None
+    assert len(calls) == len(torus_win.nonisotropic_roots()) // 2 * len(torus_win.roots())
+    assert len(probes) == (2 * STRING_SCAN + 1) * len(calls)
 
 
 def test_each_plus_minus_alpha_pair_scanned_once(monkeypatch, torus_win):

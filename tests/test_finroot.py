@@ -101,8 +101,10 @@ def test_root_string_values_in_c2():
     assert (d, u) == (2, 0)
 
 
-def _dot_pairing(a, b):
-    return Fraction(sum(x * y for x, y in zip(a, b)))
+def _dot_cartan(beta, alpha):
+    """2(beta,alpha)/(alpha,alpha) under the dot product."""
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+    return Fraction(2 * dot(beta, alpha), dot(alpha, alpha))
 
 
 def test_root_string_detects_broken_string():
@@ -112,12 +114,18 @@ def test_root_string_detects_broken_string():
         return tuple(v) in members or not any(v)
 
     with pytest.raises(RootStringError):
-        root_string((0, 2), (1, -1), member, _dot_pairing)
+        root_string((0, 2), (1, -1), member, _dot_cartan((0, 2), (1, -1)))
 
 
 def test_root_string_rejects_unbounded():
     with pytest.raises(RootStringError):
-        root_string((0, 1), (1, 0), lambda v: True, _dot_pairing)
+        root_string((0, 1), (1, 0), lambda v: True, _dot_cartan((0, 1), (1, 0)))
+
+
+def test_root_string_rejects_an_isotropic_direction():
+    fin = build_finite_root_system("C", 2)
+    with pytest.raises(ValueError, match="string direction must be nonisotropic"):
+        fin.root_string((0, 2), fin.zero)
 
 
 def test_root_dataclass_arithmetic():

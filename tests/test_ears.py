@@ -144,7 +144,7 @@ def test_first_broken_string_matches_literal_double_loop(monkeypatch, finite):
         assert _A1[0] in calls and _A1[1] not in calls
 
 
-def test_first_broken_string_non_integral_cartan_number(monkeypatch):
+def test_first_broken_string_non_integral_cartan_number():
     # the string through -(1,1) along (3,0) would need 2(-3)/9 = -2/3 as d - u
     win = _FakeWindow(((3, 0), (-3, 0), (1, 1), (-1, -1)))
     expected = _literal_first_broken(win)

@@ -31,6 +31,7 @@ from .decomp import (
     combine,
     isotropic_pair,
     normalized_pair,
+    opposite_brackets,
     sl2_search,
     sl2_triple,
     toral_commute,
@@ -401,7 +402,7 @@ def check_D(win, seed=0):
         r2, y = flat[rng.randrange(len(flat))]
         b = win.bracket(x, y)
         target = tuple(a + c for a, c in zip(r1.lattice, r2.lattice))
-        if not b.is_zero() and set(_support_degrees(b)) - {target}:
+        if not b.is_zero() and b.support_degrees() - {target}:
             d5_ok = False
             d5_witness = {"first": r1, "second": r2}
             break
@@ -415,8 +416,7 @@ def check_D(win, seed=0):
     d6_ok = True
     d6_witness = None
     for root, x in flat:
-        degs = _support_degrees(x)
-        if len(set(degs)) > 1:
+        if len(x.support_degrees()) > 1:
             d6_ok = False
             d6_witness = {"root": root}
             break
@@ -440,24 +440,18 @@ def check_D(win, seed=0):
     d8_witness = None
     margin_box = lattice_box(alg.nu, win.w + SPAN_MARGIN)
     margin_set = set(margin_box)
+    weights = sorted(fin.nonzero_roots)
     for sigma in lattice_box(alg.nu, win.w):
         claim = SpanDict(
             win.coords(x) for x in win.basis(Root(finite=fin.zero, lattice=sigma))
         )
+        degrees = [
+            tau for tau in margin_box
+            if tuple(s - t for s, t in zip(sigma, tau)) in margin_set
+        ]
         bracketed = SpanDict()
-        for weight in sorted(fin.nonzero_roots):
-            nw = tuple(-v for v in weight)
-            for tau in margin_box:
-                rem = tuple(s - t for s, t in zip(sigma, tau))
-                if rem not in margin_set:
-                    continue
-                xs = alg.root_piece(Root(finite=weight, lattice=tau))
-                ys = alg.root_piece(Root(finite=nw, lattice=rem))
-                for x in xs:
-                    for y in ys:
-                        b = alg.bracket(x, y)
-                        if not b.is_zero():
-                            bracketed.add(alg.coords(b))
+        for b in opposite_brackets(alg.root_piece, alg.bracket, weights, sigma, degrees):
+            bracketed.add(alg.coords(b))
         if not span_equal(claim, bracketed):
             d8_ok = False
             d8_witness = {
@@ -516,13 +510,6 @@ def check_D(win, seed=0):
         d12b_witness,
     ))
     return AxiomReport("D", results, _metadata(win))
-
-
-def _support_degrees(x):
-    base = getattr(x, "g", x)
-    if hasattr(base, "support_degrees"):
-        return base.support_degrees()
-    return []
 
 
 # -- the Serre relations -------------------------------------------------------
@@ -720,9 +707,8 @@ def newp_pair(win, core, delta, center_basis):
     return normalized_pair(win, xs, ys, win.alg.zero(), free=center_basis)
 
 
-def check_props(win, core, seed=0):
+def check_props(win, core):
     """Structural claims tied to the decomposition and the core."""
-    rng = random.Random(seed)
     alg = win.alg
     results = []
 

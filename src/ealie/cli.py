@@ -222,7 +222,7 @@ def _collect_reports(parser, args, suites):
             if suite == "TAME":
                 reports["TAME"] = tameness_check(win, core)
             else:
-                reports["PROPS"] = check_props(win, core, seed=args.seed)
+                reports["PROPS"] = check_props(win, core)
     return reports
 
 

@@ -91,19 +91,15 @@ def _degree_pairings(g, h):
     return out
 
 
-# Lattice margin of the spanning computation behind each derived weight-0 slice.
-ZERO_MARGIN = 1
-
-
 class TorusMatrixAlgebra:
     """Skew matrices over the twisted torus, or their derived algebra.
 
     ``derived`` selects G = [B, B] (only the weight-0 slices shrink);
     ``real_only`` restricts coefficients to the rationals, which at nu = 0
     yields sp_{2l}(Q) exactly.  Weight-0 derived slices are produced by the
-    exact spanning computation of zero_root_component (margin ``ZERO_MARGIN``,
-    diagonal pairs included); ``zero_component(sigma)`` keeps that
-    computation's closed-form cross-check flag.
+    exact spanning computation of zero_root_component;
+    ``zero_component(sigma)`` keeps that computation's closed-form
+    cross-check flag.
     """
 
     construction = "quantum-torus"
@@ -138,14 +134,7 @@ class TorusMatrixAlgebra:
     def zero_component(self, sigma):
         comp = self._zero_components.get(sigma)
         if comp is None:
-            comp = zero_root_component(
-                self.ell,
-                self.q,
-                sigma,
-                margin=ZERO_MARGIN,
-                include_diagonal_pairs=True,
-                real_only=self.real_only,
-            )
+            comp = zero_root_component(self.ell, self.q, sigma, real_only=self.real_only)
             self._zero_components[sigma] = comp
         return comp
 

@@ -49,6 +49,7 @@ __all__ = [
     "exp_ad",
     "theta_automorphism",
     "CoreData",
+    "opposite_brackets",
     "core_and_center_window",
     "centralizer_candidates",
 ]
@@ -358,9 +359,6 @@ class CoreData:
     center: tuple
     radical: tuple
     center_equals_radical: bool
-    h_alpha: dict
-    h_alpha_sum: object
-    h_perp: tuple
     h_alpha_sum_equals_h_perp: bool
 
     def piece_basis(self, root):
@@ -402,6 +400,37 @@ def _small_generators(win):
     return gens
 
 
+def opposite_brackets(piece, bracket, weights, total, degrees):
+    """The nonzero brackets [x, y], x in piece(Root(w, s)), y in piece(Root(-w, total - s)).
+
+    ``s`` runs over ``degrees`` (outer loop) and ``w`` over ``weights`` (inner
+    loop).  A pair is skipped when its mirror (-w, total - s; w, s) came
+    earlier: the mirror's brackets are the negatives of this pair's, so they
+    were already offered to any span and this pair cannot grow it.  Greedy
+    bases and span dimensions built from the yielded brackets are those of
+    the literal double loop.  A slice then belongs to one scanned pair only,
+    so each slice is built once per scan.
+    """
+    done = set()
+    for s in degrees:
+        t = tuple(g - v for g, v in zip(total, s))
+        for w in weights:
+            root = Root(finite=w, lattice=s)
+            mirror = Root(finite=tuple(-v for v in w), lattice=t)
+            if mirror in done:
+                continue
+            done.add(root)
+            xs = piece(root)
+            if not xs:
+                continue
+            ys = xs if mirror == root else piece(mirror)
+            for x in xs:
+                for y in ys:
+                    b = bracket(x, y)
+                    if not b.is_zero():
+                        yield b
+
+
 # Lattice degrees beyond the window whose brackets span the isotropic core slices.
 EXTRA_MARGIN = 2
 
@@ -425,25 +454,14 @@ def _core_basis(win, delta):
     span = SpanDict()
     greedy = []
     weights = sorted({r.finite for r in win.nonisotropic_roots()})
-    for sigma in lattice_box(alg.nu, win.w + EXTRA_MARGIN):
-        tau = tuple(d - s for d, s in zip(delta.lattice, sigma))
-        for weight in weights:
-            xs = alg.root_piece(Root(finite=weight, lattice=sigma))
-            if not xs:
-                continue
-            nw = tuple(-v for v in weight)
-            ys = alg.root_piece(Root(finite=nw, lattice=tau))
-            for x in xs:
-                for y in ys:
-                    b = alg.bracket(x, y)
-                    if b.is_zero():
-                        continue
-                    coords = alg.coords(b)
-                    if span.add(coords):
-                        greedy.append(b)
-                        inside = inside and window_slice.contains(coords)
-                        if inside and span.dim == target:
-                            return tuple(greedy)
+    degrees = lattice_box(alg.nu, win.w + EXTRA_MARGIN)
+    for b in opposite_brackets(alg.root_piece, alg.bracket, weights, delta.lattice, degrees):
+        coords = alg.coords(b)
+        if span.add(coords):
+            greedy.append(b)
+            inside = inside and window_slice.contains(coords)
+            if inside and span.dim == target:
+                return tuple(greedy)
     return tuple(greedy)
 
 
@@ -493,40 +511,28 @@ def core_and_center_window(win):
     radical_span = SpanDict(alg.coords(z) for z in radical)
     center_eq_rad = span_equal(center_span, radical_span)
 
-    h_alpha = {}
     h_sum = SpanDict()
     for root in win.nonisotropic_roots():
         opp = -root
         if opp not in win.pieces:
             continue
         t_root = win.rep_t(root)
-        collected = []
-        local = SpanDict()
         for x in win.basis(root):
             for y in win.basis(opp):
-                v = alg.bracket(x, y) - t_root * alg.form(x, y)
-                if not v.is_zero() and local.add(alg.coords(v)):
-                    collected.append(v)
-                h_sum.add(alg.coords(v))
-        h_alpha[root] = tuple(collected)
+                h_sum.add(alg.coords(alg.bracket(x, y) - t_root * alg.form(x, y)))
 
     zero_root = Root(finite=fin.zero, lattice=(0,) * alg.nu)
-    h_perp = []
+    h_perp = SpanDict()
     if zero_root in win.pieces:
         basis0 = win.basis(zero_root)
-        toral = win.toral
-        a_rows = [[alg.form(b, h) for b in basis0] for h in toral]
+        a_rows = [[alg.form(b, h) for b in basis0] for h in win.toral]
         for vec in nullspace_dense(a_rows, len(basis0)):
-            h_perp.append(combine(basis0, vec, alg.zero()))
-    h_perp_span = SpanDict(alg.coords(z) for z in h_perp)
+            h_perp.add(alg.coords(combine(basis0, vec, alg.zero())))
 
     return CoreData(
         pieces=pieces,
         center=tuple(center),
         radical=tuple(radical),
         center_equals_radical=center_eq_rad,
-        h_alpha=h_alpha,
-        h_alpha_sum=h_sum,
-        h_perp=tuple(h_perp),
-        h_alpha_sum_equals_h_perp=span_equal(h_sum, h_perp_span),
+        h_alpha_sum_equals_h_perp=span_equal(h_sum, h_perp),
     )

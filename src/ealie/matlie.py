@@ -10,13 +10,16 @@ The diagonal coefficient subalgebra spanned by h_r = e_rr - e_{l+r,l+r} acts
 diagonally; nonzero weights form the type-C root system of rank l, and each
 nonzero-weight, fixed-degree slice of B is at most 2-dimensional with an
 explicit basis (one real, one imaginary generator).  Weight-0 slices of the
-derived algebra need an actual spanning computation; zero_root_component does
-it and cross-checks a closed-form four-case description.
+derived algebra need an actual spanning computation; zero_root_component
+spans the opposite-weight brackets (``decomp.opposite_brackets``) over the box
+of max-norm ZERO_MARGIN, nonzero weights first and then weight 0, and
+cross-checks a closed-form four-case description.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decomp import opposite_brackets
 from .exact_arith import GaussianRational
 from .finroot import build_finite_root_system
 from .linalg import SpanDict, span_equal
@@ -209,15 +212,19 @@ def skew_root_basis(ell, q, weight, sigma, real_only=False):
     return [el for el, _ in elems]
 
 
+# Lattice margin of the spanning computation behind each derived weight-0 slice:
+# the bracket signs depend only on parities, so margin 1 already saturates it.
+ZERO_MARGIN = 1
+
+
 @dataclass(frozen=True)
 class ZeroWeightComponent:
     """Weight-0 slice of the derived algebra at a fixed degree.
 
     ``dim``/``basis`` come from the authoritative spanning computation;
     ``closed_form_match`` records whether the four-case closed form agrees
-    exactly.  ``full_dim`` (computed when diagonal pairs are included) spans
-    all degree-compatible bracket pairs, ``nonzero_pair_dim`` only those
-    through nonzero weights.
+    exactly.  ``nonzero_pair_dim`` spans only the brackets through nonzero
+    weights; ``dim`` adds the weight-0 x weight-0 brackets.
     """
 
     gamma: tuple
@@ -226,7 +233,6 @@ class ZeroWeightComponent:
     case: str
     closed_form_match: bool
     nonzero_pair_dim: int
-    full_dim: int | None
 
 
 def _closed_form_case(ell, q, gamma):
@@ -262,47 +268,33 @@ def _closed_form_case(ell, q, gamma):
     return case, real, imag
 
 
-def zero_root_component(ell, q, gamma, margin=3, include_diagonal_pairs=False, real_only=False):
+def zero_root_component(ell, q, gamma, real_only=False):
     """Weight-0 slice of the derived algebra at degree gamma, by exact spanning.
 
-    Spans brackets [B_w^s, B_{-w}^{gamma-s}] over all nonzero weights w and
-    all s in the margin box (the bracket signs only depend on parities, so any
-    margin >= 1 already saturates the span; larger margins re-verify that).
-    With include_diagonal_pairs the weight-0 x weight-0 brackets are added,
-    which is the honest derived-algebra slice; its equality with the
-    nonzero-pair span is a checked theorem, not an assumption.  The spanning
-    result is authoritative; the four-case closed form is cross-checked and
-    any mismatch is reported through closed_form_match.
+    Spans the brackets [B_w^s, B_{-w}^{gamma-s}] over all nonzero weights w
+    and all s in the box of max-norm ZERO_MARGIN, then the weight-0 x
+    weight-0 brackets, which make it the honest derived-algebra slice; the
+    equality of the two spans is a checked theorem, not an assumption.  The
+    spanning result is authoritative; the four-case closed form is
+    cross-checked and any mismatch is reported through closed_form_match.
     """
     gamma = tuple(gamma)
-    nu = q.nu
     span = SpanDict()
     greedy = []
 
-    def feed(x, y):
-        b = mat_bracket(x, y)
-        if b and span.add(b.coords()):
-            greedy.append(b)
+    def piece(root):
+        return skew_root_basis(ell, q, root.finite, root.lattice, real_only)
 
-    box = lattice_box(nu, margin)
-    weights = sorted(build_finite_root_system("C", ell).nonzero_roots)
-    for s in box:
-        t = tuple(g - v for g, v in zip(gamma, s))
-        for w in weights:
-            nw = tuple(-v for v in w)
-            for x in skew_root_basis(ell, q, w, s, real_only):
-                for y in skew_root_basis(ell, q, nw, t, real_only):
-                    feed(x, y)
+    box = lattice_box(q.nu, ZERO_MARGIN)
+
+    def feed(weights):
+        for b in opposite_brackets(piece, mat_bracket, weights, gamma, box):
+            if span.add(b.coords()):
+                greedy.append(b)
+
+    feed(sorted(build_finite_root_system("C", ell).nonzero_roots))
     nonzero_pair_dim = span.dim
-    full_dim = None
-    if include_diagonal_pairs:
-        zero_w = (0,) * ell
-        for s in box:
-            t = tuple(g - v for g, v in zip(gamma, s))
-            for x in skew_root_basis(ell, q, zero_w, s, real_only):
-                for y in skew_root_basis(ell, q, zero_w, t, real_only):
-                    feed(x, y)
-        full_dim = span.dim
+    feed([(0,) * ell])
 
     case, real, imag = _closed_form_case(ell, q, gamma)
     closed = real if real_only else real + imag
@@ -316,5 +308,4 @@ def zero_root_component(ell, q, gamma, margin=3, include_diagonal_pairs=False, r
         case=case,
         closed_form_match=match,
         nonzero_pair_dim=nonzero_pair_dim,
-        full_dim=full_dim,
     )

@@ -336,6 +336,7 @@ def test_criterion_14_zero_weight_four_cases():
             comp = zero_root_component(2, q, gamma)
             assert comp.closed_form_match, gamma
             assert comp.dim == len(comp.basis)
+            assert comp.nonzero_pair_dim == comp.dim, gamma
             assert comp.dim == table[comp.case], (gamma, comp.case)
             kappas.add(kappa(gamma, q))
         assert kappas == {1, -1}

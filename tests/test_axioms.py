@@ -49,7 +49,7 @@ def test_check_D_passes_at_nullity_one():
 
 
 def test_props_pass_on_affinized_core(aff_win, aff_core):
-    report = check_props(aff_win, aff_core, seed=1)
+    report = check_props(aff_win, aff_core)
     assert report.passed, _failed(report)
 
 

@@ -20,6 +20,7 @@ from ealie.decomp import (
     exp_ad,
     graded_pieces,
     isotropic_pair,
+    opposite_brackets,
     sl2_triple,
     theta_automorphism,
 )
@@ -252,18 +253,22 @@ def test_small_generators_are_the_unit_degree_slices(aff_alg, monkeypatch, w):
     assert len(calls) == (0 if w else 2 * aff_alg.nu * len(aff_alg.fin.nonzero_roots))
 
 
-def _box_pairs(win, delta):
-    """The bracket pairs of the core scan at delta, in scan order: opposite
-    nonzero-weight slices with degrees sigma and delta - sigma over the box."""
+def _box_pairs(win, delta, distinct=False):
+    """The bracket pairs of the core scan at delta, in box order: opposite
+    nonzero-weight slices with degrees sigma and delta - sigma over the box.
+    With ``distinct``, a slice pair is dropped when its mirror came earlier."""
     alg = win.alg
     weights = sorted({r.finite for r in win.nonisotropic_roots()})
+    seen = set()
     for sigma in lattice_box(alg.nu, win.w + EXTRA_MARGIN):
         tau = tuple(d - s for d, s in zip(delta.lattice, sigma))
         for weight in weights:
-            xs = alg.root_piece(Root(finite=weight, lattice=sigma))
-            ys = alg.root_piece(Root(finite=tuple(-v for v in weight), lattice=tau))
-            for x in xs:
-                for y in ys:
+            pair = (Root(finite=weight, lattice=sigma), Root(finite=tuple(-v for v in weight), lattice=tau))
+            if distinct and pair[::-1] in seen:
+                continue
+            seen.add(pair)
+            for x in alg.root_piece(pair[0]):
+                for y in alg.root_piece(pair[1]):
                     yield x, y
 
 
@@ -311,7 +316,7 @@ def test_core_scan_stops_when_each_span_is_full(monkeypatch, aff_win):
     for delta in aff_win.isotropic_roots():
         calls.clear()
         _core_basis(aff_win, delta)
-        box = sum(1 for _ in _box_pairs(aff_win, delta))
+        box = sum(1 for _ in _box_pairs(aff_win, delta, distinct=True))
         assert len(calls) <= box
         fewer += len(calls) < box
     # every degree but 0, whose window slice also holds c and d, stops early
@@ -329,6 +334,72 @@ def test_core_scan_runs_the_whole_box_past_a_bracket_outside_the_window_slice(mo
     assert not SpanDict(broken.coords(b) for b in expected[1:]).contains(broken.coords(expected[0]))
     calls = _counting_brackets(monkeypatch, aff_win.alg)
     got = _core_basis(broken, delta)
-    assert len(calls) == sum(1 for _ in _box_pairs(aff_win, delta))
+    # each mirror pair of slices once: 560 of the literal box's 980 brackets
+    assert sum(1 for _ in _box_pairs(aff_win, delta)) == 980
+    assert len(calls) == sum(1 for _ in _box_pairs(aff_win, delta, distinct=True)) == 560
     assert list(got) == expected
     assert _layout(broken, got) == _layout(broken, expected)
+
+
+def _literal_pairs(alg, weights, total, degrees):
+    """Oracle: every element pair of the double loop, both orientations, slices rebuilt."""
+    for s in degrees:
+        t = tuple(g - v for g, v in zip(total, s))
+        for w in weights:
+            for x in alg.root_piece(Root(finite=w, lattice=s)):
+                for y in alg.root_piece(Root(finite=tuple(-v for v in w), lattice=t)):
+                    yield x, y
+
+
+def _literal_opposite_brackets(alg, weights, total, degrees):
+    for x, y in _literal_pairs(alg, weights, total, degrees):
+        b = alg.bracket(x, y)
+        if not b.is_zero():
+            yield b
+
+
+def _greedy(alg, brackets):
+    span = SpanDict()
+    return [b for b in brackets if span.add(alg.coords(b))]
+
+
+@pytest.mark.parametrize("zero_weight", [False, True])
+def test_opposite_brackets_matches_the_literal_double_loop(torus_alg, zero_weight):
+    alg = torus_alg
+    weights = [alg.fin.zero] if zero_weight else sorted(alg.fin.nonzero_roots)
+    # (0, 0; 0, 0) is its own mirror; at total (1, 0) the degrees s with
+    # s_0 = -2 have their partner outside the box, so no mirror to skip
+    total = (0, 0) if zero_weight else (1, 0)
+    degrees = lattice_box(alg.nu, 2)
+    origin = {}  # id of a slice element -> its slice root
+    built = []
+
+    def piece(root):
+        built.append(root)
+        basis = alg.root_piece(root)
+        origin.update((id(x), root) for x in basis)
+        return basis
+
+    pairs = []
+
+    def bracket(x, y):
+        pairs.append((origin[id(x)], origin[id(y)]))
+        return alg.bracket(x, y)
+
+    got = list(opposite_brackets(piece, bracket, weights, total, degrees))
+    expected = list(_literal_opposite_brackets(alg, weights, total, degrees))
+
+    assert len(built) == len(set(built))
+    # each unordered mirror pair of nonempty slices comes once, with all its brackets
+    literal = set()
+    for s in degrees:
+        t = tuple(g - v for g, v in zip(total, s))
+        for w in weights:
+            literal.add(frozenset((Root(finite=w, lattice=s), Root(finite=tuple(-v for v in w), lattice=t))))
+    assert {frozenset(p) for p in pairs} == literal
+    assert len(pairs) == sum(len(alg.root_piece(min(p))) * len(alg.root_piece(max(p))) for p in literal)
+    assert len(pairs) < sum(1 for _ in _literal_pairs(alg, weights, total, degrees))
+    # the spans are equal, and so are the greedy bases
+    assert span_equal(SpanDict(alg.coords(b) for b in got), SpanDict(alg.coords(b) for b in expected))
+    layout = [[list(alg.coords(b).items()) for b in _greedy(alg, bs)] for bs in (got, expected)]
+    assert layout[0] == layout[1]

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import build_finite_root_system
-from ealie.linalg import SpanDict
+from ealie import matlie
+from ealie.linalg import SpanDict, span_equal
 from ealie.matlie import (
     LieElement,
     big_e,
@@ -152,18 +153,17 @@ def test_zero_root_component_cases_mixed_sign_matrix():
         (1, 1): (4, "odd degree, even-product property"),
     }
     for gamma, (dim, case) in expected.items():
-        comp = zero_root_component(2, Q2, gamma, include_diagonal_pairs=True)
+        comp = zero_root_component(2, Q2, gamma)
         assert comp.closed_form_match
         assert comp.dim == dim
         assert comp.case == case
-        assert comp.full_dim == comp.dim
         assert comp.nonzero_pair_dim == comp.dim
 
 
 def test_zero_root_component_trivial_sign_matrix():
     q = SignMatrix(2)
     for gamma in ((0, 0), (1, 0), (1, 1)):
-        comp = zero_root_component(2, q, gamma, include_diagonal_pairs=True)
+        comp = zero_root_component(2, q, gamma)
         assert comp.closed_form_match
         assert comp.dim == 3
         assert comp.case == "even degree, no odd-product property"
@@ -175,9 +175,52 @@ def test_zero_root_component_real_only():
     assert comp.closed_form_match
     span = SpanDict(x.coords() for x in comp.basis)
     target = SpanDict(hdot(2, Q0, r).coords() for r in range(2))
-    from ealie.linalg import span_equal
-
     assert span_equal(span, target)
+
+
+def _literal_zero_span(ell, q, gamma, margin, real_only=False):
+    """Oracle: the greedy basis of the weight-0 spanning loops written out, each
+    slice pair in both orientations: nonzero weights, then weight 0."""
+    span = SpanDict()
+    greedy = []
+    box = lattice_box(q.nu, margin)
+    nonzero = sorted(build_finite_root_system("C", ell).nonzero_roots)
+    for weights in (nonzero, [(0,) * ell]):
+        for s in box:
+            t = tuple(g - v for g, v in zip(gamma, s))
+            for w in weights:
+                for x in skew_root_basis(ell, q, w, s, real_only):
+                    for y in skew_root_basis(ell, q, tuple(-v for v in w), t, real_only):
+                        b = mat_bracket(x, y)
+                        if b and span.add(b.coords()):
+                            greedy.append(b)
+    return span, greedy
+
+
+def test_zero_root_component_greedy_fallback_is_the_literal_greedy_basis(monkeypatch):
+    # A wrong closed form (a real part missing its last vector) forces the
+    # spanning result: its greedy basis, in the literal loop's order.
+    closed_form_case = matlie._closed_form_case
+
+    def wrong(ell, q, gamma):
+        case, real, imag = closed_form_case(ell, q, gamma)
+        return case, real[:-1], imag
+
+    monkeypatch.setattr(matlie, "_closed_form_case", wrong)
+    for q, gamma, real_only in ((Q2, (0, 0), False), (Q2, (1, 1), False), (Q0, (), True)):
+        comp = zero_root_component(2, q, gamma, real_only=real_only)
+        _, expected = _literal_zero_span(2, q, gamma, 1, real_only)
+        assert not comp.closed_form_match
+        assert comp.dim == len(comp.basis) == len(expected)
+        assert [list(b.coords().items()) for b in comp.basis] == [list(b.coords().items()) for b in expected]
+
+
+def test_zero_root_component_margin_one_saturates():
+    # the bracket signs depend only on parities, so a wider box spans no more
+    for gamma in ((0, 0), (1, 0), (1, 1)):
+        span, _ = _literal_zero_span(2, Q2, gamma, 2)
+        comp = zero_root_component(2, Q2, gamma)
+        assert span_equal(span, SpanDict(b.coords() for b in comp.basis))
 
 
 def test_hddot_definition():

@@ -112,21 +112,81 @@ def _first_asymmetric_root(win):
     return None
 
 
-def _first_non_invariant_triple(win, triples):
-    """The first zero-sum root triple carrying basis vectors with ([x, y], z) != (x, [y, z]).
+def _first_non_invariant_triple(win, triples, symmetric):
+    """The earliest root triple of ``triples`` carrying basis vectors with
+    ([x, y], z) != (x, [y, z]), or None.
 
-    [y, z] is bracketed once per (y, z) and [x, y] once per (x, y) of the triple.
+    ``triples`` is closed under rotation.  The rotations (a, b, c), (b, c, a)
+    and (c, a, b) form a cyclic class, and (a, a, a) is a class of one.  Each
+    class is visited once, at its earliest triple: the blocks [a, b], [b, c]
+    and [c, a] are bracketed once each and dropped when the class is done.
+
+    With ``symmetric``, the form must be symmetric on slice a x slice -a for
+    every root a of a triple, and [y, z] (y in slice b, z in slice c) lies in
+    slice -a.  Then (x, [y, z]) = ([y, z], x), so one form value
+    T_rst[i][j][k] = ([x_i, y_j], z_k) per rotation and basis triple
+    suffices: the triple (r, s, t) fails exactly when T_rst[i][j][k] !=
+    T_str[j][k][i] somewhere.  Each rotation is checked on its own, since the
+    failing ones need not include the earliest.  Without ``symmetric`` both
+    literal sides are evaluated for every rotation, from the same blocks.
+
+    After a failure at index n only the classes starting before n are
+    finished, so the failing triple of smallest index is returned.
     """
-    for r1, r2, r3 in triples:
-        xs, ys, zs = win.basis(r1), win.basis(r2), win.basis(r3)
-        yz = [[win.bracket(y, z) for z in zs] for y in ys]
-        for x in xs:
-            for y, y_zs in zip(ys, yz):
-                xy = win.bracket(x, y)
-                for z, y_z in zip(zs, y_zs):
-                    if win.form(xy, z) != win.form(x, y_z):
-                        return [r1, r2, r3]
-    return None
+    index = {t: n for n, t in enumerate(triples)}
+    best = len(triples)
+    for n, (a, b, c) in enumerate(triples):
+        if n >= best:
+            break
+        rotations = [(a, b, c)] if a == b == c else [(a, b, c), (b, c, a), (c, a, b)]
+        if any(index[rot] < n for rot in rotations):
+            continue
+        blocks = {
+            (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
+            for r, s, _ in rotations
+        }
+        if symmetric:
+            values = {
+                (r, s, t): [
+                    [[win.form(xy, z) for z in win.basis(t)] for xy in row]
+                    for row in blocks[r, s]
+                ]
+                for r, s, t in rotations
+            }
+        for rot in sorted(rotations, key=index.__getitem__):
+            if index[rot] >= best:
+                break
+            r, s, t = rot
+            if symmetric:
+                failed = _tensors_differ(values[rot], values[s, t, r])
+            else:
+                failed = _literal_sides_differ(
+                    win, win.basis(r), win.basis(t), blocks[r, s], blocks[s, t]
+                )
+            if failed:
+                best = index[rot]
+                break
+    return list(triples[best]) if best < len(triples) else None
+
+
+def _tensors_differ(lhs, rhs):
+    """Whether lhs[i][j][k] != rhs[j][k][i] for some i, j, k."""
+    for i, plane in enumerate(lhs):
+        for row, rhs_row in zip(plane, rhs):
+            for value, rhs_col in zip(row, rhs_row):
+                if value != rhs_col[i]:
+                    return True
+    return False
+
+
+def _literal_sides_differ(win, xs, zs, xy_block, yz_block):
+    """Whether ([x, y], z) != (x, [y, z]) for some basis triple of one rotation."""
+    for x, xy_row in zip(xs, xy_block):
+        for xy, yz_row in zip(xy_row, yz_block):
+            for z, yz in zip(zs, yz_row):
+                if win.form(xy, z) != win.form(x, yz):
+                    return True
+    return False
 
 
 def _form_checks(win, prefix, seed):
@@ -186,7 +246,7 @@ def _form_checks(win, prefix, seed):
     inv_witness = None
     if total <= EXHAUSTIVE_LIMIT:
         mode = f"exhaustive on all {total} zero-sum basis triples"
-        bad_roots = _first_non_invariant_triple(win, triples)
+        bad_roots = _first_non_invariant_triple(win, triples, sym_ok)
         if bad_roots is not None:
             inv_witness = {"roots": bad_roots}
     else:
@@ -441,6 +501,14 @@ def check_D(win, seed=0):
     margin_box = lattice_box(alg.nu, win.w + SPAN_MARGIN)
     margin_set = set(margin_box)
     weights = sorted(fin.nonzero_roots)
+    slices = {}
+
+    def piece(root):
+        # The scans of neighbouring degrees share most slices; build each once.
+        if root not in slices:
+            slices[root] = alg.root_piece(root)
+        return slices[root]
+
     for sigma in lattice_box(alg.nu, win.w):
         claim = SpanDict(
             win.coords(x) for x in win.basis(Root(finite=fin.zero, lattice=sigma))
@@ -450,7 +518,7 @@ def check_D(win, seed=0):
             if tuple(s - t for s, t in zip(sigma, tau)) in margin_set
         ]
         bracketed = SpanDict()
-        for b in opposite_brackets(alg.root_piece, alg.bracket, weights, sigma, degrees):
+        for b in opposite_brackets(piece, alg.bracket, weights, sigma, degrees):
             bracketed.add(alg.coords(b))
         if not span_equal(claim, bracketed):
             d8_ok = False

@@ -1,10 +1,16 @@
-"""Independent oracles for the sign kernel and for window root membership.
+"""Independent oracles for the sign kernel, for window root membership and
+for form invariance.
 
 The kernel computes normal-ordering signs by a crossing-count formula; the
 oracle here knows nothing about that.  It writes t^sigma as a literal word of
 generator letters and bubble-sorts, picking up one q entry per adjacent swap
 of distinct letters.  Inverse generators commute by the same sign because the
 q entries square to 1, so only the letter index matters.
+
+The invariance oracle is the literal double loop over triples and basis
+vectors: it brackets [x, y] and [y, z] for every triple and evaluates both
+sides of ([x, y], z) = (x, [y, z]), with no cyclic classes and no appeal to
+symmetry of the form.  Nothing here imports ``ealie.axioms``.
 """
 
 
@@ -55,3 +61,18 @@ def literal_member(win, root):
     if all(abs(v) <= win.w for v in root.lattice):
         return False
     return root.finite == win.fin.zero or root.finite in win.fin.nonzero_roots
+
+
+def literal_first_non_invariant_triple(win, triples):
+    """The first triple, in the order of ``triples``, carrying basis vectors
+    with ([x, y], z) != (x, [y, z]), as a list of roots; None if there is none."""
+    for r1, r2, r3 in triples:
+        xs, ys, zs = win.basis(r1), win.basis(r2), win.basis(r3)
+        yz = [[win.bracket(y, z) for z in zs] for y in ys]
+        for x in xs:
+            for y, y_zs in zip(ys, yz):
+                xy = win.bracket(x, y)
+                for z, y_z in zip(zs, y_zs):
+                    if win.form(xy, z) != win.form(x, y_z):
+                        return [r1, r2, r3]
+    return None

@@ -1,8 +1,21 @@
 """Axiom suites: invariant-form checks, gradings, tameness, Serre relations."""
 
+from collections import Counter
+
 import pytest
 
-from ealie.axioms import check_D, check_props, check_T, newp_pair, serre_check, tameness_check
+from ealie import axioms
+from ealie.axioms import (
+    _first_non_invariant_triple,
+    _form_checks,
+    _zero_sum_triples,
+    check_D,
+    check_props,
+    check_T,
+    newp_pair,
+    serre_check,
+    tameness_check,
+)
 from ealie.constructions import (
     CocycleExtensionAlgebra,
     ExtensionSpec,
@@ -15,6 +28,7 @@ from ealie.linalg import SpanDict
 from ealie.quantum_torus import SignMatrix
 
 from conftest import Q_MIXED
+from oracles import literal_first_non_invariant_triple
 
 
 def _failed(report):
@@ -48,6 +62,21 @@ def test_check_D_passes_at_nullity_one():
     assert report.passed, _failed(report)
 
 
+def test_D8_builds_each_slice_once(torus_win, monkeypatch):
+    alg = torus_win.alg
+    calls = Counter()
+    root_piece = alg.root_piece
+
+    def counted(root):
+        calls[root] += 1
+        return root_piece(root)
+
+    monkeypatch.setattr(alg, "root_piece", counted)
+    d8 = next(r for r in check_D(torus_win, seed=1).results if r.name == "D8-zero-weight-spanned")
+    assert d8.passed
+    assert calls and max(calls.values()) == 1
+
+
 def test_props_pass_on_affinized_core(aff_win, aff_core):
     report = check_props(aff_win, aff_core)
     assert report.passed, _failed(report)
@@ -74,6 +103,182 @@ def test_tameness_passes_on_affinized_core(aff_win, aff_core):
         "tame-core-perp-equals-center",
         "tame-routes-agree",
     ]
+
+
+# -- form invariance by cyclic classes --------------------------------------------
+
+
+class _Counting:
+    """Window wrapper counting bracket and form calls."""
+
+    def __init__(self, win):
+        self._win = win
+        self.brackets = 0
+        self.forms = 0
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def bracket(self, x, y):
+        self.brackets += 1
+        return self._win.bracket(x, y)
+
+    def form(self, x, y):
+        self.forms += 1
+        return self._win.form(x, y)
+
+
+@pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sp4_win"])
+def test_invariance_scan_halves_brackets_and_forms(fixture, request):
+    win = request.getfixturevalue(fixture)
+    triples = _zero_sum_triples(win)
+    literal, lean, both_sides = _Counting(win), _Counting(win), _Counting(win)
+    assert literal_first_non_invariant_triple(literal, triples) is None
+    assert _first_non_invariant_triple(lean, triples, True) is None
+    assert _first_non_invariant_triple(both_sides, triples, False) is None
+    # one bracket per ordered block of a cyclic class instead of two
+    assert 2 * lean.brackets == 2 * both_sides.brackets == literal.brackets
+    # one form value per basis triple when the form is symmetric, else both sides
+    assert 2 * lean.forms == literal.forms
+    assert both_sides.forms == literal.forms
+
+
+class _PerturbedBracket:
+    """Window wrapper adding v to [x, y] and -v to [y, x], where x, y, v are the
+    i-th, j-th and k-th basis vectors of the slices a, b and a + b.  The bracket
+    stays antisymmetric and graded, but the form is no longer invariant."""
+
+    def __init__(self, win, a, b, i=0, j=0, k=0):
+        self._win = win
+        x, y = win.basis(a)[i], win.basis(b)[j]
+        v = win.basis(a + b)[k]
+        self._delta = {(id(x), id(y)): v, (id(y), id(x)): -v}
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def bracket(self, x, y):
+        out = self._win.bracket(x, y)
+        delta = self._delta.get((id(x), id(y)))
+        return out if delta is None else out + delta
+
+
+def _root(finite, lattice):
+    return Root(finite=finite, lattice=lattice)
+
+
+_ZERO2 = _root((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("fixture, a, b, ijk, first", [
+    # inside the Cartan slice: only the class (0, 0, 0) breaks, halfway down the list
+    ("aff_win", _ZERO2, _ZERO2, (0, 1, 1), 1200),
+    ("sp4_win", _root((0, 0), ()), _root((0, 0), ()), (0, 1, 0), 24),
+    ("torus_win", _root((0, 0), (0, -1)), _root((0, 0), (0, 1)), (0, 0, 0), 1133),
+    ("aff_win", _root((2, 0), (0, 1)), _root((-1, -1), (1, 0)), (0, 0, 0), 465),
+    ("torus_win", _root((-1, 1), (-1, 1)), _root((-1, -1), (0, -1)), (0, 0, 0), 281),
+    ("sp4_win", _root((1, -1), ()), _root((0, 2), ()), (0, 0, 0), 6),
+])
+def test_invariance_witness_matches_literal_loop_on_perturbed_windows(
+    fixture, a, b, ijk, first, request
+):
+    win = _PerturbedBracket(request.getfixturevalue(fixture), a, b, *ijk)
+    triples = _zero_sum_triples(win)
+    witness = literal_first_non_invariant_triple(win, triples)
+    assert triples.index(tuple(witness)) == first
+    assert _first_non_invariant_triple(win, triples, True) == witness
+    assert _first_non_invariant_triple(win, triples, False) == witness
+
+
+class _ToyWindow:
+    """Duck-typed window with integer roots and 1-dimensional slices.
+
+    An element is (root, coefficient) and the slice of r is spanned by (r, 1).
+    [(r, s), (t, u)] = (r + t, s u C[r, t]) and ((r, s), (t, u)) = s u F[r, t],
+    with missing table entries 0.  By default F[r, -r] = 1 for every r.
+    """
+
+    def __init__(self, brackets, forms=None):
+        self._c = brackets
+        self._f = forms
+
+    def basis(self, root):
+        return ((root, 1),)
+
+    def bracket(self, x, y):
+        return (x[0] + y[0], x[1] * y[1] * self._c.get((x[0], y[0]), 0))
+
+    def form(self, x, y):
+        if self._f is None:
+            value = 1 if x[0] + y[0] == 0 else 0
+        else:
+            value = self._f.get((x[0], y[0]), 0)
+        return x[1] * y[1] * value
+
+
+def _rotations(a, b, c):
+    return [(a, b, c), (b, c, a), (c, a, b)]
+
+
+def _all_variants(win, triples):
+    witness = literal_first_non_invariant_triple(win, triples)
+    assert _first_non_invariant_triple(win, triples, True) == witness
+    assert _first_non_invariant_triple(win, triples, False) == witness
+    return witness
+
+
+def test_invariance_witness_when_earliest_rotation_passes():
+    # a, b, c = 1, 2, -3: T_abc = C[1, 2], T_bca = C[2, -3], T_cab = C[-3, 1]
+    win = _ToyWindow({(1, 2): 1, (2, -3): 2, (-3, 1): 1})
+    triples = [(-3, 1, 2), (1, 2, -3), (2, -3, 1)]
+    # T_abc = T_cab != T_bca: the earliest rotation (c, a, b) passes
+    assert _all_variants(win, triples) == [1, 2, -3]
+
+
+def test_invariance_witness_finishes_earlier_classes():
+    # class P = (1, 2, -3) fails at its second and third rotations only, class
+    # Q = (4, 5, -9) at its first; P is visited first, Q holds the witness
+    win = _ToyWindow({
+        (1, 2): 1, (2, -3): 2, (-3, 1): 2,
+        (4, 5): 1, (5, -9): 2, (-9, 4): 3,
+    })
+    p1, p2, p3 = _rotations(2, -3, 1)
+    q1, q2, q3 = _rotations(4, 5, -9)
+    triples = [p1, q1, q2, p2, p3, q3]
+    assert literal_first_non_invariant_triple(win, [p1]) is None
+    assert _all_variants(win, triples) == list(q1)
+    assert _all_variants(win, [p1, p2, p3]) == list(p2)
+
+
+def test_invariance_asymmetric_form_takes_both_literal_sides():
+    # every literal triple holds, but T_abc = 2 != 1 = T_bca = T_cab for (1, 2, -3)
+    win = _ToyWindow(
+        {(1, 2): 1, (2, -3): 1, (-3, 1): 1},
+        {(3, -3): 2, (-3, 3): 1, (1, -1): 2, (-1, 1): 1, (2, -2): 1, (-2, 2): 1},
+    )
+    triples = _rotations(-3, 1, 2)
+    assert literal_first_non_invariant_triple(win, triples) is None
+    assert _first_non_invariant_triple(win, triples, False) is None
+    # the symmetric variant's precondition fails here, and so does its verdict
+    assert _first_non_invariant_triple(win, triples, True) == [-3, 1, 2]
+
+
+def test_form_checks_pass_the_symmetry_verdict_to_invariance(sp4_win, monkeypatch):
+    seen = []
+    helper = axioms._first_non_invariant_triple
+
+    def spy(win, triples, symmetric):
+        seen.append(symmetric)
+        return helper(win, triples, symmetric)
+
+    monkeypatch.setattr(axioms, "_first_non_invariant_triple", spy)
+    asymmetric = _TwoAsymmetricRoots(sp4_win, [_root((1, 1), ())])
+    for win in (sp4_win, asymmetric):
+        byname = {r.name: r for r in _form_checks(win, "T1", 1)}
+        expected = literal_first_non_invariant_triple(win, _zero_sum_triples(win))
+        witness = byname["T1-form-invariant"].witness
+        assert (witness and witness["roots"]) == expected
+    assert seen == [True, False]
 
 
 # -- the full matrix algebra is not graded-simple --------------------------------

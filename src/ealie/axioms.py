@@ -130,6 +130,18 @@ def _first_non_invariant_triple(win, triples, symmetric):
     failing ones need not include the earliest.  Without ``symmetric`` both
     literal sides are evaluated for every rotation, from the same blocks.
 
+    With ``symmetric`` each class is also decided together with its mirror
+    class, the rotations of (c, b, a).  This assumes the bracket is exactly
+    antisymmetric, [y, x] = -[x, y], as the matrix commutator x y - y x and
+    the affinized central and derivation terms are (``opposite_brackets``
+    rests on the same premise).  Then ([z, y], x) = -(x, [y, z]) and
+    (z, [y, x]) = -([x, y], z), so the mirror (t, s, r) on (z, y, x) holds
+    exactly when (r, s, t) holds on (x, y, z).  A rotation then stands for
+    itself and its mirror, at the smaller of their indices when the mirror is
+    in ``triples``, and a class whose mirror class starts earlier is skipped.
+    Without ``symmetric`` there is no mirror rule, since it needs the
+    symmetry that was not found.
+
     After a failure at index n only the classes starting before n are
     finished, so the failing triple of smallest index is returned.
     """
@@ -139,7 +151,12 @@ def _first_non_invariant_triple(win, triples, symmetric):
         if n >= best:
             break
         rotations = [(a, b, c)] if a == b == c else [(a, b, c), (b, c, a), (c, a, b)]
-        if any(index[rot] < n for rot in rotations):
+        # the index a rotation's verdict stands for: its own, or its mirror's
+        first = {
+            rot: min(index[rot], index.get(rot[::-1], len(triples))) if symmetric else index[rot]
+            for rot in rotations
+        }
+        if any(first[rot] < n for rot in rotations):
             continue
         blocks = {
             (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
@@ -153,8 +170,8 @@ def _first_non_invariant_triple(win, triples, symmetric):
                 ]
                 for r, s, t in rotations
             }
-        for rot in sorted(rotations, key=index.__getitem__):
-            if index[rot] >= best:
+        for rot in sorted(rotations, key=first.__getitem__):
+            if first[rot] >= best:
                 break
             r, s, t = rot
             if symmetric:
@@ -164,7 +181,7 @@ def _first_non_invariant_triple(win, triples, symmetric):
                     win, win.basis(r), win.basis(t), blocks[r, s], blocks[s, t]
                 )
             if failed:
-                best = index[rot]
+                best = first[rot]
                 break
     return list(triples[best]) if best < len(triples) else None
 

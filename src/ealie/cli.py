@@ -81,27 +81,37 @@ def _at_least(minimum):
     return parse
 
 
+def _names_some(what):
+    """An argparse type: a comma-separated list naming at least one ``what``."""
+
+    def parse(text):
+        if not any(item.strip() for item in text.split(",")):
+            raise argparse.ArgumentTypeError(f"names no {what}, got {text!r}")
+        return text
+
+    return parse
+
+
 # Every matrix construction needs rank l >= 2 (type C_l with l >= 2).
 MIN_RANK = 2
 
 
 def _parse_primes(parser, text):
     out = []
-    if text:
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                out.append(int(item))
-            except ValueError:
-                parser.error(f"invalid prime {item!r}")
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            out.append(int(item))
+        except ValueError:
+            parser.error(f"invalid prime {item!r}")
     return out
 
 
 def _parse_suites(parser, construction, text):
     allowed = ALLOWED_SUITES[construction]
-    if not text:
+    if text is None:
         return [s for s in SUITE_ORDER if s in allowed]
     picked = []
     for item in text.split(","):
@@ -323,7 +333,8 @@ def _add_common(sp):
                     help="finite rank for field-extension builds (>= 2; default --ell)")
     sp.add_argument("--type", default="C", help="finite type label for field-extension builds")
     sp.add_argument("--window", type=_at_least(0), default=1, help="lattice window max-norm bound (>= 0)")
-    sp.add_argument("--primes", default="", help="comma-separated primes for the field extension")
+    sp.add_argument("--primes", type=_names_some("prime"), default=None,
+                    help="comma-separated primes for the field extension (default 2,3)")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument("--underived", action="store_true",
                     help="keep the full matrix algebra instead of its derived subalgebra")
@@ -339,7 +350,8 @@ def main(argv=None):
 
     sp_check = sub.add_parser("check", help="run verification suites")
     _add_common(sp_check)
-    sp_check.add_argument("--suites", default="", help="comma-separated subset of " + ",".join(SUITE_ORDER))
+    sp_check.add_argument("--suites", type=_names_some("suite"), default=None,
+                          help="comma-separated subset of " + ",".join(SUITE_ORDER))
 
     sp_export = sub.add_parser("export", help="export window root data as JSON lines")
     _add_common(sp_export)

@@ -511,15 +511,20 @@ def core_and_center_window(win):
     radical_span = SpanDict(alg.coords(z) for z in radical)
     center_eq_rad = span_equal(center_span, radical_span)
 
+    # [y, x] = -[x, y], so each +-alpha pair of slices is bracketed once
     h_sum = SpanDict()
+    visited = set()
     for root in win.nonisotropic_roots():
         opp = -root
-        if opp not in win.pieces:
+        if opp not in win.pieces or opp in visited:
             continue
-        t_root = win.rep_t(root)
+        visited.add(root)
+        t_root, t_opp = win.rep_t(root), win.rep_t(opp)
         for x in win.basis(root):
             for y in win.basis(opp):
-                h_sum.add(alg.coords(alg.bracket(x, y) - t_root * alg.form(x, y)))
+                xy = alg.bracket(x, y)
+                h_sum.add(alg.coords(xy - t_root * alg.form(x, y)))
+                h_sum.add(alg.coords(-xy - t_opp * alg.form(y, x)))
 
     zero_root = Root(finite=fin.zero, lattice=(0,) * alg.nu)
     h_perp = SpanDict()

@@ -109,38 +109,68 @@ def test_tameness_passes_on_affinized_core(aff_win, aff_core):
 
 
 class _Counting:
-    """Window wrapper counting bracket and form calls."""
+    """Window wrapper recording each bracket (x, y, [x, y]) and counting form calls."""
 
     def __init__(self, win):
         self._win = win
-        self.brackets = 0
+        self.bracketed = []
         self.forms = 0
 
     def __getattr__(self, name):
         return getattr(self._win, name)
 
+    @property
+    def brackets(self):
+        return len(self.bracketed)
+
     def bracket(self, x, y):
-        self.brackets += 1
-        return self._win.bracket(x, y)
+        out = self._win.bracket(x, y)
+        self.bracketed.append((x, y, out))
+        return out
 
     def form(self, x, y):
         self.forms += 1
         return self._win.form(x, y)
 
 
-@pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sp4_win"])
-def test_invariance_scan_halves_brackets_and_forms(fixture, request):
+@pytest.mark.parametrize("fixture, brackets, forms", [
+    ("aff_win", 5263, 11497),
+    ("torus_win", 4663, 9333),
+    ("sp4_win", 36, 44),
+], ids=["aff_win", "torus_win", "sp4_win"])
+def test_invariance_scan_halves_brackets_and_forms(fixture, brackets, forms, request):
     win = request.getfixturevalue(fixture)
     triples = _zero_sum_triples(win)
     literal, lean, both_sides = _Counting(win), _Counting(win), _Counting(win)
     assert literal_first_non_invariant_triple(literal, triples) is None
     assert _first_non_invariant_triple(lean, triples, True) is None
     assert _first_non_invariant_triple(both_sides, triples, False) is None
-    # one bracket per ordered block of a cyclic class instead of two
-    assert 2 * lean.brackets == 2 * both_sides.brackets == literal.brackets
-    # one form value per basis triple when the form is symmetric, else both sides
-    assert 2 * lean.forms == literal.forms
+    # without symmetry: one bracket per ordered block of a cyclic class, both sides
+    assert 2 * both_sides.brackets == literal.brackets
     assert both_sides.forms == literal.forms
+    # with symmetry: one form value per basis triple, and each class decided with
+    # its mirror class; classes with a repeated root are their own mirror
+    assert (lean.brackets, lean.forms) == (brackets, forms)
+
+
+@pytest.mark.parametrize("fixture", ["torus_win", "aff_win"])
+def test_bracket_antisymmetric_on_every_invariance_block(fixture, request):
+    # the mirror rule's premise, on every pair the symmetric scan brackets
+    win = request.getfixturevalue(fixture)
+    scan = _Counting(win)
+    assert _first_non_invariant_triple(scan, _zero_sum_triples(win), True) is None
+    assert scan.bracketed
+    for x, y, xy in scan.bracketed:
+        assert (win.bracket(y, x) + xy).is_zero()
+
+
+@pytest.mark.parametrize("fixture", ["sp4_win", "sqrt_win"])
+def test_bracket_antisymmetric_on_every_basis_pair(fixture, request):
+    win = request.getfixturevalue(fixture)
+    flat = [x for _, x in win.all_basis()]
+    for i, x in enumerate(flat):
+        for y in flat[i:]:
+            assert (win.bracket(x, y) + win.bracket(y, x)).is_zero()
 
 
 class _PerturbedBracket:
@@ -248,6 +278,53 @@ def test_invariance_witness_finishes_earlier_classes():
     assert literal_first_non_invariant_triple(win, [p1]) is None
     assert _all_variants(win, triples) == list(q1)
     assert _all_variants(win, [p1, p2, p3]) == list(p2)
+
+
+def _antisymmetric(table):
+    """A toy bracket table completed by C[t, r] = -C[r, t]."""
+    out = dict(table)
+    out.update({(t, r): -c for (r, t), c in table.items()})
+    return out
+
+
+# the class of (1, 2, -3) and its mirror class, the class of (-3, 2, 1)
+_P1, _P2, _P3 = _rotations(1, 2, -3)
+_M1, _M2, _M3 = _rotations(-3, 2, 1)
+# (r, s, t) holds when C[r, s] = C[s, t]: P1 and P2 fail, so do their mirrors M1, M3
+_P_FAILS_TWICE = _antisymmetric({(1, 2): 1, (2, -3): 2, (-3, 1): 1})
+
+
+def test_invariance_mirror_class_decided_with_its_class():
+    # P3 passes at index 0, so B visits P there; P1 fails at index 2 and stands
+    # for its mirror M1 at index 1, the witness; B never brackets M
+    win = _ToyWindow(_P_FAILS_TWICE)
+    triples = [_P3, _M1, _P1, _P2, _M2, _M3]
+    witness = literal_first_non_invariant_triple(win, triples)
+    assert witness == list(_M1)
+    lean, both_sides = _Counting(win), _Counting(win)
+    assert _first_non_invariant_triple(lean, triples, True) == witness
+    assert _first_non_invariant_triple(both_sides, triples, False) == witness
+    # B brackets the three blocks of P only, A those of M as well
+    assert (lean.brackets, both_sides.brackets) == (3, 6)
+    # P1 precedes P2, but P2's mirror M3 precedes P1: rotations go by mirror index
+    assert _all_variants(win, [_P3, _M3, _P1, _P2, _M2, _M1]) == list(_M3)
+
+
+def test_invariance_mirror_rule_off_without_the_mirror():
+    # M is absent, so P1 stands for itself only, at index 1
+    assert _all_variants(_ToyWindow(_P_FAILS_TWICE), [_P3, _P1, _P2]) == list(_P1)
+
+
+def test_invariance_mirror_rule_off_without_symmetry():
+    # an asymmetric form F[a, -a] = f(a) breaks the mirror rule: P holds and M fails
+    f = {1: 1, 3: 1, -1: 2, 2: 2, -2: 3, -3: 3}
+    win = _ToyWindow(_antisymmetric({(1, 2): 1, (2, -3): 1, (-3, 1): 1}),
+                     {(a, -a): v for a, v in f.items()})
+    triples = [_P1, _P2, _P3, _M1, _M2, _M3]
+    assert literal_first_non_invariant_triple(win, [_P1, _P2, _P3]) is None
+    # M starts after its mirror class P, which holds: skipping M would miss M1
+    assert literal_first_non_invariant_triple(win, triples) == list(_M1)
+    assert _first_non_invariant_triple(win, triples, False) == list(_M1)
 
 
 def test_invariance_asymmetric_form_takes_both_literal_sides():

@@ -55,6 +55,28 @@ def test_inapplicable_suite(capsys):
     assert "not applicable" in err
 
 
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_suites_naming_no_suite_rejected(capsys, value):
+    # an explicit empty list would otherwise run nothing and pass
+    err = _usage_error(capsys, ["check", "--construction", "sp-classical", "--ell", "2",
+                                "--suites", value])
+    assert "argument --suites: names no suite" in err
+
+
+@pytest.mark.parametrize("value", ["", ",", " "])
+def test_primes_naming_no_prime_rejected(capsys, value):
+    err = _usage_error(capsys, ["check", "--construction", "sqrt-extension", "--primes", value])
+    assert "argument --primes: names no prime" in err
+
+
+def test_primes_default_is_two_three(capsys):
+    argv = ["serre", "--construction", "sqrt-extension", "--rank", "2"]
+    rc, out, _ = _run(capsys, argv)
+    assert (rc, out) == _run(capsys, argv + ["--primes", "2,3"])[:2]
+    assert rc == 0
+    assert json.loads(out)["instance"]["primes"] == "2,3"
+
+
 @pytest.mark.parametrize("command", ["check", "export", "serre", "ears"])
 def test_negative_window_rejected(capsys, command):
     err = _usage_error(capsys, [command, "--construction", "quantum-torus",

@@ -28,7 +28,7 @@ from .decomp import (
     theta_automorphism,
 )
 from .ears import check_ears_axioms, check_semilattice, support_checks, support_sets
-from .finroot import FiniteRootSystem, Root, build_finite_root_system, root_string
+from .finroot import FiniteRootSystem, Root, build_finite_root_system, root_string, string_flags
 from .quantum_torus import SignMatrix, TorusElement
 from .reporting import AxiomReport, CheckResult
 
@@ -68,6 +68,7 @@ __all__ = [
     "root_string",
     "serre_check",
     "sl2_triple",
+    "string_flags",
     "support_checks",
     "support_sets",
     "tameness_check",

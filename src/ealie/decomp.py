@@ -97,7 +97,10 @@ class RootSystemWindow:
         self.fin = alg.fin
         self.pieces = pieces
         self._roots = sorted(pieces)
-        self._vectors = frozenset(r.finite + r.lattice for r in pieces)
+        outside = next((r for r in self._roots if not self.in_box(r.lattice)), None)
+        if outside is not None:
+            raise DecompositionError(f"slice at {outside} lies outside the window box of max-norm {w}")
+        self.vectors = frozenset(r.finite + r.lattice for r in pieces)
         self._t_cache = {}
         self._strings = None  # (first_broken_string(self),) once scanned
         self._toral = tuple(alg.toral_basis())
@@ -138,13 +141,40 @@ class RootSystemWindow:
                 return False
         return True
 
+    def box_interval(self, lattice, direction, scan):
+        """The offsets lo..hi in [-scan, scan] with ``lattice + n*direction`` in the box.
+
+        The box is convex, so these offsets form one interval (empty when
+        lo > hi): per coordinate -w <= x + n*a <= w, solved by floor division.
+        """
+        w = self.w
+        lo, hi = -scan, scan
+        for x, a in zip(lattice, direction):
+            if a > 0:
+                first, last = -((w + x) // a), (w - x) // a
+            elif a < 0:
+                first, last = -((w - x) // -a), (w + x) // -a
+            elif -w <= x <= w:
+                continue
+            else:
+                return 0, -1
+            if first > lo:
+                lo = first
+            if last < hi:
+                hi = last
+        return lo, hi
+
     def member(self, v):
         """Root membership of the flat vector ``finite + lattice``.
 
         Inside the window's box the computed slices decide; beyond it a vector
         is a root exactly when its finite part lies in ``fin`` (or is zero).
+        Every slice lies in the box (``__init__`` checks it), so a vector in
+        ``vectors`` is always in the box: ``ears.first_broken_string`` splits
+        each root string by this rule (``box_interval``) instead of calling
+        here once per point.
         """
-        if v in self._vectors:
+        if v in self.vectors:
             return True
         k = self.fin.ambient_dim
         if self.in_box(v[k:]):
@@ -511,7 +541,9 @@ def core_and_center_window(win):
     radical_span = SpanDict(alg.coords(z) for z in radical)
     center_eq_rad = span_equal(center_span, radical_span)
 
-    # [y, x] = -[x, y], so each +-alpha pair of slices is bracketed once
+    # [y, x] = -[x, y], so each +-alpha pair of slices is bracketed once.
+    # t_-alpha = -t_alpha (the same solve, negated), so when (y, x) = (x, y)
+    # the (y, x) vector is the negative of the (x, y) one and cannot grow the span.
     h_sum = SpanDict()
     visited = set()
     for root in win.nonisotropic_roots():
@@ -523,8 +555,10 @@ def core_and_center_window(win):
         for x in win.basis(root):
             for y in win.basis(opp):
                 xy = alg.bracket(x, y)
-                h_sum.add(alg.coords(xy - t_root * alg.form(x, y)))
-                h_sum.add(alg.coords(-xy - t_opp * alg.form(y, x)))
+                f_xy, f_yx = alg.form(x, y), alg.form(y, x)
+                h_sum.add(alg.coords(xy - t_root * f_xy))
+                if f_yx != f_xy:
+                    h_sum.add(alg.coords(-xy - t_opp * f_yx))
 
     zero_root = Root(finite=fin.zero, lattice=(0,) * alg.nu)
     h_perp = SpanDict()

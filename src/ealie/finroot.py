@@ -20,6 +20,7 @@ __all__ = [
     "components",
     "reflect_vec",
     "root_string",
+    "string_flags",
 ]
 
 
@@ -93,36 +94,44 @@ def reflect_vec(beta, alpha, pairing):
     return tuple(b - n * a for b, a in zip(beta, alpha))
 
 
-def root_string(beta, alpha, member, c, scan=6):
+def string_flags(beta, alpha, member, scan=6):
+    """The flag list ``root_string`` reads: ``member(beta + n*alpha)`` for
+    -scan <= n <= scan, in that order, probing each point once."""
+    flags = []
+    point = tuple(b - scan * a for b, a in zip(beta, alpha))
+    for _ in range(2 * scan + 1):
+        flags.append(member(point))
+        point = tuple(map(add, point, alpha))
+    return flags
+
+
+def root_string(beta, alpha, flags, c):
     """Verify the alpha-string through beta and return (d, u).
 
-    The string {beta + n*alpha : -d <= n <= u} must be an unbroken interval
-    within the scan range, must not re-enter after leaving, must not touch the
-    scan boundary, and must satisfy d - u = c, where c is the exact Cartan
-    number 2(beta,alpha)/(alpha,alpha).  ``member`` decides membership (zero
-    must count as a member); raises RootStringError otherwise.
+    ``flags[scan + n]`` is the membership of beta + n*alpha for -scan <= n <=
+    scan, so a list of 2*scan + 1 flags (``string_flags`` builds it from a
+    membership callable; zero must count as a member).  The string
+    {beta + n*alpha : -d <= n <= u} must be an unbroken interval within the
+    scan range, must not re-enter after leaving, must not touch the scan
+    boundary, and must satisfy d - u = c, where c is the exact Cartan number
+    2(beta,alpha)/(alpha,alpha); raises RootStringError otherwise.
     """
     if c.denominator != 1:
         raise RootStringError(beta, alpha, f"non-integral length difference {c}")
     c = int(c)
-    # hits[scan + n] is the membership of beta + n*alpha, -scan <= n <= scan
-    hits = []
-    point = tuple(b - scan * a for b, a in zip(beta, alpha))
-    for _ in range(2 * scan + 1):
-        hits.append(member(point))
-        point = tuple(map(add, point, alpha))
-    if not hits[scan]:
+    scan = len(flags) // 2
+    if not flags[scan]:
         raise RootStringError(beta, alpha, "base point is not a member")
     u = 0
-    while u < scan and hits[scan + u + 1]:
+    while u < scan and flags[scan + u + 1]:
         u += 1
     d = 0
-    while d < scan and hits[scan - d - 1]:
+    while d < scan and flags[scan - d - 1]:
         d += 1
     if u == scan or d == scan:
         raise RootStringError(beta, alpha, f"string reaches the scan bound {scan}")
     for n in range(-scan, scan + 1):
-        if hits[scan + n] and not (-d <= n <= u):
+        if flags[scan + n] and not (-d <= n <= u):
             raise RootStringError(beta, alpha, f"string re-enters at offset {n}")
     if d - u != c:
         raise RootStringError(beta, alpha, f"d - u = {d - u} but 2(beta,alpha)/(alpha,alpha) = {c}")
@@ -194,7 +203,8 @@ class FiniteRootSystem:
     def root_string(self, beta, alpha, scan=6):
         if not self.norm(alpha):
             raise ValueError("string direction must be nonisotropic")
-        return root_string(beta, alpha, self.contains, self.cartan_integer(beta, alpha), scan=scan)
+        flags = string_flags(beta, alpha, self.contains, scan=scan)
+        return root_string(beta, alpha, flags, self.cartan_integer(beta, alpha))
 
     # -- base and Cartan matrix ---------------------------------------------
 

@@ -1,5 +1,5 @@
-"""Independent oracles for the sign kernel, for window root membership and
-for form invariance.
+"""Independent oracles for the sign kernel, for window root membership, for
+unbroken root strings and for form invariance.
 
 The kernel computes normal-ordering signs by a crossing-count formula; the
 oracle here knows nothing about that.  It writes t^sigma as a literal word of
@@ -11,7 +11,14 @@ The invariance oracle is the literal double loop over triples and basis
 vectors: it brackets [x, y] and [y, z] for every triple and evaluates both
 sides of ([x, y], z) = (x, [y, z]), with no cyclic classes and no appeal to
 symmetry of the form.  Nothing here imports ``ealie.axioms``.
+
+The root-string oracle is the literal double loop of the EARS R4 axiom:
+every nonisotropic alpha against every root beta, each offset of the string
+probed through ``literal_member``, with no box intervals, masks or skipped
+negatives; only the string rule itself, ``finroot.root_string``, is shared.
 """
+
+from ealie.finroot import Root, RootStringError, root_string
 
 
 def word_of(sigma):
@@ -61,6 +68,27 @@ def literal_member(win, root):
     if all(abs(v) <= win.w for v in root.lattice):
         return False
     return root.finite == win.fin.zero or root.finite in win.fin.nonzero_roots
+
+
+def literal_first_broken_string(win, scan):
+    """The first (alpha, beta, error text) whose alpha-string through beta,
+    probed at every offset -scan..scan, ``root_string`` rejects; None if none."""
+    roots = win.roots()
+    for alpha in win.nonisotropic_roots():
+        for beta in roots:
+            flags = [
+                literal_member(win, Root(
+                    finite=tuple(b + n * a for b, a in zip(beta.finite, alpha.finite)),
+                    lattice=tuple(b + n * a for b, a in zip(beta.lattice, alpha.lattice)),
+                ))
+                for n in range(-scan, scan + 1)
+            ]
+            c = 2 * win.pairing(beta, alpha) / win.pairing(alpha, alpha)
+            try:
+                root_string(beta.finite + beta.lattice, alpha.finite + alpha.lattice, flags, c)
+            except RootStringError as err:
+                return alpha, beta, str(err)
+    return None
 
 
 def literal_first_non_invariant_triple(win, triples):

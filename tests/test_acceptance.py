@@ -29,7 +29,7 @@ from ealie.decomp import (
 )
 from ealie.ears import check_ears_axioms, support_checks, support_sets
 from ealie.exact_arith import GaussianRational
-from ealie.finroot import Root, root_string
+from ealie.finroot import Root, root_string, string_flags
 from ealie.linalg import SpanDict, span_equal
 from ealie.matlie import (
     LieElement,
@@ -236,7 +236,7 @@ def test_criterion_09_root_strings(torus_win2):
                 vb = tuple(beta.finite) + tuple(beta.lattice)
                 c = 2 * win.pairing(beta, alpha) / nn
                 assert c.denominator == 1 and abs(c) <= 4, (beta, alpha, c)
-                d, u = root_string(vb, va, win.member, c)
+                d, u = root_string(vb, va, string_flags(vb, va, win.member), c)
                 assert d - u == c, (beta, alpha)
 
 

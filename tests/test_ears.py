@@ -8,7 +8,7 @@ import pytest
 
 import ealie.ears
 from ealie import cli
-from ealie.decomp import RootSystemWindow
+from ealie.decomp import GradedPiece, RootSystemWindow
 from ealie.ears import (
     STRING_SCAN,
     check_ears_axioms,
@@ -17,10 +17,10 @@ from ealie.ears import (
     support_checks,
     support_sets,
 )
-from ealie.finroot import Root, RootStringError, root_string
+from ealie.finroot import Root, root_string, string_flags
 from ealie.quantum_torus import lattice_box
 
-from oracles import literal_member
+from oracles import literal_first_broken_string
 
 
 def _by_name(results):
@@ -51,13 +51,17 @@ class _FakeWindow:
 
     def __init__(self, finite=((1, 0), (-1, 0), (0, 1), (0, -1))):
         dim = len(finite[0])
-        self.fin = SimpleNamespace(rank=dim, ambient_dim=dim)
+        # at nullity 0 a flat vector is its finite part
+        self.fin = SimpleNamespace(rank=dim, ambient_dim=dim, contains=self.member)
         self.alg = SimpleNamespace(nu=0)
         self.w = 0
         self._nonzero = [Root(finite=a, lattice=()) for a in finite]
         self._zero = Root(finite=(0,) * dim, lattice=())
         self._set = set(self._nonzero) | {self._zero}
         self.pieces = dict.fromkeys(self._set)
+        self.vectors = frozenset(r.finite + r.lattice for r in self._set)
+
+    box_interval = RootSystemWindow.box_interval
 
     def roots(self):
         return sorted(self._set)
@@ -100,54 +104,54 @@ _A1 = ((1, 0, 0, 0), (-1, 0, 0, 0))
 _A2_BROKEN = ((0, 1, 0, -1), (0, 0, 1, -1), (0, -1, 1, 0), (0, -1, 0, 1), (0, 0, -1, 1))
 
 
-def _literal_first_broken(win):
-    """Every alpha against every beta, in order: what the EARS R4 axiom asks."""
-    roots = win.roots()
-    k = len(roots[0].finite)
-
-    def member(v):
-        return literal_member(win, Root(finite=v[:k], lattice=v[k:]))
-
-    for alpha in win.nonisotropic_roots():
-        for beta in roots:
-            c = 2 * win.pairing(beta, alpha) / win.pairing(alpha, alpha)
-            try:
-                root_string(beta.finite + beta.lattice, alpha.finite + alpha.lattice, member, c,
-                            scan=STRING_SCAN)
-            except RootStringError as err:
-                return alpha, beta, str(err)
-    return None
-
-
 def _counting_root_string(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])  # the direction alpha
+        calls.append(args)  # (beta, alpha, flags, c)
         return root_string(*args, **kwargs)
 
     monkeypatch.setattr(ealie.ears, "root_string", counted)
     return calls
 
 
+def _perturbed(win, removed=(), added=()):
+    pieces = {r: p for r, p in win.pieces.items() if r not in removed}
+    pieces.update((r, GradedPiece(root=r, basis=())) for r in added)
+    return RootSystemWindow(win.alg, win.w, pieces)
+
+
+# (fixture, roots removed, vectors added); torus_win has w = 1
+_R4_WINDOWS = {
+    "torus": ("torus_win", (), ()),
+    "affinized": ("aff_win", (), ()),
+    "nullity-0": ("sp4_win", (), ()),
+    "removed-interior": ("torus_win", (Root(finite=(1, 1), lattice=(0, 0)),), ()),
+    "removed-edge": ("torus_win", (Root(finite=(0, 2), lattice=(-1, 1)),), ()),
+    "added-interior": ("torus_win", (), (Root(finite=(1, 0), lattice=(0, 0)),)),
+    "added-edge": ("torus_win", (), (Root(finite=(3, 1), lattice=(1, -1)),)),
+}
+
+
 @pytest.mark.parametrize("finite", [_A1 + _A2_BROKEN, _A2_BROKEN + _A1],
                          ids=["passing-pair-first", "broken-first"])
 def test_first_broken_string_matches_literal_double_loop(monkeypatch, finite):
     win = _FakeWindow(finite)
-    expected = _literal_first_broken(win)
+    expected = literal_first_broken_string(win, STRING_SCAN)
     assert expected is not None
     calls = _counting_root_string(monkeypatch)
     alpha, beta, err = first_broken_string(win)
     assert (alpha, beta, str(err)) == expected
     if finite[0] in _A1:
         # -a is skipped: a's strings ran, then the first broken A2 alpha
-        assert _A1[0] in calls and _A1[1] not in calls
+        alphas = [args[1] for args in calls]
+        assert _A1[0] in alphas and _A1[1] not in alphas
 
 
 def test_first_broken_string_non_integral_cartan_number():
     # the string through -(1,1) along (3,0) would need 2(-3)/9 = -2/3 as d - u
     win = _FakeWindow(((3, 0), (-3, 0), (1, 1), (-1, -1)))
-    expected = _literal_first_broken(win)
+    expected = literal_first_broken_string(win, STRING_SCAN)
     assert expected is not None
     assert expected[2].endswith("along (3, 0): non-integral length difference -2/3")
     alpha, beta, err = first_broken_string(win)
@@ -155,28 +159,78 @@ def test_first_broken_string_non_integral_cartan_number():
 
 
 def test_first_broken_string_matches_literal_double_loop_at_nullity_two(torus_win):
-    missing = Root(finite=(1, 1), lattice=(1, 0))
-    pieces = {r: p for r, p in torus_win.pieces.items() if r != missing}
-    win = RootSystemWindow(torus_win.alg, torus_win.w, pieces)
-    expected = _literal_first_broken(win)
+    win = _perturbed(torus_win, removed=(Root(finite=(1, 1), lattice=(1, 0)),))
+    expected = literal_first_broken_string(win, STRING_SCAN)
     assert expected is not None
     alpha, beta, err = first_broken_string(win)
     assert (alpha, beta, str(err)) == expected
 
 
+@pytest.mark.parametrize("name", sorted(_R4_WINDOWS))
+def test_first_broken_string_matches_literal_oracle(request, name):
+    fixture, removed, added = _R4_WINDOWS[name]
+    win = _perturbed(request.getfixturevalue(fixture), removed, added)
+    expected = literal_first_broken_string(win, STRING_SCAN)
+    assert (expected is None) == (not removed and not added)
+    got = first_broken_string(win)
+    if got is not None:
+        got = (got[0], got[1], str(got[2]))
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(_R4_WINDOWS))
+def test_string_flags_are_the_member_probes(monkeypatch, request, name):
+    # a string rule that never fails, so every (alpha, beta) is scanned even
+    # where strings break; flags are copied when the rule reads them
+    fixture, removed, added = _R4_WINDOWS[name]
+    win = _perturbed(request.getfixturevalue(fixture), removed, added)
+    seen = []
+    monkeypatch.setattr(ealie.ears, "root_string",
+                        lambda beta, alpha, flags, c: seen.append((beta, alpha, list(flags))))
+    assert first_broken_string(win) is None
+    alphas = {alpha for _, alpha, _ in seen}
+    assert len(seen) == len(alphas) * len(win.roots())
+    assert all(a.finite + a.lattice in alphas or (-a).finite + (-a).lattice in alphas
+               for a in win.nonisotropic_roots())
+    for beta, alpha, flags in seen:
+        assert flags == string_flags(beta, alpha, win.member, scan=STRING_SCAN), (beta, alpha)
+
+
 def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
+    """One vector-set lookup per offset inside the box interval, and beyond it
+    one finite-part mask per (alpha, finite part of beta), never ``member``."""
     calls = _counting_root_string(monkeypatch)
-    member = RootSystemWindow.member
-    probes = []
+    lookups, finite_probes = [], []
 
-    def counted(self, v):
-        probes.append(v)
-        return member(self, v)
+    class CountedSet(frozenset):
+        def __contains__(self, v):
+            lookups.append(v)
+            return frozenset.__contains__(self, v)
 
-    monkeypatch.setattr(RootSystemWindow, "member", counted)
+    contains = torus_win.fin.contains
+
+    def counted_contains(v):
+        finite_probes.append(v)
+        return contains(v)
+
+    def no_member(self, v):
+        raise AssertionError("the string scan probed member")
+
+    monkeypatch.setattr(torus_win, "vectors", CountedSet(torus_win.vectors))
+    monkeypatch.setattr(torus_win.fin, "contains", counted_contains)
+    monkeypatch.setattr(RootSystemWindow, "member", no_member)
     assert first_broken_string(torus_win) is None
-    assert len(calls) == len(torus_win.nonisotropic_roots()) // 2 * len(torus_win.roots())
-    assert len(probes) == (2 * STRING_SCAN + 1) * len(calls)
+
+    k = torus_win.fin.ambient_dim
+    expected, masked = [], set()
+    for beta, alpha, _, _ in calls:
+        lo, hi = torus_win.box_interval(beta[k:], alpha[k:], STRING_SCAN)
+        expected.extend(tuple(b + n * a for b, a in zip(beta, alpha)) for n in range(lo, hi + 1))
+        if (lo, hi) != (-STRING_SCAN, STRING_SCAN):
+            masked.add((alpha, beta[:k]))
+    assert lookups == expected
+    assert len(lookups) < 4 * len(calls)
+    assert masked and len(finite_probes) == (2 * STRING_SCAN + 1) * len(masked)
 
 
 def test_each_plus_minus_alpha_pair_scanned_once(monkeypatch, torus_win):

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from ealie.finroot import Root, RootStringError, build_finite_root_system, components, root_string
+from ealie.finroot import (
+    Root,
+    RootStringError,
+    build_finite_root_system,
+    components,
+    root_string,
+    string_flags,
+)
 
 EXPECTED_COUNTS = {
     ("A", 3): 12,
@@ -114,12 +121,12 @@ def test_root_string_detects_broken_string():
         return tuple(v) in members or not any(v)
 
     with pytest.raises(RootStringError):
-        root_string((0, 2), (1, -1), member, _dot_cartan((0, 2), (1, -1)))
+        root_string((0, 2), (1, -1), string_flags((0, 2), (1, -1), member), _dot_cartan((0, 2), (1, -1)))
 
 
 def test_root_string_rejects_unbounded():
     with pytest.raises(RootStringError):
-        root_string((0, 1), (1, 0), lambda v: True, _dot_cartan((0, 1), (1, 0)))
+        root_string((0, 1), (1, 0), string_flags((0, 1), (1, 0), lambda v: True), _dot_cartan((0, 1), (1, 0)))
 
 
 def test_root_string_rejects_an_isotropic_direction():

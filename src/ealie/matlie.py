@@ -12,8 +12,9 @@ nonzero-weight, fixed-degree slice of B is at most 2-dimensional with an
 explicit basis (one real, one imaginary generator).  Weight-0 slices of the
 derived algebra need an actual spanning computation; zero_root_component
 spans the opposite-weight brackets (``decomp.opposite_brackets``) over the box
-of max-norm ZERO_MARGIN, nonzero weights first and then weight 0, and
-cross-checks a closed-form four-case description.
+of max-norm ZERO_MARGIN, nonzero weights first and then weight 0, until the
+span fills B's weight-0 slice, and cross-checks a closed-form four-case
+description.
 """
 
 from dataclasses import dataclass
@@ -274,27 +275,46 @@ def zero_root_component(ell, q, gamma, real_only=False):
     Spans the brackets [B_w^s, B_{-w}^{gamma-s}] over all nonzero weights w
     and all s in the box of max-norm ZERO_MARGIN, then the weight-0 x
     weight-0 brackets, which make it the honest derived-algebra slice; the
-    equality of the two spans is a checked theorem, not an assumption.  The
-    spanning result is authoritative; the four-case closed form is
-    cross-checked and any mismatch is reported through closed_form_match.
+    equality of the two spans is a checked theorem, not an assumption.  Every
+    such bracket lies in B's weight-0 slice at gamma, the ceiling.  So once
+    every vector that grew the span lies in the ceiling's span and the span
+    has the ceiling's dimension, the span is the whole ceiling, no later
+    bracket can grow it, and the scan stops; the weight-0 x weight-0 feed is
+    then skipped, since the ceiling bounds it.  After a vector from outside
+    the ceiling, everything is scanned.  The spanning result is
+    authoritative; the four-case closed form is cross-checked and any
+    mismatch is reported through closed_form_match.
     """
     gamma = tuple(gamma)
+    zero = (0,) * ell
+    ceiling = SpanDict(x.coords() for x in skew_root_basis(ell, q, zero, gamma, real_only))
     span = SpanDict()
     greedy = []
+    inside = True
 
     def piece(root):
         return skew_root_basis(ell, q, root.finite, root.lattice, real_only)
 
     box = lattice_box(q.nu, ZERO_MARGIN)
 
+    def full():
+        return inside and span.dim == ceiling.dim
+
     def feed(weights):
+        nonlocal inside
+        if full():
+            return
         for b in opposite_brackets(piece, mat_bracket, weights, gamma, box):
-            if span.add(b.coords()):
+            coords = b.coords()
+            if span.add(coords):
                 greedy.append(b)
+                inside = inside and ceiling.contains(coords)
+                if full():
+                    return
 
     feed(sorted(build_finite_root_system("C", ell).nonzero_roots))
     nonzero_pair_dim = span.dim
-    feed([(0,) * ell])
+    feed([zero])
 
     case, real, imag = _closed_form_case(ell, q, gamma)
     closed = real if real_only else real + imag

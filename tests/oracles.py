@@ -16,9 +16,16 @@ The root-string oracle is the literal double loop of the EARS R4 axiom:
 every nonisotropic alpha against every root beta, each offset of the string
 probed through ``literal_member``, with no box intervals, masks or skipped
 negatives; only the string rule itself, ``finroot.root_string``, is shared.
+
+The weight-0 span oracle is the literal spanning loop behind
+``matlie.zero_root_component``: every slice pair in both orientations, each
+slice rebuilt, with no mirror skip and no early stop.
 """
 
-from ealie.finroot import Root, RootStringError, root_string
+from ealie.finroot import Root, RootStringError, build_finite_root_system, root_string
+from ealie.linalg import SpanDict
+from ealie.matlie import mat_bracket, skew_root_basis
+from ealie.quantum_torus import lattice_box
 
 
 def word_of(sigma):
@@ -104,3 +111,27 @@ def literal_first_non_invariant_triple(win, triples):
                     if win.form(xy, z) != win.form(x, y_z):
                         return [r1, r2, r3]
     return None
+
+
+def literal_zero_span(ell, q, gamma, margin, real_only=False):
+    """The span, greedy basis and nonzero-weight span dimension of the weight-0
+    spanning loops written out, each slice pair in both orientations: nonzero
+    weights, then weight 0."""
+    span = SpanDict()
+    greedy = []
+    box = lattice_box(q.nu, margin)
+
+    def feed(weights):
+        for s in box:
+            t = tuple(g - v for g, v in zip(gamma, s))
+            for w in weights:
+                for x in skew_root_basis(ell, q, w, s, real_only):
+                    for y in skew_root_basis(ell, q, tuple(-v for v in w), t, real_only):
+                        b = mat_bracket(x, y)
+                        if b and span.add(b.coords()):
+                            greedy.append(b)
+
+    feed(sorted(build_finite_root_system("C", ell).nonzero_roots))
+    nonzero_pair_dim = span.dim
+    feed([(0,) * ell])
+    return span, greedy, nonzero_pair_dim

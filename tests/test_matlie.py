@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from ealie.decomp import opposite_brackets
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import build_finite_root_system
 from ealie import matlie
@@ -20,6 +21,8 @@ from ealie.matlie import (
     zero_root_component,
 )
 from ealie.quantum_torus import SignMatrix, kappa, lattice_box
+
+from oracles import literal_zero_span
 
 Q2 = SignMatrix.from_upper(2, [-1])
 Q0 = SignMatrix(0)
@@ -178,28 +181,8 @@ def test_zero_root_component_real_only():
     assert span_equal(span, target)
 
 
-def _literal_zero_span(ell, q, gamma, margin, real_only=False):
-    """Oracle: the greedy basis of the weight-0 spanning loops written out, each
-    slice pair in both orientations: nonzero weights, then weight 0."""
-    span = SpanDict()
-    greedy = []
-    box = lattice_box(q.nu, margin)
-    nonzero = sorted(build_finite_root_system("C", ell).nonzero_roots)
-    for weights in (nonzero, [(0,) * ell]):
-        for s in box:
-            t = tuple(g - v for g, v in zip(gamma, s))
-            for w in weights:
-                for x in skew_root_basis(ell, q, w, s, real_only):
-                    for y in skew_root_basis(ell, q, tuple(-v for v in w), t, real_only):
-                        b = mat_bracket(x, y)
-                        if b and span.add(b.coords()):
-                            greedy.append(b)
-    return span, greedy
-
-
-def test_zero_root_component_greedy_fallback_is_the_literal_greedy_basis(monkeypatch):
-    # A wrong closed form (a real part missing its last vector) forces the
-    # spanning result: its greedy basis, in the literal loop's order.
+def _wrong_closed_form(monkeypatch):
+    # A real part missing its last vector: the greedy basis becomes the result.
     closed_form_case = matlie._closed_form_case
 
     def wrong(ell, q, gamma):
@@ -207,9 +190,15 @@ def test_zero_root_component_greedy_fallback_is_the_literal_greedy_basis(monkeyp
         return case, real[:-1], imag
 
     monkeypatch.setattr(matlie, "_closed_form_case", wrong)
+
+
+def test_zero_root_component_greedy_fallback_is_the_literal_greedy_basis(monkeypatch):
+    # A wrong closed form forces the spanning result: its greedy basis, in the
+    # literal loop's order.
+    _wrong_closed_form(monkeypatch)
     for q, gamma, real_only in ((Q2, (0, 0), False), (Q2, (1, 1), False), (Q0, (), True)):
         comp = zero_root_component(2, q, gamma, real_only=real_only)
-        _, expected = _literal_zero_span(2, q, gamma, 1, real_only)
+        _, expected, _ = literal_zero_span(2, q, gamma, 1, real_only)
         assert not comp.closed_form_match
         assert comp.dim == len(comp.basis) == len(expected)
         assert [list(b.coords().items()) for b in comp.basis] == [list(b.coords().items()) for b in expected]
@@ -218,9 +207,112 @@ def test_zero_root_component_greedy_fallback_is_the_literal_greedy_basis(monkeyp
 def test_zero_root_component_margin_one_saturates():
     # the bracket signs depend only on parities, so a wider box spans no more
     for gamma in ((0, 0), (1, 0), (1, 1)):
-        span, _ = _literal_zero_span(2, Q2, gamma, 2)
+        span, _, _ = literal_zero_span(2, Q2, gamma, 2)
         comp = zero_root_component(2, Q2, gamma)
         assert span_equal(span, SpanDict(b.coords() for b in comp.basis))
+
+
+def _weight_zero_feeds(ell, q, gamma, real_only):
+    """zero_root_component's two feeds, run to exhaustion: the brackets through
+    nonzero weights, then those of weight 0, through ``matlie.skew_root_basis``
+    and ``matlie.mat_bracket``."""
+
+    def piece(root):
+        return matlie.skew_root_basis(ell, q, root.finite, root.lattice, real_only)
+
+    box = lattice_box(q.nu, matlie.ZERO_MARGIN)
+    for weights in (sorted(build_finite_root_system("C", ell).nonzero_roots), [(0,) * ell]):
+        yield opposite_brackets(piece, matlie.mat_bracket, weights, gamma, box)
+
+
+def _counting_mat_bracket(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return mat_bracket(x, y)
+
+    monkeypatch.setattr(matlie, "mat_bracket", counted)
+    return calls
+
+
+def _unstopped_bracket_counts(calls, ell, q, gamma, real_only):
+    """The counted brackets of the unstopped scan: after the nonzero feed, and in all."""
+    calls.clear()
+    counts = []
+    for feed in _weight_zero_feeds(ell, q, gamma, real_only):
+        for _ in feed:
+            pass
+        counts.append(len(calls))
+    return counts
+
+
+def _layout(elements):
+    return [list(b.coords().items()) for b in elements]
+
+
+def test_zero_root_component_stops_when_the_span_fills_the_b_slice(monkeypatch):
+    # Stopping changes no result; it saves brackets exactly where the derived
+    # slice is the whole weight-0 slice of B.
+    _wrong_closed_form(monkeypatch)
+    calls = _counting_mat_bracket(monkeypatch)
+    cases = [(Q2, gamma, False) for gamma in lattice_box(2, 2)] + [(Q0, (), True)]
+    fewer = 0
+    for q, gamma, real_only in cases:
+        span, expected, nonzero_pair_dim = literal_zero_span(2, q, gamma, 1, real_only)
+        nonzero_feed, full = _unstopped_bracket_counts(calls, 2, q, gamma, real_only)
+        calls.clear()
+        comp = zero_root_component(2, q, gamma, real_only=real_only)
+        assert not comp.closed_form_match
+        assert comp.dim == span.dim
+        assert comp.nonzero_pair_dim == nonzero_pair_dim
+        assert _layout(comp.basis) == _layout(expected)
+        ceiling = len(skew_root_basis(2, q, (0, 0), gamma, real_only))
+        if comp.dim == ceiling:
+            # the nonzero feed fills the span, and the weight-0 feed is skipped
+            assert len(calls) <= nonzero_feed < full, gamma
+            fewer += 1
+        else:
+            assert len(calls) == full, gamma
+    # all but the 9 even-degree slices of dimension 2l - 1
+    assert fewer == len(cases) - 9
+
+
+def test_zero_root_component_scans_everything_past_a_bracket_outside_the_ceiling(monkeypatch):
+    gamma = (1, 0)
+    _, expected, _ = literal_zero_span(2, Q2, gamma, 1)
+    assert len(expected) == 4
+    # A ceiling missing the first spanning bracket: that bracket grows the span
+    # from outside it, so a span of the ceiling's dimension is not the slice.
+    broken = expected[1:]
+    assert not SpanDict(b.coords() for b in broken).contains(expected[0].coords())
+
+    def patched(ell, q, weight, sigma, real_only=False):
+        if not any(weight) and tuple(sigma) == gamma:
+            return list(broken)
+        return skew_root_basis(ell, q, weight, sigma, real_only)
+
+    monkeypatch.setattr(matlie, "skew_root_basis", patched)
+    _wrong_closed_form(monkeypatch)
+    calls = _counting_mat_bracket(monkeypatch)
+    # counted through the same broken slices (which also meet the weight-0 feed)
+    _, full = _unstopped_bracket_counts(calls, 2, Q2, gamma, False)
+    calls.clear()
+    comp = zero_root_component(2, Q2, gamma)
+    assert len(calls) == full
+    assert comp.dim == comp.nonzero_pair_dim == 4
+    assert _layout(comp.basis) == _layout(expected)
+
+
+def test_weight_zero_brackets_lie_in_the_b_slice():
+    # The premise of the stop rule, on every bracket either feed yields.
+    q3 = SignMatrix.from_upper(3, [-1, 1, -1])
+    cases = [(Q2, gamma) for gamma in lattice_box(2, 1)] + [(q3, (1, 0, 0)), (q3, (1, 0, 1))]
+    for q, gamma in cases:
+        ceiling = SpanDict(x.coords() for x in skew_root_basis(2, q, (0, 0), gamma))
+        for feed in _weight_zero_feeds(2, q, gamma, False):
+            for b in feed:
+                assert ceiling.contains(b.coords()), gamma
 
 
 def test_hddot_definition():

@@ -15,7 +15,6 @@ from .constructions import (
     TorusMatrixAlgebra,
     affinize,
     build_extension_by_cocycle,
-    build_extension_example,
     check_extension_conditions,
     degree_derivation_spec,
 )
@@ -28,7 +27,7 @@ from .decomp import (
     theta_automorphism,
 )
 from .ears import check_ears_axioms, check_semilattice, support_checks, support_sets
-from .finroot import FiniteRootSystem, Root, build_finite_root_system, root_string, string_flags
+from .finroot import FiniteRootSystem, Root, root_string, string_flags
 from .quantum_torus import SignMatrix, TorusElement
 from .reporting import AxiomReport, CheckResult
 
@@ -53,8 +52,6 @@ __all__ = [
     "TorusMatrixAlgebra",
     "affinize",
     "build_extension_by_cocycle",
-    "build_extension_example",
-    "build_finite_root_system",
     "check_D",
     "check_T",
     "check_ears_axioms",

@@ -563,7 +563,7 @@ def check_D(win, seed=0):
     results.append(_graded_form_check(win, "D10-form-graded"))
 
     missing = [
-        a for a in sorted(fin.reduced_roots())
+        a for a in sorted(fin.nonzero_roots)
         if Root(finite=a, lattice=(0,) * alg.nu) not in win.pieces
     ]
     results.append(CheckResult(

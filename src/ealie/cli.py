@@ -14,15 +14,15 @@ import sys
 
 from .axioms import check_D, check_props, check_T, serre_check, tameness_check
 from .constructions import (
+    SqrtExtensionAlgebra,
     TorusMatrixAlgebra,
     affinize,
-    build_extension_example,
     check_extension_conditions,
     degree_derivation_spec,
 )
 from .decomp import core_and_center_window, decompose_window
 from .ears import check_ears_axioms, support_checks
-from .finroot import Root
+from .finroot import FiniteRootSystem, Root
 from .quantum_torus import SignMatrix
 from .reporting import AxiomReport, CheckResult
 
@@ -145,7 +145,7 @@ def _instance_meta(args, extra=None):
         meta["rank"] = _rank(args)
         meta["nu"] = 0
     if args.construction == "sqrt-extension":
-        meta["type"] = args.type.upper()
+        meta["type"] = FiniteRootSystem.label
         meta["primes"] = args.primes or "2,3"
     if extra:
         meta.update(extra)
@@ -171,7 +171,7 @@ def _build_algebra(parser, args):
         if c == "sqrt-extension":
             rank = _rank(args)
             primes = _parse_primes(parser, args.primes or "2,3")
-            alg = build_extension_example(args.type, rank, primes)
+            alg = SqrtExtensionAlgebra(rank, primes)
             return alg, None
     except ValueError as err:
         parser.error(str(err))
@@ -310,7 +310,9 @@ def _cmd_ears(parser, args):
         "support": {
             "S": sorted(list(s) for s in sup.s_set),
             "L": sorted(list(s) for s in sup.l_set),
-            "E": sorted(list(s) for s in sup.e_set) if sup.e_set is not None else None,
+            # E would hold the supports of extra-long roots (alpha with alpha/2
+            # a root); C_l has none, so it is null, kept for the report schema
+            "E": None,
         },
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -331,7 +333,6 @@ def _add_common(sp):
     sp.add_argument("--q", default="", help="strict upper triangle of q, comma-separated ±1")
     sp.add_argument("--rank", type=_at_least(MIN_RANK), default=None,
                     help="finite rank for field-extension builds (>= 2; default --ell)")
-    sp.add_argument("--type", default="C", help="finite type label for field-extension builds")
     sp.add_argument("--window", type=_at_least(0), default=1, help="lattice window max-norm bound (>= 0)")
     sp.add_argument("--primes", type=_names_some("prime"), default=None,
                     help="comma-separated primes for the field extension (default 2,3)")

@@ -18,7 +18,7 @@ Four families:
 from fractions import Fraction
 
 from .exact_arith import SqrtFieldElement, rational, sqrt_coeff_product, sqrt_pairing
-from .finroot import build_finite_root_system
+from .finroot import FiniteRootSystem
 from .matlie import (
     LieElement,
     hdot,
@@ -44,7 +44,6 @@ __all__ = [
     "degree_derivation_spec",
     "SqrtMatrix",
     "SqrtExtensionAlgebra",
-    "build_extension_example",
 ]
 
 _F0 = Fraction(0)
@@ -112,7 +111,7 @@ class TorusMatrixAlgebra:
         self.nu = q.nu
         self.derived = derived
         self.real_only = real_only
-        self.fin = build_finite_root_system("C", ell)
+        self.fin = FiniteRootSystem(ell)
         self._zero_components = {}
 
     # -- element basics ------------------------------------------------------
@@ -609,7 +608,7 @@ class SqrtExtensionAlgebra:
             keys = keys + [k * p for k in keys]
         self.keys = tuple(sorted(keys))
         self.nu = 0
-        self.fin = build_finite_root_system("C", ell)
+        self.fin = FiniteRootSystem(ell)
         self._trivial_q = SignMatrix(0)
 
     # -- element basics --------------------------------------------------------
@@ -693,10 +692,3 @@ class SqrtExtensionAlgebra:
         if self.bracket(x, y) != t_target:
             raise ValueError("division witness failed re-verification")
         return y
-
-
-def build_extension_example(type_label, rank, primes):
-    """The built-in strictly-division example: type C only (matrix realization)."""
-    if type_label.upper() != "C":
-        raise ValueError("only type C has a built-in matrix realization")
-    return SqrtExtensionAlgebra(rank, primes)

@@ -176,7 +176,7 @@ class RootSystemWindow:
         """
         if v in self.vectors:
             return True
-        k = self.fin.ambient_dim
+        k = self.fin.rank
         if self.in_box(v[k:]):
             return False
         return self.fin.contains(v[:k])

@@ -149,7 +149,7 @@ def check_ears_axioms(win):
 
     vectors = [list(_vec(r)) for r in roots]
     expected = win.fin.rank + win.alg.nu
-    rank = int_rank(vectors, win.fin.ambient_dim + win.alg.nu)
+    rank = int_rank(vectors, expected)
     results.append(CheckResult(
         "R2-spans",
         rank == expected,
@@ -222,12 +222,11 @@ class SupportSets:
 
     s_set: frozenset
     l_set: frozenset
-    e_set: frozenset | None
     per_root: dict
 
 
 def support_sets(win):
-    """Support sets S, L (E when extra-long roots exist) and every S_alpha.
+    """Support sets S (short roots), L (long roots) and every S_alpha.
 
     A lattice vector delta is only tested when every translate it is paired
     with stays inside the window, so membership here never relies on the
@@ -243,18 +242,14 @@ def support_sets(win):
                 out.append(delta)
         return frozenset(out)
 
-    short = sorted(fin.short_roots())
-    long_ = sorted(fin.long_roots())
-    extra = sorted(fin.extra_roots())
-    s_set = translate_set(short)
-    l_set = translate_set(long_) if long_ else frozenset()
-    e_set = translate_set(extra) if extra else None
+    s_set = translate_set(sorted(fin.short_roots()))
+    l_set = translate_set(sorted(fin.long_roots()))
     per_root = {}
     for a in sorted(fin.nonzero_roots):
         per_root[a] = frozenset(
             delta for delta in box if Root(finite=a, lattice=delta) in win.pieces
         )
-    return SupportSets(s_set=s_set, l_set=l_set, e_set=e_set, per_root=per_root)
+    return SupportSets(s_set=s_set, l_set=l_set, per_root=per_root)
 
 
 def check_semilattice(members, nu, bound):
@@ -356,7 +351,6 @@ def support_checks(win):
 
     s_res = check_semilattice(sup.s_set, win.alg.nu, win.w)
     results.append(CheckResult("semilattice-S", s_res.passed, s_res.detail, s_res.witness))
-    if win.fin.long_roots():
-        l_res = check_semilattice(sup.l_set, win.alg.nu, win.w)
-        results.append(CheckResult("semilattice-L", l_res.passed, l_res.detail, l_res.witness))
+    l_res = check_semilattice(sup.l_set, win.alg.nu, win.w)
+    results.append(CheckResult("semilattice-L", l_res.passed, l_res.detail, l_res.witness))
     return sup, results

@@ -1,22 +1,20 @@
-"""Finite root systems in explicit integer coordinates, plus root-string tools.
+"""The finite root system C_l in explicit integer coordinates, plus root-string tools.
 
-Every system is realized so that all root coordinates are integers and the
-shortest nonzero roots have norm 1 (the bilinear form is a fixed rational
-multiple of the dot product).  Zero is always treated as a member alongside
-the nonzero roots.  Types E and F use coordinates scaled by 2 so half-integer
-entries never appear.
+Every construction is built from symplectic 2l x 2l matrices, so C_l is the
+only finite type realized.  Its roots have integer coordinates and the
+shortest nonzero roots have norm 1 (the bilinear form is half the dot
+product).  Zero is always treated as a member alongside the nonzero roots.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from operator import add
 
 __all__ = [
     "Root",
     "RootStringError",
     "FiniteRootSystem",
-    "build_finite_root_system",
     "components",
     "reflect_vec",
     "root_string",
@@ -139,16 +137,33 @@ def root_string(beta, alpha, flags, c):
 
 
 class FiniteRootSystem:
-    """A finite root system given by integer coordinates and a scaled dot form."""
+    """The root system C_rank: long roots +-2e_i, short roots +-e_i +- e_j.
 
-    def __init__(self, label, rank, ambient_dim, scale, nonzero_roots):
-        self.label = label
+    The form is half the dot product, so short roots have norm 1 and long
+    roots norm 2.
+    """
+
+    label = "C"
+    scale = Fraction(1, 2)
+
+    def __init__(self, rank):
+        if rank < 2:
+            raise ValueError(f"type C rank must be >= 2, got {rank}")
         self.rank = rank
-        self.ambient_dim = ambient_dim
-        self.scale = Fraction(scale)
-        self.nonzero_roots = frozenset(nonzero_roots)
-        self._zero = (0,) * ambient_dim
-        self.simple_roots = self._extract_base()
+        self._zero = (0,) * rank
+        self._long = frozenset(_vector(rank, {i: s}) for i in range(rank) for s in (2, -2))
+        self._short = frozenset(
+            _vector(rank, {i: si, j: sj})
+            for i, j in combinations(range(rank), 2)
+            for si in (1, -1)
+            for sj in (1, -1)
+        )
+        self.nonzero_roots = self._long | self._short
+        # the standard base e1-e2, ..., e_{l-1}-e_l, 2e_l; SERRE and the CON
+        # samples read it in this order
+        self.simple_roots = tuple(_vector(rank, {i: 1, i + 1: -1}) for i in range(rank - 1)) + (
+            _vector(rank, {rank - 1: 2}),
+        )
 
     # -- form ------------------------------------------------------------
 
@@ -174,25 +189,11 @@ class FiniteRootSystem:
 
     # -- length classes ----------------------------------------------------
 
-    def extra_roots(self):
-        """Roots alpha with alpha/2 also a root (doubled class, empty unless type BC)."""
-        out = set()
-        for a in self.nonzero_roots:
-            if all(x % 2 == 0 for x in a) and tuple(x // 2 for x in a) in self.nonzero_roots:
-                out.add(a)
-        return frozenset(out)
-
-    def reduced_roots(self):
-        """Nonzero roots alpha with alpha/2 not a root."""
-        return self.nonzero_roots - self.extra_roots()
-
     def short_roots(self):
-        red = self.reduced_roots()
-        m = min(self.norm(a) for a in red)
-        return frozenset(a for a in red if self.norm(a) == m)
+        return self._short
 
     def long_roots(self):
-        return self.reduced_roots() - self.short_roots()
+        return self._long
 
     # -- reflections -------------------------------------------------------
 
@@ -206,189 +207,13 @@ class FiniteRootSystem:
         flags = string_flags(beta, alpha, self.contains, scan=scan)
         return root_string(beta, alpha, flags, self.cartan_integer(beta, alpha))
 
-    # -- base and Cartan matrix ---------------------------------------------
-
-    def _extract_base(self):
-        """Simple roots of the reduced part: positives indecomposable into two positives.
-
-        Positivity comes from a lexicographic-style functional that weights
-        earlier coordinates heaviest; for the classical families this yields
-        the standard base ordering (for type C: e1-e2, ..., e_{l-1}-e_l, 2e_l).
-        """
-        weights = [1000 ** (self.ambient_dim - 1 - i) for i in range(self.ambient_dim)]
-        phi = lambda v: _dot(v, weights)
-        reduced = self.reduced_roots()
-        positive = {a for a in reduced if phi(a) > 0}
-        simple = []
-        for a in positive:
-            if not any(tuple(x - y for x, y in zip(a, b)) in positive for b in positive if b != a):
-                simple.append(a)
-        simple.sort(key=phi, reverse=True)
-        return tuple(simple)
-
-    def cartan_matrix(self):
-        """M[i][j] = 2(a_i, a_j)/(a_j, a_j) over the simple roots, integer entries."""
-        out = []
-        for a in self.simple_roots:
-            row = []
-            for b in self.simple_roots:
-                c = self.cartan_integer(a, b)
-                if c.denominator != 1:
-                    raise ValueError("non-integral Cartan entry")
-                row.append(int(c))
-            out.append(row)
-        return out
-
     def __repr__(self):
         return f"FiniteRootSystem({self.label}{self.rank}, {len(self.nonzero_roots)} nonzero roots)"
 
 
-def _unit(dim, i, value=1):
+def _vector(dim, entries):
+    """The integer vector of length ``dim`` with the given ``{index: value}`` entries."""
     v = [0] * dim
-    v[i] = value
+    for i, value in entries.items():
+        v[i] = value
     return tuple(v)
-
-
-def _type_a(rank):
-    dim = rank + 1
-    roots = set()
-    for i in range(dim):
-        for j in range(dim):
-            if i != j:
-                v = [0] * dim
-                v[i], v[j] = 1, -1
-                roots.add(tuple(v))
-    return dim, Fraction(1, 2), roots
-
-
-def _pm_pairs(dim, i, j):
-    out = []
-    for si in (1, -1):
-        for sj in (1, -1):
-            v = [0] * dim
-            v[i], v[j] = si, sj
-            out.append(tuple(v))
-    return out
-
-
-def _type_b(rank):
-    roots = set()
-    for i in range(rank):
-        roots.add(_unit(rank, i, 1))
-        roots.add(_unit(rank, i, -1))
-    for i, j in combinations(range(rank), 2):
-        roots.update(_pm_pairs(rank, i, j))
-    return rank, Fraction(1), roots
-
-
-def _type_c(rank):
-    roots = set()
-    for i in range(rank):
-        roots.add(_unit(rank, i, 2))
-        roots.add(_unit(rank, i, -2))
-    for i, j in combinations(range(rank), 2):
-        roots.update(_pm_pairs(rank, i, j))
-    return rank, Fraction(1, 2), roots
-
-
-def _type_d(rank):
-    roots = set()
-    for i, j in combinations(range(rank), 2):
-        roots.update(_pm_pairs(rank, i, j))
-    return rank, Fraction(1, 2), roots
-
-
-def _type_bc(rank):
-    roots = set()
-    for i in range(rank):
-        for v in (1, -1, 2, -2):
-            roots.add(_unit(rank, i, v))
-    for i, j in combinations(range(rank), 2):
-        roots.update(_pm_pairs(rank, i, j))
-    return rank, Fraction(1), roots
-
-
-def _type_g2():
-    roots = set()
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                v = [0, 0, 0]
-                v[i], v[j] = 1, -1
-                roots.add(tuple(v))
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        v = [0, 0, 0]
-        v[i], v[j], v[k] = 2, -1, -1
-        roots.add(tuple(v))
-        roots.add(tuple(-x for x in v))
-    return 3, Fraction(1, 2), roots
-
-
-def _type_f4():
-    roots = set()
-    for i in range(4):
-        roots.add(_unit(4, i, 2))
-        roots.add(_unit(4, i, -2))
-    for i, j in combinations(range(4), 2):
-        for si in (2, -2):
-            for sj in (2, -2):
-                v = [0] * 4
-                v[i], v[j] = si, sj
-                roots.add(tuple(v))
-    for signs in product((1, -1), repeat=4):
-        roots.add(signs)
-    return 4, Fraction(1, 4), roots
-
-
-def _e8_roots():
-    roots = set()
-    for i, j in combinations(range(8), 2):
-        for si in (2, -2):
-            for sj in (2, -2):
-                v = [0] * 8
-                v[i], v[j] = si, sj
-                roots.add(tuple(v))
-    for signs in product((1, -1), repeat=8):
-        if sum(1 for s in signs if s < 0) % 2 == 0:
-            roots.add(signs)
-    return roots
-
-
-def _type_e(rank):
-    roots = _e8_roots()
-    if rank == 8:
-        return 8, Fraction(1, 8), roots
-    if rank == 7:
-        return 8, Fraction(1, 8), {a for a in roots if a[6] + a[7] == 0}
-    if rank == 6:
-        return 8, Fraction(1, 8), {a for a in roots if a[6] + a[7] == 0 and a[5] == a[6]}
-    raise ValueError("type E rank must be 6, 7 or 8")
-
-
-def build_finite_root_system(label, rank):
-    """Construct the root system of the given type and rank."""
-    label = label.upper()
-    if label == "A" and rank >= 1:
-        dim, scale, roots = _type_a(rank)
-    elif label == "B" and rank >= 2:
-        dim, scale, roots = _type_b(rank)
-    elif label == "C" and rank >= 2:
-        dim, scale, roots = _type_c(rank)
-    elif label == "D" and rank >= 3:
-        dim, scale, roots = _type_d(rank)
-    elif label == "BC" and rank >= 1:
-        dim, scale, roots = _type_bc(rank)
-    elif label == "G":
-        if rank != 2:
-            raise ValueError("type G rank must be 2")
-        dim, scale, roots = _type_g2()
-    elif label == "F":
-        if rank != 4:
-            raise ValueError("type F rank must be 4")
-        dim, scale, roots = _type_f4()
-    elif label == "E":
-        dim, scale, roots = _type_e(rank)
-    else:
-        raise ValueError(f"unsupported root system type {label}{rank}")
-    return FiniteRootSystem(label, rank, dim, scale, roots)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .decomp import opposite_brackets
 from .exact_arith import GaussianRational
-from .finroot import build_finite_root_system
+from .finroot import FiniteRootSystem
 from .linalg import SpanDict, span_equal
 from .quantum_torus import TorusElement, coeff_product, kappa, lattice_box, torus_form
 from .sparse import SparseMatrix, sparse_commutator, sparse_trace_pairing
@@ -312,7 +312,7 @@ def zero_root_component(ell, q, gamma, real_only=False):
                 if full():
                     return
 
-    feed(sorted(build_finite_root_system("C", ell).nonzero_roots))
+    feed(sorted(FiniteRootSystem(ell).nonzero_roots))
     nonzero_pair_dim = span.dim
     feed([zero])
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ealie.constructions import TorusMatrixAlgebra, affinize, build_extension_example
+from ealie.constructions import SqrtExtensionAlgebra, TorusMatrixAlgebra, affinize
 from ealie.decomp import core_and_center_window, decompose_window
 from ealie.quantum_torus import SignMatrix
 
@@ -66,7 +66,7 @@ def sp4_win(sp4_alg):
 
 @pytest.fixture(scope="session")
 def sqrt_alg():
-    return build_extension_example("C", 2, [2, 3])
+    return SqrtExtensionAlgebra(2, [2, 3])
 
 
 @pytest.fixture(scope="session")

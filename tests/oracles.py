@@ -22,7 +22,7 @@ The weight-0 span oracle is the literal spanning loop behind
 slice rebuilt, with no mirror skip and no early stop.
 """
 
-from ealie.finroot import Root, RootStringError, build_finite_root_system, root_string
+from ealie.finroot import FiniteRootSystem, Root, RootStringError, root_string
 from ealie.linalg import SpanDict
 from ealie.matlie import mat_bracket, skew_root_basis
 from ealie.quantum_torus import lattice_box
@@ -131,7 +131,7 @@ def literal_zero_span(ell, q, gamma, margin, real_only=False):
                         if b and span.add(b.coords()):
                             greedy.append(b)
 
-    feed(sorted(build_finite_root_system("C", ell).nonzero_roots))
+    feed(sorted(FiniteRootSystem(ell).nonzero_roots))
     nonzero_pair_dim = span.dim
     feed([(0,) * ell])
     return span, greedy, nonzero_pair_dim

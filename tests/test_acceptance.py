@@ -16,11 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from ealie.axioms import check_D, check_props, check_T, serre_check, tameness_check
-from ealie.constructions import (
-    TorusMatrixAlgebra,
-    affinize,
-    build_extension_example,
-)
+from ealie.constructions import TorusMatrixAlgebra, affinize
 from ealie.decomp import (
     core_and_center_window,
     decompose_window,

@@ -55,6 +55,16 @@ def test_inapplicable_suite(capsys):
     assert "not applicable" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--construction", "affinized", "--nu", "1", "--type", "B", "--suites", "SERRE"],
+    ["--construction", "sqrt-extension", "--type", "C"],
+])
+def test_type_option_rejected(capsys, argv):
+    # every construction is type C; there is no finite type to choose
+    err = _usage_error(capsys, ["check"] + argv)
+    assert "unrecognized arguments: --type" in err
+
+
 @pytest.mark.parametrize("value", ["", ",", " , "])
 def test_suites_naming_no_suite_rejected(capsys, value):
     # an explicit empty list would otherwise run nothing and pass

@@ -14,7 +14,6 @@ from ealie.constructions import (
     TorusMatrixAlgebra,
     affinize,
     build_extension_by_cocycle,
-    build_extension_example,
     check_extension_conditions,
     degree_derivation,
     degree_derivation_spec,
@@ -265,8 +264,6 @@ def test_sqrt_extension_validation():
         SqrtExtensionAlgebra(2, (4, 3))
     with pytest.raises(ValueError):
         SqrtExtensionAlgebra(2, (3, 3))
-    with pytest.raises(ValueError):
-        build_extension_example("A", 2, (2, 3))
 
 
 def test_sqrt_extension_shape(sqrt_alg, sqrt_win):

@@ -52,7 +52,7 @@ class _FakeWindow:
     def __init__(self, finite=((1, 0), (-1, 0), (0, 1), (0, -1))):
         dim = len(finite[0])
         # at nullity 0 a flat vector is its finite part
-        self.fin = SimpleNamespace(rank=dim, ambient_dim=dim, contains=self.member)
+        self.fin = SimpleNamespace(rank=dim, contains=self.member)
         self.alg = SimpleNamespace(nu=0)
         self.w = 0
         self._nonzero = [Root(finite=a, lattice=()) for a in finite]
@@ -221,7 +221,7 @@ def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
     monkeypatch.setattr(RootSystemWindow, "member", no_member)
     assert first_broken_string(torus_win) is None
 
-    k = torus_win.fin.ambient_dim
+    k = torus_win.fin.rank
     expected, masked = [], set()
     for beta, alpha, _, _ in calls:
         lo, hi = torus_win.box_interval(beta[k:], alpha[k:], STRING_SCAN)
@@ -307,7 +307,6 @@ def test_support_sets_are_full_interior(torus_win):
     box = frozenset(lattice_box(2, 1))
     assert sup.s_set == box
     assert sup.l_set == box
-    assert sup.e_set is None
     for a, deltas in sup.per_root.items():
         assert deltas == box
 

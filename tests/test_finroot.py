@@ -3,44 +3,56 @@ from fractions import Fraction
 import pytest
 
 from ealie.finroot import (
+    FiniteRootSystem,
     Root,
     RootStringError,
-    build_finite_root_system,
     components,
     root_string,
     string_flags,
 )
 
-EXPECTED_COUNTS = {
-    ("A", 3): 12,
-    ("B", 2): 8,
-    ("B", 3): 18,
-    ("C", 2): 8,
-    ("C", 3): 18,
-    ("D", 4): 24,
-    ("BC", 2): 12,
-    ("G", 2): 12,
-    ("F", 4): 48,
-    ("E", 6): 72,
-    ("E", 7): 126,
-    ("E", 8): 240,
-}
+RANKS = pytest.mark.parametrize("rank", [2, 3, 4], ids=lambda rank: f"C-{rank}")
 
 
-@pytest.mark.parametrize("label,rank", sorted(EXPECTED_COUNTS))
-def test_root_counts(label, rank):
-    fin = build_finite_root_system(label, rank)
-    assert len(fin.nonzero_roots) == EXPECTED_COUNTS[(label, rank)]
-    assert fin.rank == rank
+@RANKS
+def test_root_counts(rank):
+    fin = FiniteRootSystem(rank)
+    assert len(fin.nonzero_roots) == 2 * rank**2
+    assert fin.rank == rank and fin.label == "C"
+    assert fin.short_roots() | fin.long_roots() == fin.nonzero_roots
+    assert {fin.norm(a) for a in fin.short_roots()} == {1}
+    assert {fin.norm(a) for a in fin.long_roots()} == {2}
+    assert len(fin.long_roots()) == 2 * rank
 
 
-@pytest.mark.parametrize("label,rank", sorted(EXPECTED_COUNTS))
-def test_reflection_closure_and_irreducibility(label, rank):
-    fin = build_finite_root_system(label, rank)
+@RANKS
+def test_reflection_closure_and_irreducibility(rank):
+    fin = FiniteRootSystem(rank)
     roots = fin.nonzero_roots
     assert all(fin.reflect(alpha, beta) in roots for alpha in roots for beta in roots)
     assert len(components(roots, lambda a, b: bool(fin.pairing(a, b)))) == 1
     assert len(fin.simple_roots) == rank
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_simple_roots_are_the_lexicographic_base(rank):
+    """The base is the positive roots that are not a sum of two positive roots,
+    positivity read off a functional weighting earlier coordinates heaviest,
+    listed heaviest first: e1-e2, ..., e_{l-1}-e_l, 2e_l."""
+    fin = FiniteRootSystem(rank)
+    weights = [1000 ** (rank - 1 - i) for i in range(rank)]
+    phi = lambda v: sum(x * w for x, w in zip(v, weights))
+    positive = {a for a in fin.nonzero_roots if phi(a) > 0}
+    indecomposable = [
+        a for a in positive if not any(tuple(x - y for x, y in zip(a, b)) in positive for b in positive)
+    ]
+    assert fin.simple_roots == tuple(sorted(indecomposable, key=phi, reverse=True))
+
+
+def test_invalid_rank():
+    for rank in (1, 0):
+        with pytest.raises(ValueError, match="rank must be >= 2"):
+            FiniteRootSystem(rank)
 
 
 def test_components_order_and_membership():
@@ -50,25 +62,21 @@ def test_components_order_and_membership():
     assert components([], lambda a, b: True) == []
 
 
+def _cartan_matrix(fin):
+    """M[i][j] = 2(a_i, a_j)/(a_j, a_j) over the simple roots, as SERRE reads it."""
+    return [[fin.cartan_integer(a, b) for b in fin.simple_roots] for a in fin.simple_roots]
+
+
 def test_cartan_matrix_c2():
-    fin = build_finite_root_system("C", 2)
-    assert fin.cartan_matrix() == [[2, -1], [-2, 2]]
+    assert _cartan_matrix(FiniteRootSystem(2)) == [[2, -1], [-2, 2]]
 
 
 def test_cartan_matrix_c3():
-    fin = build_finite_root_system("C", 3)
-    assert fin.cartan_matrix() == [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
-
-
-def test_cartan_matrix_g2():
-    fin = build_finite_root_system("G", 2)
-    m = fin.cartan_matrix()
-    assert sorted((m[0][1], m[1][0])) == [-3, -1]
-    assert m[0][0] == m[1][1] == 2
+    assert _cartan_matrix(FiniteRootSystem(3)) == [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 
 
 def test_c2_norms_and_cartan_integers():
-    fin = build_finite_root_system("C", 2)
+    fin = FiniteRootSystem(2)
     short = [a for a in fin.nonzero_roots if fin.norm(a) == 1]
     long_ = [a for a in fin.nonzero_roots if fin.norm(a) == 2]
     assert len(short) == 4 and len(long_) == 4
@@ -79,24 +87,8 @@ def test_c2_norms_and_cartan_integers():
             assert abs(c) <= 2
 
 
-def test_bc_reduced_and_extra():
-    fin = build_finite_root_system("BC", 2)
-    assert len(fin.extra_roots()) == 4
-    assert len(fin.reduced_roots()) == 8
-    assert set(fin.extra_roots()) | set(fin.reduced_roots()) == set(fin.nonzero_roots)
-
-
-def test_invalid_labels():
-    with pytest.raises(ValueError):
-        build_finite_root_system("H", 2)
-    with pytest.raises(ValueError):
-        build_finite_root_system("E", 5)
-    with pytest.raises(ValueError):
-        build_finite_root_system("G", 3)
-
-
 def test_root_string_values_in_c2():
-    fin = build_finite_root_system("C", 2)
+    fin = FiniteRootSystem(2)
     # alpha short, beta long: the string beta, beta+alpha, beta+2alpha
     alpha = (1, -1)
     beta = (0, 2)
@@ -130,7 +122,7 @@ def test_root_string_rejects_unbounded():
 
 
 def test_root_string_rejects_an_isotropic_direction():
-    fin = build_finite_root_system("C", 2)
+    fin = FiniteRootSystem(2)
     with pytest.raises(ValueError, match="string direction must be nonisotropic"):
         fin.root_string((0, 2), fin.zero)
 
@@ -147,8 +139,9 @@ def test_root_dataclass_arithmetic():
 
 
 def test_zero_and_containment():
-    fin = build_finite_root_system("A", 2)
-    assert fin.zero == (0, 0, 0) and fin.zero not in fin.nonzero_roots
+    fin = FiniteRootSystem(2)
+    assert fin.zero == (0, 0) and fin.zero not in fin.nonzero_roots
     assert fin.contains(fin.zero)
-    assert fin.contains((1, -1, 0))
-    assert not fin.contains((2, 0, 0))
+    assert fin.contains((1, -1)) and fin.contains((0, -2))
+    assert not fin.contains((1, 0))
+    assert not fin.contains((2, 2))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from ealie.decomp import opposite_brackets
 from ealie.exact_arith import GaussianRational
-from ealie.finroot import build_finite_root_system
+from ealie.finroot import FiniteRootSystem
 from ealie import matlie
 from ealie.linalg import SpanDict, span_equal
 from ealie.matlie import (
@@ -81,7 +81,7 @@ def test_star_involutive_antiautomorphism():
 
 def _degree_slice(ell, q, sigma, real_only=False):
     """skew_root_basis joined over weight 0 and the sorted type-C roots."""
-    weights = [(0,) * ell] + sorted(build_finite_root_system("C", ell).nonzero_roots)
+    weights = [(0,) * ell] + sorted(FiniteRootSystem(ell).nonzero_roots)
     return [x for w in weights for x in skew_root_basis(ell, q, w, sigma, real_only)]
 
 
@@ -115,7 +115,7 @@ def test_skew_root_basis_weights_and_dims():
     ell, q = 2, Q2
     hs = [hdot(ell, q, r) for r in range(ell)]
     for sigma in ((0, 0), (0, 1), (1, 1)):
-        for weight in sorted(build_finite_root_system("C", ell).nonzero_roots):
+        for weight in sorted(FiniteRootSystem(ell).nonzero_roots):
             basis = skew_root_basis(ell, q, weight, sigma)
             long_root = any(abs(v) == 2 for v in weight)
             assert len(basis) == (1 if long_root else 2)
@@ -221,7 +221,7 @@ def _weight_zero_feeds(ell, q, gamma, real_only):
         return matlie.skew_root_basis(ell, q, root.finite, root.lattice, real_only)
 
     box = lattice_box(q.nu, matlie.ZERO_MARGIN)
-    for weights in (sorted(build_finite_root_system("C", ell).nonzero_roots), [(0,) * ell]):
+    for weights in (sorted(FiniteRootSystem(ell).nonzero_roots), [(0,) * ell]):
         yield opposite_brackets(piece, matlie.mat_bracket, weights, gamma, box)
 
 

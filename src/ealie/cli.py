@@ -28,14 +28,6 @@ from .reporting import AxiomReport, CheckResult
 
 __all__ = ["main", "run"]
 
-CONSTRUCTIONS = (
-    "quantum-torus",
-    "affinized",
-    "sp-classical",
-    "sqrt-extension",
-    "cocycle-extension",
-)
-
 SUITE_ORDER = ("T", "D", "EARS", "SERRE", "TAME", "PROPS", "CON")
 
 ALLOWED_SUITES = {
@@ -45,6 +37,7 @@ ALLOWED_SUITES = {
     "sqrt-extension": ("T", "SERRE", "TAME", "PROPS", "EARS"),
     "cocycle-extension": ("CON",),
 }
+CONSTRUCTIONS = tuple(ALLOWED_SUITES)
 
 
 def _parse_q(parser, nu, text):
@@ -126,11 +119,6 @@ def _parse_suites(parser, construction, text):
     return [s for s in SUITE_ORDER if s in picked]
 
 
-def _rank(args):
-    """The finite rank of the field-extension builds: --rank, else --ell."""
-    return args.rank if args.rank is not None else args.ell
-
-
 def _instance_meta(args, extra=None):
     meta = {
         "construction": args.construction,
@@ -142,7 +130,7 @@ def _instance_meta(args, extra=None):
     if args.construction in ("quantum-torus", "affinized", "cocycle-extension"):
         meta["q_upper"] = args.q or ""
     if args.construction in ("sp-classical", "sqrt-extension"):
-        meta["rank"] = _rank(args)
+        meta["rank"] = args.ell
         meta["nu"] = 0
     if args.construction == "sqrt-extension":
         meta["type"] = FiniteRootSystem.label
@@ -165,13 +153,11 @@ def _build_algebra(parser, args):
             base = TorusMatrixAlgebra(args.ell, q, derived=not args.underived)
             return affinize(base), base
         if c == "sp-classical":
-            rank = _rank(args)
-            alg = TorusMatrixAlgebra(rank, SignMatrix(0), real_only=True)
+            alg = TorusMatrixAlgebra(args.ell, SignMatrix(0), real_only=True)
             return alg, alg
         if c == "sqrt-extension":
-            rank = _rank(args)
             primes = _parse_primes(parser, args.primes or "2,3")
-            alg = SqrtExtensionAlgebra(rank, primes)
+            alg = SqrtExtensionAlgebra(args.ell, primes)
             return alg, None
     except ValueError as err:
         parser.error(str(err))
@@ -328,11 +314,10 @@ def _cmd_list(parser, args):
 
 def _add_common(sp):
     sp.add_argument("--construction", choices=CONSTRUCTIONS, default="affinized")
-    sp.add_argument("--ell", type=_at_least(MIN_RANK), default=2, help="matrix rank l (C_l, >= 2)")
+    sp.add_argument("--ell", "--rank", type=_at_least(MIN_RANK), default=2,
+                    help="matrix rank l, the finite type C_l (>= 2)")
     sp.add_argument("--nu", type=_at_least(0), default=0, help="lattice rank (>= 0)")
     sp.add_argument("--q", default="", help="strict upper triangle of q, comma-separated ±1")
-    sp.add_argument("--rank", type=_at_least(MIN_RANK), default=None,
-                    help="finite rank for field-extension builds (>= 2; default --ell)")
     sp.add_argument("--window", type=_at_least(0), default=1, help="lattice window max-norm bound (>= 0)")
     sp.add_argument("--primes", type=_names_some("prime"), default=None,
                     help="comma-separated primes for the field extension (default 2,3)")

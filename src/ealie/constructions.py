@@ -17,7 +17,14 @@ Four families:
 
 from fractions import Fraction
 
-from .exact_arith import SqrtFieldElement, rational, sqrt_coeff_product, sqrt_pairing
+from .exact_arith import (
+    SqrtFieldElement,
+    prime_factors,
+    rational,
+    sqrt_coeff_product,
+    sqrt_pairing,
+    square_free_products,
+)
 from .finroot import FiniteRootSystem
 from .matlie import (
     LieElement,
@@ -104,8 +111,6 @@ class TorusMatrixAlgebra:
     construction = "quantum-torus"
 
     def __init__(self, ell, q, derived=True, real_only=False):
-        if ell < 2:
-            raise ValueError("matrix rank l must be >= 2")
         self.ell = ell
         self.q = q
         self.nu = q.nu
@@ -573,17 +578,6 @@ class SqrtMatrix(SparseMatrix):
         return out
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 class SqrtExtensionAlgebra:
     """sp_{2l}(Q) tensored with Q(sqrt p : p in primes); nullity 0, type C_l.
 
@@ -596,17 +590,13 @@ class SqrtExtensionAlgebra:
     construction = "sqrt-extension"
 
     def __init__(self, ell, primes):
-        if ell < 2:
-            raise ValueError("matrix rank l must be >= 2")
         primes = tuple(sorted(primes))
-        if len(set(primes)) != len(primes) or not all(_is_prime(p) for p in primes):
+        # p is prime exactly when it is its only prime factor
+        if len(set(primes)) != len(primes) or not all(prime_factors(p) == [p] for p in primes):
             raise ValueError("primes must be distinct prime numbers")
         self.ell = ell
         self.primes = primes
-        keys = [1]
-        for p in primes:
-            keys = keys + [k * p for k in keys]
-        self.keys = tuple(sorted(keys))
+        self.keys = tuple(square_free_products(primes))
         self.nu = 0
         self.fin = FiniteRootSystem(ell)
         self._trivial_q = SignMatrix(0)

@@ -54,6 +54,9 @@ __all__ = [
     "centralizer_candidates",
 ]
 
+# Terms of exp(ad u) after which a still-nonzero term raises NilpotencyError.
+EXP_AD_CAP = 24
+
 
 class DecompositionError(AssertionError):
     """A claimed graded slice failed exact verification."""
@@ -281,21 +284,19 @@ def sl2_search(win, root, x):
     return combine(ys, sol, win.alg.zero())
 
 
-def sl2_triple(win, root, x=None):
+def sl2_triple(win, root):
     """An exact sl2 triple (e, h, f) through the slice at a nonisotropic root.
 
-    e = x (default: first basis vector), h = 2 t_root/(root, root), f the
+    e is the slice's first basis vector, h = 2 t_root/(root, root), f the
     solved partner rescaled; the defining relations are re-verified exactly.
     """
     nn = win.norm(root)
     if not nn:
         raise SL2Error(f"{root} is isotropic")
-    if x is None:
-        x = win.basis(root)[0]
-    y = sl2_search(win, root, x)
+    e = win.basis(root)[0]
+    y = sl2_search(win, root, e)
     if y is None:
         raise SL2Error(f"no partner for the chosen vector at {root}")
-    e = x
     h = win.rep_t(root) * Fraction(2, 1) * (1 / nn)
     f = y * Fraction(2, 1) * (1 / nn)
     checks = (
@@ -345,7 +346,7 @@ def normalized_pair(win, xs, ys, target, free=()):
     return None
 
 
-def exp_ad(alg, u, z, cap=24):
+def exp_ad(alg, u, z):
     """exp(ad u) applied to z, with exact factorials; u must act nilpotently."""
     acc = z
     term = z
@@ -355,28 +356,25 @@ def exp_ad(alg, u, z, cap=24):
         term = alg.bracket(u, term) * Fraction(1, k)
         if term.is_zero():
             return acc
-        if k > cap:
-            raise NilpotencyError(f"ad-exponential did not terminate within {cap} steps")
+        if k > EXP_AD_CAP:
+            raise NilpotencyError(f"ad-exponential did not terminate within {EXP_AD_CAP} steps")
         acc = acc + term
 
 
-def theta_automorphism(win, root, t=Fraction(1), x=None):
-    """The inner automorphism exp(ad t e) exp(ad -t^{-1} f) exp(ad t e).
+def theta_automorphism(win, root):
+    """The inner automorphism exp(ad e) exp(ad -f) exp(ad e).
 
-    Built on an exact sl2 triple at the given nonisotropic root; returns a
-    callable on algebra elements.  It maps each slice onto the slice at the
-    reflected root, which the axiom checks verify exactly.
+    Built on the exact sl2 triple ``sl2_triple(win, root)`` at the given
+    nonisotropic root; returns a callable on algebra elements.  It maps each
+    slice onto the slice at the reflected root.  No suite calls it; acceptance
+    criterion 10 (``tests/test_acceptance.py``) checks that mapping exactly.
     """
-    t = Fraction(t)
-    if not t:
-        raise ValueError("parameter must be invertible")
-    e, _, f = sl2_triple(win, root, x=x)
+    e, _, f = sl2_triple(win, root)
     alg = win.alg
-    te = e * t
-    tf = f * (-1 / t)
+    minus_f = f * -1
 
     def theta(z):
-        return exp_ad(alg, te, exp_ad(alg, tf, exp_ad(alg, te, z)))
+        return exp_ad(alg, e, exp_ad(alg, minus_f, exp_ad(alg, e, z)))
 
     return theta
 

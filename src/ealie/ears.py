@@ -14,7 +14,7 @@ must satisfy.
 from dataclasses import dataclass
 from operator import add
 
-from .finroot import Root, RootStringError, components, root_string
+from .finroot import STRING_SCAN, Root, RootStringError, components, root_string
 from .kernel import int_rank
 from .linalg import integer_lattice_basis, integer_lattice_member
 from .quantum_torus import lattice_box
@@ -35,10 +35,6 @@ __all__ = [
 
 def _vec(root):
     return tuple(root.finite) + tuple(root.lattice)
-
-
-# Offsets scanned on each side of the base point of a root string.
-STRING_SCAN = 6
 
 
 def first_broken_string(win):

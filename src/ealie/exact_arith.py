@@ -18,9 +18,11 @@ __all__ = [
     "GaussianRational",
     "SqrtFieldElement",
     "is_square_free",
+    "prime_factors",
     "rational",
     "sqrt_coeff_product",
     "sqrt_pairing",
+    "square_free_products",
 ]
 
 def rational(v):
@@ -157,7 +159,8 @@ def is_square_free(n):
     return True
 
 
-def _prime_factors(n):
+def prime_factors(n):
+    """The distinct prime factors of n, ascending; empty when n < 2."""
     out = []
     p = 2
     while p * p <= n:
@@ -170,6 +173,14 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def square_free_products(primes):
+    """Every product of a subset of ``primes`` (distinct primes), ascending; 1 is the empty product."""
+    out = [1]
+    for p in primes:
+        out = out + [b * p for b in out]
+    return sorted(out)
 
 
 def sqrt_coeff_product(a, b, sign=1):
@@ -299,11 +310,7 @@ class SqrtFieldElement:
             raise ZeroDivisionError("inverse of zero")
         if set(self.coeffs) == {1}:
             return SqrtFieldElement({1: Fraction(1) / self.coeffs[1]})
-        primes = sorted({p for a in self.coeffs for p in _prime_factors(a)})
-        basis = [1]
-        for p in primes:
-            basis = basis + [b * p for b in basis]
-        basis.sort()
+        basis = square_free_products({p for a in self.coeffs for p in prime_factors(a)})
         index = {a: i for i, a in enumerate(basis)}
         n = len(basis)
         cols = []

@@ -11,12 +11,15 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add
 
+# Offsets -STRING_SCAN..STRING_SCAN along alpha that a root string is probed at;
+# a string reaching either end is reported as unbounded.
+STRING_SCAN = 6
+
 __all__ = [
     "Root",
     "RootStringError",
     "FiniteRootSystem",
     "components",
-    "reflect_vec",
     "root_string",
     "string_flags",
 ]
@@ -83,21 +86,12 @@ def components(nodes, adjacent):
     return comps
 
 
-def reflect_vec(beta, alpha, pairing):
-    """Reflection w_alpha(beta) = beta - (2(beta,alpha)/(alpha,alpha)) alpha."""
-    c = 2 * pairing(beta, alpha) / pairing(alpha, alpha)
-    if c.denominator != 1:
-        raise ValueError(f"non-integral reflection coefficient {c}")
-    n = int(c)
-    return tuple(b - n * a for b, a in zip(beta, alpha))
-
-
-def string_flags(beta, alpha, member, scan=6):
+def string_flags(beta, alpha, member):
     """The flag list ``root_string`` reads: ``member(beta + n*alpha)`` for
-    -scan <= n <= scan, in that order, probing each point once."""
+    -STRING_SCAN <= n <= STRING_SCAN, in that order, probing each point once."""
     flags = []
-    point = tuple(b - scan * a for b, a in zip(beta, alpha))
-    for _ in range(2 * scan + 1):
+    point = tuple(b - STRING_SCAN * a for b, a in zip(beta, alpha))
+    for _ in range(2 * STRING_SCAN + 1):
         flags.append(member(point))
         point = tuple(map(add, point, alpha))
     return flags
@@ -198,13 +192,17 @@ class FiniteRootSystem:
     # -- reflections -------------------------------------------------------
 
     def reflect(self, alpha, beta):
-        """w_alpha(beta)."""
-        return reflect_vec(beta, alpha, self.pairing)
+        """w_alpha(beta) = beta - (2(beta,alpha)/(alpha,alpha)) alpha."""
+        c = self.cartan_integer(beta, alpha)
+        if c.denominator != 1:
+            raise ValueError(f"non-integral reflection coefficient {c}")
+        n = int(c)
+        return tuple(b - n * a for b, a in zip(beta, alpha))
 
-    def root_string(self, beta, alpha, scan=6):
+    def root_string(self, beta, alpha):
         if not self.norm(alpha):
             raise ValueError("string direction must be nonisotropic")
-        flags = string_flags(beta, alpha, self.contains, scan=scan)
+        flags = string_flags(beta, alpha, self.contains)
         return root_string(beta, alpha, flags, self.cartan_integer(beta, alpha))
 
     def __repr__(self):

@@ -7,6 +7,8 @@ Exponents only matter mod 2 because every q entry squares to 1.
 
 from math import gcd
 
+__all__ = ["g_cocycle", "kappa", "structure_constant", "int_echelon", "int_rank"]
+
 
 def g_cocycle(sigma, tau, q):
     """Bilinear sign g(sigma, tau): product of q[i][j]**(sigma[i]*tau[j]) over i<j."""

@@ -14,7 +14,6 @@ from .kernel import int_echelon, int_rank
 __all__ = [
     "clear_row",
     "rows_rank",
-    "det",
     "solve_dense",
     "nullspace_dense",
     "solve_combination",
@@ -58,29 +57,6 @@ def rows_rank(rows):
     return int_rank([clear_row(r) for r in rows], ncols)
 
 
-def det(rows):
-    """Determinant by exact Gaussian elimination with partial pivoting."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        sel = next((r for r in range(col, n) if a[r][col]), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            sign = -sign
-        p = a[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f:
-                for j in range(col, n):
-                    a[r][j] -= f * a[col][j]
-    return sign * result
-
-
 def solve_dense(a_rows, b):
     """Solve A x = b exactly; returns x (free variables 0) or None if inconsistent.
 
@@ -96,16 +72,7 @@ def solve_dense(a_rows, b):
             raise AssertionError("echelon invariant violated")
         if row[n]:
             return None
-    x = [Fraction(0)] * n
-    for r in range(len(pivots) - 1, -1, -1):
-        row = work[r]
-        pc = pivots[r]
-        acc = Fraction(row[n])
-        for j in range(pc + 1, n):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[pc] = acc / row[pc]
-    return x
+    return _back_substitute(work, pivots, [Fraction(0)] * n, [row[n] for row in work])
 
 
 def nullspace_dense(a_rows, ncols):
@@ -119,16 +86,26 @@ def nullspace_dense(a_rows, ncols):
             continue
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            row = work[r]
-            pc = pivots[r]
-            acc = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if row[j] and x[j]:
-                    acc -= row[j] * x[j]
-            x[pc] = acc / row[pc]
-        basis.append(x)
+        basis.append(_back_substitute(work, pivots, x, [0] * len(pivots)))
     return basis
+
+
+def _back_substitute(work, pivots, x, rhs):
+    """Fill the pivot entries of x from the echelon rows ``work``, last pivot first.
+
+    Row r reads sum_j work[r][j] * x[j] = rhs[r] over the len(x) columns; the
+    entries of x at non-pivot columns are the caller's and stay as given.
+    """
+    n = len(x)
+    for r in range(len(pivots) - 1, -1, -1):
+        row = work[r]
+        pc = pivots[r]
+        acc = Fraction(rhs[r])
+        for j in range(pc + 1, n):
+            if row[j] and x[j]:
+                acc -= row[j] * x[j]
+        x[pc] = acc / row[pc]
+    return x
 
 
 def _key_union(vecs, extra=()):
@@ -256,11 +233,23 @@ def gram_nonsingular(gram):
 
 
 def gram_positive_definite(gram):
-    """Sylvester test: all leading principal minors strictly positive."""
-    n = len(gram)
-    for k in range(1, n + 1):
-        if det([row[:k] for row in gram[:k]]) <= 0:
+    """True when a symmetric Fraction matrix is positive definite.
+
+    Symmetric elimination without row exchanges: the k-th pivot is the ratio
+    of the k-th to the (k-1)-th leading principal minor, so every pivot is
+    positive exactly when every leading minor is (Sylvester's criterion).
+    """
+    a = [[Fraction(x) for x in row] for row in gram]
+    n = len(a)
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
             return False
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
     return True
 
 

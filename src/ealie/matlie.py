@@ -104,16 +104,12 @@ def e_mat(ell, q, p, r, sigma=None, coeff=1):
 
 def hdot(ell, q, r, sigma=None, coeff=1):
     """Diagonal weight generator e_rr - e_{l+r,l+r} (times t^sigma)."""
-    return e_mat(ell, q, r, r, sigma, coeff) + e_mat(ell, q, ell + r, ell + r, sigma, -1 * _as_gauss(coeff))
+    return e_mat(ell, q, r, r, sigma, coeff) + e_mat(ell, q, ell + r, ell + r, sigma, -coeff)
 
 
 def hddot(ell, q, r, sigma=None, coeff=1):
     """Diagonal trace-type generator e_rr + e_{l+r,l+r} (times t^sigma)."""
     return e_mat(ell, q, r, r, sigma, coeff) + e_mat(ell, q, ell + r, ell + r, sigma, coeff)
-
-
-def _as_gauss(c):
-    return c if isinstance(c, GaussianRational) else GaussianRational(c)
 
 
 def big_e(ell, q):

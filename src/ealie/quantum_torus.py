@@ -29,6 +29,7 @@ __all__ = [
     "structure_constant",
     "epsilon",
     "torus_form",
+    "lattice_box",
     "unit_degrees",
 ]
 

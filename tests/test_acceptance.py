@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ealie.axioms import check_D, check_props, check_T, serre_check, tameness_check
+from ealie.axioms import check_D, check_T, serre_check, tameness_check
 from ealie.constructions import TorusMatrixAlgebra, affinize
 from ealie.decomp import (
     core_and_center_window,
@@ -23,7 +23,7 @@ from ealie.decomp import (
     graded_pieces,
     theta_automorphism,
 )
-from ealie.ears import check_ears_axioms, support_checks, support_sets
+from ealie.ears import check_ears_axioms, support_checks
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import Root, root_string, string_flags
 from ealie.linalg import SpanDict, span_equal

@@ -419,11 +419,12 @@ def test_form_symmetry_witness_is_first_root(sp4_win):
     assert sym.witness == {"root": Root(finite=(-2, 0), lattice=())}
 
 
-def test_T4_enforces_nilpotency_bound(sp4_win):
+def test_T4_enforces_nilpotency_bound(monkeypatch, sp4_win):
     t4 = next(r for r in check_T(sp4_win, seed=1).results if r.name == "T4-locally-nilpotent")
     assert t4.passed
     assert "longest chain 3 (bound 9, cap 17)" in t4.detail
-    report = check_T(sp4_win, seed=1, nilpotency_bound=2)
+    monkeypatch.setattr(axioms, "NILPOTENCY_BOUND", 2)
+    report = check_T(sp4_win, seed=1)
     t4 = next(r for r in report.results if r.name == "T4-locally-nilpotent")
     assert not t4.passed
     assert t4.witness["chain_length"] == 3

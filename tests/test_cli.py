@@ -102,12 +102,19 @@ def test_negative_nu_rejected(capsys):
 @pytest.mark.parametrize("rank", ["0", "1"])
 def test_rank_below_minimum_rejected(capsys, rank):
     err = _usage_error(capsys, ["check", "--construction", "sp-classical", "--rank", rank])
-    assert "argument --rank: must be an integer >= 2" in err
+    assert "argument --ell/--rank: must be an integer >= 2" in err
+
+
+def test_rank_is_a_second_spelling_of_ell(capsys):
+    argv = ["ears", "--construction", "sqrt-extension"]
+    by_rank = _run(capsys, argv + ["--rank", "3"])
+    assert by_rank == _run(capsys, argv + ["--ell", "3"])
+    assert json.loads(by_rank[1])["instance"]["ell"] == 3
 
 
 def test_ell_below_minimum_rejected(capsys):
     err = _usage_error(capsys, ["check", "--construction", "cocycle-extension", "--ell", "1"])
-    assert "argument --ell: must be an integer >= 2" in err
+    assert "argument --ell/--rank: must be an integer >= 2" in err
 
 
 def test_cocycle_export_rejected(capsys):
@@ -240,7 +247,7 @@ PINNED_REPORTS = [
     # three primes: products such as sqrt6 * sqrt10 = 2 sqrt15 reach the report;
     # its T1 invariance is sampled (2,000 of 158,208 triples, seed 0)
     ("check --construction sqrt-extension --rank 3 --primes 2,3,5", 0,
-     "ff810c8a5901e3c826fac377e63978ae774ff74fe5c2347dac00246332304702"),
+     "fdd5895814163893bce1aeeb2b85ed1b9b10afc5dd9189320cd31182bbf548be"),
     # underived at nullity 1: D8, TAME and PROPS witnesses from the affinized path
     ("check --construction affinized --nu 1 --window 1 --underived", 1,
      "8ec2ab1cc607c17f8ab62c7118e76db8f5ceb1c1b4839211c1169f92086dcf2a"),

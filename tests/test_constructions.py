@@ -264,6 +264,8 @@ def test_sqrt_extension_validation():
         SqrtExtensionAlgebra(2, (4, 3))
     with pytest.raises(ValueError):
         SqrtExtensionAlgebra(2, (3, 3))
+    with pytest.raises(ValueError):
+        SqrtExtensionAlgebra(1, (2,))
 
 
 def test_sqrt_extension_shape(sqrt_alg, sqrt_win):

@@ -193,7 +193,7 @@ def test_string_flags_are_the_member_probes(monkeypatch, request, name):
     assert all(a.finite + a.lattice in alphas or (-a).finite + (-a).lattice in alphas
                for a in win.nonisotropic_roots())
     for beta, alpha, flags in seen:
-        assert flags == string_flags(beta, alpha, win.member, scan=STRING_SCAN), (beta, alpha)
+        assert flags == string_flags(beta, alpha, win.member), (beta, alpha)
 
 
 def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):

@@ -1,6 +1,8 @@
-"""Layering: the generic modules never import the concrete matrix algebras."""
+"""Layering: the generic modules never import the concrete matrix algebras,
+and every module's ``__all__`` is exactly its public surface."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,21 @@ def test_imported_modules_reads_every_import_form(tmp_path):
 @pytest.mark.parametrize("module", GENERIC)
 def test_generic_module_does_not_import_matrix_algebras(module):
     assert not imported_modules(PACKAGE / f"{module}.py") & CONCRETE
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_lists_every_public_definition(module):
+    """``__all__`` names only what exists and lists every public top-level def or class."""
+    mod = importlib.import_module("ealie" if module == "__init__" else f"ealie.{module}")
+    exported = getattr(mod, "__all__", None)
+    assert exported is not None, f"{mod.__name__} has no __all__"
+    assert [n for n in exported if not hasattr(mod, n)] == []
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    public = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert [n for n in public if n not in exported] == []

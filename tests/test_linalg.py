@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
 
+from ealie.finroot import FiniteRootSystem
 from ealie.linalg import (
     SpanDict,
-    det,
     gram_nonsingular,
     gram_positive_definite,
     integer_lattice_basis,
@@ -42,11 +42,9 @@ def test_nullspace_dense():
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
 
 
-def test_rows_rank_and_det():
+def test_rows_rank():
     assert rows_rank([[1, 2], [2, 4]]) == 1
     assert rows_rank([[1, 0], [0, 1]]) == 2
-    assert det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == 1
-    assert det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
 
 
 def test_span_dict_add_and_dim():
@@ -87,6 +85,14 @@ def test_gram_predicates():
     assert gram_positive_definite([[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]])
     assert not gram_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
     assert not gram_positive_definite([[Fraction(0)]])
+    for rank in (2, 3, 4):
+        fin = FiniteRootSystem(rank)
+        simple = fin.simple_roots
+        assert gram_positive_definite([[fin.pairing(a, b) for b in simple] for a in simple])
+    # leading minors 2 and 3, determinant -5
+    assert not gram_positive_definite([[2, 1, 1], [1, 2, 1], [1, 1, -1]])
+    # the second pivot is zero; the determinant is -1
+    assert not gram_positive_definite([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
 
 
 def test_integer_lattice_even_sum():

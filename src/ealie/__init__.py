@@ -27,7 +27,7 @@ from .decomp import (
     theta_automorphism,
 )
 from .ears import check_ears_axioms, check_semilattice, support_checks, support_sets
-from .finroot import FiniteRootSystem, Root, root_string, string_flags
+from .finroot import FiniteRootSystem, Root, root_string
 from .quantum_torus import SignMatrix, TorusElement
 from .reporting import AxiomReport, CheckResult
 
@@ -65,7 +65,6 @@ __all__ = [
     "root_string",
     "serre_check",
     "sl2_triple",
-    "string_flags",
     "support_checks",
     "support_sets",
     "tameness_check",

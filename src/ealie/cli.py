@@ -39,6 +39,16 @@ ALLOWED_SUITES = {
 }
 CONSTRUCTIONS = tuple(ALLOWED_SUITES)
 
+# Options each construction never reads; setting one to anything but its
+# default is a usage error, so a report never shows a value that was not used.
+UNREAD_OPTIONS = {
+    "quantum-torus": ("primes",),
+    "affinized": ("primes",),
+    "sp-classical": ("nu", "q", "primes", "underived"),
+    "sqrt-extension": ("nu", "q", "underived"),
+    "cocycle-extension": ("window", "seed", "primes", "underived"),
+}
+
 
 def _parse_q(parser, nu, text):
     entries = []
@@ -131,7 +141,6 @@ def _instance_meta(args, extra=None):
         meta["q_upper"] = args.q or ""
     if args.construction in ("sp-classical", "sqrt-extension"):
         meta["rank"] = args.ell
-        meta["nu"] = 0
     if args.construction == "sqrt-extension":
         meta["type"] = FiniteRootSystem.label
         meta["primes"] = args.primes or "2,3"
@@ -351,6 +360,11 @@ def main(argv=None):
     sub.add_parser("list-constructions", help="list constructions and their suites")
 
     args = parser.parse_args(argv)
+    if args.command != "list-constructions":
+        defaults = sub.choices[args.command]
+        for name in UNREAD_OPTIONS[args.construction]:
+            if getattr(args, name) != defaults.get_default(name):
+                parser.error(f"--{name} is not read by construction {args.construction}")
     if args.command == "check":
         return _cmd_check(parser, args)
     if args.command == "export":

@@ -102,10 +102,8 @@ class TorusMatrixAlgebra:
 
     ``derived`` selects G = [B, B] (only the weight-0 slices shrink);
     ``real_only`` restricts coefficients to the rationals, which at nu = 0
-    yields sp_{2l}(Q) exactly.  Weight-0 derived slices are produced by the
-    exact spanning computation of zero_root_component;
-    ``zero_component(sigma)`` keeps that computation's closed-form
-    cross-check flag.
+    yields sp_{2l}(Q) exactly.  Weight-0 derived slices are the closed forms
+    zero_root_component checks by exact spanning, computed once per degree.
     """
 
     construction = "quantum-torus"
@@ -117,7 +115,7 @@ class TorusMatrixAlgebra:
         self.derived = derived
         self.real_only = real_only
         self.fin = FiniteRootSystem(ell)
-        self._zero_components = {}
+        self._zero_bases = {}
 
     # -- element basics ------------------------------------------------------
 
@@ -135,19 +133,16 @@ class TorusMatrixAlgebra:
 
     # -- grading -------------------------------------------------------------
 
-    def zero_component(self, sigma):
-        comp = self._zero_components.get(sigma)
-        if comp is None:
-            comp = zero_root_component(self.ell, self.q, sigma, real_only=self.real_only)
-            self._zero_components[sigma] = comp
-        return comp
-
     def root_piece(self, root):
         weight = tuple(root.finite)
         sigma = tuple(root.lattice)
         if not any(weight):
             if self.derived:
-                return tuple(self.zero_component(sigma).basis)
+                basis = self._zero_bases.get(sigma)
+                if basis is None:
+                    basis = self._zero_bases[sigma] = zero_root_component(
+                        self.ell, self.q, sigma, real_only=self.real_only)
+                return basis
             return tuple(skew_root_basis(self.ell, self.q, weight, sigma, self.real_only))
         if weight not in self.fin.nonzero_roots:
             return ()

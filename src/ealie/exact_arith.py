@@ -9,7 +9,7 @@ rationals int-first (see ``rational``).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .linalg import solve_dense
 from .sparse import sparse_add
@@ -146,17 +146,7 @@ class GaussianRational:
 
 def is_square_free(n):
     """True when n >= 1 and no prime square divides n."""
-    if n < 1:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-        else:
-            p += 1
-    return True
+    return n >= 1 and prod(prime_factors(n)) == n
 
 
 def prime_factors(n):

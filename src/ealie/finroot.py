@@ -9,7 +9,6 @@ product).  Zero is always treated as a member alongside the nonzero roots.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import add
 
 # Offsets -STRING_SCAN..STRING_SCAN along alpha that a root string is probed at;
 # a string reaching either end is reported as unbounded.
@@ -21,7 +20,6 @@ __all__ = [
     "FiniteRootSystem",
     "components",
     "root_string",
-    "string_flags",
 ]
 
 
@@ -86,23 +84,11 @@ def components(nodes, adjacent):
     return comps
 
 
-def string_flags(beta, alpha, member):
-    """The flag list ``root_string`` reads: ``member(beta + n*alpha)`` for
-    -STRING_SCAN <= n <= STRING_SCAN, in that order, probing each point once."""
-    flags = []
-    point = tuple(b - STRING_SCAN * a for b, a in zip(beta, alpha))
-    for _ in range(2 * STRING_SCAN + 1):
-        flags.append(member(point))
-        point = tuple(map(add, point, alpha))
-    return flags
-
-
 def root_string(beta, alpha, flags, c):
     """Verify the alpha-string through beta and return (d, u).
 
     ``flags[scan + n]`` is the membership of beta + n*alpha for -scan <= n <=
-    scan, so a list of 2*scan + 1 flags (``string_flags`` builds it from a
-    membership callable; zero must count as a member).  The string
+    scan, so a list of 2*scan + 1 flags (zero must count as a member).  The string
     {beta + n*alpha : -d <= n <= u} must be an unbroken interval within the
     scan range, must not re-enter after leaving, must not touch the scan
     boundary, and must satisfy d - u = c, where c is the exact Cartan number
@@ -198,12 +184,6 @@ class FiniteRootSystem:
             raise ValueError(f"non-integral reflection coefficient {c}")
         n = int(c)
         return tuple(b - n * a for b, a in zip(beta, alpha))
-
-    def root_string(self, beta, alpha):
-        if not self.norm(alpha):
-            raise ValueError("string direction must be nonisotropic")
-        flags = string_flags(beta, alpha, self.contains)
-        return root_string(beta, alpha, flags, self.cartan_integer(beta, alpha))
 
     def __repr__(self):
         return f"FiniteRootSystem({self.label}{self.rank}, {len(self.nonzero_roots)} nonzero roots)"

@@ -10,17 +10,18 @@ The diagonal coefficient subalgebra spanned by h_r = e_rr - e_{l+r,l+r} acts
 diagonally; nonzero weights form the type-C root system of rank l, and each
 nonzero-weight, fixed-degree slice of B is at most 2-dimensional with an
 explicit basis (one real, one imaginary generator).  Weight-0 slices of the
-derived algebra need an actual spanning computation; zero_root_component
-spans the opposite-weight brackets (``decomp.opposite_brackets``) over the box
-of max-norm ZERO_MARGIN, nonzero weights first and then weight 0, until the
-span fills B's weight-0 slice, and cross-checks a closed-form four-case
-description.
+derived algebra have a four-case closed form; zero_root_component returns it
+once an exact spanning computation agrees with it, and raises
+DecompositionError otherwise.  That computation spans the opposite-weight
+brackets (``decomp.opposite_brackets``) over the box of max-norm ZERO_MARGIN,
+nonzero weights first and then weight 0, until the span fills B's weight-0
+slice.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .decomp import opposite_brackets
+from .decomp import DecompositionError, opposite_brackets
 from .exact_arith import GaussianRational
 from .finroot import FiniteRootSystem
 from .linalg import SpanDict, span_equal
@@ -37,7 +38,6 @@ __all__ = [
     "mat_bracket",
     "trace_form",
     "skew_root_basis",
-    "ZeroWeightComponent",
     "zero_root_component",
 ]
 
@@ -214,24 +214,6 @@ def skew_root_basis(ell, q, weight, sigma, real_only=False):
 ZERO_MARGIN = 1
 
 
-@dataclass(frozen=True)
-class ZeroWeightComponent:
-    """Weight-0 slice of the derived algebra at a fixed degree.
-
-    ``dim``/``basis`` come from the authoritative spanning computation;
-    ``closed_form_match`` records whether the four-case closed form agrees
-    exactly.  ``nonzero_pair_dim`` spans only the brackets through nonzero
-    weights; ``dim`` adds the weight-0 x weight-0 brackets.
-    """
-
-    gamma: tuple
-    basis: tuple
-    dim: int
-    case: str
-    closed_form_match: bool
-    nonzero_pair_dim: int
-
-
 def _closed_form_case(ell, q, gamma):
     """Four-case description of the weight-0 derived slice at degree gamma."""
     nu = q.nu
@@ -266,62 +248,41 @@ def _closed_form_case(ell, q, gamma):
 
 
 def zero_root_component(ell, q, gamma, real_only=False):
-    """Weight-0 slice of the derived algebra at degree gamma, by exact spanning.
+    """Basis of the weight-0 slice of the derived algebra at degree gamma.
 
-    Spans the brackets [B_w^s, B_{-w}^{gamma-s}] over all nonzero weights w
-    and all s in the box of max-norm ZERO_MARGIN, then the weight-0 x
-    weight-0 brackets, which make it the honest derived-algebra slice; the
-    equality of the two spans is a checked theorem, not an assumption.  Every
-    such bracket lies in B's weight-0 slice at gamma, the ceiling.  So once
-    every vector that grew the span lies in the ceiling's span and the span
-    has the ceiling's dimension, the span is the whole ceiling, no later
-    bracket can grow it, and the scan stops; the weight-0 x weight-0 feed is
-    then skipped, since the ceiling bounds it.  After a vector from outside
-    the ceiling, everything is scanned.  The spanning result is
-    authoritative; the four-case closed form is cross-checked and any
-    mismatch is reported through closed_form_match.
+    The basis is the four-case closed form (``_closed_form_case``), checked by
+    exact spanning before it is returned.  The scan spans the brackets
+    [B_w^s, B_{-w}^{gamma-s}] over all nonzero weights w and all s in the box
+    of max-norm ZERO_MARGIN, then the weight-0 x weight-0 brackets, which make
+    it the honest derived-algebra slice.  Every such bracket lies in B's
+    weight-0 slice at gamma, the ceiling.  So once every vector that grew the
+    span lies in the ceiling's span and the span has the ceiling's dimension,
+    the span is the whole ceiling, no later bracket can grow it, and the scan
+    stops; the weight-0 x weight-0 brackets are then never formed.  After a
+    vector from outside the ceiling, everything is scanned.  A closed form
+    whose span differs from the scanned span raises DecompositionError.
     """
     gamma = tuple(gamma)
     zero = (0,) * ell
     ceiling = SpanDict(x.coords() for x in skew_root_basis(ell, q, zero, gamma, real_only))
     span = SpanDict()
-    greedy = []
     inside = True
 
     def piece(root):
         return skew_root_basis(ell, q, root.finite, root.lattice, real_only)
 
     box = lattice_box(q.nu, ZERO_MARGIN)
-
-    def full():
-        return inside and span.dim == ceiling.dim
-
-    def feed(weights):
-        nonlocal inside
-        if full():
-            return
-        for b in opposite_brackets(piece, mat_bracket, weights, gamma, box):
-            coords = b.coords()
-            if span.add(coords):
-                greedy.append(b)
-                inside = inside and ceiling.contains(coords)
-                if full():
-                    return
-
-    feed(sorted(FiniteRootSystem(ell).nonzero_roots))
-    nonzero_pair_dim = span.dim
-    feed([zero])
+    feeds = (sorted(FiniteRootSystem(ell).nonzero_roots), [zero])
+    for b in chain.from_iterable(opposite_brackets(piece, mat_bracket, weights, gamma, box)
+                                 for weights in feeds):
+        coords = b.coords()
+        if span.add(coords):
+            inside = inside and ceiling.contains(coords)
+            if inside and span.dim == ceiling.dim:
+                break
 
     case, real, imag = _closed_form_case(ell, q, gamma)
-    closed = real if real_only else real + imag
-    closed_span = SpanDict(el.coords() for el in closed)
-    match = span_equal(span, closed_span)
-    basis = tuple(closed) if match else tuple(greedy)
-    return ZeroWeightComponent(
-        gamma=gamma,
-        basis=basis,
-        dim=span.dim,
-        case=case,
-        closed_form_match=match,
-        nonzero_pair_dim=nonzero_pair_dim,
-    )
+    closed = tuple(real if real_only else real + imag)
+    if not span_equal(span, SpanDict(el.coords() for el in closed)):
+        raise DecompositionError(f"weight-0 derived slice at {gamma} is not spanned by its closed form ({case})")
+    return closed

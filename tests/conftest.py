@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ealie import matlie
 from ealie.constructions import SqrtExtensionAlgebra, TorusMatrixAlgebra, affinize
 from ealie.decomp import core_and_center_window, decompose_window
 from ealie.quantum_torus import SignMatrix
@@ -17,6 +18,19 @@ Q_TRIVIAL = SignMatrix(0)
 def assert_int_first(v):
     """An exact rational stored canonically: an int, or a Fraction that is not integral."""
     assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
+@pytest.fixture
+def wrong_closed_form(monkeypatch):
+    """Weight-0 closed forms whose real part misses its last vector, so they
+    span less than the slice."""
+    closed_form_case = matlie._closed_form_case
+
+    def wrong(ell, q, gamma):
+        case, real, imag = closed_form_case(ell, q, gamma)
+        return case, real[:-1], imag
+
+    monkeypatch.setattr(matlie, "_closed_form_case", wrong)
 
 
 @pytest.fixture(scope="session")

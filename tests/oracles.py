@@ -16,6 +16,8 @@ The root-string oracle is the literal double loop of the EARS R4 axiom:
 every nonisotropic alpha against every root beta, each offset of the string
 probed through ``literal_member``, with no box intervals, masks or skipped
 negatives; only the string rule itself, ``finroot.root_string``, is shared.
+``probe_flags`` builds the flag list that rule reads from any membership
+callable.
 
 The weight-0 span oracle is the literal spanning loop behind
 ``matlie.zero_root_component``: every slice pair in both orientations, each
@@ -75,6 +77,12 @@ def literal_member(win, root):
     if all(abs(v) <= win.w for v in root.lattice):
         return False
     return root.finite == win.fin.zero or root.finite in win.fin.nonzero_roots
+
+
+def probe_flags(member, beta, alpha, scan):
+    """The flag list ``root_string`` reads: ``member(beta + n*alpha)`` for
+    -scan <= n <= scan, in that order, on integer vectors."""
+    return [member(tuple(b + n * a for b, a in zip(beta, alpha))) for n in range(-scan, scan + 1)]
 
 
 def literal_first_broken_string(win, scan):

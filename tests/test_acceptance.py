@@ -25,10 +25,11 @@ from ealie.decomp import (
 )
 from ealie.ears import check_ears_axioms, support_checks
 from ealie.exact_arith import GaussianRational
-from ealie.finroot import Root, root_string, string_flags
+from ealie.finroot import STRING_SCAN, Root, root_string
 from ealie.linalg import SpanDict, span_equal
 from ealie.matlie import (
     LieElement,
+    _closed_form_case,
     e_mat,
     hdot,
     mat_bracket,
@@ -45,6 +46,7 @@ from ealie.quantum_torus import (
 )
 
 from conftest import Q_MIXED
+from oracles import literal_zero_span, probe_flags
 
 _I = GaussianRational(0, 1)
 
@@ -232,7 +234,7 @@ def test_criterion_09_root_strings(torus_win2):
                 vb = tuple(beta.finite) + tuple(beta.lattice)
                 c = 2 * win.pairing(beta, alpha) / nn
                 assert c.denominator == 1 and abs(c) <= 4, (beta, alpha, c)
-                d, u = root_string(vb, va, string_flags(vb, va, win.member), c)
+                d, u = root_string(vb, va, probe_flags(win.member, vb, va, STRING_SCAN), c)
                 assert d - u == c, (beta, alpha)
 
 
@@ -329,10 +331,12 @@ def test_criterion_14_zero_weight_four_cases():
             "odd degree, no even-product property": 3,
         }
         for gamma in lattice_box(2, 2):
-            comp = zero_root_component(2, q, gamma)
-            assert comp.closed_form_match, gamma
-            assert comp.dim == len(comp.basis)
-            assert comp.nonzero_pair_dim == comp.dim, gamma
-            assert comp.dim == table[comp.case], (gamma, comp.case)
+            basis = zero_root_component(2, q, gamma)
+            case = _closed_form_case(2, q, gamma)[0]
+            span, _, nonzero_pair_dim = literal_zero_span(2, q, gamma, 1)
+            assert span_equal(span, SpanDict(b.coords() for b in basis)), gamma
+            assert len(basis) == span.dim
+            assert nonzero_pair_dim == span.dim, gamma
+            assert span.dim == table[case], (gamma, case)
             kappas.add(kappa(gamma, q))
         assert kappas == {1, -1}

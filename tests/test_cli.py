@@ -65,6 +65,24 @@ def test_type_option_rejected(capsys, argv):
     assert "unrecognized arguments: --type" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--construction", "quantum-torus", "--nu", "1", "--primes", "7"], "primes"),
+    (["--construction", "affinized", "--primes", "7", "--suites", "SERRE"], "primes"),
+    (["--construction", "sp-classical", "--nu", "2", "--q", "-1", "--suites", "SERRE"], "nu"),
+    (["--construction", "sqrt-extension", "--underived", "--suites", "SERRE"], "underived"),
+    (["--construction", "cocycle-extension", "--window", "5"], "window"),
+], ids=["quantum-torus", "affinized", "sp-classical", "sqrt-extension", "cocycle-extension"])
+def test_option_a_construction_never_reads_rejected(capsys, argv, option):
+    # the report would otherwise show a value the run never used
+    err = _usage_error(capsys, ["check"] + argv)
+    assert f"--{option} is not read by construction {argv[1]}" in err
+
+
+def test_unread_option_at_its_default_accepted(capsys):
+    argv = ["check", "--construction", "cocycle-extension", "--nu", "1"]
+    assert _run(capsys, argv + ["--window", "1", "--seed", "0"]) == _run(capsys, argv)
+
+
 @pytest.mark.parametrize("value", ["", ",", " , "])
 def test_suites_naming_no_suite_rejected(capsys, value):
     # an explicit empty list would otherwise run nothing and pass
@@ -284,3 +302,13 @@ def test_internal_error_exits_3_without_report(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("Traceback")
     assert err.splitlines()[-1] == "ealie: internal error: RuntimeError: decomposition blew up"
+
+
+def test_wrong_weight_zero_closed_form_exits_3_without_report(capsys, wrong_closed_form):
+    # a closed form that spans less than the slice is refused, not used and
+    # not reported as an axiom failure
+    rc = cli.run(["check", "--construction", "quantum-torus", "--nu", "2", "--q", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.splitlines()[-1].startswith("ealie: internal error: DecompositionError: weight-0 derived slice at ")

@@ -17,10 +17,10 @@ from ealie.ears import (
     support_checks,
     support_sets,
 )
-from ealie.finroot import Root, root_string, string_flags
+from ealie.finroot import Root, root_string
 from ealie.quantum_torus import lattice_box
 
-from oracles import literal_first_broken_string
+from oracles import literal_first_broken_string, probe_flags
 
 
 def _by_name(results):
@@ -193,7 +193,7 @@ def test_string_flags_are_the_member_probes(monkeypatch, request, name):
     assert all(a.finite + a.lattice in alphas or (-a).finite + (-a).lattice in alphas
                for a in win.nonisotropic_roots())
     for beta, alpha, flags in seen:
-        assert flags == string_flags(beta, alpha, win.member), (beta, alpha)
+        assert flags == probe_flags(win.member, beta, alpha, STRING_SCAN), (beta, alpha)
 
 
 def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):

@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 
 from ealie.finroot import (
+    STRING_SCAN,
     FiniteRootSystem,
     Root,
     RootStringError,
     components,
     root_string,
-    string_flags,
 )
+
+from oracles import probe_flags
 
 RANKS = pytest.mark.parametrize("rank", [2, 3, 4], ids=lambda rank: f"C-{rank}")
 
@@ -87,16 +89,25 @@ def test_c2_norms_and_cartan_integers():
             assert abs(c) <= 2
 
 
+def _flags(members):
+    """The flag list of a string whose members sit at the given offsets."""
+    return [n in members for n in range(-STRING_SCAN, STRING_SCAN + 1)]
+
+
 def test_root_string_values_in_c2():
     fin = FiniteRootSystem(2)
     # alpha short, beta long: the string beta, beta+alpha, beta+2alpha
     alpha = (1, -1)
     beta = (0, 2)
-    d, u = fin.root_string(beta, alpha)
+    flags = _flags({0, 1, 2})
+    assert flags == probe_flags(fin.contains, beta, alpha, STRING_SCAN)
+    d, u = root_string(beta, alpha, flags, fin.cartan_integer(beta, alpha))
     assert (d, u) == (0, 2)
     assert d - u == fin.cartan_integer(beta, alpha)
     # through itself: beta, 0, -beta counts 0 as a member
-    d, u = fin.root_string(alpha, alpha)
+    flags = _flags({-2, -1, 0})
+    assert flags == probe_flags(fin.contains, alpha, alpha, STRING_SCAN)
+    d, u = root_string(alpha, alpha, flags, fin.cartan_integer(alpha, alpha))
     assert (d, u) == (2, 0)
 
 
@@ -107,24 +118,25 @@ def _dot_cartan(beta, alpha):
 
 
 def test_root_string_detects_broken_string():
-    members = {(0, 2), (2, 0)}  # gap where (1, 1) should be
-
-    def member(v):
-        return tuple(v) in members or not any(v)
-
-    with pytest.raises(RootStringError):
-        root_string((0, 2), (1, -1), string_flags((0, 2), (1, -1), member), _dot_cartan((0, 2), (1, -1)))
+    # members (0, 2) and (2, 0) at offsets 0 and 2, a gap where (1, 1) should be
+    with pytest.raises(RootStringError, match="re-enters at offset 2"):
+        root_string((0, 2), (1, -1), _flags({0, 2}), _dot_cartan((0, 2), (1, -1)))
 
 
 def test_root_string_rejects_unbounded():
-    with pytest.raises(RootStringError):
-        root_string((0, 1), (1, 0), string_flags((0, 1), (1, 0), lambda v: True), _dot_cartan((0, 1), (1, 0)))
+    everything = _flags(range(-STRING_SCAN, STRING_SCAN + 1))
+    with pytest.raises(RootStringError, match="reaches the scan bound"):
+        root_string((0, 1), (1, 0), everything, _dot_cartan((0, 1), (1, 0)))
 
 
 def test_root_string_rejects_an_isotropic_direction():
+    # along alpha = 0 every offset is beta itself, a member, so the string
+    # never ends; the Cartan number 2(beta,0)/(0,0) is undefined and never read
     fin = FiniteRootSystem(2)
-    with pytest.raises(ValueError, match="string direction must be nonisotropic"):
-        fin.root_string((0, 2), fin.zero)
+    flags = _flags(range(-STRING_SCAN, STRING_SCAN + 1))
+    assert flags == probe_flags(fin.contains, (0, 2), fin.zero, STRING_SCAN)
+    with pytest.raises(RootStringError, match="reaches the scan bound"):
+        root_string((0, 2), fin.zero, flags, Fraction(0))
 
 
 def test_root_dataclass_arithmetic():

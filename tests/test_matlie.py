@@ -1,9 +1,12 @@
 """Matrix layer: involution, skew slices, weight grading, zero-weight spans."""
 
 import random
+import re
 from fractions import Fraction
 
-from ealie.decomp import opposite_brackets
+import pytest
+
+from ealie.decomp import DecompositionError, opposite_brackets
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import FiniteRootSystem
 from ealie import matlie
@@ -147,6 +150,10 @@ def test_hdot_form_normalization():
             assert trace_form(hdot(2, Q2, r), hdot(2, Q2, s)) == (2 if r == s else 0)
 
 
+def _spans(elements):
+    return SpanDict(b.coords() for b in elements)
+
+
 def test_zero_root_component_cases_mixed_sign_matrix():
     # q12 = -1: dimension pattern 3 at 0, 4 at every other window degree
     expected = {
@@ -156,60 +163,45 @@ def test_zero_root_component_cases_mixed_sign_matrix():
         (1, 1): (4, "odd degree, even-product property"),
     }
     for gamma, (dim, case) in expected.items():
-        comp = zero_root_component(2, Q2, gamma)
-        assert comp.closed_form_match
-        assert comp.dim == dim
-        assert comp.case == case
-        assert comp.nonzero_pair_dim == comp.dim
+        basis = zero_root_component(2, Q2, gamma)
+        closed_case, real, imag = matlie._closed_form_case(2, Q2, gamma)
+        span, _, nonzero_pair_dim = literal_zero_span(2, Q2, gamma, 1)
+        assert closed_case == case
+        assert list(basis) == real + imag
+        assert span_equal(span, _spans(basis))
+        assert len(basis) == span.dim == nonzero_pair_dim == dim
 
 
 def test_zero_root_component_trivial_sign_matrix():
     q = SignMatrix(2)
     for gamma in ((0, 0), (1, 0), (1, 1)):
-        comp = zero_root_component(2, q, gamma)
-        assert comp.closed_form_match
-        assert comp.dim == 3
-        assert comp.case == "even degree, no odd-product property"
+        basis = zero_root_component(2, q, gamma)
+        span, _, _ = literal_zero_span(2, q, gamma, 1)
+        assert span_equal(span, _spans(basis))
+        assert len(basis) == span.dim == 3
+        assert matlie._closed_form_case(2, q, gamma)[0] == "even degree, no odd-product property"
 
 
 def test_zero_root_component_real_only():
-    comp = zero_root_component(2, Q0, (), real_only=True)
-    assert comp.dim == 2
-    assert comp.closed_form_match
-    span = SpanDict(x.coords() for x in comp.basis)
+    basis = zero_root_component(2, Q0, (), real_only=True)
+    span, _, _ = literal_zero_span(2, Q0, (), 1, real_only=True)
+    assert len(basis) == span.dim == 2
+    assert span_equal(span, _spans(basis))
     target = SpanDict(hdot(2, Q0, r).coords() for r in range(2))
-    assert span_equal(span, target)
+    assert span_equal(_spans(basis), target)
 
 
-def _wrong_closed_form(monkeypatch):
-    # A real part missing its last vector: the greedy basis becomes the result.
-    closed_form_case = matlie._closed_form_case
-
-    def wrong(ell, q, gamma):
-        case, real, imag = closed_form_case(ell, q, gamma)
-        return case, real[:-1], imag
-
-    monkeypatch.setattr(matlie, "_closed_form_case", wrong)
-
-
-def test_zero_root_component_greedy_fallback_is_the_literal_greedy_basis(monkeypatch):
-    # A wrong closed form forces the spanning result: its greedy basis, in the
-    # literal loop's order.
-    _wrong_closed_form(monkeypatch)
+def test_zero_root_component_refuses_a_wrong_closed_form(wrong_closed_form):
     for q, gamma, real_only in ((Q2, (0, 0), False), (Q2, (1, 1), False), (Q0, (), True)):
-        comp = zero_root_component(2, q, gamma, real_only=real_only)
-        _, expected, _ = literal_zero_span(2, q, gamma, 1, real_only)
-        assert not comp.closed_form_match
-        assert comp.dim == len(comp.basis) == len(expected)
-        assert [list(b.coords().items()) for b in comp.basis] == [list(b.coords().items()) for b in expected]
+        with pytest.raises(DecompositionError, match=re.escape(f"weight-0 derived slice at {gamma} is not spanned")):
+            zero_root_component(2, q, gamma, real_only=real_only)
 
 
 def test_zero_root_component_margin_one_saturates():
     # the bracket signs depend only on parities, so a wider box spans no more
     for gamma in ((0, 0), (1, 0), (1, 1)):
         span, _, _ = literal_zero_span(2, Q2, gamma, 2)
-        comp = zero_root_component(2, Q2, gamma)
-        assert span_equal(span, SpanDict(b.coords() for b in comp.basis))
+        assert span_equal(span, _spans(zero_root_component(2, Q2, gamma)))
 
 
 def _weight_zero_feeds(ell, q, gamma, real_only):
@@ -247,28 +239,21 @@ def _unstopped_bracket_counts(calls, ell, q, gamma, real_only):
     return counts
 
 
-def _layout(elements):
-    return [list(b.coords().items()) for b in elements]
-
-
 def test_zero_root_component_stops_when_the_span_fills_the_b_slice(monkeypatch):
-    # Stopping changes no result; it saves brackets exactly where the derived
-    # slice is the whole weight-0 slice of B.
-    _wrong_closed_form(monkeypatch)
+    # Stopping changes no result (a span cut short would not match the closed
+    # form); it saves brackets exactly where the derived slice is the whole
+    # weight-0 slice of B.
     calls = _counting_mat_bracket(monkeypatch)
     cases = [(Q2, gamma, False) for gamma in lattice_box(2, 2)] + [(Q0, (), True)]
     fewer = 0
     for q, gamma, real_only in cases:
-        span, expected, nonzero_pair_dim = literal_zero_span(2, q, gamma, 1, real_only)
+        span, _, _ = literal_zero_span(2, q, gamma, 1, real_only)
         nonzero_feed, full = _unstopped_bracket_counts(calls, 2, q, gamma, real_only)
         calls.clear()
-        comp = zero_root_component(2, q, gamma, real_only=real_only)
-        assert not comp.closed_form_match
-        assert comp.dim == span.dim
-        assert comp.nonzero_pair_dim == nonzero_pair_dim
-        assert _layout(comp.basis) == _layout(expected)
+        basis = zero_root_component(2, q, gamma, real_only=real_only)
+        assert span_equal(span, _spans(basis))
         ceiling = len(skew_root_basis(2, q, (0, 0), gamma, real_only))
-        if comp.dim == ceiling:
+        if span.dim == ceiling:
             # the nonzero feed fills the span, and the weight-0 feed is skipped
             assert len(calls) <= nonzero_feed < full, gamma
             fewer += 1
@@ -280,12 +265,12 @@ def test_zero_root_component_stops_when_the_span_fills_the_b_slice(monkeypatch):
 
 def test_zero_root_component_scans_everything_past_a_bracket_outside_the_ceiling(monkeypatch):
     gamma = (1, 0)
-    _, expected, _ = literal_zero_span(2, Q2, gamma, 1)
-    assert len(expected) == 4
+    _, expected, nonzero_pair_dim = literal_zero_span(2, Q2, gamma, 1)
+    assert len(expected) == nonzero_pair_dim == 4
     # A ceiling missing the first spanning bracket: that bracket grows the span
     # from outside it, so a span of the ceiling's dimension is not the slice.
     broken = expected[1:]
-    assert not SpanDict(b.coords() for b in broken).contains(expected[0].coords())
+    assert not _spans(broken).contains(expected[0].coords())
 
     def patched(ell, q, weight, sigma, real_only=False):
         if not any(weight) and tuple(sigma) == gamma:
@@ -293,15 +278,14 @@ def test_zero_root_component_scans_everything_past_a_bracket_outside_the_ceiling
         return skew_root_basis(ell, q, weight, sigma, real_only)
 
     monkeypatch.setattr(matlie, "skew_root_basis", patched)
-    _wrong_closed_form(monkeypatch)
     calls = _counting_mat_bracket(monkeypatch)
     # counted through the same broken slices (which also meet the weight-0 feed)
     _, full = _unstopped_bracket_counts(calls, 2, Q2, gamma, False)
     calls.clear()
-    comp = zero_root_component(2, Q2, gamma)
+    basis = zero_root_component(2, Q2, gamma)
     assert len(calls) == full
-    assert comp.dim == comp.nonzero_pair_dim == 4
-    assert _layout(comp.basis) == _layout(expected)
+    assert len(basis) == 4
+    assert span_equal(_spans(expected), _spans(basis))
 
 
 def test_weight_zero_brackets_lie_in_the_b_slice():

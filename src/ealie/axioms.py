@@ -44,6 +44,7 @@ from .linalg import (
     gram_nonsingular,
     gram_positive_definite,
     nullspace_dense,
+    solve_dense,
     span_equal,
 )
 from .quantum_torus import lattice_box, unit_degrees
@@ -91,13 +92,19 @@ def _random_combo(rng, basis, zero):
 
 
 def _zero_sum_triples(win):
-    """Root triples summing to zero; only these can carry a nonzero form value."""
-    rset = set(win.roots())
+    """Root triples summing to zero; only these can carry a nonzero form value.
+
+    Roots are matched by their flat vectors ``finite + lattice``, as
+    ``RootSystemWindow.member`` reads them, so no ``Root`` sum is built; the
+    list is that of the loop over ``Root`` pairs, in the same order.
+    """
+    flat = [(r, r.finite + r.lattice) for r in win.roots()]
+    by_vector = {v: r for r, v in flat}
     out = []
-    for r1 in win.roots():
-        for r2 in win.roots():
-            r3 = -(r1 + r2)
-            if r3 in rset:
+    for r1, v1 in flat:
+        for r2, v2 in flat:
+            r3 = by_vector.get(tuple(-a - b for a, b in zip(v1, v2)))
+            if r3 is not None:
                 out.append((r1, r2, r3))
     return out
 
@@ -301,22 +308,48 @@ def _graded_form_check(win, name):
     return CheckResult(name, True, "exhaustive on all window basis pairs")
 
 
+def _first_non_root_step(fin, beta, alpha):
+    """The first k >= 1 with ``beta + k*alpha`` neither 0 nor a root of ``fin``.
+
+    ``alpha`` is nonzero and ``fin`` finite, so the walk ends.
+    """
+    k = 1
+    while fin.contains(tuple(b + k * a for b, a in zip(beta, alpha))):
+        k += 1
+    return k
+
+
 def _longest_ad_chain(win, probes):
     """Longest chain seen, and a witness at the first chain longer than ``NILPOTENCY_BOUND``.
 
-    The chain of a nonisotropic basis vector x on a probe z is the number of
-    brackets with x that take z to zero.  A chain still nonzero after
-    ``NILPOTENCY_CAP`` brackets is reported with the cap as its bound.
+    ``probes`` are (root, z) pairs.  The chain of a nonisotropic basis vector
+    x at alpha on a probe z at beta is the number of brackets with x that take
+    z to zero.  A chain still nonzero after ``NILPOTENCY_CAP`` brackets is
+    reported with the cap as its bound.
+
+    ad_x^k z has toral weight beta + k*alpha, because window basis vectors are
+    exact toral eigenvectors (verified entry by entry during decomposition)
+    and ad h is a derivation.  Every weight of the algebra has a finite part
+    that is 0 or a root of ``fin``, so at the first k where beta + k*alpha
+    has another finite part, ad_x^k z is zero: that step counts toward the
+    chain and is not computed.  That k depends only on the finite parts of
+    alpha and beta and is read from a table built per alpha.  Chain lengths,
+    the longest chain and both witness shapes are those of the literal loop,
+    which ``tests/oracles.py`` keeps.
     """
+    zero = win.alg.zero()
+    finites = {beta.finite for beta, _ in probes}
     worst = 0
     for alpha in win.nonisotropic_roots():
+        stops = {f: _first_non_root_step(win.fin, f, alpha.finite) for f in finites}
         for x in win.basis(alpha):
-            for z in probes:
+            for beta, z in probes:
+                stop = stops[beta.finite]
                 acc = z
                 steps = 0
                 while not acc.is_zero() and steps < NILPOTENCY_CAP:
-                    acc = win.bracket(x, acc)
                     steps += 1
+                    acc = zero if steps == stop else win.bracket(x, acc)
                 if not acc.is_zero():
                     return worst, {"root": alpha, "bound": NILPOTENCY_CAP}
                 worst = max(worst, steps)
@@ -381,7 +414,7 @@ def check_T(win, seed=0):
     ))
 
     probe_set = set(unit_degrees(win.alg.nu))
-    probes = [x for root, x in win.all_basis() if tuple(root.lattice) in probe_set]
+    probes = [(root, x) for root, x in win.all_basis() if tuple(root.lattice) in probe_set]
     worst, t4_witness = _longest_ad_chain(win, probes)
     results.append(CheckResult(
         "T4-locally-nilpotent",
@@ -795,20 +828,117 @@ def newp_pair(win, core, delta, center_basis):
     return normalized_pair(win, xs, ys, win.alg.zero(), free=center_basis)
 
 
+def _by_finite(roots):
+    """The first root of ``roots`` for each distinct finite part, in order."""
+    first = {}
+    for r in roots:
+        first.setdefault(r.finite, r)
+    return list(first.values())
+
+
+def _first_nonorthogonal(win, isotropic, roots):
+    """The first (delta, beta) of isotropic x roots with (delta, beta) != 0, or None."""
+    return next(((d, b) for d in isotropic for b in roots if win.pairing(d, b)), None)
+
+
+def _cartan_scan(win, alphas, betas):
+    """(max |c|, witness) over c = 2(beta, alpha)/(alpha, alpha), alphas x betas.
+
+    Stops at the first c that is not an integer of absolute value <= 4 and
+    names it; the maximum is then that of the pairs before it.
+    """
+    biggest = 0
+    for alpha in alphas:
+        nn = win.norm(alpha)
+        for beta in betas:
+            val = 2 * win.pairing(beta, alpha) / nn
+            if val.denominator != 1 or abs(val) > 4:
+                return biggest, {"alpha": alpha, "beta": beta, "value": val}
+            biggest = max(biggest, abs(int(val)))
+    return biggest, None
+
+
+def _first_unequal_pairing(win, roots):
+    """The first (r1, r2) with (r1, r2) not rational or not (t_r1, t_r2), or None."""
+    for r1 in roots:
+        for r2 in roots:
+            lhs = win.pairing(r1, r2)
+            if not isinstance(lhs, Fraction) or lhs != win.form(win.rep_t(r1), win.rep_t(r2)):
+                return {"first": r1, "second": r2}
+    return None
+
+
+def _span_coordinates(vecs):
+    """A greedy basis of the rational span of integer vectors, and coordinates.
+
+    Returns the indices in ``vecs`` of the basis vectors b_1..b_m and, for
+    every vector v, the c with v = sum c_i b_i.  Every vector lies in the
+    span and the b_i are independent, so one left inverse (B^T B)^-1 B^T of
+    the matrix B with columns b_i gives each c exactly.
+    """
+    span = SpanDict()
+    picked = [i for i, v in enumerate(vecs) if span.add(dict(enumerate(v)))]
+    basis = [vecs[i] for i in picked]
+    m = len(basis)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    inverse = [solve_dense(gram, [int(i == j) for i in range(m)]) for j in range(m)]
+    left = [
+        [sum(inverse[i][j] * b[k] for j, b in enumerate(basis)) for k in range(len(basis[0]))]
+        for i in range(m)
+    ]
+    return picked, [[sum(x * y for x, y in zip(row, v)) for row in left] for v in vecs]
+
+
+def _pairings_rational_by_basis(win, roots):
+    """Whether (r1, r2) is rational and equals (t_r1, t_r2) for all root pairs,
+    shown by bilinearity; False means only that this route did not show it.
+
+    (r1, r2) reads the finite parts alone, so rationality is checked once per
+    pair of distinct finite parts.  It is bilinear in the flat vector
+    ``finite + lattice``, and so is (t_r1, t_r2) once r -> t_r is linear on
+    the roots, since the form is bilinear.  So the identity holds for all
+    pairs when t_r = sum c_i t_{b_i} for every root r = sum c_i b_i, checked
+    exactly over a greedy basis b_1..b_m of the roots' span, and the identity
+    holds on the m^2 basis pairs.
+    """
+    reps = _by_finite(roots)
+    if not all(isinstance(win.pairing(a, b), Fraction) for a in reps for b in reps):
+        return False
+    picked, coords = _span_coordinates([r.finite + r.lattice for r in roots])
+    basis = [roots[i] for i in picked]
+    t_basis = [win.rep_t(b) for b in basis]
+    zero = win.alg.zero()
+    if not all(
+        (win.rep_t(r) - combine(t_basis, c, zero)).is_zero() for r, c in zip(roots, coords)
+    ):
+        return False
+    return not any(
+        win.pairing(a, b) != win.form(ta, tb)
+        for a, ta in zip(basis, t_basis)
+        for b, tb in zip(basis, t_basis)
+    )
+
+
 def check_props(win, core):
-    """Structural claims tied to the decomposition and the core."""
+    """Structural claims tied to the decomposition and the core.
+
+    Three root-pair claims do not loop over all ordered root pairs.
+    ``RootSystemWindow.pairing`` and ``norm`` read only finite parts, so
+    prop-isotropic-orthogonal and prop-cartan-integers-bounded scan one root
+    per distinct finite part (9 for C2).  prop-pairings-rational is shown by
+    bilinearity over a basis of the roots' span
+    (``_pairings_rational_by_basis``): one ``rep_t`` linearity check per
+    root and m^2 forms instead of one form per pair.  When a shortcut finds
+    a failure, or cannot show the claim, the literal loop runs, so the
+    verdict and witness are those of the first failing pair in root order.
+    """
     alg = win.alg
     results = []
 
-    bad = next(
-        (
-            (d, b)
-            for d in win.isotropic_roots()
-            for b in win.roots()
-            if win.pairing(d, b)
-        ),
-        None,
-    )
+    roots, isotropic, nonisotropic = win.roots(), win.isotropic_roots(), win.nonisotropic_roots()
+    bad = None
+    if _first_nonorthogonal(win, _by_finite(isotropic), _by_finite(roots)) is not None:
+        bad = _first_nonorthogonal(win, isotropic, roots)
     results.append(CheckResult(
         "prop-isotropic-orthogonal",
         bad is None,
@@ -816,21 +946,12 @@ def check_props(win, core):
         None if bad is None else {"delta": bad[0], "beta": bad[1]},
     ))
 
-    rational_ok = True
     rational_witness = None
-    for r1 in win.roots():
-        for r2 in win.roots():
-            lhs = win.pairing(r1, r2)
-            rhs = win.form(win.rep_t(r1), win.rep_t(r2))
-            if not isinstance(lhs, Fraction) or lhs != rhs:
-                rational_ok = False
-                rational_witness = {"first": r1, "second": r2}
-                break
-        if not rational_ok:
-            break
+    if not _pairings_rational_by_basis(win, roots):
+        rational_witness = _first_unequal_pairing(win, roots)
     results.append(CheckResult(
         "prop-pairings-rational",
-        rational_ok,
+        rational_witness is None,
         "(alpha, beta) is rational and equals (t_alpha, t_beta) for all window pairs",
         rational_witness,
     ))
@@ -843,7 +964,7 @@ def check_props(win, core):
             )
     t_core_ok = True
     t_core_witness = None
-    for alpha in win.nonisotropic_roots():
+    for alpha in nonisotropic:
         span = core_zero.get((0,) * alg.nu)
         if span is None or not span.contains(win.coords(win.rep_t(alpha))):
             t_core_ok = False
@@ -877,23 +998,12 @@ def check_props(win, core):
         t_central_witness,
     ))
 
-    cartan_ok = True
-    cartan_witness = None
-    biggest = 0
-    for alpha in win.nonisotropic_roots():
-        nn = win.norm(alpha)
-        for beta in win.roots():
-            val = 2 * win.pairing(beta, alpha) / nn
-            if val.denominator != 1 or abs(val) > 4:
-                cartan_ok = False
-                cartan_witness = {"alpha": alpha, "beta": beta, "value": val}
-                break
-            biggest = max(biggest, abs(int(val)))
-        if not cartan_ok:
-            break
+    biggest, cartan_witness = _cartan_scan(win, _by_finite(nonisotropic), _by_finite(roots))
+    if cartan_witness is not None:
+        biggest, cartan_witness = _cartan_scan(win, nonisotropic, roots)
     results.append(CheckResult(
         "prop-cartan-integers-bounded",
-        cartan_ok,
+        cartan_witness is None,
         f"all 2(beta,alpha)/(alpha,alpha) integral with |value| <= 4 (max {biggest})",
         cartan_witness,
     ))
@@ -929,7 +1039,7 @@ def check_props(win, core):
         "central elements live entirely in weight-0 (isotropic) slices",
     ))
 
-    weights = {tuple(r.finite) for r in win.nonisotropic_roots()}
+    weights = {tuple(r.finite) for r in nonisotropic}
     image_ok = weights == set(win.fin.nonzero_roots)
     results.append(CheckResult(
         "prop-finite-image",
@@ -945,7 +1055,7 @@ def check_props(win, core):
 
     compat_ok = True
     compat_witness = None
-    for alpha in win.nonisotropic_roots():
+    for alpha in nonisotropic:
         x = win.basis(alpha)[0]
         y = sl2_search(win, alpha, x)
         if y is None or win.form(x, y) != 1:

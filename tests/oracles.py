@@ -10,7 +10,7 @@ q entries square to 1, so only the letter index matters.
 The invariance oracle is the literal double loop over triples and basis
 vectors: it brackets [x, y] and [y, z] for every triple and evaluates both
 sides of ([x, y], z) = (x, [y, z]), with no cyclic classes and no appeal to
-symmetry of the form.  Nothing here imports ``ealie.axioms``.
+symmetry of the form.
 
 The root-string oracle is the literal double loop of the EARS R4 axiom:
 every nonisotropic alpha against every root beta, each offset of the string
@@ -22,7 +22,16 @@ callable.
 The weight-0 span oracle is the literal spanning loop behind
 ``matlie.zero_root_component``: every slice pair in both orientations, each
 slice rebuilt, with no mirror skip and no early stop.
+
+The root-pair oracles are the literal loops of T4, of the zero-sum triple
+list and of three PROPS checks: every ad-chain bracket is computed, triples
+come from ``Root`` sums, and every ordered root pair gets its own pairing or
+form, with no weight rule, flat vectors, finite-part representatives or
+bilinearity.  ``tests/test_layering.py`` checks that this file imports
+neither ``ealie.axioms`` nor ``ealie.ears``.
 """
+
+from fractions import Fraction
 
 from ealie.finroot import FiniteRootSystem, Root, RootStringError, root_string
 from ealie.linalg import SpanDict
@@ -143,3 +152,69 @@ def literal_zero_span(ell, q, gamma, margin, real_only=False):
     nonzero_pair_dim = span.dim
     feed([(0,) * ell])
     return span, greedy, nonzero_pair_dim
+
+
+def literal_zero_sum_triples(win):
+    """Root triples (r1, r2, -(r1 + r2)) with all three in the window, r1 and r2
+    in root order, built from ``Root`` sums."""
+    rset = set(win.roots())
+    return [
+        (r1, r2, -(r1 + r2))
+        for r1 in win.roots() for r2 in win.roots()
+        if -(r1 + r2) in rset
+    ]
+
+
+def literal_longest_ad_chain(win, probes, bound, cap):
+    """T4's loop with every bracket computed: the longest chain of ad x on a
+    probe z (x in a nonisotropic slice), and a witness at the first chain
+    longer than ``bound`` or still nonzero after ``cap`` brackets."""
+    worst = 0
+    for alpha in win.nonisotropic_roots():
+        for x in win.basis(alpha):
+            for z in probes:
+                acc = z
+                steps = 0
+                while not acc.is_zero() and steps < cap:
+                    acc = win.bracket(x, acc)
+                    steps += 1
+                if not acc.is_zero():
+                    return worst, {"root": alpha, "bound": cap}
+                worst = max(worst, steps)
+                if steps > bound:
+                    return worst, {"root": alpha, "chain_length": steps, "bound": bound}
+    return worst, None
+
+
+def literal_first_nonorthogonal_isotropic(win):
+    """The first (delta, beta), delta isotropic, with (delta, beta) != 0; None if none."""
+    for d in win.isotropic_roots():
+        for b in win.roots():
+            if win.pairing(d, b):
+                return d, b
+    return None
+
+
+def literal_cartan_scan(win):
+    """(max |c|, witness) over c = 2(beta, alpha)/(alpha, alpha) for every
+    nonisotropic alpha and every beta, stopping at the first c that is not an
+    integer of absolute value at most 4."""
+    biggest = 0
+    for alpha in win.nonisotropic_roots():
+        for beta in win.roots():
+            val = 2 * win.pairing(beta, alpha) / win.norm(alpha)
+            if val.denominator != 1 or abs(val) > 4:
+                return biggest, {"alpha": alpha, "beta": beta, "value": val}
+            biggest = max(biggest, abs(int(val)))
+    return biggest, None
+
+
+def literal_first_unequal_pairing(win):
+    """The first ordered root pair with (r1, r2) not a Fraction or not equal
+    to the form of their toral representatives, as a witness dict; None if none."""
+    for r1 in win.roots():
+        for r2 in win.roots():
+            lhs = win.pairing(r1, r2)
+            if not isinstance(lhs, Fraction) or lhs != win.form(win.rep_t(r1), win.rep_t(r2)):
+                return {"first": r1, "second": r2}
+    return None

@@ -1,6 +1,8 @@
 """Axiom suites: invariant-form checks, gradings, tameness, Serre relations."""
 
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,13 +24,26 @@ from ealie.constructions import (
     TorusMatrixAlgebra,
     affinize,
 )
-from ealie.decomp import core_and_center_window, decompose_window, isotropic_pair, sl2_triple
+from ealie.decomp import (
+    combine,
+    core_and_center_window,
+    decompose_window,
+    isotropic_pair,
+    sl2_triple,
+)
 from ealie.finroot import Root
 from ealie.linalg import SpanDict
-from ealie.quantum_torus import SignMatrix
+from ealie.quantum_torus import SignMatrix, unit_degrees
 
 from conftest import Q_MIXED
-from oracles import literal_first_non_invariant_triple
+from oracles import (
+    literal_cartan_scan,
+    literal_first_non_invariant_triple,
+    literal_first_nonorthogonal_isotropic,
+    literal_first_unequal_pairing,
+    literal_longest_ad_chain,
+    literal_zero_sum_triples,
+)
 
 
 def _failed(report):
@@ -430,6 +445,182 @@ def test_T4_enforces_nilpotency_bound(monkeypatch, sp4_win):
     assert t4.witness["chain_length"] == 3
     assert t4.witness["bound"] == 2
     assert _failed(report) == ["T4-locally-nilpotent"]
+
+
+# -- T4 ad-chains stop by weight ---------------------------------------------------
+
+CHAIN_WINDOWS = ["aff_win", "sqrt_win", "sp4_win"]
+
+
+def _t4_probes(win):
+    """T4's probes: (root, basis vector) on the degree-0 and unit-degree slices."""
+    units = set(unit_degrees(win.alg.nu))
+    return [(root, x) for root, x in win.all_basis() if tuple(root.lattice) in units]
+
+
+@pytest.mark.parametrize("bound, cap, shape", [
+    (axioms.NILPOTENCY_BOUND, axioms.NILPOTENCY_CAP, None),
+    (2, axioms.NILPOTENCY_CAP, "chain_length"),
+    (axioms.NILPOTENCY_BOUND, 1, "cap"),
+], ids=["default", "bound-2", "cap-1"])
+@pytest.mark.parametrize("fixture", CHAIN_WINDOWS)
+def test_longest_ad_chain_matches_literal_loop(request, monkeypatch, fixture, bound, cap, shape):
+    win = request.getfixturevalue(fixture)
+    monkeypatch.setattr(axioms, "NILPOTENCY_BOUND", bound)
+    monkeypatch.setattr(axioms, "NILPOTENCY_CAP", cap)
+    probes = _t4_probes(win)
+    worst, witness = axioms._longest_ad_chain(win, probes)
+    assert (worst, witness) == literal_longest_ad_chain(win, [z for _, z in probes], bound, cap)
+    if shape is None:
+        assert witness is None
+    elif shape == "chain_length":
+        assert witness["chain_length"] > bound == witness["bound"]
+    else:
+        assert set(witness) == {"root", "bound"} and witness["bound"] == cap
+
+
+@pytest.mark.parametrize("fixture", CHAIN_WINDOWS)
+def test_weight_rule_skips_only_zero_brackets(request, fixture):
+    """The premise of T4's weight stop: ad_x^k z is zero whenever the finite
+    part of its weight beta + k*alpha is neither 0 nor a finite root."""
+    win = request.getfixturevalue(fixture)
+    fin = win.fin
+    skipped = 0
+    for alpha in win.nonisotropic_roots():
+        for x in win.basis(alpha):
+            for beta, z in _t4_probes(win):
+                acc, k = z, 0
+                while not acc.is_zero() and k < axioms.NILPOTENCY_CAP:
+                    acc = win.bracket(x, acc)
+                    k += 1
+                    if not fin.contains(tuple(b + k * a for b, a in zip(beta.finite, alpha.finite))):
+                        assert acc.is_zero(), (alpha, beta, k)
+                        skipped += 1
+    assert skipped
+
+
+@pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sqrt_win"])
+def test_zero_sum_triples_match_root_sums(request, fixture):
+    win = request.getfixturevalue(fixture)
+    assert _zero_sum_triples(win) == literal_zero_sum_triples(win)
+
+
+# -- PROPS root-pair checks by bilinearity and finite parts -------------------------
+
+
+@pytest.mark.parametrize("fixture", ["torus_win", "aff_win", "sqrt_win"])
+def test_form_is_bilinear(request, fixture):
+    """The premise of prop-pairings-rational by bilinearity, on toral
+    representatives and on opposite slices."""
+    win = request.getfixturevalue(fixture)
+    rng = random.Random(5)
+    zero = win.alg.zero()
+    roots = win.nonisotropic_roots()
+    elements = [win.rep_t(r) for r in roots[:6]] + list(win.toral)
+    for r in roots[:3]:
+        elements += list(win.basis(r)) + list(win.basis(-r))
+    for _ in range(30):
+        xs, ys = rng.sample(elements, 3), rng.sample(elements, 3)
+        cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in xs]
+        ds = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in ys]
+        expected = sum(c * d * win.form(x, y) for x, c in zip(xs, cs) for y, d in zip(ys, ds))
+        assert win.form(combine(xs, cs, zero), combine(ys, ds, zero)) == expected
+
+
+def _props_byname(win, core):
+    return {r.name: r for r in check_props(win, core).results}
+
+
+def _assert_finite_part_checks_literal(win, byname):
+    """prop-isotropic-orthogonal and prop-cartan-integers-bounded say what
+    their literal loops say, witness and maximum included."""
+    bad = literal_first_nonorthogonal_isotropic(win)
+    iso = byname["prop-isotropic-orthogonal"]
+    assert iso.passed == (bad is None)
+    assert iso.witness == (None if bad is None else {"delta": bad[0], "beta": bad[1]})
+    biggest, cartan = literal_cartan_scan(win)
+    result = byname["prop-cartan-integers-bounded"]
+    assert (result.passed, result.witness) == (cartan is None, cartan)
+    assert result.detail.endswith(f"(max {biggest})")
+
+
+def _assert_pairings_rational_literal(win, byname):
+    rational = literal_first_unequal_pairing(win)
+    assert byname["prop-pairings-rational"].passed == (rational is None)
+    assert byname["prop-pairings-rational"].witness == rational
+
+
+def test_props_root_pair_checks_match_literal_loops(aff_win, aff_core):
+    byname = _props_byname(aff_win, aff_core)
+    assert all(byname[n].passed for n in (
+        "prop-isotropic-orthogonal", "prop-pairings-rational", "prop-cartan-integers-bounded"))
+    _assert_finite_part_checks_literal(aff_win, byname)
+    _assert_pairings_rational_literal(aff_win, byname)
+
+
+def test_pairings_rational_witness_is_literal_first_pair(aff_win, aff_core, monkeypatch):
+    """One cached t_r changed, at the last root pairing nonzero with the first
+    one, which is not a basis root: only the linearity check sees it, and the
+    literal loop names the first failing ordered pair."""
+    roots = aff_win.roots()
+    r = next(r for r in reversed(roots) if aff_win.pairing(roots[0], r))
+    picked, _ = axioms._span_coordinates([v.finite + v.lattice for v in roots])
+    assert r not in [roots[i] for i in picked]
+    monkeypatch.setitem(aff_win._t_cache, r, aff_win.rep_t(r) * 2)
+    byname = _props_byname(aff_win, aff_core)
+    assert byname["prop-pairings-rational"].witness == {"first": roots[0], "second": r}
+    _assert_pairings_rational_literal(aff_win, byname)
+
+
+class _PairingShifted:
+    """Window wrapper adding 1/3 to (r1, r2) wherever ``shifted(r1, r2)`` holds."""
+
+    def __init__(self, win, shifted):
+        self._win = win
+        self._shifted = shifted
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def pairing(self, r1, r2):
+        val = self._win.pairing(r1, r2)
+        return val + Fraction(1, 3) if self._shifted(r1, r2) else val
+
+
+def test_finite_part_pairing_witnesses_are_literal(aff_win, aff_core):
+    """(0, f) changed for one finite root f: orthogonality and the Cartan
+    integers fail, each naming the literal loop's first pair.  (The changed
+    pairing is not bilinear, so prop-pairings-rational, which rests on
+    bilinearity, is not compared here.)"""
+    zero, f = aff_win.fin.zero, (1, 1)
+    win = _PairingShifted(aff_win, lambda r1, r2: (r1.finite, r2.finite) == (zero, f))
+    byname = _props_byname(win, aff_core)
+    assert not byname["prop-isotropic-orthogonal"].passed
+    assert not byname["prop-cartan-integers-bounded"].passed
+    _assert_finite_part_checks_literal(win, byname)
+
+
+def test_witnesses_are_literal_when_pairing_reads_lattice_degrees(aff_win, aff_core):
+    """A pairing that breaks the finite-part premise: one root of finite part
+    (1, -1) at degree 0, and every root of finite part (1, 1), are shifted
+    against finite part 0.  The representatives see only the second change,
+    so the witnesses come from the literal loops, which meet the first."""
+    zero = aff_win.fin.zero
+    degree0 = (0,) * aff_win.alg.nu
+
+    def shifted(r1, r2):
+        other = r2 if r1.finite == zero else r1 if r2.finite == zero else None
+        return other is not None and (
+            other.finite == (1, 1) or (other.finite == (1, -1) and other.lattice == degree0)
+        )
+
+    win = _PairingShifted(aff_win, shifted)
+    byname = _props_byname(win, aff_core)
+    iso = byname["prop-isotropic-orthogonal"]
+    assert iso.witness["beta"] == Root(finite=(1, -1), lattice=degree0)
+    cartan = byname["prop-cartan-integers-bounded"]
+    assert cartan.witness["beta"].finite == zero
+    _assert_finite_part_checks_literal(win, byname)
 
 
 # -- padding the center with a hyperbolic plane breaks tameness ------------------

@@ -1,5 +1,6 @@
 """Layering: the generic modules never import the concrete matrix algebras,
-and every module's ``__all__`` is exactly its public surface."""
+the test oracles never import the code they check, and every module's
+``__all__`` is exactly its public surface."""
 
 import ast
 import importlib
@@ -47,6 +48,12 @@ def test_imported_modules_reads_every_import_form(tmp_path):
 @pytest.mark.parametrize("module", GENERIC)
 def test_generic_module_does_not_import_matrix_algebras(module):
     assert not imported_modules(PACKAGE / f"{module}.py") & CONCRETE
+
+
+def test_oracles_stay_independent_of_the_checks():
+    """``tests/oracles.py`` re-derives what the suites compute, so it imports
+    neither the suites nor the root-system checks they share."""
+    assert not imported_modules(Path(__file__).parent / "oracles.py") & {"axioms", "ears"}
 
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))

@@ -564,8 +564,9 @@ def test_pairings_rational_witness_is_literal_first_pair(aff_win, aff_core, monk
     literal loop names the first failing ordered pair."""
     roots = aff_win.roots()
     r = next(r for r in reversed(roots) if aff_win.pairing(roots[0], r))
-    picked, _ = axioms._span_coordinates([v.finite + v.lattice for v in roots])
-    assert r not in [roots[i] for i in picked]
+    span = SpanDict()
+    basis = [v for v in roots if span.add(dict(enumerate(v.finite + v.lattice)))]
+    assert r not in basis
     monkeypatch.setitem(aff_win._t_cache, r, aff_win.rep_t(r) * 2)
     byname = _props_byname(aff_win, aff_core)
     assert byname["prop-pairings-rational"].witness == {"first": roots[0], "second": r}
@@ -597,29 +598,6 @@ def test_finite_part_pairing_witnesses_are_literal(aff_win, aff_core):
     byname = _props_byname(win, aff_core)
     assert not byname["prop-isotropic-orthogonal"].passed
     assert not byname["prop-cartan-integers-bounded"].passed
-    _assert_finite_part_checks_literal(win, byname)
-
-
-def test_witnesses_are_literal_when_pairing_reads_lattice_degrees(aff_win, aff_core):
-    """A pairing that breaks the finite-part premise: one root of finite part
-    (1, -1) at degree 0, and every root of finite part (1, 1), are shifted
-    against finite part 0.  The representatives see only the second change,
-    so the witnesses come from the literal loops, which meet the first."""
-    zero = aff_win.fin.zero
-    degree0 = (0,) * aff_win.alg.nu
-
-    def shifted(r1, r2):
-        other = r2 if r1.finite == zero else r1 if r2.finite == zero else None
-        return other is not None and (
-            other.finite == (1, 1) or (other.finite == (1, -1) and other.lattice == degree0)
-        )
-
-    win = _PairingShifted(aff_win, shifted)
-    byname = _props_byname(win, aff_core)
-    iso = byname["prop-isotropic-orthogonal"]
-    assert iso.witness["beta"] == Root(finite=(1, -1), lattice=degree0)
-    cartan = byname["prop-cartan-integers-bounded"]
-    assert cartan.witness["beta"].finite == zero
     _assert_finite_part_checks_literal(win, byname)
 
 

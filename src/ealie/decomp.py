@@ -173,9 +173,14 @@ class RootSystemWindow:
         Inside the window's box the computed slices decide; beyond it a vector
         is a root exactly when its finite part lies in ``fin`` (or is zero).
         Every slice lies in the box (``__init__`` checks it), so a vector in
-        ``vectors`` is always in the box: ``ears.first_broken_string`` splits
-        each root string by this rule (``box_interval``) instead of calling
-        here once per point.
+        ``vectors`` is always in the box.  ``ears.first_broken_string`` never
+        calls here.  On a full window (``vectors`` is every finite part of a
+        root at every degree of the box, and ``fin.contains`` agrees with
+        those finite parts wherever a string probes it) this rule answers
+        [fb + n*fa in F] along every string, so one string per pair of finite
+        parts decides R4.  On any other window, or when a finite pair breaks,
+        the per-root loop splits each string by this rule (``box_interval``)
+        instead of calling here once per point.
         """
         if v in self.vectors:
             return True

@@ -37,11 +37,64 @@ def _vec(root):
     return tuple(root.finite) + tuple(root.lattice)
 
 
+def _finite_strings_hold(win):
+    """True when the window is full and the alpha-string through beta is
+    unbroken for every pair of finite parts (fa, fb); False otherwise.
+
+    F is the set of finite parts of the window's roots and B the lattice box
+    ``lattice_box(nu, w)``.  The window is full when ``win.vectors`` is
+    exactly {f + l : f in F, l in B} and ``fin.contains`` agrees with
+    membership in F at every point fb + n*fa a finite-pair string probes.
+    Then each window string's flags are ``member``'s answers: inside the box
+    the vector set holds fb + n*fa + (lb + n*la) exactly when fb + n*fa is in
+    F, and beyond it ``fin.contains`` gives the same answer.  So every flag
+    list of a root pair (alpha, beta) is the mask [fb + n*fa in F], and the
+    Cartan number reads only finite parts: the pair's verdict is that of
+    (fa, fb).  fa runs over one finite part per ±pair, since the -fa-string
+    through fb is the fa-string read backwards.
+    """
+    reps = {}  # the first root of each finite part, in root order
+    for r in win.roots():
+        reps.setdefault(r.finite, r)
+    box = lattice_box(win.alg.nu, win.w)
+    vectors = win.vectors
+    if len(vectors) != len(reps) * len(box) or any(f + l not in vectors for f in reps for l in box):
+        return False
+    in_f = reps.__contains__
+    offsets = range(-STRING_SCAN, STRING_SCAN + 1)
+    probed = set()
+    scanned = set()
+    for fa in dict.fromkeys(r.finite for r in win.nonisotropic_roots()):
+        if tuple(-a for a in fa) in scanned:
+            continue
+        scanned.add(fa)
+        alpha = reps[fa]
+        nn = win.pairing(alpha, alpha)
+        steps = [tuple(n * a for a in fa) for n in offsets]
+        for fb, beta in reps.items():
+            points = [tuple(map(add, fb, step)) for step in steps]
+            probed.update(points)
+            try:
+                root_string(fb, fa, list(map(in_f, points)), 2 * win.pairing(beta, alpha) / nn)
+            except RootStringError:
+                return False
+    return set(filter(win.fin.contains, probed)) == probed.intersection(reps)
+
+
 def first_broken_string(win):
     """The first (alpha, beta, error) whose alpha-string through beta is broken, else None.
 
     alpha runs over the nonisotropic window roots and beta over all window
-    roots.  The -alpha-string through beta is the alpha-string read
+    roots.  On a full window (``_finite_strings_hold``: the vector set is
+    every finite part at every degree of the box, and ``fin.contains``
+    agrees with the finite parts wherever a string probes it) a string's
+    verdict depends only on the finite parts of alpha and beta, so one
+    ``root_string`` call per finite pair decides every root pair.
+    ``decompose_window`` builds only full windows.  The per-root loop below
+    runs on a window that is not full, or when some finite pair breaks, and
+    names the first witness.
+
+    In that loop the -alpha-string through beta is the alpha-string read
     backwards, so it breaks exactly when the alpha-string does: once alpha
     has passed against every beta, -alpha is skipped.  A failing alpha is
     reached before its negative could be skipped, so the witness is the one
@@ -58,6 +111,8 @@ def first_broken_string(win):
     pair and only when some offset leaves the box.  Every window vector lies
     in the box, so the flags are ``member``'s answers.
     """
+    if _finite_strings_hold(win):
+        return None
     roots = [(_vec(r), r) for r in win.roots()]
     vectors = win.vectors
     contains = win.fin.contains

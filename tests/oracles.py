@@ -14,10 +14,10 @@ symmetry of the form.
 
 The root-string oracle is the literal double loop of the EARS R4 axiom:
 every nonisotropic alpha against every root beta, each offset of the string
-probed through ``literal_member``, with no box intervals, masks or skipped
-negatives; only the string rule itself, ``finroot.root_string``, is shared.
-``probe_flags`` builds the flag list that rule reads from any membership
-callable.
+probed through ``literal_member``, with no box intervals, masks, finite
+pairs or skipped negatives; only the string rule itself,
+``finroot.root_string``, is shared.  ``probe_flags`` builds the flag list
+that rule reads from any membership callable.
 
 The weight-0 span oracle is the literal spanning loop behind
 ``matlie.zero_root_component``: every slice pair in both orientations, each

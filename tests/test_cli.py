@@ -272,6 +272,9 @@ PINNED_REPORTS = [
     # nullity 0: the window is the single empty lattice degree
     ("check --construction sp-classical --ell 3", 0,
      "c9d22d7ffa6c65a08105b27b0619e2c10ccca87ca163c29ffbc4a3baf7460c62"),
+    # the ears-torus-w3 benchmark workload: 441 roots, strings by finite pairs
+    ("ears --construction quantum-torus --nu 2 --q -1 --window 3", 0,
+     "3240d13e9388ab7ce577cdce882355c1414ab8fc8547f9e405d7e61275a2810e"),
 ]
 
 
@@ -280,7 +283,7 @@ PINNED_REPORTS = [
                               "check-affinized-T", "ears-torus", "check-underived-D-EARS",
                               "ears-torus-w2", "check-affinized",
                               "check-sqrt-extension-3-primes", "check-affinized-underived",
-                              "check-sp-classical-3"])
+                              "check-sp-classical-3", "ears-torus-w3"])
 def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == code

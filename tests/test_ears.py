@@ -104,21 +104,32 @@ _A1 = ((1, 0, 0, 0), (-1, 0, 0, 0))
 _A2_BROKEN = ((0, 1, 0, -1), (0, 0, 1, -1), (0, -1, 1, 0), (0, -1, 0, 1), (0, 0, -1, 1))
 
 
-def _counting_root_string(monkeypatch):
+def _counting_root_string(monkeypatch, rule=root_string):
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)  # (beta, alpha, flags, c)
-        return root_string(*args, **kwargs)
+        return rule(*args, **kwargs)
 
     monkeypatch.setattr(ealie.ears, "root_string", counted)
     return calls
+
+
+def _passing_rule(beta, alpha, flags, c):
+    """A string rule that never fails, so every (alpha, beta) is scanned even
+    where strings break."""
 
 
 def _perturbed(win, removed=(), added=()):
     pieces = {r: p for r, p in win.pieces.items() if r not in removed}
     pieces.update((r, GradedPiece(root=r, basis=())) for r in added)
     return RootSystemWindow(win.alg, win.w, pieces)
+
+
+# One isotropic root off a full nullity-2 window: the window is no longer
+# full, so R4 runs the per-root loop, and every nonisotropic root keeps its
+# negative.
+_LOOP_REMOVAL = (Root(finite=(0, 0), lattice=(1, 0)),)
 
 
 # (fixture, roots removed, vectors added); torus_win has w = 1
@@ -184,6 +195,10 @@ def test_string_flags_are_the_member_probes(monkeypatch, request, name):
     # where strings break; flags are copied when the rule reads them
     fixture, removed, added = _R4_WINDOWS[name]
     win = _perturbed(request.getfixturevalue(fixture), removed, added)
+    if not removed and not added and win.alg.nu:
+        # a full window takes the finite-pair route, which the premise test
+        # pins; at nullity 0 a finite pair is a root pair, so it stays
+        win = _perturbed(win, _LOOP_REMOVAL)
     seen = []
     monkeypatch.setattr(ealie.ears, "root_string",
                         lambda beta, alpha, flags, c: seen.append((beta, alpha, list(flags))))
@@ -198,8 +213,10 @@ def test_string_flags_are_the_member_probes(monkeypatch, request, name):
 
 def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
     """One vector-set lookup per offset inside the box interval, and beyond it
-    one finite-part mask per (alpha, finite part of beta), never ``member``."""
-    calls = _counting_root_string(monkeypatch)
+    one finite-part mask per (alpha, finite part of beta), never ``member``:
+    the per-root loop, on a window that is not full."""
+    win = _perturbed(torus_win, _LOOP_REMOVAL)
+    calls = _counting_root_string(monkeypatch, _passing_rule)
     lookups, finite_probes = [], []
 
     class CountedSet(frozenset):
@@ -207,7 +224,7 @@ def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
             lookups.append(v)
             return frozenset.__contains__(self, v)
 
-    contains = torus_win.fin.contains
+    contains = win.fin.contains
 
     def counted_contains(v):
         finite_probes.append(v)
@@ -216,15 +233,15 @@ def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
     def no_member(self, v):
         raise AssertionError("the string scan probed member")
 
-    monkeypatch.setattr(torus_win, "vectors", CountedSet(torus_win.vectors))
-    monkeypatch.setattr(torus_win.fin, "contains", counted_contains)
+    monkeypatch.setattr(win, "vectors", CountedSet(win.vectors))
+    monkeypatch.setattr(win.fin, "contains", counted_contains)
     monkeypatch.setattr(RootSystemWindow, "member", no_member)
-    assert first_broken_string(torus_win) is None
+    assert first_broken_string(win) is None
 
-    k = torus_win.fin.rank
+    k = win.fin.rank
     expected, masked = [], set()
     for beta, alpha, _, _ in calls:
-        lo, hi = torus_win.box_interval(beta[k:], alpha[k:], STRING_SCAN)
+        lo, hi = win.box_interval(beta[k:], alpha[k:], STRING_SCAN)
         expected.extend(tuple(b + n * a for b, a in zip(beta, alpha)) for n in range(lo, hi + 1))
         if (lo, hi) != (-STRING_SCAN, STRING_SCAN):
             masked.add((alpha, beta[:k]))
@@ -234,10 +251,55 @@ def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
 
 
 def test_each_plus_minus_alpha_pair_scanned_once(monkeypatch, torus_win):
+    win = _perturbed(torus_win, _LOOP_REMOVAL)
+    calls = _counting_root_string(monkeypatch, _passing_rule)
+    assert first_broken_string(win) is None
+    nonisotropic = win.nonisotropic_roots()
+    assert len(calls) == len(nonisotropic) // 2 * len(win.roots())
+
+
+@pytest.mark.parametrize("fixture", ["torus_win", "aff_win", "sp4_win", "sqrt_win"])
+def test_decomposed_windows_are_full(request, fixture):
+    """The premise of the finite-pair route, pinned without it: the window
+    holds every finite part at every degree of its box, and the member probes
+    of each root string are the finite-part mask of its pair."""
+    win = request.getfixturevalue(fixture)
+    finite = {r.finite for r in win.roots()}
+    assert win.vectors == {f + l for f in finite for l in lattice_box(win.alg.nu, win.w)}
+    offsets = range(-STRING_SCAN, STRING_SCAN + 1)
+    for alpha in win.nonisotropic_roots():
+        for beta in win.roots():
+            mask = [tuple(b + n * a for b, a in zip(beta.finite, alpha.finite)) in finite
+                    for n in offsets]
+            flags = probe_flags(win.member, beta.finite + beta.lattice,
+                                alpha.finite + alpha.lattice, STRING_SCAN)
+            assert flags == mask, (alpha, beta)
+
+
+@pytest.mark.parametrize("fixture", ["torus_win", "torus_win2"])
+def test_full_window_scans_one_string_per_finite_pair(monkeypatch, request, fixture):
+    # C2 at nullity 2: 4 ±classes of nonzero finite parts against 9 finite
+    # parts, at w 1 (81 roots) and at w 2 (225 roots) alike
+    win = request.getfixturevalue(fixture)
     calls = _counting_root_string(monkeypatch)
-    assert first_broken_string(torus_win) is None
-    nonisotropic = torus_win.nonisotropic_roots()
-    assert len(calls) == len(nonisotropic) // 2 * len(torus_win.roots())
+    assert first_broken_string(win) is None
+    finite = {r.finite for r in win.roots()}
+    classes = {frozenset({a.finite, (-a).finite}) for a in win.nonisotropic_roots()}
+    assert len(calls) == len(classes) * len(finite) == 4 * 9
+
+
+def test_first_broken_string_where_fin_has_roots_the_window_lacks(torus_win):
+    # every long root removed at every degree: the window is the full product
+    # of the short roots and 0 with the box, and those strings are unbroken
+    # among themselves, but beyond the box fin still holds (-2, 0): the
+    # string of (-1, -1) + (-1, -1) through (-1, 1) + (-1, -1) reaches it
+    # there and breaks the length formula
+    long_roots = torus_win.fin.long_roots()
+    win = _perturbed(torus_win, [r for r in torus_win.roots() if r.finite in long_roots])
+    expected = literal_first_broken_string(win, STRING_SCAN)
+    assert expected is not None
+    alpha, beta, err = first_broken_string(win)
+    assert (alpha, beta, str(err)) == expected
 
 
 def test_r4_and_prop_root_strings_share_one_scan(monkeypatch, capsys, sp4_win):

@@ -525,10 +525,13 @@ def check_D(win, seed=0):
         d5_witness,
     ))
 
+    # The lattice half: each basis vector lives at exactly its slice's degree.
+    # The weight half rests on decompose_window, which checks every basis
+    # vector as an exact eigenvector of the toral generators.
     d6_ok = True
     d6_witness = None
     for root, x in flat:
-        if len(x.support_degrees()) > 1:
+        if x.support_degrees() != {root.lattice}:
             d6_ok = False
             d6_witness = {"root": root}
             break

@@ -32,7 +32,7 @@ from .matlie import (
     mat_bracket,
     skew_root_basis,
     trace_form,
-    zero_root_component,
+    zero_root_component_by_class,
 )
 from .quantum_torus import SignMatrix, TorusElement, kappa
 from .sparse import SparseMatrix, sparse_commutator, sparse_trace_pairing
@@ -103,7 +103,8 @@ class TorusMatrixAlgebra:
     ``derived`` selects G = [B, B] (only the weight-0 slices shrink);
     ``real_only`` restricts coefficients to the rationals, which at nu = 0
     yields sp_{2l}(Q) exactly.  Weight-0 derived slices are the closed forms
-    zero_root_component checks by exact spanning, computed once per degree.
+    zero_root_component checks by exact spanning, scanned once per parity
+    class of degrees (zero_root_component_by_class) and kept per degree.
     """
 
     construction = "quantum-torus"
@@ -116,6 +117,7 @@ class TorusMatrixAlgebra:
         self.real_only = real_only
         self.fin = FiniteRootSystem(ell)
         self._zero_bases = {}
+        self._zero_classes = {}
 
     # -- element basics ------------------------------------------------------
 
@@ -140,8 +142,8 @@ class TorusMatrixAlgebra:
             if self.derived:
                 basis = self._zero_bases.get(sigma)
                 if basis is None:
-                    basis = self._zero_bases[sigma] = zero_root_component(
-                        self.ell, self.q, sigma, real_only=self.real_only)
+                    basis = self._zero_bases[sigma] = zero_root_component_by_class(
+                        self.ell, self.q, sigma, self._zero_classes, real_only=self.real_only)
                 return basis
             return tuple(skew_root_basis(self.ell, self.q, weight, sigma, self.real_only))
         if weight not in self.fin.nonzero_roots:

@@ -15,7 +15,9 @@ once an exact spanning computation agrees with it, and raises
 DecompositionError otherwise.  That computation spans the opposite-weight
 brackets (``decomp.opposite_brackets``) over the box of max-norm ZERO_MARGIN,
 nonzero weights first and then weight 0, until the span fills B's weight-0
-slice.
+slice.  With q entries +-1 the scan reads degrees only mod 2, so
+zero_root_component_by_class runs it once per parity class of degrees and
+matches every later degree of the class to that class's checked basis.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from itertools import chain
 from .decomp import DecompositionError, opposite_brackets
 from .exact_arith import GaussianRational
 from .finroot import FiniteRootSystem
+from .kernel import g_cocycle
 from .linalg import SpanDict, span_equal
 from .quantum_torus import TorusElement, coeff_product, kappa, lattice_box, torus_form
 from .sparse import SparseMatrix, sparse_commutator, sparse_trace_pairing
@@ -39,6 +42,7 @@ __all__ = [
     "trace_form",
     "skew_root_basis",
     "zero_root_component",
+    "zero_root_component_by_class",
 ]
 
 _I = GaussianRational(0, 1)
@@ -261,6 +265,8 @@ def zero_root_component(ell, q, gamma, real_only=False):
     stops; the weight-0 x weight-0 brackets are then never formed.  After a
     vector from outside the ceiling, everything is scanned.  A closed form
     whose span differs from the scanned span raises DecompositionError.
+    Each call scans; zero_root_component_by_class scans once per parity
+    class of degrees.
     """
     gamma = tuple(gamma)
     zero = (0,) * ell
@@ -281,8 +287,61 @@ def zero_root_component(ell, q, gamma, real_only=False):
             if inside and span.dim == ceiling.dim:
                 break
 
-    case, real, imag = _closed_form_case(ell, q, gamma)
-    closed = tuple(real if real_only else real + imag)
+    case, closed = _closed_form(ell, q, gamma, real_only)
     if not span_equal(span, SpanDict(el.coords() for el in closed)):
         raise DecompositionError(f"weight-0 derived slice at {gamma} is not spanned by its closed form ({case})")
+    return closed
+
+
+def _closed_form(ell, q, gamma, real_only):
+    case, real, imag = _closed_form_case(ell, q, gamma)
+    return case, tuple(real if real_only else real + imag)
+
+
+def _reads_parity(q, gamma):
+    """Whether every sign the scan at gamma reads equals its value at degrees
+    mod 2: kappa at s and gamma - s, and g_cocycle at (s, gamma - s) and
+    (gamma - s, s), for each s in the box of max-norm ZERO_MARGIN."""
+    for s in lattice_box(q.nu, ZERO_MARGIN):
+        t = tuple(g - v for g, v in zip(gamma, s))
+        s2 = tuple(v % 2 for v in s)
+        t2 = tuple(v % 2 for v in t)
+        if (kappa(s, q) != kappa(s2, q) or kappa(t, q) != kappa(t2, q)
+                or g_cocycle(s, t, q) != g_cocycle(s2, t2, q)
+                or g_cocycle(t, s, q) != g_cocycle(t2, s2, q)):
+            return False
+    return True
+
+
+def _stripped(basis, gamma):
+    """Each vector's coordinates with the degree key dropped where it is gamma."""
+    return tuple({(key[1:] if key[0] == gamma else key): c for key, c in el.coords().items()}
+                 for el in basis)
+
+
+def zero_root_component_by_class(ell, q, gamma, classes, real_only=False):
+    """zero_root_component, with the spanning scan run once per class gamma mod 2.
+
+    ``classes`` is the caller's memo from gamma mod 2 to the degree-stripped
+    coordinates of a basis zero_root_component returned in that class.  The
+    scan at gamma brackets slices at s and gamma - s, whose bases depend on
+    their degrees only through kappa and the monomial, and whose products
+    only through g_cocycle.  So when those signs read degrees only mod 2
+    (``_reads_parity``, checked at gamma), the scan at gamma is the class's
+    scan with its degree key moved, and a closed form at gamma whose stripped
+    coordinates are the class's is the one the scan would accept.  Any other
+    gamma, and the first of each class, gets zero_root_component's scan,
+    which names gamma in its DecompositionError.  A class is recorded only
+    from a degree whose signs read parity.
+    """
+    gamma = tuple(gamma)
+    key = tuple(g % 2 for g in gamma)
+    known = classes.get(key)
+    if known is not None and _reads_parity(q, gamma):
+        closed = _closed_form(ell, q, gamma, real_only)[1]
+        if _stripped(closed, gamma) == known:
+            return closed
+    closed = zero_root_component(ell, q, gamma, real_only)
+    if known is None and _reads_parity(q, gamma):
+        classes[key] = _stripped(closed, gamma)
     return closed

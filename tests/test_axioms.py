@@ -25,6 +25,8 @@ from ealie.constructions import (
     affinize,
 )
 from ealie.decomp import (
+    GradedPiece,
+    RootSystemWindow,
     combine,
     core_and_center_window,
     decompose_window,
@@ -383,6 +385,21 @@ def test_underived_algebra_fails_exactly_zero_weight_span():
     assert _failed(report) == ["D8-zero-weight-spanned"]
     bad = next(r for r in report.results if r.name == "D8-zero-weight-spanned")
     assert bad.witness is not None
+
+
+def test_D6_fails_when_a_slice_holds_another_degree(torus_win):
+    # Each swapped basis vector is still homogeneous, but at the other slice's
+    # degree, so it is not bihomogeneous of its own slice's degree.
+    alpha = torus_win.fin.simple_roots[0]
+    a, b = Root(finite=alpha, lattice=(1, 0)), Root(finite=alpha, lattice=(0, 1))
+    pieces = dict(torus_win.pieces)
+    pieces[a] = GradedPiece(root=a, basis=torus_win.basis(b))
+    pieces[b] = GradedPiece(root=b, basis=torus_win.basis(a))
+    swapped = RootSystemWindow(torus_win.alg, torus_win.w, pieces)
+    d6 = next(r for r in check_D(swapped, seed=1).results if r.name == "D6-bihomogeneous")
+    assert not d6.passed
+    assert d6.witness == {"root": min(a, b)}
+    assert d6.detail == "every basis vector is homogeneous in weight and lattice degree at once"
 
 
 # -- a perturbed form breaks symmetry --------------------------------------------

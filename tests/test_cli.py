@@ -275,6 +275,10 @@ PINNED_REPORTS = [
     # the ears-torus-w3 benchmark workload: 441 roots, strings by finite pairs
     ("ears --construction quantum-torus --nu 2 --q -1 --window 3", 0,
      "3240d13e9388ab7ce577cdce882355c1414ab8fc8547f9e405d7e61275a2810e"),
+    # mixed signs at nullity 3: the first pin whose parity classes of lattice
+    # degrees carry different kappa signs
+    ("ears --construction quantum-torus --nu 3 --q=-1,1,-1 --window 1", 0,
+     "9bedd6f18b0dbf61e5b5ffd4d6c287c83ccd49dd07cd91e8d8c20e7234281801"),
 ]
 
 
@@ -283,7 +287,8 @@ PINNED_REPORTS = [
                               "check-affinized-T", "ears-torus", "check-underived-D-EARS",
                               "ears-torus-w2", "check-affinized",
                               "check-sqrt-extension-3-primes", "check-affinized-underived",
-                              "check-sp-classical-3", "ears-torus-w3"])
+                              "check-sp-classical-3", "ears-torus-w3",
+                              "ears-torus-nu3-mixed"])
 def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == code

@@ -56,6 +56,14 @@ def test_oracles_stay_independent_of_the_checks():
     assert not imported_modules(Path(__file__).parent / "oracles.py") & {"axioms", "ears"}
 
 
+def test_oracles_stay_independent_of_the_weight_zero_routes():
+    """``literal_zero_span`` spans the weight-0 slices itself, so the oracles
+    import neither the per-degree nor the per-class route it checks."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not names & {"zero_root_component", "zero_root_component_by_class"}
+
+
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 

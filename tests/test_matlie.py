@@ -2,11 +2,13 @@
 
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from ealie.decomp import DecompositionError, opposite_brackets
+from ealie.constructions import TorusMatrixAlgebra
+from ealie.decomp import DecompositionError, decompose_window, opposite_brackets
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import FiniteRootSystem
 from ealie import matlie
@@ -22,12 +24,14 @@ from ealie.matlie import (
     star,
     trace_form,
     zero_root_component,
+    zero_root_component_by_class,
 )
 from ealie.quantum_torus import SignMatrix, kappa, lattice_box
 
 from oracles import literal_zero_span
 
 Q2 = SignMatrix.from_upper(2, [-1])
+Q3 = SignMatrix.from_upper(3, [-1, 1, -1])
 Q0 = SignMatrix(0)
 
 
@@ -290,13 +294,116 @@ def test_zero_root_component_scans_everything_past_a_bracket_outside_the_ceiling
 
 def test_weight_zero_brackets_lie_in_the_b_slice():
     # The premise of the stop rule, on every bracket either feed yields.
-    q3 = SignMatrix.from_upper(3, [-1, 1, -1])
-    cases = [(Q2, gamma) for gamma in lattice_box(2, 1)] + [(q3, (1, 0, 0)), (q3, (1, 0, 1))]
+    cases = [(Q2, gamma) for gamma in lattice_box(2, 1)] + [(Q3, (1, 0, 0)), (Q3, (1, 0, 1))]
     for q, gamma in cases:
         ceiling = SpanDict(x.coords() for x in skew_root_basis(2, q, (0, 0), gamma))
         for feed in _weight_zero_feeds(2, q, gamma, False):
             for b in feed:
                 assert ceiling.contains(b.coords()), gamma
+
+
+# -- weight-0 slices once per parity class of degrees -------------------------
+
+
+def _parity(gamma):
+    return tuple(g % 2 for g in gamma)
+
+
+def _by_class(degrees):
+    """The degrees of each parity class, in box order."""
+    classes = defaultdict(list)
+    for gamma in degrees:
+        classes[_parity(gamma)].append(gamma)
+    return classes
+
+
+@pytest.mark.parametrize("ell, q, w, real_only", [
+    (2, Q2, 3, False),
+    (2, Q3, 1, False),
+    (2, SignMatrix(2), 2, False),
+    (3, Q2, 1, False),
+    (2, Q0, 0, True),
+], ids=["nu2-w3", "nu3-mixed-w1", "nu2-trivial-w2", "ell3-nu2-w1", "real-only-nu0"])
+def test_class_route_matches_per_degree_scan_and_literal_oracle(ell, q, w, real_only):
+    degrees = lattice_box(q.nu, w)
+    classes = {}
+    route = {gamma: zero_root_component_by_class(ell, q, gamma, classes, real_only) for gamma in degrees}
+    assert len(classes) == 2 ** q.nu
+    for gamma in degrees:
+        assert route[gamma] == zero_root_component(ell, q, gamma, real_only), gamma
+    # the literal loops at the last degree of each class, which the class
+    # route matched without a scan whenever the class has two degrees or more
+    for members in _by_class(degrees).values():
+        gamma = members[-1]
+        span, _, _ = literal_zero_span(ell, q, gamma, matlie.ZERO_MARGIN, real_only)
+        assert span_equal(span, _spans(route[gamma])), gamma
+
+
+def _scanned_degrees(monkeypatch):
+    """Degrees at which zero_root_component brackets, in call order."""
+    scanned = []
+    current = []
+
+    def scan(ell, q, gamma, real_only=False):
+        current.append(tuple(gamma))
+        try:
+            return zero_root_component(ell, q, gamma, real_only)
+        finally:
+            current.pop()
+
+    def counted(x, y):
+        if not scanned or scanned[-1] != current[-1]:
+            scanned.append(current[-1])
+        return mat_bracket(x, y)
+
+    monkeypatch.setattr(matlie, "zero_root_component", scan)
+    monkeypatch.setattr(matlie, "mat_bracket", counted)
+    return scanned
+
+
+def test_window_scans_once_per_parity_class(monkeypatch):
+    # the ears-torus-w3 window: 49 degrees, 4 classes, each scanned at its
+    # first degree in box order
+    scanned = _scanned_degrees(monkeypatch)
+    decompose_window(TorusMatrixAlgebra(2, Q2), 3)
+    firsts = [members[0] for members in _by_class(lattice_box(2, 3)).values()]
+    assert len(firsts) == 4
+    assert scanned == firsts
+
+
+def test_wrong_closed_form_past_the_first_of_its_class_is_refused(monkeypatch):
+    gamma = (1, 1)
+    assert _by_class(lattice_box(2, 1))[_parity(gamma)][0] != gamma
+    closed_form_case = matlie._closed_form_case
+
+    def wrong_at_gamma(ell, q, degree):
+        case, real, imag = closed_form_case(ell, q, degree)
+        return (case, real[:-1], imag) if tuple(degree) == gamma else (case, real, imag)
+
+    monkeypatch.setattr(matlie, "_closed_form_case", wrong_at_gamma)
+    with pytest.raises(DecompositionError, match=re.escape(f"weight-0 derived slice at {gamma} is not spanned")):
+        decompose_window(TorusMatrixAlgebra(2, Q2), 1)
+
+
+def test_signs_beyond_parity_send_every_degree_to_its_scan(monkeypatch):
+    # A cocycle that reads s[0] mod 4 differs from its parity-reduced value at
+    # s = (-1, *) for some s in the margin box of every degree.
+    g_cocycle = matlie.g_cocycle
+
+    def mod_four(sigma, tau, q):
+        flip = sigma[0] % 4 == 3 and tau[1] % 2
+        return -g_cocycle(sigma, tau, q) if flip else g_cocycle(sigma, tau, q)
+
+    monkeypatch.setattr(matlie, "g_cocycle", mod_four)
+    scanned = _scanned_degrees(monkeypatch)
+    degrees = lattice_box(2, 1)
+    classes = {}
+    for gamma in degrees:
+        basis = zero_root_component_by_class(2, Q2, gamma, classes)
+        span, _, _ = literal_zero_span(2, Q2, gamma, matlie.ZERO_MARGIN)
+        assert span_equal(span, _spans(basis)), gamma
+    assert classes == {}
+    assert scanned == degrees
 
 
 def test_hddot_definition():

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .ears import first_broken_string
 from .finroot import Root
-from .linalg import SpanDict, nullspace_dense, relations, solve_combination, solve_dense, span_equal
+from .linalg import SpanDict, nullspace_dense, solve_combination, solve_dense, span_equal, sparse_nullspace
 from .quantum_torus import lattice_box, unit_degrees
 
 __all__ = [
@@ -104,6 +104,10 @@ class RootSystemWindow:
         if outside is not None:
             raise DecompositionError(f"slice at {outside} lies outside the window box of max-norm {w}")
         self.vectors = frozenset(r.finite + r.lattice for r in pieces)
+        split = ([], [])
+        for r in self._roots:
+            split[self.is_isotropic(r)].append(r)
+        self._nonisotropic, self._isotropic = map(tuple, split)
         self._t_cache = {}
         self._strings = None  # (first_broken_string(self),) once scanned
         self._toral = tuple(alg.toral_basis())
@@ -131,10 +135,10 @@ class RootSystemWindow:
         return not self.norm(root)
 
     def nonisotropic_roots(self):
-        return [r for r in self._roots if not self.is_isotropic(r)]
+        return list(self._nonisotropic)
 
     def isotropic_roots(self):
-        return [r for r in self._roots if self.is_isotropic(r)]
+        return list(self._isotropic)
 
     def in_box(self, lattice):
         """True when the lattice degree has max-norm <= w, i.e. lies in the window."""
@@ -400,18 +404,25 @@ class CoreData:
 
 
 def centralizer_candidates(alg, candidates, generators):
-    """Vectors among ``candidates`` killing every generator, by one exact solve."""
-    vecs = []
-    for b in candidates:
-        merged = {}
-        for k, s in enumerate(generators):
-            for key, val in alg.coords(alg.bracket(b, s)).items():
-                merged[(k, key)] = val
-        vecs.append(merged)
-    out = []
-    for rel in relations(vecs):
-        out.append(combine(candidates, rel, alg.zero()))
-    return out
+    """Combinations of ``candidates`` killing every generator, one per free candidate.
+
+    The coefficients c with sum_j c_j [b_j, s] = 0 for every generator s are
+    the nullspace of one row per generator and coordinate key.  Generators are
+    bracketed one at a time and each one's rows go to ``sparse_nullspace`` in
+    sorted key order; once the rows read have rank len(candidates), no
+    combination survives, reading stops and later generators are never
+    bracketed.
+    """
+    def rows():
+        for s in generators:
+            by_key = {}
+            for j, b in enumerate(candidates):
+                for key, val in alg.coords(alg.bracket(b, s)).items():
+                    by_key.setdefault(key, {})[j] = val
+            for key in sorted(by_key):
+                yield by_key[key]
+
+    return [combine(candidates, rel, alg.zero()) for rel in sparse_nullspace(rows(), len(candidates))]
 
 
 def _small_generators(win):

@@ -2,8 +2,16 @@
 
 Vectors come in two shapes here: dense rows (lists of Fraction/int) and sparse
 dicts keyed by hashable, mutually comparable coordinate labels.  All routines
-are deterministic: dict vectors are processed in sorted key order, pivots are
-the first nonzero candidates.
+are deterministic.
+
+Nullspaces are streamed: ``sparse_nullspace`` adds rows to a ``SpanDict``
+echelon as they arrive and stops reading once it holds one pivot per column,
+because the nullspace is then {0}.  Otherwise it returns, per free column, the
+vector with that column 1 and every other free column 0.  Both the pivot
+columns (the leading columns of the vectors in the row space) and each of these
+vectors (the unique nullspace vector with the given free entries) are fixed by
+the row space alone.  So the result does not depend on row order, and a
+stopped read returns exactly what reading every row would.
 """
 
 from fractions import Fraction
@@ -16,8 +24,8 @@ __all__ = [
     "rows_rank",
     "solve_dense",
     "nullspace_dense",
+    "sparse_nullspace",
     "solve_combination",
-    "relations",
     "SpanDict",
     "span_equal",
     "gram_nonsingular",
@@ -77,16 +85,36 @@ def solve_dense(a_rows, b):
 
 def nullspace_dense(a_rows, ncols):
     """Basis of the right nullspace {x : A x = 0}, one vector per free column."""
-    rows = [clear_row(r) for r in a_rows if any(r)]
-    work, pivots = int_echelon(rows, ncols) if rows else ([], [])
-    pivot_set = set(pivots)
+    return sparse_nullspace(({j: v for j, v in enumerate(row) if v} for row in a_rows), ncols)
+
+
+def sparse_nullspace(rows, ncols):
+    """Basis of {x : sum_j row[j] * x[j] == 0 for every row}, x of length ``ncols``.
+
+    ``rows`` is any iterable of sparse rows {column: value} with columns in
+    range(ncols); it is read only until the rows read have rank ``ncols``.  One
+    Fraction vector per free column, in column order: that column 1, the other
+    free columns 0, the pivot columns back-substituted.
+    """
+    span = SpanDict()
+    if ncols:
+        for row in rows:
+            if span.add(row) and span.dim == ncols:
+                return []
+    echelon = sorted(span._rows.items(), reverse=True)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in span._rows:
             continue
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
-        basis.append(_back_substitute(work, pivots, x, [0] * len(pivots)))
+        for pc, row in echelon:
+            acc = Fraction(0)
+            for j, v in row.items():
+                if j != pc and x[j]:
+                    acc -= v * x[j]
+            x[pc] = acc / row[pc]
+        basis.append(x)
     return basis
 
 
@@ -108,15 +136,6 @@ def _back_substitute(work, pivots, x, rhs):
     return x
 
 
-def _key_union(vecs, extra=()):
-    keys = set()
-    for v in vecs:
-        keys.update(v)
-    for v in extra:
-        keys.update(v)
-    return sorted(keys)
-
-
 def solve_combination(vecs, target):
     """Coefficients c with sum(c_j * vecs[j]) == target, or None.
 
@@ -124,22 +143,10 @@ def solve_combination(vecs, target):
     """
     if not vecs:
         return [] if not any(target.values()) else None
-    keys = _key_union(vecs, extra=(target,))
+    keys = sorted({k for v in (*vecs, target) for k in v})
     a_rows = [[v.get(k, 0) for v in vecs] for k in keys]
     b = [target.get(k, 0) for k in keys]
     return solve_dense(a_rows, b)
-
-
-def relations(vecs):
-    """Basis of {c : sum(c_j * vecs[j]) == 0} for sparse dict vectors."""
-    if not vecs:
-        return []
-    keys = _key_union(vecs)
-    if not keys:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(len(vecs))]
-                for i in range(len(vecs))]
-    a_rows = [[v.get(k, 0) for v in vecs] for k in keys]
-    return nullspace_dense(a_rows, len(vecs))
 
 
 class SpanDict:

@@ -27,13 +27,23 @@ The root-pair oracles are the literal loops of T4, of the zero-sum triple
 list and of three PROPS checks: every ad-chain bracket is computed, triples
 come from ``Root`` sums, and every ordered root pair gets its own pairing or
 form, with no weight rule, flat vectors, finite-part representatives or
-bilinearity.  ``tests/test_layering.py`` checks that this file imports
-neither ``ealie.axioms`` nor ``ealie.ears``.
+bilinearity.
+
+The relations and centralizer oracles write out the whole coordinate-key x
+candidate matrix at once, every candidate bracketed with every generator,
+and reduce it with ``kernel.int_echelon``, with no streamed rows and no
+early stop.
+
+``tests/test_layering.py`` checks that this file imports neither
+``ealie.axioms`` nor ``ealie.ears``, and no nullspace route of
+``ealie.linalg``.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from ealie.finroot import FiniteRootSystem, Root, RootStringError, root_string
+from ealie.kernel import int_echelon
 from ealie.linalg import SpanDict
 from ealie.matlie import mat_bracket, skew_root_basis
 from ealie.quantum_torus import lattice_box
@@ -218,3 +228,50 @@ def literal_first_unequal_pairing(win):
             if not isinstance(lhs, Fraction) or lhs != win.form(win.rep_t(r1), win.rep_t(r2)):
                 return {"first": r1, "second": r2}
     return None
+
+
+def literal_relations(vecs):
+    """Basis of {c : sum(c_j * vecs[j]) == 0} for sparse dict vectors: one row
+    per key of the union of supports, in sorted order, reduced by
+    ``int_echelon``; one Fraction vector per free column, that column 1 and
+    the other free columns 0."""
+    n = len(vecs)
+    rows = []
+    for key in sorted({k for v in vecs for k in v}):
+        row = [Fraction(v.get(key, 0)) for v in vecs]
+        den = lcm(*(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    work, pivots = int_echelon(rows, n)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            acc = sum((work[r][j] * x[j] for j in range(pc + 1, n)), Fraction(0))
+            x[pc] = -acc / work[r][pc]
+        basis.append(x)
+    return basis
+
+
+def literal_centralizer_candidates(alg, candidates, generators):
+    """Every candidate bracketed with every generator, merged into one vector
+    per candidate keyed by (generator index, coordinate key); each relation
+    among those vectors gives one combination of the candidates."""
+    vecs = []
+    for b in candidates:
+        merged = {}
+        for k, s in enumerate(generators):
+            for key, val in alg.coords(alg.bracket(b, s)).items():
+                merged[(k, key)] = val
+        vecs.append(merged)
+    out = []
+    for rel in literal_relations(vecs):
+        acc = alg.zero()
+        for b, c in zip(candidates, rel):
+            if c:
+                acc = acc + b * c
+        out.append(acc)
+    return out

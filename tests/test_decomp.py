@@ -14,6 +14,7 @@ from ealie.decomp import (
     SL2Error,
     _core_basis,
     _small_generators,
+    centralizer_candidates,
     combine,
     core_and_center_window,
     decompose_window,
@@ -30,7 +31,7 @@ from ealie.matlie import hdot
 from ealie.quantum_torus import SignMatrix, lattice_box, unit_degrees
 
 from conftest import Q_MIXED
-from oracles import literal_member
+from oracles import literal_centralizer_candidates, literal_member
 
 
 def test_sp4_window_shape(sp4_win):
@@ -350,6 +351,55 @@ def test_core_scan_stops_when_each_span_is_full(monkeypatch, aff_win):
         fewer += len(calls) < box
     # every degree but 0, whose window slice also holds c and d, stops early
     assert fewer == len(aff_win.isotropic_roots()) - 1
+
+
+def _layout_types(alg, z):
+    return [(k, type(v), v) for k, v in alg.coords(z).items()]
+
+
+@pytest.mark.parametrize("name", ["torus_win", "aff_win", "sqrt_win"])
+def test_centralizer_candidates_match_the_literal_solve(request, name):
+    """The streamed, early-stopped solve gives the same combinations, with the
+    same Fraction coordinates, as the whole key x candidate matrix reduced at
+    once: on the window slices (TAME's candidates) and, on the affinized
+    window, where central survivors remain, on the core slices as well."""
+    win = request.getfixturevalue(name)
+    alg = win.alg
+    generators = _small_generators(win)
+    candidate_sets = [win.basis]
+    if name == "aff_win":
+        candidate_sets.append(request.getfixturevalue("aff_core").piece_basis)
+    survivors = 0
+    for basis_of in candidate_sets:
+        for delta in win.isotropic_roots():
+            candidates = basis_of(delta)
+            got = centralizer_candidates(alg, candidates, generators)
+            want = literal_centralizer_candidates(alg, candidates, generators)
+            assert got == want
+            assert [_layout_types(alg, z) for z in got] == [_layout_types(alg, z) for z in want]
+            survivors += len(got)
+    assert survivors == {"torus_win": 0, "aff_win": 4, "sqrt_win": 0}[name]
+
+
+def test_centralizer_brackets_stop_once_the_candidates_are_independent(monkeypatch, sqrt_win, aff_win):
+    """Independent candidates stop the generator stream early; a surviving
+    relation needs every bracket, since no prefix of the rows has full rank."""
+    surviving = []
+    for win in (sqrt_win, aff_win):
+        calls = _counting_brackets(monkeypatch, win.alg)
+        generators = _small_generators(win)
+        for delta in win.isotropic_roots():
+            candidates = win.basis(delta)
+            calls.clear()
+            survivors = centralizer_candidates(win.alg, candidates, generators)
+            full = len(candidates) * len(generators)
+            if survivors:
+                surviving.append(win)
+                assert len(calls) == full, delta
+            else:
+                assert len(calls) < full, delta
+        monkeypatch.undo()
+    assert surviving and all(win is aff_win for win in surviving)
 
 
 def test_core_scan_runs_the_whole_box_past_a_bracket_outside_the_window_slice(monkeypatch, aff_win):

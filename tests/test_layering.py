@@ -64,6 +64,21 @@ def test_oracles_stay_independent_of_the_weight_zero_routes():
     assert not names & {"zero_root_component", "zero_root_component_by_class"}
 
 
+def test_oracles_stay_independent_of_the_nullspace_routes():
+    """``literal_relations`` reduces the whole matrix with ``ealie.kernel``, so
+    the oracles take nothing from ``ealie.linalg`` but ``SpanDict``."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    from_linalg = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ealie.linalg":
+            from_linalg.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "ealie":
+            assert "linalg" not in {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert "ealie.linalg" not in {a.name for a in node.names}
+    assert from_linalg <= {"SpanDict"}
+
+
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 

@@ -9,12 +9,14 @@ from ealie.linalg import (
     integer_lattice_basis,
     integer_lattice_member,
     nullspace_dense,
-    relations,
     rows_rank,
     solve_combination,
     solve_dense,
     span_equal,
+    sparse_nullspace,
 )
+
+from oracles import literal_relations
 
 
 def test_solve_dense_square():
@@ -64,6 +66,13 @@ def test_span_equal():
     assert not span_equal(a, c)
 
 
+def _key_rows(vecs):
+    """One sparse row {vector index: value} per key of the union of supports,
+    in sorted key order: the rows whose nullspace is the relations of ``vecs``."""
+    keys = sorted({k for v in vecs for k in v})
+    return [{j: v[k] for j, v in enumerate(vecs) if k in v} for k in keys]
+
+
 def test_solve_combination_and_relations():
     vecs = [{"x": Fraction(1)}, {"y": Fraction(1)}, {"x": Fraction(1), "y": Fraction(1)}]
     sol = solve_combination(vecs, {"x": Fraction(2), "y": Fraction(1)})
@@ -73,10 +82,67 @@ def test_solve_combination_and_relations():
         for k, val in v.items():
             got[k] = got.get(k, 0) + c * val
     assert got == {"x": 2, "y": 1}
-    rels = relations(vecs)
+    rels = sparse_nullspace(_key_rows(vecs), len(vecs))
     assert len(rels) == 1
     r = rels[0]
     assert r[0] + r[2] == 0 and r[1] + r[2] == 0
+
+
+def _random_systems():
+    """Seeded sparse systems (rows, ncols): rank-deficient with zero and
+    duplicate rows mixed in, full rank, no rows, and no columns."""
+    rng = random.Random(23)
+
+    def sparse_row(ncols):
+        cols = rng.sample(range(ncols), rng.randint(1, ncols))
+        return {j: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for j in cols}
+
+    systems = []
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        seeds = [sparse_row(ncols) for _ in range(rng.randint(1, ncols))]
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            combo = {}
+            for row in rng.sample(seeds, rng.randint(1, len(seeds))):
+                c = rng.randint(-2, 2)
+                for j, v in row.items():
+                    combo[j] = combo.get(j, 0) + c * v
+            rows.append(combo)
+        rows.insert(rng.randint(0, len(rows)), {})
+        rows.insert(rng.randint(0, len(rows)), {rng.randrange(ncols): 0})
+        rows.insert(rng.randint(0, len(rows)), dict(rng.choice(rows)))
+        systems.append((rows, ncols))
+    systems.append(([{0: 2, 1: 1}, {1: Fraction(1, 2)}, {0: 1}], 2))
+    systems.append(([], 3))
+    systems.append(([], 0))
+    systems.append(([{}, {}], 0))
+    return systems
+
+
+def test_streamed_nullspace_matches_literal_relations_on_random_systems():
+    """Equal vectors, all Fractions, in column order: the streamed SpanDict
+    route and the dense route against the whole matrix reduced at once."""
+    systems = _random_systems()
+    deficient = 0
+    for rows, ncols in systems:
+        vecs = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(ncols)]
+        want = literal_relations(vecs)
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        for got in (sparse_nullspace(rows, ncols), nullspace_dense(dense, ncols)):
+            assert got == want, (rows, ncols)
+            assert all(type(x) is Fraction for v in got for x in v)
+        deficient += bool(want)
+    assert 0 < deficient < len(systems)
+
+
+def test_streamed_nullspace_stops_at_full_rank():
+    rows = iter([{0: 1, 1: 1}, {}, {1: 2}, {0: 5}, {2: 1}])
+    assert sparse_nullspace(rows, 2) == []
+    assert next(rows) == {0: 5}
+    rows = iter([{0: 1}])
+    assert sparse_nullspace(rows, 0) == []
+    assert next(rows) == {0: 1}
 
 
 def test_gram_predicates():

@@ -41,6 +41,7 @@ CONSTRUCTIONS = tuple(ALLOWED_SUITES)
 
 # Options each construction never reads; setting one to anything but its
 # default is a usage error, so a report never shows a value that was not used.
+# ``main`` refuses ``--window`` at nullity 0 by the same rule.
 UNREAD_OPTIONS = {
     "quantum-torus": ("primes",),
     "affinized": ("primes",),
@@ -360,20 +361,24 @@ def main(argv=None):
     sub.add_parser("list-constructions", help="list constructions and their suites")
 
     args = parser.parse_args(argv)
+    # errors found from here on name the subcommand, as argparse's own do
+    cmd = sub.choices[args.command]
     if args.command != "list-constructions":
-        defaults = sub.choices[args.command]
         for name in UNREAD_OPTIONS[args.construction]:
-            if getattr(args, name) != defaults.get_default(name):
-                parser.error(f"--{name} is not read by construction {args.construction}")
+            if getattr(args, name) != cmd.get_default(name):
+                cmd.error(f"--{name} is not read by construction {args.construction}")
+        # nullity 0 has one lattice degree, the empty one, at every window
+        if args.nu == 0 and args.window != cmd.get_default("window"):
+            cmd.error("--window is not read at nullity 0")
     if args.command == "check":
-        return _cmd_check(parser, args)
+        return _cmd_check(cmd, args)
     if args.command == "export":
-        return _cmd_export(parser, args)
+        return _cmd_export(cmd, args)
     if args.command == "serre":
-        return _cmd_serre(parser, args)
+        return _cmd_serre(cmd, args)
     if args.command == "ears":
-        return _cmd_ears(parser, args)
-    return _cmd_list(parser, args)
+        return _cmd_ears(cmd, args)
+    return _cmd_list(cmd, args)
 
 
 def run(argv=None):

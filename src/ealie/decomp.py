@@ -148,43 +148,15 @@ class RootSystemWindow:
                 return False
         return True
 
-    def box_interval(self, lattice, direction, scan):
-        """The offsets lo..hi in [-scan, scan] with ``lattice + n*direction`` in the box.
-
-        The box is convex, so these offsets form one interval (empty when
-        lo > hi): per coordinate -w <= x + n*a <= w, solved by floor division.
-        """
-        w = self.w
-        lo, hi = -scan, scan
-        for x, a in zip(lattice, direction):
-            if a > 0:
-                first, last = -((w + x) // a), (w - x) // a
-            elif a < 0:
-                first, last = -((w - x) // -a), (w + x) // -a
-            elif -w <= x <= w:
-                continue
-            else:
-                return 0, -1
-            if first > lo:
-                lo = first
-            if last < hi:
-                hi = last
-        return lo, hi
-
     def member(self, v):
         """Root membership of the flat vector ``finite + lattice``.
 
         Inside the window's box the computed slices decide; beyond it a vector
         is a root exactly when its finite part lies in ``fin`` (or is zero).
         Every slice lies in the box (``__init__`` checks it), so a vector in
-        ``vectors`` is always in the box.  ``ears.first_broken_string`` never
-        calls here.  On a full window (``vectors`` is every finite part of a
-        root at every degree of the box, and ``fin.contains`` agrees with
-        those finite parts wherever a string probes it) this rule answers
-        [fb + n*fa in F] along every string, so one string per pair of finite
-        parts decides R4.  On any other window, or when a finite pair breaks,
-        the per-root loop splits each string by this rule (``box_interval``)
-        instead of calling here once per point.
+        ``vectors`` is always in the box.  R4's literal loop
+        (``ears.first_broken_string`` on a window that is not full) reads
+        every string flag here.
         """
         if v in self.vectors:
             return True

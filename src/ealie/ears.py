@@ -90,73 +90,24 @@ def first_broken_string(win):
     agrees with the finite parts wherever a string probes it) a string's
     verdict depends only on the finite parts of alpha and beta, so one
     ``root_string`` call per finite pair decides every root pair.
-    ``decompose_window`` builds only full windows.  The per-root loop below
-    runs on a window that is not full, or when some finite pair breaks, and
-    names the first witness.
-
-    In that loop the -alpha-string through beta is the alpha-string read
-    backwards, so it breaks exactly when the alpha-string does: once alpha
-    has passed against every beta, -alpha is skipped.  A failing alpha is
-    reached before its negative could be skipped, so the witness is the one
-    the full double loop finds.  The Cartan number 2(beta,alpha)/(alpha,alpha)
-    depends only on the finite parts, so it is computed once per alpha and
-    finite part of beta.
-
-    Each string's flags follow the window's membership rule
-    (``RootSystemWindow.member``) without probing it point by point.  The
-    offsets whose lattice part stays in the box (``box_interval``) are looked
-    up in the window's vector set.  Beyond them a point is a root exactly
-    when its finite part beta.finite + n*alpha.finite lies in ``fin``: a mask
-    that depends only on alpha and the finite part of beta, built once per
-    pair and only when some offset leaves the box.  Every window vector lies
-    in the box, so the flags are ``member``'s answers.
+    ``decompose_window`` builds only full windows.  On a window that is not
+    full, or when some finite pair breaks, the literal loop runs: every
+    string's flags are ``member``'s answers at beta + n*alpha, and the first
+    broken string is the witness.
     """
     if _finite_strings_hold(win):
         return None
-    roots = [(_vec(r), r) for r in win.roots()]
-    vectors = win.vectors
-    contains = win.fin.contains
-    box_interval = win.box_interval
     offsets = range(-STRING_SCAN, STRING_SCAN + 1)
-    done = set()
+    roots = [(_vec(r), r) for r in win.roots()]
     for alpha in win.nonisotropic_roots():
-        if -alpha in done:
-            continue
         va = _vec(alpha)
-        fa, la = alpha.finite, alpha.lattice
-        steps = [tuple(n * a for a in va) for n in offsets]
         nn = win.pairing(alpha, alpha)
-        cartan = {}
-        masks = {}
-        intervals = {}
         for vb, beta in roots:
-            fb = beta.finite
-            c = cartan.get(fb)
-            if c is None:
-                c = cartan[fb] = 2 * win.pairing(beta, alpha) / nn
-            lb = beta.lattice
-            span = intervals.get(lb)
-            if span is None:
-                span = intervals[lb] = box_interval(lb, la, STRING_SCAN)
-            lo, hi = span
-            if lo == -STRING_SCAN and hi == STRING_SCAN:
-                flags = [False] * len(offsets)
-            else:
-                mask = masks.get(fb)
-                if mask is None:
-                    mask = masks[fb] = [contains(tuple(b + n * a for b, a in zip(fb, fa)))
-                                        for n in offsets]
-                flags = mask.copy()
-            # beta lies in the box, so lo <= 0 <= hi
-            point = tuple(map(add, vb, steps[lo + STRING_SCAN]))
-            for i in range(lo + STRING_SCAN, hi + STRING_SCAN + 1):
-                flags[i] = point in vectors
-                point = tuple(map(add, point, va))
+            flags = [win.member(tuple(b + n * a for b, a in zip(vb, va))) for n in offsets]
             try:
-                root_string(vb, va, flags, c)
+                root_string(vb, va, flags, 2 * win.pairing(beta, alpha) / nn)
             except RootStringError as err:
                 return alpha, beta, err
-        done.add(alpha)
     return None
 
 

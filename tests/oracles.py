@@ -14,8 +14,8 @@ symmetry of the form.
 
 The root-string oracle is the literal double loop of the EARS R4 axiom:
 every nonisotropic alpha against every root beta, each offset of the string
-probed through ``literal_member``, with no box intervals, masks, finite
-pairs or skipped negatives; only the string rule itself,
+probed through ``literal_member``, with no finite pairs or skipped
+negatives; only the string rule itself,
 ``finroot.root_string``, is shared.  ``probe_flags`` builds the flag list
 that rule reads from any membership callable.
 

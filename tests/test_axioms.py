@@ -451,6 +451,48 @@ def test_form_symmetry_witness_is_first_root(sp4_win):
     assert sym.witness == {"root": Root(finite=(-2, 0), lattice=())}
 
 
+class _OffAlgebra:
+    """Algebra wrapper whose root functional is off by 1 in its first entry on
+    every root but ``exact``."""
+
+    def __init__(self, alg, exact):
+        self._alg = alg
+        self._exact = exact
+
+    def __getattr__(self, name):
+        return getattr(self._alg, name)
+
+    def root_functional(self, root):
+        lams = list(self._alg.root_functional(root))
+        if root != self._exact:
+            lams[0] += 1
+        return lams
+
+
+class _OffFunctionalWindow:
+    """Window wrapper whose ``alg`` is an ``_OffAlgebra``; the window's own
+    slices and toral data are untouched."""
+
+    def __init__(self, win, exact):
+        self._win = win
+        self.alg = _OffAlgebra(win.alg, exact)
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+
+def test_T2_witness_names_the_first_failing_spot_root(sp4_win):
+    # T2's draws are the first of check_T's random stream
+    rng = random.Random(1)
+    flat = list(sp4_win.all_basis())
+    draws = [flat[rng.randrange(len(flat))][0] for _ in range(10)]
+    first_bad = next(r for r in draws if r != draws[0])
+    report = check_T(_OffFunctionalWindow(sp4_win, draws[0]), seed=1)
+    assert _failed(report) == ["T2-toral-subalgebra"]
+    t2 = next(r for r in report.results if r.name == "T2-toral-subalgebra")
+    assert t2.witness == {"commuting": True, "gram": True, "spot_root": first_bad}
+
+
 def test_T4_enforces_nilpotency_bound(monkeypatch, sp4_win):
     t4 = next(r for r in check_T(sp4_win, seed=1).results if r.name == "T4-locally-nilpotent")
     assert t4.passed

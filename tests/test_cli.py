@@ -83,6 +83,44 @@ def test_unread_option_at_its_default_accepted(capsys):
     assert _run(capsys, argv + ["--window", "1", "--seed", "0"]) == _run(capsys, argv)
 
 
+# at nullity 0 the window is the single empty lattice degree at every --window
+_NULLITY_ZERO = {
+    "affinized": ["check", "--construction", "affinized", "--nu", "0"],
+    "sqrt-extension": ["check", "--construction", "sqrt-extension", "--rank", "2"],
+    "quantum-torus": ["ears", "--construction", "quantum-torus", "--nu", "0"],
+    "sp-classical": ["export", "--construction", "sp-classical"],
+}
+
+
+@pytest.mark.parametrize("window", ["0", "3"])
+@pytest.mark.parametrize("name", sorted(_NULLITY_ZERO))
+def test_window_at_nullity_zero_rejected(capsys, name, window):
+    err = _usage_error(capsys, _NULLITY_ZERO[name] + ["--window", window])
+    assert "--window is not read at nullity 0" in err
+
+
+def test_window_at_nullity_zero_default_accepted(capsys):
+    argv = _NULLITY_ZERO["sp-classical"]
+    assert _run(capsys, argv + ["--window", "1"]) == _run(capsys, argv)
+
+
+# each error found after parsing: _parse_q (count, entry), _parse_suites,
+# _parse_primes, _build_algebra, the unread-option rule, the nullity-0 window
+@pytest.mark.parametrize("argv", [
+    ["check", "--construction", "quantum-torus", "--nu", "1", "--q", "-1"],
+    ["export", "--construction", "affinized", "--nu", "1", "--q", "2"],
+    ["check", "--suites", "BOGUS"],
+    ["serre", "--construction", "sqrt-extension", "--primes", "x"],
+    ["ears", "--construction", "sqrt-extension", "--primes", "4"],
+    ["ears", "--construction", "quantum-torus", "--primes", "7"],
+    ["export", "--construction", "sp-classical", "--window", "0"],
+], ids=["q-count", "q-entry", "suite", "primes", "build", "unread", "nullity-0-window"])
+def test_errors_after_parsing_name_the_subcommand(capsys, argv):
+    err = _usage_error(capsys, argv)
+    assert err.startswith(f"usage: ealie {argv[0]} ")
+    assert f"\nealie {argv[0]}: error: " in err
+
+
 @pytest.mark.parametrize("value", ["", ",", " , "])
 def test_suites_naming_no_suite_rejected(capsys, value):
     # an explicit empty list would otherwise run nothing and pass

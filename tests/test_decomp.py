@@ -191,17 +191,6 @@ def test_in_box_is_the_window_box(torus_win, sqrt_win):
     assert sqrt_win.in_box(())
 
 
-def test_box_interval_is_the_literal_offset_set(torus_win, sqrt_win):
-    scan = 4
-    for lattice in lattice_box(2, torus_win.w + 3):
-        for direction in lattice_box(2, 2):
-            inside = [n for n in range(-scan, scan + 1)
-                      if torus_win.in_box(tuple(x + n * a for x, a in zip(lattice, direction)))]
-            lo, hi = torus_win.box_interval(lattice, direction, scan)
-            assert list(range(lo, hi + 1)) == inside, (lattice, direction)
-    assert sqrt_win.box_interval((), (), scan) == (-scan, scan)
-
-
 def test_window_rejects_a_slice_outside_its_box(torus_win):
     # member would call (1, 0, 2, 0) a root from the slice, the beyond-box rule would not
     outside = Root(finite=(1, 0), lattice=(2, 0))

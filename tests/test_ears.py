@@ -61,8 +61,6 @@ class _FakeWindow:
         self.pieces = dict.fromkeys(self._set)
         self.vectors = frozenset(r.finite + r.lattice for r in self._set)
 
-    box_interval = RootSystemWindow.box_interval
-
     def roots(self):
         return sorted(self._set)
 
@@ -104,32 +102,21 @@ _A1 = ((1, 0, 0, 0), (-1, 0, 0, 0))
 _A2_BROKEN = ((0, 1, 0, -1), (0, 0, 1, -1), (0, -1, 1, 0), (0, -1, 0, 1), (0, 0, -1, 1))
 
 
-def _counting_root_string(monkeypatch, rule=root_string):
+def _counting_root_string(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)  # (beta, alpha, flags, c)
-        return rule(*args, **kwargs)
+        return root_string(*args, **kwargs)
 
     monkeypatch.setattr(ealie.ears, "root_string", counted)
     return calls
-
-
-def _passing_rule(beta, alpha, flags, c):
-    """A string rule that never fails, so every (alpha, beta) is scanned even
-    where strings break."""
 
 
 def _perturbed(win, removed=(), added=()):
     pieces = {r: p for r, p in win.pieces.items() if r not in removed}
     pieces.update((r, GradedPiece(root=r, basis=())) for r in added)
     return RootSystemWindow(win.alg, win.w, pieces)
-
-
-# One isotropic root off a full nullity-2 window: the window is no longer
-# full, so R4 runs the per-root loop, and every nonisotropic root keeps its
-# negative.
-_LOOP_REMOVAL = (Root(finite=(0, 0), lattice=(1, 0)),)
 
 
 # (fixture, roots removed, vectors added); torus_win has w = 1
@@ -146,17 +133,12 @@ _R4_WINDOWS = {
 
 @pytest.mark.parametrize("finite", [_A1 + _A2_BROKEN, _A2_BROKEN + _A1],
                          ids=["passing-pair-first", "broken-first"])
-def test_first_broken_string_matches_literal_double_loop(monkeypatch, finite):
+def test_first_broken_string_matches_literal_double_loop(finite):
     win = _FakeWindow(finite)
     expected = literal_first_broken_string(win, STRING_SCAN)
     assert expected is not None
-    calls = _counting_root_string(monkeypatch)
     alpha, beta, err = first_broken_string(win)
     assert (alpha, beta, str(err)) == expected
-    if finite[0] in _A1:
-        # -a is skipped: a's strings ran, then the first broken A2 alpha
-        alphas = [args[1] for args in calls]
-        assert _A1[0] in alphas and _A1[1] not in alphas
 
 
 def test_first_broken_string_non_integral_cartan_number():
@@ -191,71 +173,33 @@ def test_first_broken_string_matches_literal_oracle(request, name):
 
 @pytest.mark.parametrize("name", sorted(_R4_WINDOWS))
 def test_string_flags_are_the_member_probes(monkeypatch, request, name):
-    # a string rule that never fails, so every (alpha, beta) is scanned even
-    # where strings break; flags are copied when the rule reads them
+    # the literal loop, forced on the full windows too, with a string rule
+    # that never fails, so every (alpha, beta) is scanned even where strings
+    # break: each nonisotropic alpha against each beta in root order, every
+    # flag list copied when the rule reads it
     fixture, removed, added = _R4_WINDOWS[name]
     win = _perturbed(request.getfixturevalue(fixture), removed, added)
-    if not removed and not added and win.alg.nu:
-        # a full window takes the finite-pair route, which the premise test
-        # pins; at nullity 0 a finite pair is a root pair, so it stays
-        win = _perturbed(win, _LOOP_REMOVAL)
+    monkeypatch.setattr(ealie.ears, "_finite_strings_hold", lambda win: False)
     seen = []
     monkeypatch.setattr(ealie.ears, "root_string",
                         lambda beta, alpha, flags, c: seen.append((beta, alpha, list(flags))))
     assert first_broken_string(win) is None
-    alphas = {alpha for _, alpha, _ in seen}
-    assert len(seen) == len(alphas) * len(win.roots())
-    assert all(a.finite + a.lattice in alphas or (-a).finite + (-a).lattice in alphas
-               for a in win.nonisotropic_roots())
+    assert [(beta, alpha) for beta, alpha, _ in seen] == [
+        (b.finite + b.lattice, a.finite + a.lattice)
+        for a in win.nonisotropic_roots() for b in win.roots()
+    ]
     for beta, alpha, flags in seen:
         assert flags == probe_flags(win.member, beta, alpha, STRING_SCAN), (beta, alpha)
 
 
-def test_every_root_string_probes_each_offset_once(monkeypatch, torus_win):
-    """One vector-set lookup per offset inside the box interval, and beyond it
-    one finite-part mask per (alpha, finite part of beta), never ``member``:
-    the per-root loop, on a window that is not full."""
-    win = _perturbed(torus_win, _LOOP_REMOVAL)
-    calls = _counting_root_string(monkeypatch, _passing_rule)
-    lookups, finite_probes = [], []
-
-    class CountedSet(frozenset):
-        def __contains__(self, v):
-            lookups.append(v)
-            return frozenset.__contains__(self, v)
-
-    contains = win.fin.contains
-
-    def counted_contains(v):
-        finite_probes.append(v)
-        return contains(v)
-
-    def no_member(self, v):
-        raise AssertionError("the string scan probed member")
-
-    monkeypatch.setattr(win, "vectors", CountedSet(win.vectors))
-    monkeypatch.setattr(win.fin, "contains", counted_contains)
-    monkeypatch.setattr(RootSystemWindow, "member", no_member)
+@pytest.mark.parametrize("fixture", ["aff_win", "sp4_win", "sqrt_win"])
+def test_literal_loop_agrees_with_finite_pairs_on_full_windows(monkeypatch, request, fixture):
+    # decompose_window builds only full windows, so only a forced fallback
+    # runs the literal loop there
+    win = request.getfixturevalue(fixture)
+    assert ealie.ears._finite_strings_hold(win)
+    monkeypatch.setattr(ealie.ears, "_finite_strings_hold", lambda win: False)
     assert first_broken_string(win) is None
-
-    k = win.fin.rank
-    expected, masked = [], set()
-    for beta, alpha, _, _ in calls:
-        lo, hi = win.box_interval(beta[k:], alpha[k:], STRING_SCAN)
-        expected.extend(tuple(b + n * a for b, a in zip(beta, alpha)) for n in range(lo, hi + 1))
-        if (lo, hi) != (-STRING_SCAN, STRING_SCAN):
-            masked.add((alpha, beta[:k]))
-    assert lookups == expected
-    assert len(lookups) < 4 * len(calls)
-    assert masked and len(finite_probes) == (2 * STRING_SCAN + 1) * len(masked)
-
-
-def test_each_plus_minus_alpha_pair_scanned_once(monkeypatch, torus_win):
-    win = _perturbed(torus_win, _LOOP_REMOVAL)
-    calls = _counting_root_string(monkeypatch, _passing_rule)
-    assert first_broken_string(win) is None
-    nonisotropic = win.nonisotropic_roots()
-    assert len(calls) == len(nonisotropic) // 2 * len(win.roots())
 
 
 @pytest.mark.parametrize("fixture", ["torus_win", "aff_win", "sp4_win", "sqrt_win"])

@@ -108,91 +108,63 @@ def _zero_sum_triples(win):
     return out
 
 
-def _first_asymmetric_root(win):
-    """The first window root whose slice pairs asymmetrically with its opposite."""
-    for root in win.roots():
-        opp = -root
-        if opp not in win.pieces:
-            continue
-        for x in win.basis(root):
-            for y in win.basis(opp):
-                if win.form(x, y) != win.form(y, x):
-                    return root
-    return None
-
-
 def _first_non_invariant_triple(win, triples, symmetric):
-    """The earliest root triple of ``triples`` carrying basis vectors with
-    ([x, y], z) != (x, [y, z]), or None.
+    """The first triple of ``triples``, in their order, carrying basis vectors
+    with ([x, y], z) != (x, [y, z]), as a list of roots; None if there is none.
 
     ``triples`` is closed under rotation.  The rotations (a, b, c), (b, c, a)
     and (c, a, b) form a cyclic class, and (a, a, a) is a class of one.  Each
-    class is visited once, at its earliest triple: the blocks [a, b], [b, c]
-    and [c, a] are bracketed once each and dropped when the class is done.
+    class is decided once, at the first of its triples the loop meets: the
+    blocks [a, b], [b, c] and [c, a] are bracketed once each, and every
+    rotation (r, s, t) gets L_rst[i][j][k] = ([x_i, y_j], z_k) and R_rst[i][j][k]
+    = (z_k, [x_i, y_j]) over the bases x, y, z of slices r, s and t.  Since
+    R_str[j][k][i] = (x_i, [y_j, z_k]), the rotation (r, s, t) fails exactly
+    when L_rst[i][j][k] != R_str[j][k][i] somewhere.
 
-    With ``symmetric``, the form must be symmetric on slice a x slice -a for
-    every root a of a triple, and [y, z] (y in slice b, z in slice c) lies in
-    slice -a.  Then (x, [y, z]) = ([y, z], x), so one form value
-    T_rst[i][j][k] = ([x_i, y_j], z_k) per rotation and basis triple
-    suffices: the triple (r, s, t) fails exactly when T_rst[i][j][k] !=
-    T_str[j][k][i] somewhere.  Each rotation is checked on its own, since the
-    failing ones need not include the earliest.  Without ``symmetric`` both
-    literal sides are evaluated for every rotation, from the same blocks.
-
-    With ``symmetric`` each class is also decided together with its mirror
+    With ``symmetric`` the form is symmetric on slice a x slice -a for every
+    root a, and [x, y] lies in slice -c, so R = L and one form value per basis
+    triple suffices.  Such a class is also decided together with its mirror
     class, the rotations of (c, b, a).  This assumes the bracket is exactly
     antisymmetric, [y, x] = -[x, y], as the matrix commutator x y - y x and
     the affinized central and derivation terms are (``opposite_brackets``
     rests on the same premise).  Then ([z, y], x) = -(x, [y, z]) and
-    (z, [y, x]) = -([x, y], z), so the mirror (t, s, r) on (z, y, x) holds
-    exactly when (r, s, t) holds on (x, y, z).  A rotation then stands for
-    itself and its mirror, at the smaller of their indices when the mirror is
-    in ``triples``, and a class whose mirror class starts earlier is skipped.
-    Without ``symmetric`` there is no mirror rule, since it needs the
-    symmetry that was not found.
+    (z, [y, x]) = -([x, y], z), so the mirror (t, s, r) on (z, y, x) fails
+    exactly when (r, s, t) fails on (x, y, z).  Without ``symmetric`` there is
+    no mirror rule, since it needs the symmetry that was not found.
 
-    After a failure at index n only the classes starting before n are
-    finished, so the failing triple of smallest index is returned.
+    Every failing rotation, and with ``symmetric`` its mirror, is recorded;
+    the witness is the first recorded triple in the order of ``triples``.
     """
-    index = {t: n for n, t in enumerate(triples)}
-    best = len(triples)
-    for n, (a, b, c) in enumerate(triples):
-        if n >= best:
-            break
-        rotations = [(a, b, c)] if a == b == c else [(a, b, c), (b, c, a), (c, a, b)]
-        # the index a rotation's verdict stands for: its own, or its mirror's
-        first = {
-            rot: min(index[rot], index.get(rot[::-1], len(triples))) if symmetric else index[rot]
-            for rot in rotations
-        }
-        if any(first[rot] < n for rot in rotations):
+    decided = set()
+    failed = set()
+    for triple in triples:
+        if triple in decided:
             continue
+        a, b, c = triple
+        rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
+        decided.update(rotations)
+        if symmetric:
+            decided.update(rot[::-1] for rot in rotations)
         blocks = {
             (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
             for r, s, _ in rotations
         }
-        if symmetric:
-            values = {
-                (r, s, t): [
-                    [[win.form(xy, z) for z in win.basis(t)] for xy in row]
-                    for row in blocks[r, s]
-                ]
-                for r, s, t in rotations
-            }
-        for rot in sorted(rotations, key=first.__getitem__):
-            if first[rot] >= best:
-                break
-            r, s, t = rot
-            if symmetric:
-                failed = _tensors_differ(values[rot], values[s, t, r])
-            else:
-                failed = _literal_sides_differ(
-                    win, win.basis(r), win.basis(t), blocks[r, s], blocks[s, t]
-                )
-            if failed:
-                best = first[rot]
-                break
-    return list(triples[best]) if best < len(triples) else None
+        lhs = {
+            (r, s, t): [[[win.form(xy, z) for z in win.basis(t)] for xy in row]
+                        for row in blocks[r, s]]
+            for r, s, t in rotations
+        }
+        rhs = lhs if symmetric else {
+            (r, s, t): [[[win.form(z, xy) for z in win.basis(t)] for xy in row]
+                        for row in blocks[r, s]]
+            for r, s, t in rotations
+        }
+        for r, s, t in rotations:
+            if _tensors_differ(lhs[r, s, t], rhs[s, t, r]):
+                failed.add((r, s, t))
+                if symmetric:
+                    failed.add((t, s, r))
+    return next((list(t) for t in triples if t in failed), None) if failed else None
 
 
 def _tensors_differ(lhs, rhs):
@@ -205,29 +177,32 @@ def _tensors_differ(lhs, rhs):
     return False
 
 
-def _literal_sides_differ(win, xs, zs, xy_block, yz_block):
-    """Whether ([x, y], z) != (x, [y, z]) for some basis triple of one rotation."""
-    for x, xy_row in zip(xs, xy_block):
-        for xy, yz_row in zip(xy_row, yz_block):
-            for z, yz in zip(zs, yz_row):
-                if win.form(xy, z) != win.form(x, yz):
-                    return True
-    return False
-
-
 def _form_checks(win, prefix, seed):
     """Symmetry, per-root nondegeneracy and invariance of the form.
 
-    Witnesses name the first failure found.  Sampled loops always make all of
-    their draws, so the random stream that follows them does not depend on
-    where (or whether) a failure was found.
+    Symmetry and nondegeneracy read one table of opposite-slice Gram matrices,
+    gram[r][i][j] = (x_i, y_j) for x in slice r and y in slice -r, over the
+    roots whose opposite is in the window.  The form is symmetric there
+    exactly when each gram[r] is the transpose of gram[-r]; the symmetry
+    witness is the first root where it is not.  Witnesses name the first
+    failure found.  Sampled loops always make all of their draws, so the
+    random stream that follows them does not depend on where (or whether) a
+    failure was found.
     """
     rng = random.Random(seed)
     results = []
+    roots = win.roots()
     flat = [(root, x) for root, x in win.all_basis()]
+    grams = {
+        r: [[win.form(x, y) for y in win.basis(-r)] for x in win.basis(r)]
+        for r in roots if -r in win.pieces
+    }
 
     sym_witness = None
-    bad_root = _first_asymmetric_root(win)
+    bad_root = next(
+        (r for r, gram in grams.items() if gram != [list(col) for col in zip(*grams[-r])]),
+        None,
+    )
     if bad_root is not None:
         sym_witness = {"root": bad_root}
     for _ in range(200):
@@ -243,27 +218,22 @@ def _form_checks(win, prefix, seed):
         sym_witness,
     ))
 
-    nondeg_ok = True
     nondeg_witness = None
-    for root in sorted(win.pieces):
-        opp = -root
-        basis = win.basis(root)
-        opp_basis = win.basis(opp) if opp in win.pieces else ()
-        if len(basis) != len(opp_basis):
-            nondeg_ok = False
-            nondeg_witness = {"root": root, "dim": len(basis), "opposite_dim": len(opp_basis)}
+    for root in roots:
+        dim, opp_dim = win.dim(root), (win.dim(-root) if root in grams else 0)
+        if dim != opp_dim:
+            nondeg_witness = {"root": root, "dim": dim, "opposite_dim": opp_dim}
             break
-        gram = [[win.form(x, y) for y in opp_basis] for x in basis]
-        if gram and not gram_nonsingular(gram):
-            nondeg_ok = False
-            nondeg_witness = {"root": root, "gram": gram}
+        if dim and not gram_nonsingular(grams[root]):
+            nondeg_witness = {"root": root, "gram": grams[root]}
             break
     results.append(CheckResult(
         f"{prefix}-form-nondegenerate",
-        nondeg_ok,
+        nondeg_witness is None,
         "opposite-slice Gram matrices are nonsingular for every window root",
         nondeg_witness,
     ))
+    del grams  # freed before the invariance scan reaches its own memory peak
 
     triples = _zero_sum_triples(win)
     total = sum(
@@ -394,11 +364,19 @@ def check_T(win, seed=0):
                                      for lam, h in zip(lams, toral)):
             spot_root = root
     t2_passed = t2_ok and t2_gram and spot_root is None
+    if t2_passed:
+        t2_detail = (f"{len(toral)} commuting generators, nonsingular Gram, exact eigenvectors"
+                     " (all window vectors verified during decomposition)")
+    else:
+        t2_detail = f"{len(toral)} generators: " + "; ".join(part for part, ok in (
+            ("they do not commute", t2_ok),
+            ("their Gram matrix is singular", t2_gram),
+            ("a spot-checked basis vector is no exact eigenvector", spot_root is None),
+        ) if not ok)
     results.append(CheckResult(
         "T2-toral-subalgebra",
         t2_passed,
-        f"{len(toral)} commuting generators, nonsingular Gram, exact eigenvectors"
-        " (all window vectors verified during decomposition)",
+        t2_detail,
         None if t2_passed else {"commuting": t2_ok, "gram": t2_gram, "spot_root": spot_root},
     ))
 
@@ -640,13 +618,18 @@ def check_D(win, seed=0):
 
 
 class SerreReport:
-    """Relation results plus the recovered Cartan matrix and grading flag."""
+    """Relation results plus the recovered Cartan matrix.
 
-    def __init__(self, results, cartan, degree_zero, shifts):
+    The generators sit at lattice degree 0, so the report's grading flag is
+    always true and its lattice shifts are zeros.
+    """
+
+    degree_zero = True
+
+    def __init__(self, results, cartan, nu):
         self.results = results
         self.cartan = cartan
-        self.degree_zero = degree_zero
-        self.shifts = shifts
+        self.nu = nu
 
     @property
     def passed(self):
@@ -658,37 +641,29 @@ class SerreReport:
             "passed": self.passed,
             "cartan_matrix": self.cartan,
             "degree_zero_grading": self.degree_zero,
-            "lattice_shifts": [list(s) for s in self.shifts],
+            "lattice_shifts": [[0] * self.nu for _ in self.cartan],
             "results": [r.as_json() for r in self.results],
         }
 
 
-def serre_check(win, lattice_shifts=None):
+def serre_check(win):
     """Verify the defining relations on simple-root preimages.
 
-    e_i is the first basis vector of the slice at the i-th simple root
-    (shifted by lattice_shifts[i] when given), f_i its exact sl2 partner.
+    e_i is the first basis vector of the slice at the i-th simple root at
+    lattice degree 0, f_i its exact sl2 partner.
     With c_{i,j} = 2(alpha_j, alpha_i)/(alpha_i, alpha_i) the verified
     relations are [h_i, h_j] = 0, [h_i, e_j] = c_{i,j} e_j, [h_i, f_j] =
     -c_{i,j} f_j, [e_i, f_j] = delta_{ij} h_i, and the two Serre relations
     (ad e_i)^{1-c_{i,j}} e_j = 0, (ad f_i)^{1-c_{i,j}} f_j = 0 for i != j.
     The reported Cartan matrix is M[i][j] = 2(alpha_i, alpha_j)/(alpha_j,
-    alpha_j).  A nonzero shift keeps the relations valid but clears the
-    degree-zero grading flag.
+    alpha_j).
     """
     fin = win.fin
     nu = win.alg.nu
     simple = list(fin.simple_roots)
     n = len(simple)
-    if lattice_shifts is None:
-        lattice_shifts = [(0,) * nu] * n
-    shifts = [tuple(s) for s in lattice_shifts]
-    if len(shifts) != n:
-        raise ValueError(f"expected {n} lattice shifts, got {len(shifts)}")
 
-    e, h, f = zip(*(
-        sl2_triple(win, Root(finite=a, lattice=shift)) for a, shift in zip(simple, shifts)
-    ))
+    e, h, f = zip(*(sl2_triple(win, Root(finite=a, lattice=(0,) * nu)) for a in simple))
     c = [[int(fin.cartan_integer(simple[j], simple[i])) for j in range(n)] for i in range(n)]
 
     def h_commute(i, j):
@@ -744,15 +719,10 @@ def serre_check(win, lattice_shifts=None):
         "serre-cartan-diagonal", diag_ok, "diagonal entries equal 2",
     ))
 
-    degree_zero = all(not any(s) for s in shifts)
     results.append(CheckResult(
-        "serre-degree-zero-grading",
-        degree_zero,
-        "generators sit at lattice degree 0"
-        if degree_zero else "generators mix nonzero lattice degrees",
-        None if degree_zero else {"shifts": [list(s) for s in shifts]},
+        "serre-degree-zero-grading", True, "generators sit at lattice degree 0",
     ))
-    return SerreReport(results, reported, degree_zero, shifts)
+    return SerreReport(results, reported, nu)
 
 
 # -- tameness ------------------------------------------------------------------

@@ -125,6 +125,20 @@ def literal_first_broken_string(win, scan):
     return None
 
 
+def literal_first_asymmetric_root(win):
+    """The first window root r with basis vectors x of slice r and y of slice
+    -r such that (x, y) != (y, x); None if there is none."""
+    for root in win.roots():
+        opp = -root
+        if opp not in win.pieces:
+            continue
+        for x in win.basis(root):
+            for y in win.basis(opp):
+                if win.form(x, y) != win.form(y, x):
+                    return root
+    return None
+
+
 def literal_first_non_invariant_triple(win, triples):
     """The first triple, in the order of ``triples``, carrying basis vectors
     with ([x, y], z) != (x, [y, z]), as a list of roots; None if there is none."""

@@ -40,6 +40,7 @@ from ealie.quantum_torus import SignMatrix, unit_degrees
 from conftest import Q_MIXED
 from oracles import (
     literal_cartan_scan,
+    literal_first_asymmetric_root,
     literal_first_non_invariant_triple,
     literal_first_nonorthogonal_isotropic,
     literal_first_unequal_pairing,
@@ -284,7 +285,7 @@ def test_invariance_witness_when_earliest_rotation_passes():
 
 def test_invariance_witness_finishes_earlier_classes():
     # class P = (1, 2, -3) fails at its second and third rotations only, class
-    # Q = (4, 5, -9) at its first; P is visited first, Q holds the witness
+    # Q = (4, 5, -9) at its first; P is decided first, but q1 precedes p2 and p3
     win = _ToyWindow({
         (1, 2): 1, (2, -3): 2, (-3, 1): 2,
         (4, 5): 1, (5, -9): 2, (-9, 4): 3,
@@ -312,8 +313,9 @@ _P_FAILS_TWICE = _antisymmetric({(1, 2): 1, (2, -3): 2, (-3, 1): 1})
 
 
 def test_invariance_mirror_class_decided_with_its_class():
-    # P3 passes at index 0, so B visits P there; P1 fails at index 2 and stands
-    # for its mirror M1 at index 1, the witness; B never brackets M
+    # the symmetric scan decides P at P3, which passes; P1 and P2 fail, so their
+    # mirrors M1 and M3 are recorded too and M is decided unbracketed; M1 is the
+    # first recorded triple in list order
     win = _ToyWindow(_P_FAILS_TWICE)
     triples = [_P3, _M1, _P1, _P2, _M2, _M3]
     witness = literal_first_non_invariant_triple(win, triples)
@@ -321,14 +323,15 @@ def test_invariance_mirror_class_decided_with_its_class():
     lean, both_sides = _Counting(win), _Counting(win)
     assert _first_non_invariant_triple(lean, triples, True) == witness
     assert _first_non_invariant_triple(both_sides, triples, False) == witness
-    # B brackets the three blocks of P only, A those of M as well
+    # the symmetric scan brackets the three blocks of P only, the asymmetric one M's too
     assert (lean.brackets, both_sides.brackets) == (3, 6)
-    # P1 precedes P2, but P2's mirror M3 precedes P1: rotations go by mirror index
+    # P1 precedes P2, but P2's recorded mirror M3 precedes P1 and is the witness
     assert _all_variants(win, [_P3, _M3, _P1, _P2, _M2, _M1]) == list(_M3)
 
 
 def test_invariance_mirror_rule_off_without_the_mirror():
-    # M is absent, so P1 stands for itself only, at index 1
+    # M is absent, so the recorded mirrors M1 and M3 are not in the list: P1 is
+    # the first recorded triple there
     assert _all_variants(_ToyWindow(_P_FAILS_TWICE), [_P3, _P1, _P2]) == list(_P1)
 
 
@@ -451,6 +454,58 @@ def test_form_symmetry_witness_is_first_root(sp4_win):
     assert sym.witness == {"root": Root(finite=(-2, 0), lattice=())}
 
 
+@pytest.mark.parametrize("fixture, roots", [
+    ("sp4_win", []),
+    ("sp4_win", [_root((1, 1), ())]),
+    ("sp4_win", [_root((1, 1), ()), _root((2, 0), ())]),
+    ("sp4_win", [_root((-1, 1), ()), _root((0, -2), ())]),
+    ("aff_win", [_root((1, -1), (0, 1))]),
+    ("aff_win", [_root((0, 2), (1, -1)), _root((-2, 0), (0, 0))]),
+])
+def test_form_symmetry_witness_matches_the_literal_loop(fixture, roots, request):
+    win = _TwoAsymmetricRoots(request.getfixturevalue(fixture), roots)
+    sym = next(r for r in _form_checks(win, "T1", 1) if r.name == "T1-form-symmetric")
+    expected = literal_first_asymmetric_root(win)
+    assert (expected is None) == (not roots)
+    assert sym.witness == (None if expected is None else {"root": expected})
+
+
+def test_form_nondegeneracy_names_a_slice_without_its_opposite(sp4_win):
+    gone = _root((1, 1), ())
+    pieces = {r: p for r, p in sp4_win.pieces.items() if r != gone}
+    win = RootSystemWindow(sp4_win.alg, sp4_win.w, pieces)
+    result = next(r for r in _form_checks(win, "T1", 1) if r.name == "T1-form-nondegenerate")
+    assert not result.passed
+    assert result.witness == {"root": -gone, "dim": 1, "opposite_dim": 0}
+
+
+class _VanishingPair:
+    """Window wrapper whose form is 0 between the slices of a root and of its
+    opposite, in both orders."""
+
+    def __init__(self, win, root):
+        self._win = win
+        self._ids = {id(x): side for side in (root, -root) for x in win.basis(side)}
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def form(self, x, y):
+        sides = self._ids.get(id(x)), self._ids.get(id(y))
+        if None not in sides and sides[0] != sides[1]:
+            return 0
+        return self._win.form(x, y)
+
+
+def test_form_nondegeneracy_names_a_vanishing_opposite_pair(sp4_win):
+    root = _root((0, 2), ())
+    byname = {r.name: r for r in _form_checks(_VanishingPair(sp4_win, root), "T1", 1)}
+    assert byname["T1-form-symmetric"].passed
+    result = byname["T1-form-nondegenerate"]
+    assert not result.passed
+    assert result.witness == {"root": -root, "gram": [[0]]}
+
+
 class _OffAlgebra:
     """Algebra wrapper whose root functional is off by 1 in its first entry on
     every root but ``exact``."""
@@ -491,6 +546,7 @@ def test_T2_witness_names_the_first_failing_spot_root(sp4_win):
     assert _failed(report) == ["T2-toral-subalgebra"]
     t2 = next(r for r in report.results if r.name == "T2-toral-subalgebra")
     assert t2.witness == {"commuting": True, "gram": True, "spot_root": first_bad}
+    assert t2.detail == "2 generators: a spot-checked basis vector is no exact eigenvector"
 
 
 def test_T4_enforces_nilpotency_bound(monkeypatch, sp4_win):
@@ -718,22 +774,6 @@ def test_serre_rank_three():
     report = serre_check(win)
     assert report.passed, _failed(report)
     assert report.cartan == [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
-
-
-def test_serre_shifted_preimages(torus_win):
-    report = serre_check(torus_win, lattice_shifts=[(1, 0), (0, 0)])
-    byname = {r.name: r for r in report.results}
-    for name in ("serre-h-commute", "serre-h-action", "serre-e-f-pairing",
-                 "serre-theta-relations", "serre-cartan-diagonal"):
-        assert byname[name].passed, name
-    assert not byname["serre-degree-zero-grading"].passed
-    assert report.degree_zero is False
-    assert list(report.shifts) == [(1, 0), (0, 0)]
-
-
-def test_serre_shift_count_validated(torus_win):
-    with pytest.raises(ValueError):
-        serre_check(torus_win, lattice_shifts=[(1, 0)])
 
 
 class _CartansDoNotCommute:

@@ -262,18 +262,43 @@ def _form_checks(win, prefix, seed):
 
 
 def _graded_form_check(win, name):
-    """Form vanishes on slice pairs whose degrees do not cancel; exhaustive."""
-    flat = [(root, x) for root, x in win.all_basis()]
-    for i, (r1, x) in enumerate(flat):
-        for r2, y in flat[i:]:
-            if all(a + b == 0 for a, b in zip(r1.lattice, r2.lattice)):
-                continue
-            if win.form(x, y):
-                return CheckResult(
-                    name, False,
-                    "form value survives between non-opposite lattice degrees",
-                    {"first": r1, "second": r2},
-                )
+    """Form vanishes on slice pairs whose degrees do not cancel; exhaustive.
+
+    The verdict is decided by supports.  ``torus_form`` pairs only the
+    coefficients at degrees s and -s, the trace form sums those entry by
+    entry, and the affinized form adds only the c/d terms of degree 0, which
+    ``support_degrees`` counts as degree 0.  So (x, y) can be nonzero only if
+    some support degree of x is minus one of y's.  A vector whose support is
+    exactly its slice's degree can cancel a vector of the same kind only
+    across opposite degrees, and those pairs are exempt.  The pairs formed are
+    therefore those with a mixed vector (support other than its slice degree)
+    whose supports cancel, in the literal loop's (i, j >= i) order over
+    ``all_basis``; every other pair has form 0, so the witness is the literal
+    loop's first failing pair (``tests/oracles.py`` keeps that loop).  On a
+    window of homogeneous vectors nothing is formed.
+    """
+    flat = list(win.all_basis())
+    supports = [x.support_degrees() for _, x in flat]
+    mixed = [i for i, ((root, _), sup) in enumerate(zip(flat, supports))
+             if sup != {root.lattice}]
+    by_degree = {}
+    for i, sup in enumerate(supports):
+        for s in sup:
+            by_degree.setdefault(s, []).append(i)
+    pairs = {
+        (min(i, j), max(i, j))
+        for i in mixed for s in supports[i] for j in by_degree.get(tuple(-v for v in s), ())
+    }
+    for i, j in sorted(pairs):
+        (r1, x), (r2, y) = flat[i], flat[j]
+        if all(a + b == 0 for a, b in zip(r1.lattice, r2.lattice)):
+            continue
+        if win.form(x, y):
+            return CheckResult(
+                name, False,
+                "form value survives between non-opposite lattice degrees",
+                {"first": r1, "second": r2},
+            )
     return CheckResult(name, True, "exhaustive on all window basis pairs")
 
 
@@ -296,24 +321,36 @@ def _longest_ad_chain(win, probes):
     z to zero.  A chain still nonzero after ``NILPOTENCY_CAP`` brackets is
     reported with the cap as its bound.
 
-    ad_x^k z has toral weight beta + k*alpha, because window basis vectors are
-    exact toral eigenvectors (verified entry by entry during decomposition)
-    and ad h is a derivation.  Every weight of the algebra has a finite part
-    that is 0 or a root of ``fin``, so at the first k where beta + k*alpha
-    has another finite part, ad_x^k z is zero: that step counts toward the
-    chain and is not computed.  That k depends only on the finite parts of
-    alpha and beta and is read from a table built per alpha.  Chain lengths,
-    the longest chain and both witness shapes are those of the literal loop,
-    which ``tests/oracles.py`` keeps.
+    The verdict is decided by weights.  ad_x^k z has toral weight
+    beta + k*alpha, because window basis vectors are exact toral eigenvectors
+    (verified entry by entry during decomposition) and ad h is a derivation.
+    Every weight of the algebra has a finite part that is 0 or a root of
+    ``fin``, so at the first k where beta + k*alpha has another finite part,
+    ad_x^k z is zero: that step, ``stop``, counts toward the chain and is not
+    computed.  ``stop`` depends only on the finite parts of alpha and beta and
+    is read from a table built per alpha.
+
+    So a chain is at most its ``stop``, and only pairs whose ``stop`` exceeds
+    the longest chain seen so far, ``worst``, are bracketed; an alpha whose
+    whole table is at most ``worst`` is skipped.  A skipped chain cannot raise
+    ``worst``, cannot exceed the bound (the loop has already returned if
+    ``worst`` did) and cannot reach the cap (it is zero by step
+    ``stop <= worst <= NILPOTENCY_CAP``).  Chain lengths, the longest chain
+    and both witness shapes are therefore those of the literal loop, which
+    ``tests/oracles.py`` keeps.
     """
     zero = win.alg.zero()
     finites = {beta.finite for beta, _ in probes}
     worst = 0
     for alpha in win.nonisotropic_roots():
         stops = {f: _first_non_root_step(win.fin, f, alpha.finite) for f in finites}
+        if max(stops.values(), default=0) <= worst:
+            continue
         for x in win.basis(alpha):
             for beta, z in probes:
                 stop = stops[beta.finite]
+                if stop <= worst:
+                    continue
                 acc = z
                 steps = 0
                 while not acc.is_zero() and steps < NILPOTENCY_CAP:

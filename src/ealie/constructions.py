@@ -214,6 +214,13 @@ class AffinizedElement:
     def __repr__(self):
         return f"AffinizedElement(g={self.g!r}, c={self.c}, d={self.d})"
 
+    def support_degrees(self):
+        """The lattice degrees of ``g``, plus degree 0 when a c or d entry is nonzero."""
+        degs = self.g.support_degrees()
+        if any(self.c) or any(self.d):
+            degs.add((0,) * len(self.c))
+        return degs
+
 
 class AffinizedAlgebra:
     """The base algebra extended by central c_i and degree derivations d_i.
@@ -547,6 +554,10 @@ class SqrtMatrix(SparseMatrix):
             for a, c in val.coeffs.items():
                 out[(a, p, r_)] = c
         return out
+
+    def support_degrees(self):
+        """Nullity 0: every element sits at the one lattice degree ()."""
+        return {()}
 
 
 class SqrtExtensionAlgebra:

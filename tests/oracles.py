@@ -26,8 +26,11 @@ slice rebuilt, with no mirror skip and no early stop.
 The root-pair oracles are the literal loops of T4, of the zero-sum triple
 list and of three PROPS checks: every ad-chain bracket is computed, triples
 come from ``Root`` sums, and every ordered root pair gets its own pairing or
-form, with no weight rule, flat vectors, finite-part representatives or
-bilinearity.
+form, with no weight rule, stop bound, flat vectors, finite-part
+representatives or bilinearity.
+
+The graded-form oracle forms every basis pair whose slice degrees do not
+cancel, with no support degrees.
 
 The relations and centralizer oracles write out the whole coordinate-key x
 candidate matrix at once, every candidate bracketed with every generator,
@@ -136,6 +139,18 @@ def literal_first_asymmetric_root(win):
             for y in win.basis(opp):
                 if win.form(x, y) != win.form(y, x):
                     return root
+    return None
+
+
+def literal_first_ungraded_pair(win):
+    """The first basis pair (x, y), in (i, j >= i) order over ``all_basis``,
+    whose slice degrees do not cancel and whose form is nonzero, as
+    ``{"first": root of x, "second": root of y}``; None if there is none."""
+    flat = list(win.all_basis())
+    for i, (r1, x) in enumerate(flat):
+        for r2, y in flat[i:]:
+            if any(a + b for a, b in zip(r1.lattice, r2.lattice)) and win.form(x, y):
+                return {"first": r1, "second": r2}
     return None
 
 

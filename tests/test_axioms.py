@@ -19,8 +19,10 @@ from ealie.axioms import (
     tameness_check,
 )
 from ealie.constructions import (
+    AffinizedElement,
     CocycleExtensionAlgebra,
     ExtensionSpec,
+    SqrtMatrix,
     TorusMatrixAlgebra,
     affinize,
 )
@@ -33,9 +35,10 @@ from ealie.decomp import (
     isotropic_pair,
     sl2_triple,
 )
+from ealie.exact_arith import GaussianRational
 from ealie.finroot import Root
 from ealie.linalg import SpanDict
-from ealie.quantum_torus import SignMatrix, unit_degrees
+from ealie.quantum_torus import SignMatrix, TorusElement, lattice_box, torus_form, unit_degrees
 
 from conftest import Q_MIXED
 from oracles import (
@@ -44,6 +47,7 @@ from oracles import (
     literal_first_non_invariant_triple,
     literal_first_nonorthogonal_isotropic,
     literal_first_unequal_pairing,
+    literal_first_ungraded_pair,
     literal_longest_ad_chain,
     literal_zero_sum_triples,
 )
@@ -573,6 +577,19 @@ def _t4_probes(win):
     return [(root, x) for root, x in win.all_basis() if tuple(root.lattice) in units]
 
 
+_LITERAL_CHAINS = {}
+
+
+def _literal_chain(fixture, win, bound, cap):
+    """``literal_longest_ad_chain`` on a session window's T4 probes, computed
+    once per (fixture, bound, cap)."""
+    key = fixture, bound, cap
+    if key not in _LITERAL_CHAINS:
+        probes = [z for _, z in _t4_probes(win)]
+        _LITERAL_CHAINS[key] = literal_longest_ad_chain(win, probes, bound, cap)
+    return _LITERAL_CHAINS[key]
+
+
 @pytest.mark.parametrize("bound, cap, shape", [
     (axioms.NILPOTENCY_BOUND, axioms.NILPOTENCY_CAP, None),
     (2, axioms.NILPOTENCY_CAP, "chain_length"),
@@ -585,7 +602,7 @@ def test_longest_ad_chain_matches_literal_loop(request, monkeypatch, fixture, bo
     monkeypatch.setattr(axioms, "NILPOTENCY_CAP", cap)
     probes = _t4_probes(win)
     worst, witness = axioms._longest_ad_chain(win, probes)
-    assert (worst, witness) == literal_longest_ad_chain(win, [z for _, z in probes], bound, cap)
+    assert (worst, witness) == _literal_chain(fixture, win, bound, cap)
     if shape is None:
         assert witness is None
     elif shape == "chain_length":
@@ -612,6 +629,141 @@ def test_weight_rule_skips_only_zero_brackets(request, fixture):
                         assert acc.is_zero(), (alpha, beta, k)
                         skipped += 1
     assert skipped
+
+
+@pytest.mark.parametrize("fixture", CHAIN_WINDOWS)
+def test_longest_ad_chain_brackets_only_chains_that_can_beat_the_longest(request, fixture):
+    win = _Counting(request.getfixturevalue(fixture))
+    worst, witness = axioms._longest_ad_chain(win, _t4_probes(win))
+    assert (worst, witness) == (3, None)
+    assert 0 < win.brackets <= 10
+
+
+@pytest.mark.parametrize("fixture", CHAIN_WINDOWS)
+def test_longest_ad_chain_brackets_pairs_whose_stop_is_inflated(request, monkeypatch, fixture):
+    """One finite pair's stop raised above every chain: those pairs are
+    bracketed, and the result is still the literal loop's."""
+    win = request.getfixturevalue(fixture)
+    probes = _t4_probes(win)
+    alpha = win.nonisotropic_roots()[-1].finite
+    beta = probes[-1][0].finite
+    first_non_root_step = axioms._first_non_root_step
+
+    def inflated(fin, b, a):
+        step = first_non_root_step(fin, b, a)
+        return step + 3 if (b, a) == (beta, alpha) else step
+
+    monkeypatch.setattr(axioms, "_first_non_root_step", inflated)
+    counting = _Counting(win)
+    result = axioms._longest_ad_chain(counting, probes)
+    assert result == _literal_chain(fixture, win, axioms.NILPOTENCY_BOUND, axioms.NILPOTENCY_CAP)
+    xs = {id(x) for r in win.nonisotropic_roots() if r.finite == alpha for x in win.basis(r)}
+    zs = {id(z) for r, z in probes if r.finite == beta}
+    assert any(id(x) in xs and id(z) in zs for x, z, _ in counting.bracketed)
+
+
+# -- graded form checks by support degrees ----------------------------------------
+
+
+class _MixedVector:
+    """Window wrapper whose i-th basis vector of slice ``root`` gains ``extra``,
+    a component at another lattice degree."""
+
+    def __init__(self, win, root, i, extra):
+        self._win = win
+        self._root = root
+        basis = list(win.basis(root))
+        basis[i] = self.vector = basis[i] + extra
+        self._basis = tuple(basis)
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def basis(self, root):
+        return self._basis if root == self._root else self._win.basis(root)
+
+    def all_basis(self):
+        for root in self.roots():
+            for x in self.basis(root):
+                yield root, x
+
+
+def _mixed_windows(aff_win, torus_win):
+    """A d-carrying vector off degree 0 on the affinized window (T1) and a
+    vector at two lattice degrees on the torus window (D10)."""
+    return [
+        _MixedVector(aff_win, _root((2, 0), (0, 1)), 0, aff_win.alg.d_gen(0)),
+        _MixedVector(torus_win, _root((0, 2), (1, 0)), 0, torus_win.basis(_root((0, 2), (0, 1)))[0]),
+    ]
+
+
+@pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sqrt_win", "sp4_win"])
+def test_graded_form_check_forms_nothing_on_homogeneous_windows(request, fixture):
+    win = _Counting(request.getfixturevalue(fixture))
+    result = axioms._graded_form_check(win, "T1-form-graded")
+    assert win.forms == 0
+    assert result.passed and result.witness is None
+    assert result.detail == "exhaustive on all window basis pairs"
+    assert literal_first_ungraded_pair(win) is None
+
+
+def test_graded_form_witness_matches_the_literal_loop_on_mixed_vectors(aff_win, torus_win):
+    for win, name in zip(_mixed_windows(aff_win, torus_win), ["T1-form-graded", "D10-form-graded"]):
+        expected = literal_first_ungraded_pair(win)
+        assert expected is not None
+        result = axioms._graded_form_check(win, name)
+        assert (result.name, result.passed, result.witness) == (name, False, expected)
+        assert result.detail == "form value survives between non-opposite lattice degrees"
+
+
+def _coord_degrees(win, x):
+    """The lattice degrees read from the coordinate keys of x: (degree, ...) on
+    torus matrices, ("g", degree, ...) or ("c" | "d", i) at degree 0 on the
+    affinized algebra, and () throughout at nullity 0."""
+    keys = win.coords(x)
+    if isinstance(x, AffinizedElement):
+        return {key[1] if key[0] == "g" else (0,) * win.alg.nu for key in keys}
+    if isinstance(x, SqrtMatrix):
+        return {() for _ in keys}
+    return {key[0] for key in keys}
+
+
+@pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sqrt_win", "sp4_win"])
+def test_support_degrees_are_the_coordinate_degrees(request, fixture, aff_win, torus_win):
+    win = request.getfixturevalue(fixture)
+    vectors = [x for _, x in win.all_basis()]
+    vectors += [mixed.vector for mixed in _mixed_windows(aff_win, torus_win)
+                if mixed.alg is win.alg]
+    for x in vectors:
+        assert x.support_degrees() == _coord_degrees(win, x)
+
+
+def test_torus_form_pairs_only_opposite_degrees():
+    """The premise of the support rule: eps(t^s a t^t b) vanishes unless s + t = 0."""
+    a, b = GaussianRational(2, 1), GaussianRational(1, 1)
+    box = lattice_box(Q_MIXED.nu, 2)
+    for s in box:
+        x = TorusElement.monomial(Q_MIXED, s, a)
+        for t in box:
+            value = torus_form(x, TorusElement.monomial(Q_MIXED, t, b))
+            assert (value != 0) == all(u + v == 0 for u, v in zip(s, t)), (s, t)
+
+
+def test_affinized_form_adds_only_degree_zero_terms(aff_win):
+    """(x, y) - (x.g, y.g) is the c/d pairing, and it is nonzero only when
+    both supports hold degree 0."""
+    alg = aff_win.alg
+    zero = (0,) * alg.nu
+    flat = [x for _, x in aff_win.all_basis()]
+    partners = [y for y in flat if any(y.c) or any(y.d)]
+    partners += [flat[k] + alg.d_gen(0) + alg.c_gen(1) for k in (0, len(flat) // 2)]
+    assert len(partners) == 2 * alg.nu + 2
+    for x in flat + partners:
+        for y in partners:
+            extra = alg.form(x, y) - alg.base.form(x.g, y.g)
+            assert extra == sum(x.c[i] * y.d[i] + x.d[i] * y.c[i] for i in range(alg.nu))
+            if extra:
+                assert zero in x.support_degrees() & y.support_degrees()
 
 
 @pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sqrt_win"])

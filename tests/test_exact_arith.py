@@ -25,6 +25,7 @@ mixed_sqrts = st.builds(
 )
 
 
+@settings(max_examples=100)
 @given(gaussians, gaussians, gaussians)
 def test_gaussian_ring_laws(x, y, z):
     assert (x + y) + z == x + (y + z)
@@ -37,12 +38,14 @@ def _norm2(z):
     return z.re * z.re + z.im * z.im
 
 
+@settings(max_examples=100)
 @given(gaussians, gaussians)
 def test_gaussian_conjugate_multiplicative(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     assert _norm2(x * y) == _norm2(x) * _norm2(y)
 
 
+@settings(max_examples=100)
 @given(gaussians, gaussians)
 def test_gaussian_division_roundtrip(x, y):
     if y.is_zero():
@@ -50,6 +53,7 @@ def test_gaussian_division_roundtrip(x, y):
     assert (x / y) * y == x
 
 
+@settings(max_examples=100)
 @given(mixed_gaussians, st.one_of(mixed_gaussians, rationals))
 def test_gaussian_components_int_or_fraction_never_float(x, y):
     assert_int_first(x.re)
@@ -104,6 +108,7 @@ def test_sqrt_multiplication_table():
     assert r6 * r6 == SqrtFieldElement.from_rational(6)
 
 
+@settings(max_examples=100)
 @given(sqrts, sqrts, sqrts)
 def test_sqrt_ring_laws(x, y, z):
     assert (x + y) + z == x + (y + z)
@@ -126,11 +131,13 @@ def test_sqrt_inverse_known_value():
     assert x.inverse() == SqrtFieldElement({1: -1, 2: 1})
 
 
+@settings(max_examples=100)
 @given(sqrts, sqrts)
 def test_sqrt_pairing_symmetric(u, v):
     assert sqrt_pairing(u, v) == sqrt_pairing(v, u)
 
 
+@settings(max_examples=100)
 @given(mixed_sqrts, mixed_sqrts)
 def test_sqrt_pairing_is_rational_part_of_product(u, v):
     got = sqrt_pairing(u, v)

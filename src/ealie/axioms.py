@@ -36,7 +36,7 @@ from .decomp import (
     sl2_triple,
     toral_commute,
 )
-from .ears import first_isolated, isotropic_rank, nonisotropic_classes
+from .ears import first_by_finite, first_isolated, isotropic_rank, nonisotropic_classes
 from .finroot import Root, components
 from .kernel import int_rank
 from .linalg import (
@@ -328,7 +328,7 @@ def _longest_ad_chain(win, probes):
     ``fin``, so at the first k where beta + k*alpha has another finite part,
     ad_x^k z is zero: that step, ``stop``, counts toward the chain and is not
     computed.  ``stop`` depends only on the finite parts of alpha and beta and
-    is read from a table built per alpha.
+    is read from a table built once per finite part of alpha.
 
     So a chain is at most its ``stop``, and only pairs whose ``stop`` exceeds
     the longest chain seen so far, ``worst``, are bracketed; an alpha whose
@@ -341,9 +341,13 @@ def _longest_ad_chain(win, probes):
     """
     zero = win.alg.zero()
     finites = {beta.finite for beta, _ in probes}
+    tables = {}
     worst = 0
     for alpha in win.nonisotropic_roots():
-        stops = {f: _first_non_root_step(win.fin, f, alpha.finite) for f in finites}
+        stops = tables.get(alpha.finite)
+        if stops is None:
+            stops = {f: _first_non_root_step(win.fin, f, alpha.finite) for f in finites}
+            tables[alpha.finite] = stops
         if max(stops.values(), default=0) <= worst:
             continue
         for x in win.basis(alpha):
@@ -838,14 +842,6 @@ def newp_pair(win, core, delta, center_basis):
     return normalized_pair(win, xs, ys, win.alg.zero(), free=center_basis)
 
 
-def _by_finite(roots):
-    """The first root of ``roots`` for each distinct finite part, in order."""
-    first = {}
-    for r in roots:
-        first.setdefault(r.finite, r)
-    return list(first.values())
-
-
 def _first_nonorthogonal(win, isotropic, roots):
     """The first (delta, beta) of isotropic x roots with (delta, beta) != 0, or None."""
     return next(((d, b) for d in isotropic for b in roots if win.pairing(d, b)), None)
@@ -891,7 +887,7 @@ def _pairings_rational_by_basis(win, roots):
     pairs when it holds on the m^2 pairs of a greedy basis b_1..b_m of the
     roots' span.
     """
-    reps = _by_finite(roots)
+    reps = first_by_finite(roots).values()
     if not all(isinstance(win.pairing(a, b), Fraction) for a in reps for b in reps):
         return False
     flat, joint, basis = SpanDict(), SpanDict(), []
@@ -928,7 +924,8 @@ def check_props(win, core):
     results = []
 
     roots, isotropic, nonisotropic = win.roots(), win.isotropic_roots(), win.nonisotropic_roots()
-    bad = _first_nonorthogonal(win, _by_finite(isotropic), _by_finite(roots))
+    reps = first_by_finite(roots).values()
+    bad = _first_nonorthogonal(win, first_by_finite(isotropic).values(), reps)
     results.append(CheckResult(
         "prop-isotropic-orthogonal",
         bad is None,
@@ -988,7 +985,7 @@ def check_props(win, core):
         t_central_witness,
     ))
 
-    biggest, cartan_witness = _cartan_scan(win, _by_finite(nonisotropic), _by_finite(roots))
+    biggest, cartan_witness = _cartan_scan(win, first_by_finite(nonisotropic).values(), reps)
     results.append(CheckResult(
         "prop-cartan-integers-bounded",
         cartan_witness is None,

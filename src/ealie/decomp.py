@@ -29,7 +29,15 @@ from fractions import Fraction
 
 from .ears import first_broken_string
 from .finroot import Root
-from .linalg import SpanDict, nullspace_dense, solve_combination, solve_dense, span_equal, sparse_nullspace
+from .linalg import (
+    SpanDict,
+    nullspace_dense,
+    rows_by_key,
+    solve_combination,
+    solve_dense,
+    span_equal,
+    sparse_nullspace,
+)
 from .quantum_torus import lattice_box, unit_degrees
 
 __all__ = [
@@ -309,19 +317,17 @@ def normalized_pair(win, xs, ys, target, free=()):
     """The first x in xs with a y in the span of ys: (x, y) = 1 and [x, y] =
     target plus some combination of the ``free`` elements.
 
-    One exact solve per x: the bracket coordinates over the sorted key union,
-    the free elements negated as extra columns, and a form row equal to 1.
+    One exact solve per x: its unknowns are the coefficients of the brackets
+    [x, b] for b in ys and of the free elements, with one equation per
+    coordinate key and one more, under a key of its own, for the form.
     Returns (x, y), or None when no x admits a partner.
     """
-    tgt = win.coords(target)
+    form = object()  # the form row's key, distinct from every coordinate key
+    tgt = {**win.coords(target), form: 1}
     free = [win.coords(z) for z in free]
     for x in xs:
-        vecs = [win.coords(win.bracket(x, b)) for b in ys]
-        keys = sorted(set().union(tgt, *vecs, *free))
-        rows = [[v.get(k, 0) for v in vecs] + [-z.get(k, 0) for z in free] for k in keys]
-        rows.append([win.form(x, b) for b in ys] + [0] * len(free))
-        rhs = [tgt.get(k, 0) for k in keys] + [Fraction(1)]
-        sol = solve_dense(rows, rhs)
+        vecs = [{**win.coords(win.bracket(x, b)), form: win.form(x, b)} for b in ys]
+        sol = solve_combination(vecs + free, tgt)
         if sol is not None:
             return x, combine(ys, sol[:len(ys)], win.alg.zero())
     return None
@@ -387,10 +393,7 @@ def centralizer_candidates(alg, candidates, generators):
     """
     def rows():
         for s in generators:
-            by_key = {}
-            for j, b in enumerate(candidates):
-                for key, val in alg.coords(alg.bracket(b, s)).items():
-                    by_key.setdefault(key, {})[j] = val
+            by_key = rows_by_key([alg.coords(alg.bracket(b, s)) for b in candidates])
             for key in sorted(by_key):
                 yield by_key[key]
 

@@ -23,6 +23,7 @@ from .reporting import CheckResult
 __all__ = [
     "check_ears_axioms",
     "first_broken_string",
+    "first_by_finite",
     "nonisotropic_classes",
     "first_isolated",
     "isotropic_rank",
@@ -35,6 +36,14 @@ __all__ = [
 
 def _vec(root):
     return tuple(root.finite) + tuple(root.lattice)
+
+
+def first_by_finite(roots):
+    """The first root of ``roots`` for each distinct finite part, keyed by it, in order."""
+    first = {}
+    for r in roots:
+        first.setdefault(r.finite, r)
+    return first
 
 
 def _finite_strings_hold(win):
@@ -53,9 +62,7 @@ def _finite_strings_hold(win):
     (fa, fb).  fa runs over one finite part per ±pair, since the -fa-string
     through fb is the fa-string read backwards.
     """
-    reps = {}  # the first root of each finite part, in root order
-    for r in win.roots():
-        reps.setdefault(r.finite, r)
+    reps = first_by_finite(win.roots())
     box = lattice_box(win.alg.nu, win.w)
     vectors = win.vectors
     if len(vectors) != len(reps) * len(box) or any(f + l not in vectors for f in reps for l in box):
@@ -113,9 +120,7 @@ def first_broken_string(win):
 
 def nonisotropic_classes(win):
     """Non-orthogonality classes of the finite parts of the nonisotropic roots."""
-    reps = {}
-    for r in win.nonisotropic_roots():
-        reps.setdefault(tuple(r.finite), r)
+    reps = first_by_finite(win.nonisotropic_roots())
     return components(sorted(reps), lambda a, b: bool(win.pairing(reps[a], reps[b])))
 
 

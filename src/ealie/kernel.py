@@ -55,23 +55,19 @@ def _row_gcd(row, start, ncols):
     return g
 
 
-def int_echelon(rows, ncols, pivot_limit=-1):
+def int_echelon(rows, ncols):
     """Fraction-free row echelon form of an integer matrix.
 
     Returns ``(work, pivots)`` where ``work`` is a new list of rows (input rows
-    are not mutated) and ``pivots`` the pivot column indices in order.  Pivot
-    search is restricted to columns < ``pivot_limit`` (default: all columns), so
-    augmented systems [A | b] can forbid pivots inside b.  Each row is divided
-    by its content and pivot entries are normalized positive, which keeps entry
-    growth polynomial.
+    are not mutated) and ``pivots`` the pivot column indices in order.  Each
+    row is divided by its content and pivot entries are normalized positive,
+    which keeps entry growth polynomial.
     """
-    if pivot_limit < 0:
-        pivot_limit = ncols
     work = [list(r) for r in rows]
     nrows = len(work)
     pivots = []
     pr = 0
-    for col in range(pivot_limit):
+    for col in range(ncols):
         if pr == nrows:
             break
         sel = -1

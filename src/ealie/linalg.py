@@ -1,30 +1,29 @@
-"""Exact linear algebra over the rationals, backed by the integer kernel.
+"""Exact linear algebra over the rationals on one sparse echelon, ``SpanDict``.
 
-Vectors come in two shapes here: dense rows (lists of Fraction/int) and sparse
-dicts keyed by hashable, mutually comparable coordinate labels.  All routines
-are deterministic.
+Vectors are sparse dicts keyed by hashable coordinate labels; a dense row is
+read as the dict {column: value}.  ``SpanDict`` keeps an integer echelon whose
+pivot is the smallest key of each row, and every rational rank, solve and
+nullspace here is read off it.  All routines are deterministic.
 
-Nullspaces are streamed: ``sparse_nullspace`` adds rows to a ``SpanDict``
-echelon as they arrive and stops reading once it holds one pivot per column,
-because the nullspace is then {0}.  Otherwise it returns, per free column, the
-vector with that column 1 and every other free column 0.  Both the pivot
-columns (the leading columns of the vectors in the row space) and each of these
-vectors (the unique nullspace vector with the given free entries) are fixed by
-the row space alone.  So the result does not depend on row order, and a
-stopped read returns exactly what reading every row would.
+The pivot columns (the leading columns of the vectors in the row space) are
+fixed by the row space alone, and so is each vector ``_pinned`` builds: the
+unique solution with one chosen column 1 and every other non-pivot column 0.
+A solve pins the right-hand side column and a nullspace pins each free column
+in turn, so neither depends on row order.  Nullspaces are streamed:
+``sparse_nullspace`` stops reading rows once the echelon holds one pivot per
+column, because the nullspace is then {0}, and a stopped read returns exactly
+what reading every row would.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .kernel import int_echelon, int_rank
-
 __all__ = [
-    "clear_row",
-    "rows_rank",
+    "solve_sparse",
     "solve_dense",
     "nullspace_dense",
     "sparse_nullspace",
+    "rows_by_key",
     "solve_combination",
     "SpanDict",
     "span_equal",
@@ -35,34 +34,37 @@ __all__ = [
 ]
 
 
-def clear_row(row):
-    """Scale a row of Fractions/ints to a primitive integer row (sign kept)."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    out = []
-    for x in row:
-        v = x * den
-        out.append(int(v))
-    g = 0
-    for v in out:
-        if v:
-            g = gcd(g, abs(v))
-            if g == 1:
-                return out
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+def _pinned(echelon, ncols, col):
+    """The vector x of length ``ncols`` in the nullspace of the ``echelon``
+    rows with x[col] = 1 and every other non-pivot column 0.
+
+    ``echelon`` holds a ``SpanDict``'s (pivot, row) pairs, last pivot first,
+    and ``col`` is not a pivot.  A row's other columns all exceed its pivot,
+    so they are set before its pivot column is solved from it.
+    """
+    x = [Fraction(0)] * ncols
+    x[col] = Fraction(1)
+    for pc, row in echelon:
+        acc = Fraction(0)  # x[pc] is still 0, so the pivot term drops out
+        for j, v in row.items():
+            if x[j]:
+                acc -= v * x[j]
+        x[pc] = acc / row[pc]
+    return x
 
 
-def rows_rank(rows):
-    """Rank of a matrix given as a list of Fraction/int rows."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    return int_rank([clear_row(r) for r in rows], ncols)
+def solve_sparse(rows, n):
+    """Solve sum_{j < n} row[j] * x[j] + row[n] == 0 for every sparse row.
+
+    ``rows`` are dicts {column: value} with columns in range(n + 1); column n
+    holds minus the right-hand side.  Returns x (free columns 0) as n
+    Fractions, or None when the system is inconsistent, that is, when column
+    n is a pivot.
+    """
+    span = SpanDict(rows)
+    if n in span._rows:
+        return None
+    return _pinned(sorted(span._rows.items(), reverse=True), n + 1, n)[:n]
 
 
 def solve_dense(a_rows, b):
@@ -70,22 +72,13 @@ def solve_dense(a_rows, b):
 
     A is a list of m rows of length n; b has length m.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [clear_row(list(a_rows[i]) + [b[i]]) for i in range(m)]
-    work, pivots = int_echelon(aug, n + 1, pivot_limit=n)
-    for r in range(len(pivots), m):
-        row = work[r]
-        if any(row[:n]):  # unreachable: rows past the pivots are zero in A-columns
-            raise AssertionError("echelon invariant violated")
-        if row[n]:
-            return None
-    return _back_substitute(work, pivots, [Fraction(0)] * n, [row[n] for row in work])
+    n = len(a_rows[0]) if a_rows else 0
+    return solve_sparse((dict(enumerate((*row, -rhs))) for row, rhs in zip(a_rows, b)), n)
 
 
 def nullspace_dense(a_rows, ncols):
     """Basis of the right nullspace {x : A x = 0}, one vector per free column."""
-    return sparse_nullspace(({j: v for j, v in enumerate(row) if v} for row in a_rows), ncols)
+    return sparse_nullspace((dict(enumerate(row)) for row in a_rows), ncols)
 
 
 def sparse_nullspace(rows, ncols):
@@ -102,51 +95,24 @@ def sparse_nullspace(rows, ncols):
             if span.add(row) and span.dim == ncols:
                 return []
     echelon = sorted(span._rows.items(), reverse=True)
-    basis = []
-    for free in range(ncols):
-        if free in span._rows:
-            continue
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for pc, row in echelon:
-            acc = Fraction(0)
-            for j, v in row.items():
-                if j != pc and x[j]:
-                    acc -= v * x[j]
-            x[pc] = acc / row[pc]
-        basis.append(x)
-    return basis
+    return [_pinned(echelon, ncols, free) for free in range(ncols) if free not in span._rows]
 
 
-def _back_substitute(work, pivots, x, rhs):
-    """Fill the pivot entries of x from the echelon rows ``work``, last pivot first.
-
-    Row r reads sum_j work[r][j] * x[j] = rhs[r] over the len(x) columns; the
-    entries of x at non-pivot columns are the caller's and stay as given.
-    """
-    n = len(x)
-    for r in range(len(pivots) - 1, -1, -1):
-        row = work[r]
-        pc = pivots[r]
-        acc = Fraction(rhs[r])
-        for j in range(pc + 1, n):
-            if row[j] and x[j]:
-                acc -= row[j] * x[j]
-        x[pc] = acc / row[pc]
-    return x
+def rows_by_key(vecs):
+    """The rows {j: vecs[j][key]} of the key x vector matrix, keyed by key."""
+    rows = {}
+    for j, v in enumerate(vecs):
+        for key, val in v.items():
+            rows.setdefault(key, {})[j] = val
+    return rows
 
 
 def solve_combination(vecs, target):
     """Coefficients c with sum(c_j * vecs[j]) == target, or None.
 
-    Vectors are sparse dicts; the key set is the union of all supports.
+    Vectors are sparse dicts; one equation per key of their supports.
     """
-    if not vecs:
-        return [] if not any(target.values()) else None
-    keys = sorted({k for v in (*vecs, target) for k in v})
-    a_rows = [[v.get(k, 0) for v in vecs] for k in keys]
-    b = [target.get(k, 0) for k in keys]
-    return solve_dense(a_rows, b)
+    return solve_sparse(rows_by_key([*vecs, {k: -v for k, v in target.items()}]).values(), len(vecs))
 
 
 class SpanDict:
@@ -236,7 +202,7 @@ def span_equal(a, b):
 
 def gram_nonsingular(gram):
     """True when a square Fraction matrix has full rank."""
-    return rows_rank(gram) == len(gram)
+    return SpanDict(dict(enumerate(row)) for row in gram).dim == len(gram)
 
 
 def gram_positive_definite(gram):

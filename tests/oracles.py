@@ -35,10 +35,11 @@ cancel, with no support degrees.
 The relations and centralizer oracles write out the whole coordinate-key x
 candidate matrix at once, every candidate bracketed with every generator,
 and reduce it with ``kernel.int_echelon``, with no streamed rows and no
-early stop.
+early stop.  The solve oracle reduces the augmented matrix [A | b] the same
+way, over all of its columns.
 
 ``tests/test_layering.py`` checks that this file imports neither
-``ealie.axioms`` nor ``ealie.ears``, and no nullspace route of
+``ealie.axioms`` nor ``ealie.ears``, and no nullspace or solve route of
 ``ealie.linalg``.
 """
 
@@ -259,17 +260,20 @@ def literal_first_unequal_pairing(win):
     return None
 
 
+def _integer_row(row):
+    """A Fraction/int row scaled by the lcm of its denominators."""
+    row = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
 def literal_relations(vecs):
     """Basis of {c : sum(c_j * vecs[j]) == 0} for sparse dict vectors: one row
     per key of the union of supports, in sorted order, reduced by
     ``int_echelon``; one Fraction vector per free column, that column 1 and
     the other free columns 0."""
     n = len(vecs)
-    rows = []
-    for key in sorted({k for v in vecs for k in v}):
-        row = [Fraction(v.get(key, 0)) for v in vecs]
-        den = lcm(*(x.denominator for x in row))
-        rows.append([int(x * den) for x in row])
+    rows = [_integer_row([v.get(key, 0) for v in vecs]) for key in sorted({k for v in vecs for k in v})]
     work, pivots = int_echelon(rows, n)
     basis = []
     for free in range(n):
@@ -283,6 +287,23 @@ def literal_relations(vecs):
             x[pc] = -acc / work[r][pc]
         basis.append(x)
     return basis
+
+
+def literal_solve(a_rows, b):
+    """x with A x = b and every free column 0, or None when there is none:
+    [A | b] reduced by ``int_echelon`` over all n + 1 columns, inconsistent
+    when a pivot lands in column n, then each pivot column solved from its
+    row, last pivot first."""
+    n = len(a_rows[0]) if a_rows else 0
+    work, pivots = int_echelon([_integer_row([*row, rhs]) for row, rhs in zip(a_rows, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r in range(len(pivots) - 1, -1, -1):
+        pc = pivots[r]
+        acc = sum((work[r][j] * x[j] for j in range(pc + 1, n)), Fraction(0))
+        x[pc] = (work[r][n] - acc) / work[r][pc]
+    return x
 
 
 def literal_centralizer_candidates(alg, candidates, generators):

@@ -632,11 +632,24 @@ def test_weight_rule_skips_only_zero_brackets(request, fixture):
 
 
 @pytest.mark.parametrize("fixture", CHAIN_WINDOWS)
-def test_longest_ad_chain_brackets_only_chains_that_can_beat_the_longest(request, fixture):
+def test_longest_ad_chain_brackets_only_chains_that_can_beat_the_longest(request, monkeypatch, fixture):
+    """Few brackets, and one stop table per finite part of alpha: each
+    (beta, alpha) pair of finite parts is stepped exactly once."""
+    stepped = []
+    first_non_root_step = axioms._first_non_root_step
+
+    def counted(fin, b, a):
+        stepped.append((b, a))
+        return first_non_root_step(fin, b, a)
+
+    monkeypatch.setattr(axioms, "_first_non_root_step", counted)
     win = _Counting(request.getfixturevalue(fixture))
-    worst, witness = axioms._longest_ad_chain(win, _t4_probes(win))
+    probes = _t4_probes(win)
+    worst, witness = axioms._longest_ad_chain(win, probes)
     assert (worst, witness) == (3, None)
     assert 0 < win.brackets <= 10
+    pairs = {(r.finite, a.finite) for r, _ in probes for a in win.nonisotropic_roots()}
+    assert sorted(stepped) == sorted(pairs)
 
 
 @pytest.mark.parametrize("fixture", CHAIN_WINDOWS)

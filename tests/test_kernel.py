@@ -4,7 +4,7 @@ import random
 
 import ealie
 from ealie import kernel
-from ealie.linalg import rows_rank
+from ealie.linalg import SpanDict
 from ealie.quantum_torus import SignMatrix
 
 from oracles import oracle_g, oracle_kappa, oracle_structure_constant
@@ -73,7 +73,7 @@ def test_int_rank_matches_rational_rank():
     rng = random.Random(31)
     for _ in range(60):
         rows = [tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(rng.randint(1, 5))]
-        assert kernel.int_rank(rows, 4) == rows_rank([list(r) for r in rows])
+        assert kernel.int_rank(rows, 4) == SpanDict(dict(enumerate(r)) for r in rows).dim
 
 
 def test_backend_is_python():

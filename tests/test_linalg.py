@@ -9,14 +9,13 @@ from ealie.linalg import (
     integer_lattice_basis,
     integer_lattice_member,
     nullspace_dense,
-    rows_rank,
     solve_combination,
     solve_dense,
     span_equal,
     sparse_nullspace,
 )
 
-from oracles import literal_relations
+from oracles import literal_relations, literal_solve
 
 
 def test_solve_dense_square():
@@ -42,11 +41,6 @@ def test_nullspace_dense():
     assert len(basis) == 2
     for v in basis:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
-
-
-def test_rows_rank():
-    assert rows_rank([[1, 2], [2, 4]]) == 1
-    assert rows_rank([[1, 0], [0, 1]]) == 2
 
 
 def test_span_dict_add_and_dim():
@@ -86,6 +80,66 @@ def test_solve_combination_and_relations():
     assert len(rels) == 1
     r = rels[0]
     assert r[0] + r[2] == 0 and r[1] + r[2] == 0
+
+
+def _random_solves():
+    """Seeded systems (A, b, kind), half with int and half with Fraction
+    entries: square, underdetermined, consistent overdetermined,
+    inconsistent, all-zero, and one with no rows at all."""
+    rng = random.Random(41)
+    systems = []
+    for frac in (False, True):
+        def entry():
+            v = rng.choice([-3, -2, -1, 0, 0, 1, 2, 3])
+            return Fraction(v, rng.randint(1, 4)) if frac else v
+
+        def matrix(m, n):
+            return [[entry() for _ in range(n)] for _ in range(m)]
+
+        def image(a):
+            x = [entry() for _ in a[0]]
+            return [sum(c * v for c, v in zip(row, x)) for row in a]
+
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            a = matrix(n, n)
+            systems.append((a, [entry() for _ in a], "square"))
+            a = matrix(rng.randint(1, n), n + 1)
+            systems.append((a, image(a), "underdetermined"))
+            a = matrix(n + rng.randint(1, 3), n)
+            systems.append((a, image(a), "overdetermined"))
+            a = matrix(rng.randint(1, 4), n)
+            b = image(a)
+            i, j = rng.randrange(len(a)), rng.randrange(len(a))
+            a.append([u + 2 * v for u, v in zip(a[i], a[j])])
+            b.append(b[i] + 2 * b[j] + 1)
+            systems.append((a, b, "inconsistent"))
+            m = rng.randint(1, 4)
+            systems.append(([[0 * entry()] * n for _ in range(m)], [0] * m, "all-zero"))
+            systems.append(([[0 * entry()] * n for _ in range(m)], [0] * (m - 1) + [1], "all-zero"))
+    systems.append(([], [], "no rows"))
+    return systems
+
+
+def test_solves_match_literal_solve_on_random_systems():
+    """solve_dense and solve_combination (the columns of A as sparse vectors)
+    return exactly the oracle's solution, free columns 0, all Fractions."""
+    kinds = {}
+    for a, b, kind in _random_solves():
+        want = literal_solve(a, b)
+        n = len(a[0]) if a else 0
+        vecs = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
+        target = {i: v for i, v in enumerate(b) if v}
+        for got in (solve_dense(a, b), solve_combination(vecs, target)):
+            assert got == want, (a, b)
+            if got is not None:
+                assert all(type(x) is Fraction for x in got)
+                assert [sum(c * x for c, x in zip(row, got)) for row in a] == b
+        kinds.setdefault(kind, set()).add(want is None)
+    assert kinds["inconsistent"] == {True}
+    assert kinds["underdetermined"] == kinds["overdetermined"] == {False}
+    assert kinds["all-zero"] == {True, False}
+    assert set(kinds) == {"square", "underdetermined", "overdetermined", "inconsistent", "all-zero", "no rows"}
 
 
 def _random_systems():
@@ -148,6 +202,8 @@ def test_streamed_nullspace_stops_at_full_rank():
 def test_gram_predicates():
     assert gram_nonsingular([[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]])
     assert not gram_nonsingular([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    assert not gram_nonsingular([[1, 2], [2, 4]])
+    assert gram_nonsingular([[1, 0], [0, 1]])
     assert gram_positive_definite([[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]])
     assert not gram_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
     assert not gram_positive_definite([[Fraction(0)]])
@@ -204,4 +260,4 @@ def test_integer_lattice_random_consistency():
                     v[k] += c * b[k]
             assert integer_lattice_member(basis, tuple(v))
         # the basis spans the same rational space
-        assert rows_rank([list(r) for r in rows]) == len(basis)
+        assert SpanDict(dict(enumerate(r)) for r in rows).dim == len(basis)

@@ -8,8 +8,6 @@ commutator of both matrix rings (torus and square-root entries) is one kernel
 here, ``sparse_commutator``, parametrized by the ring's coefficient product.
 """
 
-from fractions import Fraction
-
 __all__ = ["SparseMatrix", "sparse_add", "sparse_commutator", "sparse_iadd", "sparse_trace_pairing"]
 
 
@@ -78,14 +76,14 @@ def sparse_commutator(a, b, product, ctx=None):
 def sparse_trace_pairing(a, b, pair):
     """Sum of pair(a[p, k], b[k, p]): the trace of ``a b`` under a rational coefficient pairing.
 
-    Sums in whatever rationals ``pair`` returns (ints stay ints) and hands back a Fraction.
+    Sums in whatever rationals ``pair`` returns, so a sum of ints stays an int.
     """
     acc = 0
     for (p, k), x in a.items():
         y = b.get((k, p))
         if y is not None:
             acc += pair(x, y)
-    return acc if type(acc) is Fraction else Fraction(acc)
+    return acc
 
 
 class SparseMatrix:

@@ -30,7 +30,8 @@ form, with no weight rule, stop bound, flat vectors, finite-part
 representatives or bilinearity.
 
 The graded-form oracle forms every basis pair whose slice degrees do not
-cancel, with no support degrees.
+cancel, with no support degrees.  The degree-additivity oracle brackets every
+ordered basis pair, with no skip of homogeneous pairs.
 
 The relations and centralizer oracles write out the whole coordinate-key x
 candidate matrix at once, every candidate bracketed with every generator,
@@ -151,6 +152,21 @@ def literal_first_ungraded_pair(win):
     for i, (r1, x) in enumerate(flat):
         for r2, y in flat[i:]:
             if any(a + b for a, b in zip(r1.lattice, r2.lattice)) and win.form(x, y):
+                return {"first": r1, "second": r2}
+    return None
+
+
+def literal_first_non_additive_pair(win):
+    """The first ordered basis pair (x, y), row-major over ``all_basis``, whose
+    bracket carries a lattice degree other than the sum of their slice
+    degrees, as ``{"first": root of x, "second": root of y}``; None if there
+    is none."""
+    flat = list(win.all_basis())
+    for r1, x in flat:
+        for r2, y in flat:
+            b = win.bracket(x, y)
+            target = tuple(a + c for a, c in zip(r1.lattice, r2.lattice))
+            if not b.is_zero() and b.support_degrees() - {target}:
                 return {"first": r1, "second": r2}
     return None
 

@@ -285,31 +285,31 @@ PINNED_REPORTS = [
     ("export --construction affinized --nu 2 --q -1 --window 1", 0,
      "8362102dabcaff39fb31da34bd9c6bb217eee60e47078ae91f5c606604f79e41"),
     ("check --construction sqrt-extension --rank 2 --primes 2,3", 0,
-     "72472b46e312ce4d6fbe7b00e16e489c10aec5c5898c6e7079e3fe7dd7c6b310"),
+     "d07ef674aef6948dabc86023ee14a879187922b24166dbc84a3327778697c909"),
     ("check --construction sp-classical --ell 2", 0,
-     "d9f89ac686f4aa70917d4a246b0b176423a4a6cfb2455d5bd0f825336b18dd78"),
+     "87141b61aedb635607771209ab4b63b3548b74e37bd7c1feb9f082c46e45699a"),
     ("check --construction affinized --nu 2 --q -1 --window 1 --suites T", 0,
-     "dd1f04dc0c663efe3d489bf9b105b5e1af27da23664e8096afc04485ddafcfc4"),
+     "d9d57f85a41406ca3b133d1ba811ef356667248ec814654ba2422bf24393fc73"),
     ("ears --construction quantum-torus --nu 2 --q -1 --window 1", 0,
      "c27c7ed5b4cbd8bc75ba382fe26efa9623bc531768a82c8f981afc9d187db97e"),
     # fails D8 with a witness, so the failing-witness bytes are pinned too
     ("check --construction quantum-torus --nu 2 --q -1 --underived --suites D,EARS", 1,
-     "9a943205982a13553559346781c42f4cf5b3f84b0a9e40a716fb829c071482c5"),
+     "a7c1ddad57f1fe55cda823ea496db7d2a3f6c35fb0f02390a3f3a59dca0c8378"),
     ("ears --construction quantum-torus --nu 2 --q -1 --window 2", 0,
      "a264731cf43bac312f7e879008f567237a74e57d9a1e697a447a5bd14f7b8d73"),
     # the full default check: every suite, TAME and PROPS on the affinized core
     ("check --construction affinized --nu 2 --q -1 --window 1", 0,
-     "be8f676982a4cba47f019a59340ecd190dc065ebc12b111c55fb65deb06d73b7"),
+     "da7a03200f408e7c7c9de52e99c4f2f4e19df380c3695b538c6a426ee184118b"),
     # three primes: products such as sqrt6 * sqrt10 = 2 sqrt15 reach the report;
     # its T1 invariance is sampled (2,000 of 158,208 triples, seed 0)
     ("check --construction sqrt-extension --rank 3 --primes 2,3,5", 0,
-     "fdd5895814163893bce1aeeb2b85ed1b9b10afc5dd9189320cd31182bbf548be"),
+     "e5472d76105eba48344351db15df6b32d3d7a171eceb922efae1d96a70aeb56a"),
     # underived at nullity 1: D8, TAME and PROPS witnesses from the affinized path
     ("check --construction affinized --nu 1 --window 1 --underived", 1,
-     "8ec2ab1cc607c17f8ab62c7118e76db8f5ceb1c1b4839211c1169f92086dcf2a"),
+     "7fd3f72b1ff138184e9b23aca478f483d630597ceb3d218a1ac6ea4f445689b1"),
     # nullity 0: the window is the single empty lattice degree
     ("check --construction sp-classical --ell 3", 0,
-     "c9d22d7ffa6c65a08105b27b0619e2c10ccca87ca163c29ffbc4a3baf7460c62"),
+     "5763ce56a95d67bfd6196d2b9eae7765f72608fd76282566e963769e858149c7"),
     # the ears-torus-w3 benchmark workload: 441 roots, strings by finite pairs
     ("ears --construction quantum-torus --nu 2 --q -1 --window 3", 0,
      "3240d13e9388ab7ce577cdce882355c1414ab8fc8547f9e405d7e61275a2810e"),

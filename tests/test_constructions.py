@@ -347,8 +347,7 @@ def test_affinized_window_has_no_float_and_no_integral_fraction(aff_win):
             assert_int_first(v)
         opp = -root
         for y in aff_win.basis(opp) if opp in aff_win.pieces else ():
-            # forms reach reports as str(Fraction), so they stay Fractions
-            assert type(aff_win.form(x, y)) is Fraction
+            assert_int_first(aff_win.form(x, y))
             b = aff_win.bracket(x, y)
             _assert_int_first_element(b)
             for v in aff_win.coords(b).values():
@@ -356,13 +355,13 @@ def test_affinized_window_has_no_float_and_no_integral_fraction(aff_win):
 
 
 def test_sqrt_window_has_no_float_and_no_integral_fraction(sqrt_win):
-    """Field coefficients, coordinates and brackets of every basis vector stay int-first."""
+    """Field coefficients, coordinates, brackets and forms of every basis vector stay int-first."""
     for root, x in sqrt_win.all_basis():
         for v in list(sqrt_win.coords(x).values()) + [c for val in x.entries.values() for c in val.coeffs.values()]:
             assert_int_first(v)
         opp = -root
         for y in sqrt_win.basis(opp) if opp in sqrt_win.pieces else ():
-            assert type(sqrt_win.form(x, y)) is Fraction
+            assert_int_first(sqrt_win.form(x, y))
             b = sqrt_win.bracket(x, y)
             for v in list(sqrt_win.coords(b).values()) + [c for val in b.entries.values() for c in val.coeffs.values()]:
                 assert_int_first(v)

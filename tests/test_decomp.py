@@ -227,6 +227,25 @@ def test_decompose_window_rejects_an_empty_slice_at_a_finite_root(weight):
         decompose_window(_MissingSlice(missing), 1)
 
 
+class _OffFunctional(TorusMatrixAlgebra):
+    """sp4 whose root functional is off by 1 in its first entry at one root."""
+
+    def __init__(self, off):
+        super().__init__(2, SignMatrix(0), real_only=True)
+        self.off = off
+
+    def root_functional(self, root):
+        lams = super().root_functional(root)
+        return [lams[0] + 1, *lams[1:]] if root == self.off else lams
+
+
+def test_decompose_window_rejects_a_vector_that_is_no_exact_eigenvector():
+    # T2 and T4's weight rule rest on this check; T2 does not repeat it
+    off = Root(finite=(1, 1), lattice=())
+    with pytest.raises(DecompositionError, match=r"basis vector at .* is not an exact eigenvector"):
+        decompose_window(_OffFunctional(off), 1)
+
+
 def _per_class_pieces(alg, sigma):
     """Oracle: the graded_pieces each construction class carried before decomp
     derived them; the affinized one took its weights from the base algebra."""

@@ -13,9 +13,11 @@ Four families of checks:
   to a fixed choice of simple-root preimages, with the recovered Cartan
   matrix.
 - tameness_check and check_props: the tameness verdict via two independent
-  routes, and the structural properties tied to the decomposition (rational
-  pairings, toral representatives inside the core, bounded Cartan integers,
-  unbroken root strings, perfectness, the center/radical identities).
+  routes, both read from the centralizer and the form perpendicular that
+  ``core_and_center_window`` solves once, and the structural properties
+  tied to the decomposition (rational pairings, toral representatives
+  inside the core, bounded Cartan integers, unbroken root strings,
+  perfectness, the center/radical identities).
 
 Every universally quantified statement is truncated to the window basis, as
 each detail string says.  Only invariance above ``EXHAUSTIVE_LIMIT``, T3 and
@@ -26,8 +28,6 @@ import random
 from fractions import Fraction
 
 from .decomp import (
-    _small_generators,
-    centralizer_candidates,
     combine,
     isotropic_pair,
     normalized_pair,
@@ -43,7 +43,6 @@ from .linalg import (
     SpanDict,
     gram_nonsingular,
     gram_positive_definite,
-    nullspace_dense,
     span_equal,
 )
 from .quantum_torus import lattice_box, unit_degrees
@@ -769,47 +768,26 @@ def serre_check(win):
 
 
 def tameness_check(win, core):
-    """Two independent tameness routes plus their agreement.
+    """Two independent tameness routes plus their agreement, read from the core.
 
-    Route one computes the window centralizer of the core among the isotropic
-    slices (nonisotropic slices are excluded exactly: a toral element of the
-    core already acts there by a nonzero eigenvalue) and checks containment
-    in the core.  Route two computes the perpendicular of the core per degree
-    and compares it with the center of the core.
+    ``core_and_center_window`` solves the window centralizer of the core and
+    its form perpendicular once; this check only compares spans.  Route one
+    asks that the centralizer, found from brackets alone, lie in the core.
+    Route two asks that the perpendicular, found from the form, equal the
+    center of the core, found from brackets.
     """
-    alg = win.alg
     results = []
-    core_basis = [x for root in sorted(core.pieces) for x in core.piece_basis(root)]
-    core_span = SpanDict(win.coords(x) for x in core_basis)
-    center_span = SpanDict(win.coords(z) for z in core.center)
-
-    generators = _small_generators(win)
-    centralizer = []
-    for delta in win.isotropic_roots():
-        for cand in centralizer_candidates(alg, win.basis(delta), generators):
-            if all(win.bracket(cand, g).is_zero() for g in core_basis):
-                centralizer.append(cand)
-    outside = [z for z in centralizer if not core_span.contains(win.coords(z))]
+    core_span = SpanDict(win.coords(x) for root in sorted(core.pieces) for x in core.piece_basis(root))
+    outside = [z for z in core.centralizer if not core_span.contains(win.coords(z))]
     results.append(CheckResult(
         "tame-centralizer-in-core",
         not outside,
-        f"window centralizer of the core has dimension {len(centralizer)}",
+        f"window centralizer of the core has dimension {len(core.centralizer)}",
         None if not outside else {"outside_dim": len(outside)},
     ))
 
-    perp = []
-    for root in sorted(win.pieces):
-        basis = win.basis(root)
-        constraints = core.piece_basis(-root)
-        if not basis:
-            continue
-        if not constraints:
-            perp.extend(basis)
-            continue
-        rows = [[win.form(b, x) for b in basis] for x in constraints]
-        for vec in nullspace_dense(rows, len(basis)):
-            perp.append(combine(basis, vec, alg.zero()))
-    perp_span = SpanDict(win.coords(z) for z in perp)
+    perp_span = SpanDict(win.coords(z) for z in core.perp)
+    center_span = SpanDict(win.coords(z) for z in core.center)
     perp_matches = span_equal(perp_span, center_span)
     results.append(CheckResult(
         "tame-core-perp-equals-center",
@@ -832,13 +810,13 @@ def tameness_check(win, core):
 # -- structural properties -------------------------------------------------------
 
 
-def newp_pair(win, core, delta, center_basis):
+def newp_pair(win, core, delta):
     """x, y in opposite core zero-weight slices: [x, y] central, (x, y) = 1."""
     xs = core.piece_basis(delta)
     ys = core.piece_basis(-delta)
     if not xs or not ys:
         return None
-    return normalized_pair(win, xs, ys, win.alg.zero(), free=center_basis)
+    return normalized_pair(win, xs, ys, win.alg.zero(), free=core.center)
 
 
 def _first_nonorthogonal(win, isotropic, roots):
@@ -942,17 +920,12 @@ def check_props(win, core):
         rational_witness,
     ))
 
-    core_zero = {}
-    for root in sorted(core.pieces):
-        if not any(root.finite):
-            core_zero[tuple(root.lattice)] = SpanDict(
-                win.coords(x) for x in core.piece_basis(root)
-            )
+    zero_root = Root(finite=win.fin.zero, lattice=(0,) * alg.nu)
+    core_zero = SpanDict(win.coords(x) for x in core.piece_basis(zero_root))
     t_core_ok = True
     t_core_witness = None
     for alpha in nonisotropic:
-        span = core_zero.get((0,) * alg.nu)
-        if span is None or not span.contains(win.coords(win.rep_t(alpha))):
+        if zero_root not in core.pieces or not core_zero.contains(win.coords(win.rep_t(alpha))):
             t_core_ok = False
             t_core_witness = {"root": alpha}
             break
@@ -1058,7 +1031,7 @@ def check_props(win, core):
     for delta in win.isotropic_roots():
         if not core.piece_basis(delta):
             continue
-        if newp_pair(win, core, delta, list(core.center)) is None:
+        if newp_pair(win, core, delta) is None:
             newp_ok = False
             newp_witness = {"delta": delta}
             break

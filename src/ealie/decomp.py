@@ -368,10 +368,17 @@ def theta_automorphism(win, root):
 
 @dataclass
 class CoreData:
-    """Windowed core structure: pieces, center, radical and toral complements."""
+    """Windowed core structure, solved once by ``core_and_center_window``.
+
+    ``centralizer`` and ``perp`` are the window centralizer (isotropic
+    slices) and form perpendicular of the core; ``center`` and ``radical``
+    are their intersections with the core.  TAME only compares them.
+    """
 
     pieces: dict
+    centralizer: tuple
     center: tuple
+    perp: tuple
     radical: tuple
     center_equals_radical: bool
     h_alpha_sum_equals_h_perp: bool
@@ -484,16 +491,27 @@ def _core_basis(win, delta):
     return tuple(greedy)
 
 
+def _intersection(alg, us, vs):
+    """A basis of span(us) & span(vs), for independent us and vs: the u-parts
+    of a basis of the relations sum a u = sum b v."""
+    rows = rows_by_key([alg.coords(u) for u in us] + [alg.coords(-v) for v in vs])
+    return [combine(us, rel[:len(us)], alg.zero())
+            for rel in sparse_nullspace(rows.values(), len(us) + len(vs))]
+
+
 def core_and_center_window(win):
-    """Core, center and form radical of the core, within the window.
+    """Core, centralizer, form perpendicular, center and radical, within the window.
 
     The core piece at a nonisotropic root is the full slice; at an isotropic
     root it is the exact span of all brackets of opposite nonzero-weight
-    slices whose lattice degrees stay within w + EXTRA_MARGIN.  The center is
-    found per isotropic degree by solving the commutation equations against a
-    small generating set and re-verifying survivors against the entire window
-    core basis; nonisotropic slices cannot meet the center because a toral
-    generator already acts there by a nonzero exact eigenvalue.
+    slices whose lattice degrees stay within w + EXTRA_MARGIN.  The
+    centralizer is solved per isotropic degree on the window slice against a
+    small generating set, survivors re-verified against every core vector;
+    nonisotropic slices cannot meet it because a toral generator already acts
+    there by a nonzero exact eigenvalue.  The perpendicular at r is the part
+    of the window slice that pairs to zero with the core piece at -r (all of
+    it where that piece is empty or missing).  Core slices lie in window
+    slices, so the center and the radical are these intersected with the core.
     """
     alg = win.alg
     fin = win.fin
@@ -505,26 +523,26 @@ def core_and_center_window(win):
         pieces[delta] = GradedPiece(root=delta, basis=_core_basis(win, delta))
 
     generators = _small_generators(win)
-    all_core_basis = [x for p in pieces.values() for x in p.basis]
-    center = []
+    core_basis = [x for root in sorted(pieces) for x in pieces[root].basis]
+    centralizer, center = [], []
     for delta in win.isotropic_roots():
-        for z in centralizer_candidates(alg, pieces[delta].basis, generators):
-            if all(alg.bracket(z, x).is_zero() for x in all_core_basis):
-                center.append(z)
+        central = [
+            z for z in centralizer_candidates(alg, win.basis(delta), generators)
+            if all(alg.bracket(z, x).is_zero() for x in core_basis)
+        ]
+        centralizer.extend(central)
+        center.extend(_intersection(alg, central, pieces[delta].basis))
 
-    radical = []
-    for root, piece in sorted(pieces.items()):
-        opp = pieces.get(-root)
-        if opp is None or not piece.basis:
-            continue
-        gram = [[alg.form(b, b2) for b2 in opp.basis] for b in piece.basis]
-        cols = len(gram[0]) if opp.basis else 0
-        if not cols:
-            radical.extend(piece.basis)
-            continue
-        a_rows = [[gram[i][j] for i in range(len(piece.basis))] for j in range(cols)]
-        for vec in nullspace_dense(a_rows, len(piece.basis)):
-            radical.append(combine(piece.basis, vec, alg.zero()))
+    perp, radical = [], []
+    for root in sorted(win.pieces):
+        basis = win.basis(root)
+        opposite = pieces[-root].basis if -root in pieces else ()
+        orthogonal = basis
+        if opposite:
+            rows = [[alg.form(b, x) for b in basis] for x in opposite]
+            orthogonal = [combine(basis, vec, alg.zero()) for vec in nullspace_dense(rows, len(basis))]
+        perp.extend(orthogonal)
+        radical.extend(_intersection(alg, orthogonal, pieces[root].basis))
 
     center_span = SpanDict(alg.coords(z) for z in center)
     radical_span = SpanDict(alg.coords(z) for z in radical)
@@ -559,7 +577,9 @@ def core_and_center_window(win):
 
     return CoreData(
         pieces=pieces,
+        centralizer=tuple(centralizer),
         center=tuple(center),
+        perp=tuple(perp),
         radical=tuple(radical),
         center_equals_radical=center_eq_rad,
         h_alpha_sum_equals_h_perp=span_equal(h_sum, h_perp),

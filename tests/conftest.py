@@ -79,6 +79,11 @@ def sp4_win(sp4_alg):
 
 
 @pytest.fixture(scope="session")
+def sp4_core(sp4_win):
+    return core_and_center_window(sp4_win)
+
+
+@pytest.fixture(scope="session")
 def sqrt_alg():
     return SqrtExtensionAlgebra(2, [2, 3])
 
@@ -86,3 +91,19 @@ def sqrt_alg():
 @pytest.fixture(scope="session")
 def sqrt_win(sqrt_alg):
     return decompose_window(sqrt_alg, 1)
+
+
+@pytest.fixture(scope="session")
+def sqrt_core(sqrt_win):
+    return core_and_center_window(sqrt_win)
+
+
+@pytest.fixture(scope="session")
+def underived_win():
+    """Nullity 1, underived: the window centralizer of the core leaves the core."""
+    return decompose_window(affinize(TorusMatrixAlgebra(2, SignMatrix(1), derived=False)), 1)
+
+
+@pytest.fixture(scope="session")
+def underived_core(underived_win):
+    return core_and_center_window(underived_win)

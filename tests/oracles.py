@@ -39,6 +39,12 @@ and reduce it with ``kernel.int_echelon``, with no streamed rows and no
 early stop.  The solve oracle reduces the augmented matrix [A | b] the same
 way, over all of its columns.
 
+The core center and radical oracles work on core bases alone, with no
+window slice and no intersection: the center at each isotropic degree is
+the literal centralizer solve of that core piece, its survivors bracketed
+with every core vector, and the radical at each root is the literal
+nullspace of the core piece's Gram matrix against the opposite core piece.
+
 ``tests/test_layering.py`` checks that this file imports neither
 ``ealie.axioms`` nor ``ealie.ears``, and no nullspace or solve route of
 ``ealie.linalg``.
@@ -340,4 +346,50 @@ def literal_centralizer_candidates(alg, candidates, generators):
             if c:
                 acc = acc + b * c
         out.append(acc)
+    return out
+
+
+def literal_core_center(win, core):
+    """The combinations of each isotropic core piece that bracket every core
+    vector to zero.  ``literal_centralizer_candidates`` solves each piece
+    against the nonzero-weight slices at lattice degree 0 and +-e_i, which
+    generate every nonzero-weight slice; each survivor is then bracketed
+    with every core vector.  A toral core element acts on a nonisotropic
+    slice by a nonzero eigenvalue, so only isotropic pieces are solved."""
+    alg = win.alg
+    nu = alg.nu
+    degrees = [(0,) * nu] + [
+        tuple(s if j == i else 0 for j in range(nu)) for i in range(nu) for s in (1, -1)
+    ]
+    generators = [
+        x for sigma in degrees for weight in sorted(win.fin.nonzero_roots)
+        for x in alg.root_piece(Root(finite=weight, lattice=sigma))
+    ]
+    core_basis = [x for root in sorted(core.pieces) for x in core.piece_basis(root)]
+    return [
+        z for delta in win.isotropic_roots()
+        for z in literal_centralizer_candidates(alg, core.piece_basis(delta), generators)
+        if all(alg.bracket(z, x).is_zero() for x in core_basis)
+    ]
+
+
+def literal_core_radical(win, core):
+    """Per core piece, the combinations that pair to zero with every vector
+    of the opposite core piece: one Gram column per basis vector, related by
+    ``literal_relations``; with no opposite vectors, the whole piece."""
+    alg = win.alg
+    out = []
+    for root in sorted(core.pieces):
+        basis = core.piece_basis(root)
+        opposite = core.piece_basis(-root)
+        if not opposite:
+            out.extend(basis)
+            continue
+        columns = [{i: alg.form(b, k) for i, k in enumerate(opposite)} for b in basis]
+        for rel in literal_relations(columns):
+            acc = alg.zero()
+            for b, c in zip(basis, rel):
+                if c:
+                    acc = acc + b * c
+            out.append(acc)
     return out

@@ -38,13 +38,15 @@ from ealie.decomp import (
 )
 from ealie.exact_arith import GaussianRational
 from ealie.finroot import Root
-from ealie.linalg import SpanDict
+from ealie.linalg import SpanDict, span_equal
 from ealie.matlie import LieElement
 from ealie.quantum_torus import SignMatrix, TorusElement, lattice_box, torus_form, unit_degrees
 
 from conftest import Q_MIXED
 from oracles import (
     literal_cartan_scan,
+    literal_core_center,
+    literal_core_radical,
     literal_first_asymmetric_root,
     literal_first_non_additive_pair,
     literal_first_non_invariant_triple,
@@ -115,7 +117,7 @@ def test_normalized_pairs(torus_win, aff_win, aff_core):
     center = SpanDict(aff_win.coords(z) for z in aff_core.center)
     assert center.dim
     for delta in aff_win.isotropic_roots():
-        x, y = newp_pair(aff_win, aff_core, delta, list(aff_core.center))
+        x, y = newp_pair(aff_win, aff_core, delta)
         assert center.contains(aff_win.coords(aff_win.bracket(x, y)))
         assert aff_win.form(x, y) == 1
 
@@ -128,6 +130,13 @@ def test_tameness_passes_on_affinized_core(aff_win, aff_core):
         "tame-core-perp-equals-center",
         "tame-routes-agree",
     ]
+
+
+def test_tameness_brackets_and_forms_nothing(aff_win, aff_core):
+    """The core solved the centralizer and the perpendicular; TAME compares spans."""
+    scan = _Counting(aff_win)
+    assert tameness_check(scan, aff_core).passed
+    assert (scan.brackets, scan.forms) == (0, 0)
 
 
 # -- form invariance by cyclic classes --------------------------------------------
@@ -943,14 +952,39 @@ class _CenterPadded(CocycleExtensionAlgebra):
         return self.base.root_functional(root)
 
 
-def test_padded_center_fails_both_tameness_routes():
-    alg = _CenterPadded(affinize(TorusMatrixAlgebra(2, Q_MIXED)))
-    win = decompose_window(alg, 1)
-    core = core_and_center_window(win)
-    byname = {r.name: r for r in tameness_check(win, core).results}
+@pytest.fixture(scope="module")
+def padded_win():
+    return decompose_window(_CenterPadded(affinize(TorusMatrixAlgebra(2, Q_MIXED))), 1)
+
+
+@pytest.fixture(scope="module")
+def padded_core(padded_win):
+    return core_and_center_window(padded_win)
+
+
+def test_padded_center_fails_both_tameness_routes(padded_win, padded_core):
+    byname = {r.name: r for r in tameness_check(padded_win, padded_core).results}
     assert not byname["tame-centralizer-in-core"].passed
     assert not byname["tame-core-perp-equals-center"].passed
     assert byname["tame-routes-agree"].passed
+
+
+@pytest.mark.parametrize("name", ["aff", "sp4", "sqrt", "underived", "padded"])
+def test_core_center_and_radical_match_the_literal_loops(request, name):
+    """The center and the radical cut from the window centralizer and
+    perpendicular are those the literal loops find on core bases alone, in
+    span and in count: also where the centralizer leaves the core
+    (underived) and where the perpendicular holds the padding plane."""
+    win = request.getfixturevalue(f"{name}_win")
+    core = request.getfixturevalue(f"{name}_core")
+
+    def span(vectors):
+        return SpanDict(win.coords(z) for z in vectors)
+
+    for got, want in ((core.center, literal_core_center(win, core)),
+                      (core.radical, literal_core_radical(win, core))):
+        assert len(got) == len(want) == span(want).dim
+        assert span_equal(span(got), span(want))
 
 
 # -- Serre relations -------------------------------------------------------------

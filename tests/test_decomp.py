@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ealie import decomp
 from ealie.constructions import TorusMatrixAlgebra
 from ealie.decomp import (
     EXTRA_MARGIN,
@@ -340,7 +341,7 @@ def _counting_brackets(monkeypatch, alg):
 @pytest.mark.parametrize("name", ["aff_win", "sp4_win", "sqrt_win"])
 def test_core_pieces_match_full_box_oracle(request, name):
     win = request.getfixturevalue(name)
-    core = request.getfixturevalue("aff_core") if name == "aff_win" else core_and_center_window(win)
+    core = request.getfixturevalue(name.replace("_win", "_core"))
     for delta in win.isotropic_roots():
         expected = _full_box_core(win, delta)
         got = core.piece_basis(delta)
@@ -369,24 +370,35 @@ def _layout_types(alg, z):
 def test_centralizer_candidates_match_the_literal_solve(request, name):
     """The streamed, early-stopped solve gives the same combinations, with the
     same Fraction coordinates, as the whole key x candidate matrix reduced at
-    once: on the window slices (TAME's candidates) and, on the affinized
-    window, where central survivors remain, on the core slices as well."""
+    once, on the window slices the core solves; on the affinized window
+    central survivors remain."""
     win = request.getfixturevalue(name)
     alg = win.alg
     generators = _small_generators(win)
-    candidate_sets = [win.basis]
-    if name == "aff_win":
-        candidate_sets.append(request.getfixturevalue("aff_core").piece_basis)
     survivors = 0
-    for basis_of in candidate_sets:
-        for delta in win.isotropic_roots():
-            candidates = basis_of(delta)
-            got = centralizer_candidates(alg, candidates, generators)
-            want = literal_centralizer_candidates(alg, candidates, generators)
-            assert got == want
-            assert [_layout_types(alg, z) for z in got] == [_layout_types(alg, z) for z in want]
-            survivors += len(got)
-    assert survivors == {"torus_win": 0, "aff_win": 4, "sqrt_win": 0}[name]
+    for delta in win.isotropic_roots():
+        candidates = win.basis(delta)
+        got = centralizer_candidates(alg, candidates, generators)
+        want = literal_centralizer_candidates(alg, candidates, generators)
+        assert got == want
+        assert [_layout_types(alg, z) for z in got] == [_layout_types(alg, z) for z in want]
+        survivors += len(got)
+    assert survivors == {"torus_win": 0, "aff_win": 2, "sqrt_win": 0}[name]
+
+
+def test_core_solves_the_centralizer_once_per_isotropic_root_on_window_bases(monkeypatch, underived_win):
+    """One solve per isotropic degree, over the window slice; the center is
+    cut from it by the core slice, so no second solve runs on core bases."""
+    seen = []
+
+    def counted(alg, candidates, generators):
+        seen.append(candidates)
+        return centralizer_candidates(alg, candidates, generators)
+
+    monkeypatch.setattr(decomp, "centralizer_candidates", counted)
+    core = core_and_center_window(underived_win)
+    assert seen == [underived_win.basis(delta) for delta in underived_win.isotropic_roots()]
+    assert len(core.centralizer) > len(core.center)
 
 
 def test_centralizer_brackets_stop_once_the_candidates_are_independent(monkeypatch, sqrt_win, aff_win):

@@ -20,15 +20,18 @@ Four families of checks:
   perfectness, the center/radical identities).
 
 Every universally quantified statement is truncated to the window basis, as
-each detail string says.  Only invariance above ``EXHAUSTIVE_LIMIT``, T3 and
-D12a also draw, from one seeded stream per suite.  All arithmetic is exact.
+each detail string says.  Three checks also draw, from one seeded stream per
+suite: invariance above ``EXHAUSTIVE_LIMIT`` draws its sampled triples, and
+T3 and D12a draw coefficient lists for their combinations (two and one per
+slice of dimension above 1), all before deciding any root.  All arithmetic
+is exact.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .decomp import (
-    combine,
     isotropic_pair,
     normalized_pair,
     opposite_brackets,
@@ -80,13 +83,6 @@ def _metadata(win):
         "nullity": alg.nu,
         "finite_type": f"{win.fin.label}{win.fin.rank}",
     }
-
-
-def _random_combo(rng, basis, zero):
-    coeffs = [rng.randint(-3, 3) for _ in basis]
-    if not any(coeffs):
-        coeffs[rng.randrange(len(basis))] = 1
-    return combine(basis, [Fraction(c) for c in coeffs], zero)
 
 
 def _zero_sum_triples(win):
@@ -391,18 +387,76 @@ def _longest_ad_chain(win, probes):
     return worst, None
 
 
+def _coefficients(rng, n):
+    """One seeded combination of n slice vectors: n draws from -3..3, and one
+    more draw to set a coefficient to 1 when all n are 0."""
+    coeffs = [rng.randint(-3, 3) for _ in range(n)]
+    if not any(coeffs):
+        coeffs[rng.randrange(n)] = 1
+    return coeffs
+
+
+def _combined(coeffs, vecs):
+    """sum(c * v) over sparse coordinate dicts, without zero entries."""
+    out = {}
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for key, val in v.items():
+                out[key] = out.get(key, 0) + c * val
+    return {key: val for key, val in out.items() if val}
+
+
+def _bracket_table(win, alpha):
+    """M[i][j] = coords([x_i, y_j]) over the bases x of slice alpha and y of slice -alpha."""
+    return [[win.coords(win.bracket(x, y)) for y in win.basis(-alpha)] for x in win.basis(alpha)]
+
+
+def _misses(rows, draws, target):
+    """Whether some probe's bracket vectors fail to span ``target``: the probes
+    are the rows, then one combination of the rows per coefficient list."""
+    probes = chain(rows, ([_combined(c, col) for col in zip(*rows)] for c in draws))
+    return any(not SpanDict(vecs).contains(target) for vecs in probes)
+
+
 def _first_unsolvable_root(win, rng, combos):
     """The first nonisotropic root with a probe x for which [x, y] = t_alpha has no solution.
 
     The probes of a root are its slice basis plus, when the slice has more than
-    one vector, ``combos`` seeded random combinations of it.
+    one vector, ``combos`` seeded random combinations of it; every coefficient
+    list is drawn first, in root order.  Each +-alpha pair is decided at its
+    first root from one table M[i][j] = coords([x_i, y_j]) over the bases x of
+    slice alpha and y of slice -alpha (``_bracket_table``), which is dropped
+    before the next pair.  It rests on two premises of the bracket, both
+    pinned by tests on every fixture window:
+
+    - bilinearity: a combination sum c_i x_i brackets y_j to sum c_i M[i][j],
+      so no combination is bracketed;
+    - exact antisymmetry, [y_j, x_i] = -M[i][j]: a probe at -alpha reads the
+      columns of M where one at alpha reads its rows, and a sign does not
+      change a span.
+
+    A probe is solvable exactly when coords(t) lies in the span of its
+    bracket vectors, one ``SpanDict`` membership; no y is solved for.  The
+    witness is the first failing root in root order, so a failure at -alpha
+    is returned only when the loop reaches -alpha.
     """
-    for alpha in win.nonisotropic_roots():
-        basis = win.basis(alpha)
-        probes = list(basis)
-        if len(basis) > 1:
-            probes.extend(_random_combo(rng, basis, win.alg.zero()) for _ in range(combos))
-        if any(sl2_search(win, alpha, x) is None for x in probes):
+    roots = win.nonisotropic_roots()
+    draws = {r: [_coefficients(rng, win.dim(r)) for _ in range(combos)] if win.dim(r) > 1 else []
+             for r in roots}
+    decided, failed = set(), set()
+    for alpha in roots:
+        if alpha not in decided:
+            opp = -alpha
+            decided.update((alpha, opp))
+            if opp not in win.pieces:
+                return alpha
+            table = _bracket_table(win, alpha)
+            if _misses(table, draws[alpha], win.coords(win.rep_t(alpha))):
+                return alpha
+            if _misses(list(zip(*table)), draws[opp], win.coords(win.rep_t(opp))):
+                failed.add(opp)
+            del table  # before the next pair's table is built
+        if alpha in failed:
             return alpha
     return None
 

@@ -493,7 +493,10 @@ def _core_basis(win, delta):
 
 def _intersection(alg, us, vs):
     """A basis of span(us) & span(vs), for independent us and vs: the u-parts
-    of a basis of the relations sum a u = sum b v."""
+    of a basis of the relations sum a u = sum b v.  An empty side meets
+    nothing, so the other side is not reduced."""
+    if not us or not vs:
+        return []
     rows = rows_by_key([alg.coords(u) for u in us] + [alg.coords(-v) for v in vs])
     return [combine(us, rel[:len(us)], alg.zero())
             for rel in sparse_nullspace(rows.values(), len(us) + len(vs))]

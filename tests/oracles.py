@@ -45,6 +45,12 @@ the literal centralizer solve of that core piece, its survivors bracketed
 with every core vector, and the radical at each root is the literal
 nullspace of the core piece's Gram matrix against the opposite core piece.
 
+The division oracle is T3/D12a's per-probe loop: root by root, each basis
+vector and each seeded combination, built as an element and bracketed with
+the opposite basis, is solved for [x, y] = t_alpha by ``decomp.sl2_search``
+(``linalg.solve_combination``), with no bracket table, no antisymmetry and
+no bilinearity.
+
 ``tests/test_layering.py`` checks that this file imports neither
 ``ealie.axioms`` nor ``ealie.ears``, and no nullspace or solve route of
 ``ealie.linalg``.
@@ -53,6 +59,7 @@ nullspace of the core piece's Gram matrix against the opposite core piece.
 from fractions import Fraction
 from math import lcm
 
+from ealie.decomp import combine, sl2_search
 from ealie.finroot import FiniteRootSystem, Root, RootStringError, root_string
 from ealie.kernel import int_echelon
 from ealie.linalg import SpanDict
@@ -246,6 +253,26 @@ def literal_longest_ad_chain(win, probes, bound, cap):
                 if steps > bound:
                     return worst, {"root": alpha, "chain_length": steps, "bound": bound}
     return worst, None
+
+
+def literal_first_unsolvable_root(win, rng, combos):
+    """The first nonisotropic root with a probe x for which [x, y] = t_alpha
+    has no solution y in the opposite slice; None if there is none.  The
+    probes are the slice basis plus, when it has more than one vector,
+    ``combos`` combinations with coefficients drawn from -3..3 (one set to 1
+    when all are 0), drawn root by root."""
+    for alpha in win.nonisotropic_roots():
+        basis = win.basis(alpha)
+        probes = list(basis)
+        if len(basis) > 1:
+            for _ in range(combos):
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                if not any(coeffs):
+                    coeffs[rng.randrange(len(basis))] = 1
+                probes.append(combine(basis, [Fraction(c) for c in coeffs], win.alg.zero()))
+        if any(sl2_search(win, alpha, x) is None for x in probes):
+            return alpha
+    return None
 
 
 def literal_first_nonorthogonal_isotropic(win):

@@ -51,6 +51,7 @@ from oracles import (
     literal_first_non_additive_pair,
     literal_first_non_invariant_triple,
     literal_first_nonorthogonal_isotropic,
+    literal_first_unsolvable_root,
     literal_first_unequal_pairing,
     literal_first_ungraded_pair,
     literal_longest_ad_chain,
@@ -659,6 +660,168 @@ def test_longest_ad_chain_brackets_pairs_whose_stop_is_inflated(request, monkeyp
     xs = {id(x) for r in win.nonisotropic_roots() if r.finite == alpha for x in win.basis(r)}
     zs = {id(z) for r, z in probes if r.finite == beta}
     assert any(id(x) in xs and id(z) in zs for x, z, _ in counting.bracketed)
+
+
+# -- T3 and D12a: one bracket table per +-alpha pair ------------------------------
+
+DIVISION_WINDOWS = ["torus_win", "aff_win", "sp4_win", "sqrt_win", "underived_win"]
+
+
+@pytest.mark.parametrize("combos", [1, 2])
+@pytest.mark.parametrize("fixture", DIVISION_WINDOWS)
+def test_first_unsolvable_root_matches_the_literal_loop(request, fixture, combos):
+    win = request.getfixturevalue(fixture)
+    rng, literal_rng = random.Random(combos), random.Random(combos)
+    assert axioms._first_unsolvable_root(win, rng, combos) is None
+    assert literal_first_unsolvable_root(win, literal_rng, combos) is None
+    # every root passes, so both made every draw, and the same ones
+    assert rng.getstate() == literal_rng.getstate()
+
+
+class _ShiftedTargets:
+    """Window wrapper whose t_r gains the first basis vector of slice r at each
+    of ``roots``.  That vector has a nonzero weight, and [x, y] for x in slice
+    r and y in slice -r has weight 0, so every probe at r fails."""
+
+    def __init__(self, win, roots):
+        self._win = win
+        self._roots = set(roots)
+
+    def __getattr__(self, name):
+        return getattr(self._win, name)
+
+    def rep_t(self, root):
+        t = self._win.rep_t(root)
+        return t + self._win.basis(root)[0] if root in self._roots else t
+
+
+def _met_second_before_a_later_pair(win):
+    """Roots x, y with -y < -x < x < y in root order: x is the second root of
+    its pair to be met, and the pair of y is decided first."""
+    roots = win.nonisotropic_roots()
+    pos = {r: i for i, r in enumerate(roots)}
+    return next((x, y) for x in roots for y in roots if pos[-y] < pos[-x] < pos[x] < pos[y])
+
+
+@pytest.mark.parametrize("combos", [1, 2])
+@pytest.mark.parametrize("fixture", DIVISION_WINDOWS)
+def test_first_unsolvable_root_is_first_in_root_order(request, fixture, combos):
+    """Both failures are recorded when their pairs are decided, y's pair first;
+    the witness is still x, the first failing root in root order."""
+    x, y = _met_second_before_a_later_pair(request.getfixturevalue(fixture))
+    win = _ShiftedTargets(request.getfixturevalue(fixture), [x, y])
+    assert literal_first_unsolvable_root(win, random.Random(combos), combos) == x
+    assert axioms._first_unsolvable_root(win, random.Random(combos), combos) == x
+
+
+class _Toy:
+    """A toy algebra element: sparse coordinates {key: value}."""
+
+    def __init__(self, coords):
+        self.c = {k: v for k, v in coords.items() if v}
+
+    def __add__(self, other):
+        return _Toy({k: self.c.get(k, 0) + other.c.get(k, 0) for k in {**self.c, **other.c}})
+
+    def __mul__(self, scalar):
+        return _Toy({k: v * scalar for k, v in self.c.items()})
+
+
+class _ToyDivisionWindow:
+    """Slices at the roots 1 and -1 with bases x0, x1 and y0, y1, t_1 = h = -t_-1,
+    and [x0, y0] = [x1, y1] = h, [x0, y1] = k, [x1, y0] = m, extended
+    bilinearly and antisymmetrically.  Every basis vector solves, but
+    c0 x0 + c1 x1 brackets y0 and y1 to c0 h + c1 m and c0 k + c1 h, whose
+    span misses h when c0 c1 != 0; the same holds at -1."""
+
+    _table = {("x0", "y0"): "h", ("x1", "y1"): "h", ("x0", "y1"): "k", ("x1", "y0"): "m"}
+
+    def __init__(self):
+        self.pieces = {r: tuple(_Toy({f"{v}{i}": 1}) for i in range(2)) for r, v in ((1, "x"), (-1, "y"))}
+        self.alg = self
+
+    def zero(self):
+        return _Toy({})
+
+    def nonisotropic_roots(self):
+        return [1, -1]
+
+    def basis(self, root):
+        return self.pieces[root]
+
+    def dim(self, root):
+        return len(self.pieces[root])
+
+    def coords(self, x):
+        return dict(x.c)
+
+    def rep_t(self, root):
+        return _Toy({"h": root})
+
+    def bracket(self, x, y):
+        out = {}
+        for a, u in x.c.items():
+            for b, v in y.c.items():
+                key, sign = self._table.get((a, b)), 1
+                if key is None:
+                    key, sign = self._table.get((b, a)), -1
+                if key is not None:
+                    out[key] = out.get(key, 0) + sign * u * v
+        return _Toy(out)
+
+
+@pytest.mark.parametrize("seed, combos, witness", [
+    (0, 1, None), (1, 1, 1), (9, 1, -1), (0, 2, -1), (1, 2, 1),
+])
+def test_first_unsolvable_root_fails_on_combinations_alone(seed, combos, witness):
+    """Only a combination can fail on the toy window; the drawn coefficients
+    decide which side fails first, in the table route as in the literal loop."""
+    win = _ToyDivisionWindow()
+    assert literal_first_unsolvable_root(win, random.Random(seed), 0) is None
+    assert literal_first_unsolvable_root(win, random.Random(seed), combos) == witness
+    assert axioms._first_unsolvable_root(win, random.Random(seed), combos) == witness
+
+
+@pytest.mark.parametrize("fixture, brackets", [
+    ("torus_win", 90), ("aff_win", 90), ("sp4_win", 4), ("sqrt_win", 64), ("underived_win", 30),
+])
+def test_first_unsolvable_root_brackets_each_basis_pair_once(request, fixture, brackets):
+    """One bracket per basis pair of each +-alpha pair, sum dim(alpha) dim(-alpha)
+    over the pairs, and no combination is bracketed."""
+    win = request.getfixturevalue(fixture)
+    roots = win.nonisotropic_roots()
+    pairs = [(id(x), id(y)) for a in roots if roots.index(a) < roots.index(-a)
+             for x in win.basis(a) for y in win.basis(-a)]
+    scan = _Counting(win)
+    assert axioms._first_unsolvable_root(scan, random.Random(1), 2) is None
+    assert [(id(x), id(y)) for x, y, _ in scan.bracketed] == pairs
+    assert len(pairs) == brackets
+
+
+@pytest.mark.parametrize("fixture", DIVISION_WINDOWS)
+def test_bracket_table_premises_hold_on_every_pair_and_drawn_combination(request, fixture):
+    """The table's premises as T3 uses them: exact antisymmetry on every basis
+    pair, [y_j, x_i] = -M[i][j], and bilinearity on every drawn combination,
+    [sum c_i x_i, y_j] = sum c_i M[i][j] and [sum d_j y_j, x_i] = -sum d_j M[i][j]."""
+    win = request.getfixturevalue(fixture)
+    rng = random.Random(1)
+    zero = win.alg.zero()
+    roots = win.nonisotropic_roots()
+    draws = {r: [axioms._coefficients(rng, win.dim(r)) for _ in range(2)] if win.dim(r) > 1 else []
+             for r in roots}
+    for alpha in roots:
+        if roots.index(alpha) > roots.index(-alpha):
+            continue
+        table = axioms._bracket_table(win, alpha)
+        for x, row in zip(win.basis(alpha), table):
+            for y, xy in zip(win.basis(-alpha), row):
+                assert win.coords(win.bracket(y, x)) == {k: -v for k, v in xy.items()}
+        for side, rows, sign in ((alpha, table, 1), (-alpha, list(zip(*table)), -1)):
+            for coeffs in draws[side]:
+                combo = combine(win.basis(side), [Fraction(c) for c in coeffs], zero)
+                for z, col in zip(win.basis(-side), zip(*rows)):
+                    expected = {k: sign * v for k, v in axioms._combined(coeffs, col).items()}
+                    assert win.coords(win.bracket(combo, z)) == expected
 
 
 # -- graded form checks by support degrees ----------------------------------------

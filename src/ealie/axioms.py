@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .decomp import (
+    combine,
     isotropic_pair,
     normalized_pair,
     opposite_brackets,
@@ -46,6 +47,7 @@ from .linalg import (
     SpanDict,
     gram_nonsingular,
     gram_positive_definite,
+    nullspace_dense,
     span_equal,
 )
 from .quantum_torus import lattice_box, unit_degrees
@@ -644,9 +646,8 @@ def check_D(win, seed=0):
             tau for tau in margin_box
             if tuple(s - t for s, t in zip(sigma, tau)) in margin_set
         ]
-        bracketed = SpanDict()
-        for b in opposite_brackets(piece, alg.bracket, weights, sigma, degrees):
-            bracketed.add(alg.coords(b))
+        brackets = opposite_brackets(piece, alg.bracket, weights, sigma, degrees)
+        bracketed = SpanDict(alg.coords(b) for b in brackets)
         if not span_equal(claim, bracketed):
             d8_ok = False
             d8_witness = {
@@ -936,6 +937,44 @@ def _pairings_rational_by_basis(win, roots):
     )
 
 
+def _coroot_sum_is_toral_perp(win):
+    """Whether the vectors [x, y] - (x, y) t_alpha, x and y in the slices at
+    alpha and -alpha over the nonisotropic roots alpha, span the toral
+    perpendicular of the degree-0 zero slice: its elements that pair to zero
+    with every toral generator.
+
+    [y, x] = -[x, y], so each +-alpha pair of slices is bracketed once.
+    t_-alpha = -t_alpha (the same solve, negated), so when (y, x) = (x, y)
+    the (y, x) vector is the negative of the (x, y) one and cannot grow the
+    span.
+    """
+    alg = win.alg
+    h_sum = SpanDict()
+    visited = set()
+    for root in win.nonisotropic_roots():
+        opp = -root
+        if opp not in win.pieces or opp in visited:
+            continue
+        visited.add(root)
+        t_root, t_opp = win.rep_t(root), win.rep_t(opp)
+        for x in win.basis(root):
+            for y in win.basis(opp):
+                xy = alg.bracket(x, y)
+                f_xy, f_yx = alg.form(x, y), alg.form(y, x)
+                h_sum.add(alg.coords(xy - t_root * f_xy))
+                if f_yx != f_xy:
+                    h_sum.add(alg.coords(-xy - t_opp * f_yx))
+
+    zero_root = Root(finite=win.fin.zero, lattice=(0,) * alg.nu)
+    h_perp = SpanDict()
+    if zero_root in win.pieces:
+        basis0 = win.basis(zero_root)
+        a_rows = [[alg.form(b, h) for b in basis0] for h in win.toral]
+        for vec in nullspace_dense(a_rows, len(basis0)):
+            h_perp.add(alg.coords(combine(basis0, vec, alg.zero())))
+    return span_equal(h_sum, h_perp)
+
+
 def check_props(win, core):
     """Structural claims tied to the decomposition and the core.
 
@@ -949,7 +988,9 @@ def check_props(win, core):
     (``_pairings_rational_by_basis``): one linearity test on ``rep_t`` and
     m^2 forms instead of one form per pair.  That route returns only a bool,
     so when it cannot show the claim the literal loop runs and names the
-    first failing pair.
+    first failing pair.  The center/radical comparison and
+    prop-h-alpha-sum (``_coroot_sum_is_toral_perp``) are decided here, from
+    the spans the core layer computed.
     """
     alg = win.alg
     results = []
@@ -1037,7 +1078,8 @@ def check_props(win, core):
 
     results.append(CheckResult(
         "prop-center-equals-radical",
-        core.center_equals_radical,
+        span_equal(SpanDict(win.coords(z) for z in core.center),
+                   SpanDict(win.coords(z) for z in core.radical)),
         f"center dimension {len(core.center)}, radical dimension {len(core.radical)}",
     ))
 
@@ -1060,7 +1102,7 @@ def check_props(win, core):
 
     results.append(CheckResult(
         "prop-h-alpha-sum",
-        core.h_alpha_sum_equals_h_perp,
+        _coroot_sum_is_toral_perp(win),
         "sum of the coroot complements equals the toral perpendicular of the zero slice",
     ))
 

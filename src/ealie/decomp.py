@@ -22,6 +22,11 @@ degree are linearly independent, and that the membership rule agrees with
 the computed slices inside the window.  Everything downstream (sl2 triples,
 reflections, core/center/radical extraction) works through the verified
 window object.
+
+``fill_span`` is the one stop rule for spans of brackets known to lie in a
+given slice: the isotropic core slices here and the derived weight-0 slices
+of the matrix algebras read opposite-weight brackets through it.  The core
+layer only computes spans; the suites decide every claim about them.
 """
 
 from dataclasses import dataclass
@@ -35,7 +40,6 @@ from .linalg import (
     rows_by_key,
     solve_combination,
     solve_dense,
-    span_equal,
     sparse_nullspace,
 )
 from .quantum_torus import lattice_box, unit_degrees
@@ -58,6 +62,7 @@ __all__ = [
     "theta_automorphism",
     "CoreData",
     "opposite_brackets",
+    "fill_span",
     "core_and_center_window",
     "centralizer_candidates",
 ]
@@ -370,9 +375,10 @@ def theta_automorphism(win, root):
 class CoreData:
     """Windowed core structure, solved once by ``core_and_center_window``.
 
-    ``centralizer`` and ``perp`` are the window centralizer (isotropic
-    slices) and form perpendicular of the core; ``center`` and ``radical``
-    are their intersections with the core.  TAME only compares them.
+    ``pieces`` holds the core slices.  ``centralizer`` and ``perp`` are the
+    window centralizer (isotropic slices) and form perpendicular of the
+    core; ``center`` and ``radical`` are their intersections with the core.
+    Nothing here is a verdict: TAME and PROPS compare these spans.
     """
 
     pieces: dict
@@ -380,8 +386,6 @@ class CoreData:
     center: tuple
     perp: tuple
     radical: tuple
-    center_equals_radical: bool
-    h_alpha_sum_equals_h_perp: bool
 
     def piece_basis(self, root):
         piece = self.pieces.get(root)
@@ -457,6 +461,30 @@ def opposite_brackets(piece, bracket, weights, total, degrees):
                         yield b
 
 
+def fill_span(vectors, coords, ceiling):
+    """The span of ``vectors`` read in order, and the vectors that grew it.
+
+    Returns ``(span, grown)``: a ``SpanDict`` of each ``coords(v)`` read, and
+    the vectors v that grew it, in reading order.  ``ceiling`` is a
+    ``SpanDict`` of the space the caller expects to hold every vector.  Once
+    every vector that grew the span lies in the ceiling and the span has the
+    ceiling's dimension, the span is the whole ceiling, no later vector can
+    grow it, and reading stops.  After a vector from outside the ceiling,
+    every vector is read.
+    """
+    span = SpanDict()
+    grown = []
+    inside = True
+    for v in vectors:
+        c = coords(v)
+        if span.add(c):
+            grown.append(v)
+            inside = inside and ceiling.contains(c)
+            if inside and span.dim == ceiling.dim:
+                break
+    return span, grown
+
+
 # Lattice degrees beyond the window whose brackets span the isotropic core slices.
 EXTRA_MARGIN = 2
 
@@ -468,27 +496,14 @@ def _core_basis(win, delta):
     sigma and delta - sigma, sigma in the box of max-norm w + EXTRA_MARGIN, in
     box order; each one that grows the span joins the basis.  Every bracket
     lies in the algebra's slice at delta, which the window built from the
-    same graded pieces.  So once every vector that grew the span lies in the
-    window slice's span and the span has that slice's dimension, the span is
-    the whole slice, no later bracket can grow it, and the scan stops.  After
-    a vector from outside the window slice, the whole box is scanned.
+    same graded pieces, so that slice is the ceiling of ``fill_span``.
     """
     alg = win.alg
-    target = win.dim(delta)
-    window_slice = SpanDict(alg.coords(v) for v in win.basis(delta))
-    inside = True
-    span = SpanDict()
-    greedy = []
+    ceiling = SpanDict(alg.coords(v) for v in win.basis(delta))
     weights = sorted({r.finite for r in win.nonisotropic_roots()})
     degrees = lattice_box(alg.nu, win.w + EXTRA_MARGIN)
-    for b in opposite_brackets(alg.root_piece, alg.bracket, weights, delta.lattice, degrees):
-        coords = alg.coords(b)
-        if span.add(coords):
-            greedy.append(b)
-            inside = inside and window_slice.contains(coords)
-            if inside and span.dim == target:
-                return tuple(greedy)
-    return tuple(greedy)
+    brackets = opposite_brackets(alg.root_piece, alg.bracket, weights, delta.lattice, degrees)
+    return tuple(fill_span(brackets, alg.coords, ceiling)[1])
 
 
 def _intersection(alg, us, vs):
@@ -517,7 +532,6 @@ def core_and_center_window(win):
     slices, so the center and the radical are these intersected with the core.
     """
     alg = win.alg
-    fin = win.fin
     pieces = {}
     for root in win.nonisotropic_roots():
         pieces[root] = GradedPiece(root=root, basis=tuple(win.basis(root)))
@@ -547,43 +561,10 @@ def core_and_center_window(win):
         perp.extend(orthogonal)
         radical.extend(_intersection(alg, orthogonal, pieces[root].basis))
 
-    center_span = SpanDict(alg.coords(z) for z in center)
-    radical_span = SpanDict(alg.coords(z) for z in radical)
-    center_eq_rad = span_equal(center_span, radical_span)
-
-    # [y, x] = -[x, y], so each +-alpha pair of slices is bracketed once.
-    # t_-alpha = -t_alpha (the same solve, negated), so when (y, x) = (x, y)
-    # the (y, x) vector is the negative of the (x, y) one and cannot grow the span.
-    h_sum = SpanDict()
-    visited = set()
-    for root in win.nonisotropic_roots():
-        opp = -root
-        if opp not in win.pieces or opp in visited:
-            continue
-        visited.add(root)
-        t_root, t_opp = win.rep_t(root), win.rep_t(opp)
-        for x in win.basis(root):
-            for y in win.basis(opp):
-                xy = alg.bracket(x, y)
-                f_xy, f_yx = alg.form(x, y), alg.form(y, x)
-                h_sum.add(alg.coords(xy - t_root * f_xy))
-                if f_yx != f_xy:
-                    h_sum.add(alg.coords(-xy - t_opp * f_yx))
-
-    zero_root = Root(finite=fin.zero, lattice=(0,) * alg.nu)
-    h_perp = SpanDict()
-    if zero_root in win.pieces:
-        basis0 = win.basis(zero_root)
-        a_rows = [[alg.form(b, h) for b in basis0] for h in win.toral]
-        for vec in nullspace_dense(a_rows, len(basis0)):
-            h_perp.add(alg.coords(combine(basis0, vec, alg.zero())))
-
     return CoreData(
         pieces=pieces,
         centralizer=tuple(centralizer),
         center=tuple(center),
         perp=tuple(perp),
         radical=tuple(radical),
-        center_equals_radical=center_eq_rad,
-        h_alpha_sum_equals_h_perp=span_equal(h_sum, h_perp),
     )

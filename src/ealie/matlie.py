@@ -14,16 +14,17 @@ derived algebra have a four-case closed form; zero_root_component returns it
 once an exact spanning computation agrees with it, and raises
 DecompositionError otherwise.  That computation spans the opposite-weight
 brackets (``decomp.opposite_brackets``) over the box of max-norm ZERO_MARGIN,
-nonzero weights first and then weight 0, until the span fills B's weight-0
-slice.  With q entries +-1 the scan reads degrees only mod 2, so
-zero_root_component_by_class runs it once per parity class of degrees and
-matches every later degree of the class to that class's checked basis.
+nonzero weights first and then weight 0, with B's weight-0 slice as the
+ceiling of ``decomp.fill_span``.  With q entries +-1 the scan reads degrees
+only mod 2, so zero_root_component_by_class runs it once per parity class of
+degrees and matches every later degree of the class to that class's checked
+basis.
 """
 
 from fractions import Fraction
 from itertools import chain
 
-from .decomp import DecompositionError, opposite_brackets
+from .decomp import DecompositionError, fill_span, opposite_brackets
 from .exact_arith import GaussianRational
 from .finroot import FiniteRootSystem
 from .kernel import g_cocycle
@@ -259,33 +260,25 @@ def zero_root_component(ell, q, gamma, real_only=False):
     [B_w^s, B_{-w}^{gamma-s}] over all nonzero weights w and all s in the box
     of max-norm ZERO_MARGIN, then the weight-0 x weight-0 brackets, which make
     it the honest derived-algebra slice.  Every such bracket lies in B's
-    weight-0 slice at gamma, the ceiling.  So once every vector that grew the
-    span lies in the ceiling's span and the span has the ceiling's dimension,
-    the span is the whole ceiling, no later bracket can grow it, and the scan
-    stops; the weight-0 x weight-0 brackets are then never formed.  After a
-    vector from outside the ceiling, everything is scanned.  A closed form
-    whose span differs from the scanned span raises DecompositionError.
+    weight-0 slice at gamma, so that slice is the ceiling of
+    ``decomp.fill_span``; when the span fills it early, the weight-0 x
+    weight-0 brackets are never formed.  A closed form whose span differs
+    from the scanned span raises DecompositionError.
     Each call scans; zero_root_component_by_class scans once per parity
     class of degrees.
     """
     gamma = tuple(gamma)
     zero = (0,) * ell
     ceiling = SpanDict(x.coords() for x in skew_root_basis(ell, q, zero, gamma, real_only))
-    span = SpanDict()
-    inside = True
 
     def piece(root):
         return skew_root_basis(ell, q, root.finite, root.lattice, real_only)
 
     box = lattice_box(q.nu, ZERO_MARGIN)
     feeds = (sorted(FiniteRootSystem(ell).nonzero_roots), [zero])
-    for b in chain.from_iterable(opposite_brackets(piece, mat_bracket, weights, gamma, box)
-                                 for weights in feeds):
-        coords = b.coords()
-        if span.add(coords):
-            inside = inside and ceiling.contains(coords)
-            if inside and span.dim == ceiling.dim:
-                break
+    brackets = chain.from_iterable(opposite_brackets(piece, mat_bracket, weights, gamma, box)
+                                   for weights in feeds)
+    span = fill_span(brackets, LieElement.coords, ceiling)[0]
 
     case, closed = _closed_form(ell, q, gamma, real_only)
     if not span_equal(span, SpanDict(el.coords() for el in closed)):

@@ -21,7 +21,10 @@ that rule reads from any membership callable.
 
 The weight-0 span oracle is the literal spanning loop behind
 ``matlie.zero_root_component``: every slice pair in both orientations, each
-slice rebuilt, with no mirror skip and no early stop.
+slice rebuilt, with no mirror skip and no early stop.  The D8 oracle is the
+same loop over a window's weight-0 slices: every nonzero weight and every
+pair of degrees in the margin box, both orientations, each slice rebuilt
+for each pair, with no mirror skip and no slice memo.
 
 The root-pair oracles are the literal loops of T4, of the zero-sum triple
 list and of three PROPS checks: every ad-chain bracket is computed, triples
@@ -221,6 +224,34 @@ def literal_zero_span(ell, q, gamma, margin, real_only=False):
     nonzero_pair_dim = span.dim
     feed([(0,) * ell])
     return span, greedy, nonzero_pair_dim
+
+
+def literal_zero_weight_spanned(win, margin):
+    """D8 written out: the first window degree sigma whose weight-0 slice is
+    not the span of the brackets [x, y], x at (w, tau) and y at (-w, sigma -
+    tau), over every nonzero weight w and every tau with tau and sigma - tau
+    in the box of max-norm w + margin.  Returns None, or the degree with the
+    slice's dimension and the bracket span's."""
+    alg = win.alg
+    fin = alg.fin
+    box = lattice_box(alg.nu, win.w + margin)
+    in_box = set(box)
+    for sigma in lattice_box(alg.nu, win.w):
+        claim = [alg.coords(x) for x in win.basis(Root(finite=fin.zero, lattice=sigma))]
+        span = SpanDict()
+        for tau in box:
+            rest = tuple(s - t for s, t in zip(sigma, tau))
+            if rest not in in_box:
+                continue
+            for w in sorted(fin.nonzero_roots):
+                ys = alg.root_piece(Root(finite=tuple(-v for v in w), lattice=rest))
+                for x in alg.root_piece(Root(finite=w, lattice=tau)):
+                    for y in ys:
+                        span.add(alg.coords(alg.bracket(x, y)))
+        slice_dim = SpanDict(claim).dim
+        if span.dim != slice_dim or not all(span.contains(c) for c in claim):
+            return {"degree": list(sigma), "slice_dim": slice_dim, "bracket_span_dim": span.dim}
+    return None
 
 
 def literal_zero_sum_triples(win):

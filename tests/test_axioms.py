@@ -56,6 +56,7 @@ from oracles import (
     literal_first_ungraded_pair,
     literal_longest_ad_chain,
     literal_zero_sum_triples,
+    literal_zero_weight_spanned,
 )
 
 
@@ -77,8 +78,26 @@ def test_check_T_passes_on_classical(sp4_win):
     assert report.passed, _failed(report)
 
 
+_D_REPORTS = {}
+
+
+def _d_report(name, win):
+    """check_D(win, seed=1) of a fixture's window, run once per fixture and
+    shared by the tests that read it."""
+    if name not in _D_REPORTS:
+        _D_REPORTS[name] = check_D(win, seed=1)
+    return _D_REPORTS[name]
+
+
+@pytest.fixture(scope="module")
+def underived_torus_win():
+    """The window of the pinned ``check --construction quantum-torus --nu 2
+    --q -1 --underived --suites D,EARS`` report."""
+    return decompose_window(TorusMatrixAlgebra(2, Q_MIXED, derived=False), 1)
+
+
 def test_check_D_passes_on_torus(torus_win):
-    report = check_D(torus_win, seed=1)
+    report = _d_report("torus_win", torus_win)
     assert report.passed, _failed(report)
     assert len(report.results) == 15
 
@@ -140,11 +159,41 @@ def test_tameness_brackets_and_forms_nothing(aff_win, aff_core):
     assert (scan.brackets, scan.forms) == (0, 0)
 
 
+def test_the_core_brackets_no_opposite_nonisotropic_pair_and_props_each_once(aff_win):
+    """The core layer decides no PROPS claim.  Over a counted algebra,
+    core_and_center_window brackets no pair of opposite nonisotropic basis
+    vectors.  check_props brackets each of the 90 such +-alpha basis pairs
+    once for prop-h-alpha-sum; its other opposite brackets are
+    prop-bracket-form-normalization's sl2_search, one per basis vector of
+    the opposite slice of each nonisotropic root."""
+    alg = _Counting(aff_win.alg)
+    win = RootSystemWindow(alg, aff_win.w, aff_win.pieces)
+    root_of = {id(x): root for root, x in aff_win.all_basis()}
+
+    def opposite_pairs():
+        pairs = Counter()
+        for x, y, _ in alg.bracketed:
+            rx, ry = root_of.get(id(x)), root_of.get(id(y))
+            if rx is not None and ry == -rx and not win.is_isotropic(rx):
+                pairs[frozenset((id(x), id(y)))] += 1
+        alg.bracketed.clear()
+        return pairs
+
+    core = core_and_center_window(win)
+    assert opposite_pairs() == Counter()
+    byname = {r.name: r.passed for r in check_props(win, core).results}
+    assert byname["prop-h-alpha-sum"] and byname["prop-center-equals-radical"]
+    pairs = opposite_pairs()
+    nonisotropic = win.nonisotropic_roots()
+    assert len(pairs) == sum(win.dim(a) * win.dim(-a) for a in nonisotropic) // 2 == 90
+    assert sum(pairs.values()) == 90 + sum(win.dim(-a) for a in nonisotropic)
+
+
 # -- form invariance by cyclic classes --------------------------------------------
 
 
 class _Counting:
-    """Window wrapper recording each bracket (x, y, [x, y]) and counting form calls."""
+    """Window or algebra wrapper recording each bracket (x, y, [x, y]) and counting form calls."""
 
     def __init__(self, win):
         self._win = win
@@ -415,13 +464,27 @@ def test_form_checks_pass_the_symmetry_verdict_to_invariance(sp4_win, monkeypatc
 # -- the full matrix algebra is not graded-simple --------------------------------
 
 
-def test_underived_algebra_fails_exactly_zero_weight_span():
-    alg = TorusMatrixAlgebra(2, Q_MIXED, derived=False)
-    win = decompose_window(alg, 1)
-    report = check_D(win, seed=1)
+def test_underived_algebra_fails_exactly_zero_weight_span(underived_torus_win):
+    report = _d_report("underived_torus_win", underived_torus_win)
     assert _failed(report) == ["D8-zero-weight-spanned"]
     bad = next(r for r in report.results if r.name == "D8-zero-weight-spanned")
     assert bad.witness is not None
+
+
+@pytest.mark.parametrize("name", ["torus_win", "sp4_win", "underived_win", "underived_torus_win"])
+def test_D8_verdict_and_witness_are_the_literal_loops(request, name):
+    """D8 (mirror skip, slice memo) says what the literal double loop says,
+    on passing windows and on two underived ones that fail."""
+    win = request.getfixturevalue(name)
+    if name == "underived_win":  # D runs on the base view of an affinized algebra
+        win = decompose_window(win.alg.base, win.w)
+    d8 = next(r for r in _d_report(name, win).results if r.name == "D8-zero-weight-spanned")
+    witness = literal_zero_weight_spanned(win, axioms.SPAN_MARGIN)
+    assert (d8.passed, d8.witness) == (witness is None, witness)
+    assert (witness is None) == (name in ("torus_win", "sp4_win"))
+    if name == "underived_torus_win":
+        # the witness in the pinned check-underived-D-EARS report
+        assert witness == {"degree": [0, 0], "slice_dim": 4, "bracket_span_dim": 3}
 
 
 def test_D6_fails_when_a_slice_holds_another_degree(torus_win):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ealie import decomp
+from ealie.axioms import check_props
 from ealie.constructions import TorusMatrixAlgebra
 from ealie.decomp import (
     EXTRA_MARGIN,
@@ -20,6 +21,7 @@ from ealie.decomp import (
     core_and_center_window,
     decompose_window,
     exp_ad,
+    fill_span,
     graded_pieces,
     isotropic_pair,
     opposite_brackets,
@@ -137,8 +139,11 @@ def test_core_structure(aff_win, aff_core):
     # core keeps the base zero slice and the central line, drops derivations
     assert len(aff_core.piece_basis(zero)) == 5
     assert len(aff_core.center) == 2
-    assert aff_core.center_equals_radical
-    assert aff_core.h_alpha_sum_equals_h_perp
+    # PROPS decides both claims; the failing case is the pinned
+    # check-affinized-underived report, where prop-h-alpha-sum fails
+    byname = {r.name: r.passed for r in check_props(aff_win, aff_core).results}
+    assert byname["prop-center-equals-radical"]
+    assert byname["prop-h-alpha-sum"]
     center_span = SpanDict(aff_win.coords(z) for z in aff_core.center)
     c_span = SpanDict(
         aff_win.coords(aff_win.alg.c_gen(i)) for i in range(aff_win.alg.nu)
@@ -360,6 +365,39 @@ def test_core_scan_stops_when_each_span_is_full(monkeypatch, aff_win):
         fewer += len(calls) < box
     # every degree but 0, whose window slice also holds c and d, stops early
     assert fewer == len(aff_win.isotropic_roots()) - 1
+
+
+def _reading():
+    """Identity coordinates that record each vector read."""
+    read = []
+
+    def coords(v):
+        read.append(v)
+        return v
+
+    return read, coords
+
+
+def test_fill_span_stops_at_the_vector_that_fills_the_ceiling_from_inside():
+    ceiling = SpanDict([{"a": 1}, {"b": 1}])
+    vectors = [{"b": 2}, {"b": 1}, {"a": 1, "b": 1}, {"c": 1}]
+    read, coords = _reading()
+    span, grown = fill_span(vectors, coords, ceiling)
+    # the third vector fills the ceiling, so the fourth is never read
+    assert read == vectors[:3]
+    assert grown == [{"b": 2}, {"a": 1, "b": 1}]
+    assert span_equal(span, ceiling)
+
+
+def test_fill_span_reads_every_vector_after_one_from_outside_the_ceiling():
+    ceiling = SpanDict([{"a": 1}, {"b": 1}])
+    vectors = [{"c": 1}, {"a": 1}, {"b": 1}, {"a": 1, "b": 1}, {"d": 1}]
+    read, coords = _reading()
+    span, grown = fill_span(vectors, coords, ceiling)
+    # after {"a": 1} the span has the ceiling's dimension, but it is not the ceiling
+    assert read == vectors
+    assert grown == [{"c": 1}, {"a": 1}, {"b": 1}, {"d": 1}]
+    assert span.dim == 4
 
 
 def _layout_types(alg, z):

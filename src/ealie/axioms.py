@@ -179,24 +179,21 @@ def _form_checks(win, prefix, rng, seed):
     premises: P1, the bracket adds roots; P2, the form pairs only opposite roots.
 
     By P2 the form is 0 in both orders off opposite slices, so symmetry and
-    nondegeneracy read one table of opposite-slice Gram matrices, gram[r][i][j]
-    = (x_i, y_j) for x in slice r and y in slice -r, over the roots whose
-    opposite is in the window.  The form is symmetric exactly when each
-    gram[r] is the transpose of gram[-r]; the witness is the first root where
-    it is not.  By P1 and P2 invariance scans only zero-sum triples.  Witnesses
+    nondegeneracy read the window's opposite-slice Gram matrices,
+    ``win.gram(r)[i][j]`` = (x_i, y_j) for x in slice r and y in slice -r,
+    over the roots whose opposite is in the window, formed once per window
+    (D1 on T1's window forms none again).  The form is symmetric exactly when each gram(r) is
+    the transpose of gram(-r); the witness is the first root where it is
+    not.  By P1 and P2 invariance scans only zero-sum triples.  Witnesses
     name the first failure found.  The sampled invariance branch always makes
     all of its draws from ``rng``, so the stream after it does not depend on
     where (or whether) a failure was found.
     """
     results = []
     roots = win.roots()
-    grams = {
-        r: [[win.form(x, y) for y in win.basis(-r)] for x in win.basis(r)]
-        for r in roots if -r in win.pieces
-    }
-
     bad_root = next(
-        (r for r, gram in grams.items() if gram != [list(col) for col in zip(*grams[-r])]),
+        (r for r in roots
+         if -r in win.pieces and win.gram(r) != [list(col) for col in zip(*win.gram(-r))]),
         None,
     )
     sym_ok = bad_root is None
@@ -209,12 +206,12 @@ def _form_checks(win, prefix, rng, seed):
 
     nondeg_witness = None
     for root in roots:
-        dim, opp_dim = win.dim(root), (win.dim(-root) if root in grams else 0)
+        dim, opp_dim = win.dim(root), (win.dim(-root) if -root in win.pieces else 0)
         if dim != opp_dim:
             nondeg_witness = {"root": root, "dim": dim, "opposite_dim": opp_dim}
             break
-        if dim and not gram_nonsingular(grams[root]):
-            nondeg_witness = {"root": root, "gram": grams[root]}
+        if dim and not gram_nonsingular(win.gram(root)):
+            nondeg_witness = {"root": root, "gram": win.gram(root)}
             break
     results.append(CheckResult(
         f"{prefix}-form-nondegenerate",
@@ -222,7 +219,6 @@ def _form_checks(win, prefix, rng, seed):
         "opposite-slice Gram matrices are nonsingular for every window root",
         nondeg_witness,
     ))
-    del grams  # freed before the invariance scan reaches its own memory peak
 
     triples = _zero_sum_triples(win)
     total = sum(
@@ -408,11 +404,6 @@ def _combined(coeffs, vecs):
     return {key: val for key, val in out.items() if val}
 
 
-def _bracket_table(win, alpha):
-    """M[i][j] = coords([x_i, y_j]) over the bases x of slice alpha and y of slice -alpha."""
-    return [[win.coords(win.bracket(x, y)) for y in win.basis(-alpha)] for x in win.basis(alpha)]
-
-
 def _misses(rows, draws, target):
     """Whether some probe's bracket vectors fail to span ``target``: the probes
     are the rows, then one combination of the rows per coefficient list."""
@@ -425,40 +416,23 @@ def _first_unsolvable_root(win, rng, combos):
 
     The probes of a root are its slice basis plus, when the slice has more than
     one vector, ``combos`` seeded random combinations of it; every coefficient
-    list is drawn first, in root order.  Each +-alpha pair is decided at its
-    first root from one table M[i][j] = coords([x_i, y_j]) over the bases x of
-    slice alpha and y of slice -alpha (``_bracket_table``), which is dropped
-    before the next pair.  It rests on two premises of the bracket, both
-    pinned by tests on every fixture window:
-
-    - bilinearity: a combination sum c_i x_i brackets y_j to sum c_i M[i][j],
-      so no combination is bracketed;
-    - exact antisymmetry, [y_j, x_i] = -M[i][j]: a probe at -alpha reads the
-      columns of M where one at alpha reads its rows, and a sign does not
-      change a span.
+    list is drawn first, in root order.  Each root is decided, in root order,
+    from ``win.bracket_table(alpha)``, M[i][j] = coords([x_i, y_j]) over the
+    bases x of slice alpha and y of slice -alpha, which the window brackets
+    once per +-alpha pair.  By bilinearity a combination sum c_i x_i brackets
+    y_j to sum c_i M[i][j], so no combination is bracketed; the premise is
+    pinned by tests on every fixture window.
 
     A probe is solvable exactly when coords(t) lies in the span of its
-    bracket vectors, one ``SpanDict`` membership; no y is solved for.  The
-    witness is the first failing root in root order, so a failure at -alpha
-    is returned only when the loop reaches -alpha.
+    bracket vectors, one ``SpanDict`` membership; no y is solved for.
     """
     roots = win.nonisotropic_roots()
     draws = {r: [_coefficients(rng, win.dim(r)) for _ in range(combos)] if win.dim(r) > 1 else []
              for r in roots}
-    decided, failed = set(), set()
     for alpha in roots:
-        if alpha not in decided:
-            opp = -alpha
-            decided.update((alpha, opp))
-            if opp not in win.pieces:
-                return alpha
-            table = _bracket_table(win, alpha)
-            if _misses(table, draws[alpha], win.coords(win.rep_t(alpha))):
-                return alpha
-            if _misses(list(zip(*table)), draws[opp], win.coords(win.rep_t(opp))):
-                failed.add(opp)
-            del table  # before the next pair's table is built
-        if alpha in failed:
+        if -alpha not in win.pieces or _misses(
+            win.bracket_table(alpha), draws[alpha], win.coords(win.rep_t(alpha))
+        ):
             return alpha
     return None
 
@@ -943,10 +917,12 @@ def _coroot_sum_is_toral_perp(win):
     perpendicular of the degree-0 zero slice: its elements that pair to zero
     with every toral generator.
 
-    [y, x] = -[x, y], so each +-alpha pair of slices is bracketed once.
-    t_-alpha = -t_alpha (the same solve, negated), so when (y, x) = (x, y)
-    the (y, x) vector is the negative of the (x, y) one and cannot grow the
-    span.
+    Each +-alpha pair is read once, at its first root, from the window's
+    tables: ``bracket_table`` for [x, y], ``gram`` of both roots for (x, y)
+    and (y, x).  [y, x] = -[x, y] and t_-alpha = -t_alpha (the same solve,
+    negated), so when (y, x) = (x, y) the (y, x) vector is the negative of
+    the (x, y) one and cannot grow the span.  Only the toral perpendicular
+    forms anything: the zero slice against the toral generators.
     """
     alg = win.alg
     h_sum = SpanDict()
@@ -956,14 +932,14 @@ def _coroot_sum_is_toral_perp(win):
         if opp not in win.pieces or opp in visited:
             continue
         visited.add(root)
-        t_root, t_opp = win.rep_t(root), win.rep_t(opp)
-        for x in win.basis(root):
-            for y in win.basis(opp):
-                xy = alg.bracket(x, y)
-                f_xy, f_yx = alg.form(x, y), alg.form(y, x)
-                h_sum.add(alg.coords(xy - t_root * f_xy))
+        t_root, t_opp = win.coords(win.rep_t(root)), win.coords(win.rep_t(opp))
+        gram, gram_opp = win.gram(root), win.gram(opp)
+        for i, row in enumerate(win.bracket_table(root)):
+            for j, xy in enumerate(row):
+                f_xy, f_yx = gram[i][j], gram_opp[j][i]
+                h_sum.add(_combined((1, -f_xy), (xy, t_root)))
                 if f_yx != f_xy:
-                    h_sum.add(alg.coords(-xy - t_opp * f_yx))
+                    h_sum.add(_combined((-1, -f_yx), (xy, t_opp)))
 
     zero_root = Root(finite=win.fin.zero, lattice=(0,) * alg.nu)
     h_perp = SpanDict()
@@ -990,7 +966,11 @@ def check_props(win, core):
     so when it cannot show the claim the literal loop runs and names the
     first failing pair.  The center/radical comparison and
     prop-h-alpha-sum (``_coroot_sum_is_toral_perp``) are decided here, from
-    the spans the core layer computed.
+    the spans the core layer computed.  prop-h-alpha-sum and
+    prop-bracket-form-normalization (``sl2_search``) read the window's
+    bracket and Gram tables, which T3 and T1 have built when ``check_T``
+    ran first on the same window, and bracket or form no opposite slice
+    pair themselves.
     """
     alg = win.alg
     results = []
@@ -1109,9 +1089,8 @@ def check_props(win, core):
     compat_ok = True
     compat_witness = None
     for alpha in nonisotropic:
-        x = win.basis(alpha)[0]
-        y = sl2_search(win, alpha, x)
-        if y is None or win.form(x, y) != 1:
+        y = sl2_search(win, alpha)
+        if y is None or win.form(win.basis(alpha)[0], y) != 1:
             compat_ok = False
             compat_witness = {"root": alpha}
             break

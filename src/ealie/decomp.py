@@ -21,7 +21,10 @@ simultaneous eigenvector of the toral generators, that slices of a common
 degree are linearly independent, and that the membership rule agrees with
 the computed slices inside the window.  Everything downstream (sl2 triples,
 reflections, core/center/radical extraction) works through the verified
-window object.
+window object.  The window brackets and forms opposite slices once, on
+first use: ``bracket_table`` per +-root pair, read by T3, D12a, the sl2
+triples and PROPS, and ``gram`` per root, read by the form checks of T1 and
+D1 and by PROPS.
 
 ``fill_span`` is the one stop rule for spans of brackets known to lie in a
 given slice: the isotropic core slices here and the derived weight-0 slices
@@ -122,6 +125,8 @@ class RootSystemWindow:
             split[self.is_isotropic(r)].append(r)
         self._nonisotropic, self._isotropic = map(tuple, split)
         self._t_cache = {}
+        self._tables = {}  # root -> bracket_table(root), first root of each +-root pair
+        self._grams = {}  # root -> gram(root)
         self._strings = None  # (first_broken_string(self),) once scanned
         self._toral = tuple(alg.toral_basis())
         self._gram = [[alg.form(h1, h2) for h2 in self._toral] for h1 in self._toral]
@@ -205,6 +210,33 @@ class RootSystemWindow:
             self._t_cache[root] = cached
         return cached
 
+    def bracket_table(self, root):
+        """M[i][j] = coords([x_i, y_j]) over the bases x of slice ``root`` and
+        y of slice -root, built once per +-root pair.
+
+        The first root of the pair asked for brackets its basis pairs and
+        keeps the table; the other reads it transposed and negated, a view
+        made on each read and not kept, since [y_j, x_i] = -[x_i, y_j] by
+        exact antisymmetry.  T3, D12a, ``sl2_search`` (SERRE's sl2 triples,
+        theta, prop-bracket-form-normalization) and prop-h-alpha-sum read
+        these tables and assume antisymmetry nowhere else.
+        """
+        mirror = self._tables.get(-root)
+        if mirror is not None:
+            return [[{k: -v for k, v in xy.items()} for xy in col] for col in zip(*mirror)]
+        if root not in self._tables:
+            self._tables[root] = [[self.coords(self.bracket(x, y)) for y in self.basis(-root)]
+                                  for x in self.basis(root)]
+        return self._tables[root]
+
+    def gram(self, root):
+        """G[i][j] = (x_i, y_j) over the bases x of slice ``root`` and y of
+        slice -root, formed once per root: the form's symmetry is checked
+        on these tables, so neither root of a pair reads the other's."""
+        if root not in self._grams:
+            self._grams[root] = [[self.form(x, y) for y in self.basis(-root)] for x in self.basis(root)]
+        return self._grams[root]
+
     def broken_string(self):
         """``ears.first_broken_string`` of this window, scanned once: R4 and PROPS share it."""
         if self._strings is None:
@@ -264,18 +296,16 @@ def decompose_window(alg, w):
     return RootSystemWindow(alg, w, pieces)
 
 
-def sl2_search(win, root, x):
-    """Solve [x, y] = t_root for y in the opposite slice; None when unsolvable."""
-    opp = -root
-    if opp not in win.pieces:
+def sl2_search(win, root):
+    """Solve [x, y] = t_root for y in the opposite slice, x the slice's first
+    basis vector, from row 0 of ``win.bracket_table(root)``; None when
+    unsolvable."""
+    if -root not in win.pieces:
         return None
-    ys = win.basis(opp)
-    vecs = [win.coords(win.bracket(x, b)) for b in ys]
-    target = win.coords(win.rep_t(root))
-    sol = solve_combination(vecs, target)
+    sol = solve_combination(win.bracket_table(root)[0], win.coords(win.rep_t(root)))
     if sol is None:
         return None
-    return combine(ys, sol, win.alg.zero())
+    return combine(win.basis(-root), sol, win.alg.zero())
 
 
 def sl2_triple(win, root):
@@ -288,7 +318,7 @@ def sl2_triple(win, root):
     if not nn:
         raise SL2Error(f"{root} is isotropic")
     e = win.basis(root)[0]
-    y = sl2_search(win, root, e)
+    y = sl2_search(win, root)
     if y is None:
         raise SL2Error(f"no partner for the chosen vector at {root}")
     h = win.rep_t(root) * Fraction(2, 1) * (1 / nn)

@@ -49,20 +49,20 @@ with every core vector, and the radical at each root is the literal
 nullspace of the core piece's Gram matrix against the opposite core piece.
 
 The division oracle is T3/D12a's per-probe loop: root by root, each basis
-vector and each seeded combination, built as an element and bracketed with
-the opposite basis, is solved for [x, y] = t_alpha by ``decomp.sl2_search``
-(``linalg.solve_combination``), with no bracket table, no antisymmetry and
-no bilinearity.
+vector and each seeded combination, built as an element, is bracketed with
+the opposite basis here and solved for [x, y] = t_alpha by ``literal_solve``,
+with no bracket table, no antisymmetry and no bilinearity.
 
 ``tests/test_layering.py`` checks that this file imports neither
-``ealie.axioms`` nor ``ealie.ears``, and no nullspace or solve route of
-``ealie.linalg``.
+``ealie.axioms`` nor ``ealie.ears``, no nullspace or solve route of
+``ealie.linalg``, and neither ``decomp.sl2_search`` nor the window's bracket
+table.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from ealie.decomp import combine, sl2_search
+from ealie.decomp import combine
 from ealie.finroot import FiniteRootSystem, Root, RootStringError, root_string
 from ealie.kernel import int_echelon
 from ealie.linalg import SpanDict
@@ -301,8 +301,15 @@ def literal_first_unsolvable_root(win, rng, combos):
                 if not any(coeffs):
                     coeffs[rng.randrange(len(basis))] = 1
                 probes.append(combine(basis, [Fraction(c) for c in coeffs], win.alg.zero()))
-        if any(sl2_search(win, alpha, x) is None for x in probes):
+        if -alpha not in win.pieces:
             return alpha
+        opposite, target = win.basis(-alpha), win.coords(win.rep_t(alpha))
+        for x in probes:
+            vecs = [win.coords(win.bracket(x, y)) for y in opposite]
+            keys = sorted({k for v in (*vecs, target) for k in v})
+            if literal_solve([[v.get(k, 0) for v in vecs] for k in keys],
+                             [target.get(k, 0) for k in keys]) is None:
+                return alpha
     return None
 
 

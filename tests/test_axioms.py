@@ -159,62 +159,101 @@ def test_tameness_brackets_and_forms_nothing(aff_win, aff_core):
     assert (scan.brackets, scan.forms) == (0, 0)
 
 
-def test_the_core_brackets_no_opposite_nonisotropic_pair_and_props_each_once(aff_win):
-    """The core layer decides no PROPS claim.  Over a counted algebra,
-    core_and_center_window brackets no pair of opposite nonisotropic basis
-    vectors.  check_props brackets each of the 90 such +-alpha basis pairs
-    once for prop-h-alpha-sum; its other opposite brackets are
-    prop-bracket-form-normalization's sl2_search, one per basis vector of
-    the opposite slice of each nonisotropic root."""
-    alg = _Counting(aff_win.alg)
+def test_only_check_T_brackets_opposite_nonisotropic_basis_pairs(aff_win):
+    """Over a counted algebra, core_and_center_window brackets no pair of
+    opposite nonisotropic basis vectors.  check_T brackets each of the 90
+    such +-alpha basis pairs twice: once for the window's bracket table,
+    which T3 builds, and once in T1's invariance scan, which keeps the
+    (alpha, -alpha) block as elements to form them with the zero slice.
+    serre_check and check_props then bracket none: SERRE's sl2 triples and
+    PROPS' prop-h-alpha-sum and prop-bracket-form-normalization read the
+    tables.  PROPS forms no opposite basis pair that T1's Gram tables
+    formed."""
+    alg = _CountingAlgebra(aff_win.alg)
     win = RootSystemWindow(alg, aff_win.w, aff_win.pieces)
     root_of = {id(x): root for root, x in aff_win.all_basis()}
 
-    def opposite_pairs():
+    def opposite(calls, unordered):
         pairs = Counter()
-        for x, y, _ in alg.bracketed:
+        for x, y in calls:
             rx, ry = root_of.get(id(x)), root_of.get(id(y))
-            if rx is not None and ry == -rx and not win.is_isotropic(rx):
-                pairs[frozenset((id(x), id(y)))] += 1
-        alg.bracketed.clear()
+            if rx is not None and ry == -rx and not (unordered and win.is_isotropic(rx)):
+                pairs[frozenset((id(x), id(y))) if unordered else (id(x), id(y))] += 1
+        calls.clear()
         return pairs
 
     core = core_and_center_window(win)
-    assert opposite_pairs() == Counter()
-    byname = {r.name: r.passed for r in check_props(win, core).results}
-    assert byname["prop-h-alpha-sum"] and byname["prop-center-equals-radical"]
-    pairs = opposite_pairs()
+    assert opposite(alg.bracketed, True) == Counter()
+    alg.formed.clear()
+    assert check_T(win, seed=1).passed
+    pairs, t_formed = opposite(alg.bracketed, True), opposite(alg.formed, False)
     nonisotropic = win.nonisotropic_roots()
     assert len(pairs) == sum(win.dim(a) * win.dim(-a) for a in nonisotropic) // 2 == 90
-    assert sum(pairs.values()) == 90 + sum(win.dim(-a) for a in nonisotropic)
+    assert set(pairs.values()) == {2}
+    assert serre_check(win).passed
+    props = check_props(win, core)
+    assert props.passed, _failed(props)
+    assert opposite(alg.bracketed, True) == Counter()
+    assert t_formed and not opposite(alg.formed, False).keys() & t_formed.keys()
 
 
 # -- form invariance by cyclic classes --------------------------------------------
 
 
-class _Counting:
-    """Window or algebra wrapper recording each bracket (x, y, [x, y]) and counting form calls."""
+class _CountingAlgebra:
+    """Algebra wrapper recording each bracketed and each formed pair (x, y)."""
 
-    def __init__(self, win):
-        self._win = win
+    def __init__(self, alg):
+        self._alg = alg
         self.bracketed = []
-        self.forms = 0
+        self.formed = []
 
     def __getattr__(self, name):
-        return getattr(self._win, name)
+        return getattr(self._alg, name)
+
+    def bracket(self, x, y):
+        self.bracketed.append((x, y))
+        return self._alg.bracket(x, y)
+
+    def form(self, x, y):
+        self.formed.append((x, y))
+        return self._alg.form(x, y)
+
+
+class _Rebuilt(RootSystemWindow):
+    """A fixture window's slices, (alg, w, pieces), as a window of its own:
+    a subclass's bracket, form, basis or rep_t override then reaches the
+    bracket and Gram tables the window builds, which a wrapper forwarding
+    to the fixture window (and to its cached tables) would miss."""
+
+    def __init__(self, win):
+        super().__init__(win.alg, win.w, win.pieces)
+
+
+class _Recording:
+    """Mixin recording each bracket (x, y, [x, y]) and counting form calls."""
+
+    def __init__(self, *args):
+        self.bracketed = []
+        self.forms = 0
+        super().__init__(*args)
 
     @property
     def brackets(self):
         return len(self.bracketed)
 
     def bracket(self, x, y):
-        out = self._win.bracket(x, y)
+        out = super().bracket(x, y)
         self.bracketed.append((x, y, out))
         return out
 
     def form(self, x, y):
         self.forms += 1
-        return self._win.form(x, y)
+        return super().form(x, y)
+
+
+class _Counting(_Recording, _Rebuilt):
+    """A fixture window rebuilt to record its brackets and count its forms."""
 
 
 _LEAN_SCANS = {}
@@ -269,22 +308,20 @@ def test_bracket_antisymmetric_on_every_basis_pair(fixture, request):
             assert (win.bracket(x, y) + win.bracket(y, x)).is_zero()
 
 
-class _PerturbedBracket:
-    """Window wrapper adding v to [x, y] and -v to [y, x], where x, y, v are the
-    i-th, j-th and k-th basis vectors of the slices a, b and a + b.  The bracket
-    stays antisymmetric and graded, but the form is no longer invariant."""
+class _PerturbedBracket(_Rebuilt):
+    """A fixture window whose bracket adds v to [x, y] and -v to [y, x], where
+    x, y, v are the i-th, j-th and k-th basis vectors of the slices a, b and
+    a + b.  The bracket stays antisymmetric and graded, but the form is no
+    longer invariant."""
 
     def __init__(self, win, a, b, i=0, j=0, k=0):
-        self._win = win
+        super().__init__(win)
         x, y = win.basis(a)[i], win.basis(b)[j]
         v = win.basis(a + b)[k]
         self._delta = {(id(x), id(y)): v, (id(y), id(x)): -v}
 
-    def __getattr__(self, name):
-        return getattr(self._win, name)
-
     def bracket(self, x, y):
-        out = self._win.bracket(x, y)
+        out = super().bracket(x, y)
         delta = self._delta.get((id(x), id(y)))
         return out if delta is None else out + delta
 
@@ -340,6 +377,10 @@ class _ToyWindow:
         else:
             value = self._f.get((x[0], y[0]), 0)
         return x[1] * y[1] * value
+
+
+class _CountingToy(_Recording, _ToyWindow):
+    """A toy window recording its brackets and counting its forms."""
 
 
 def _rotations(a, b, c):
@@ -398,7 +439,7 @@ def test_invariance_mirror_class_decided_with_its_class():
     triples = [_P3, _M1, _P1, _P2, _M2, _M3]
     witness = literal_first_non_invariant_triple(win, triples)
     assert witness == list(_M1)
-    lean, both_sides = _Counting(win), _Counting(win)
+    lean, both_sides = _CountingToy(_P_FAILS_TWICE), _CountingToy(_P_FAILS_TWICE)
     assert _first_non_invariant_triple(lean, triples, True) == witness
     assert _first_non_invariant_triple(both_sides, triples, False) == witness
     # the symmetric scan brackets the three blocks of P only, the asymmetric one M's too
@@ -505,17 +546,11 @@ def test_D6_fails_when_a_slice_holds_another_degree(torus_win):
 # -- a perturbed form breaks symmetry --------------------------------------------
 
 
-class _AsymmetricForm:
-    """Window wrapper whose form gains a one-sided c-d term."""
-
-    def __init__(self, win):
-        self._win = win
-
-    def __getattr__(self, name):
-        return getattr(self._win, name)
+class _AsymmetricForm(_Rebuilt):
+    """A fixture window whose form gains a one-sided c-d term."""
 
     def form(self, x, y):
-        return self._win.form(x, y) + x.c[0] * y.d[0]
+        return super().form(x, y) + x.c[0] * y.d[0]
 
 
 def test_asymmetric_form_detected(aff_win):
@@ -525,19 +560,16 @@ def test_asymmetric_form_detected(aff_win):
     assert not sym.passed
 
 
-class _TwoAsymmetricRoots:
-    """Window wrapper whose form gains 1 on (x, y), in that order only, where x and
-    y are the first basis vectors of a root and of its opposite."""
+class _TwoAsymmetricRoots(_Rebuilt):
+    """A fixture window whose form gains 1 on (x, y), in that order only, where
+    x and y are the first basis vectors of a root and of its opposite."""
 
     def __init__(self, win, roots):
-        self._win = win
+        super().__init__(win)
         self._pairs = {(id(win.basis(r)[0]), id(win.basis(-r)[0])) for r in roots}
 
-    def __getattr__(self, name):
-        return getattr(self._win, name)
-
     def form(self, x, y):
-        val = self._win.form(x, y)
+        val = super().form(x, y)
         return val + 1 if (id(x), id(y)) in self._pairs else val
 
 
@@ -576,22 +608,19 @@ def test_form_nondegeneracy_names_a_slice_without_its_opposite(sp4_win):
     assert result.witness == {"root": -gone, "dim": 1, "opposite_dim": 0}
 
 
-class _VanishingPair:
-    """Window wrapper whose form is 0 between the slices of a root and of its
-    opposite, in both orders."""
+class _VanishingPair(_Rebuilt):
+    """A fixture window whose form is 0 between the slices of a root and of
+    its opposite, in both orders."""
 
     def __init__(self, win, root):
-        self._win = win
+        super().__init__(win)
         self._ids = {id(x): side for side in (root, -root) for x in win.basis(side)}
-
-    def __getattr__(self, name):
-        return getattr(self._win, name)
 
     def form(self, x, y):
         sides = self._ids.get(id(x)), self._ids.get(id(y))
         if None not in sides and sides[0] != sides[1]:
             return 0
-        return self._win.form(x, y)
+        return super().form(x, y)
 
 
 def test_form_nondegeneracy_names_a_vanishing_opposite_pair(sp4_win):
@@ -741,21 +770,18 @@ def test_first_unsolvable_root_matches_the_literal_loop(request, fixture, combos
     assert rng.getstate() == literal_rng.getstate()
 
 
-class _ShiftedTargets:
-    """Window wrapper whose t_r gains the first basis vector of slice r at each
-    of ``roots``.  That vector has a nonzero weight, and [x, y] for x in slice
-    r and y in slice -r has weight 0, so every probe at r fails."""
+class _ShiftedTargets(_Rebuilt):
+    """A fixture window whose t_r gains the first basis vector of slice r at
+    each of ``roots``.  That vector has a nonzero weight, and [x, y] for x in
+    slice r and y in slice -r has weight 0, so every probe at r fails."""
 
     def __init__(self, win, roots):
-        self._win = win
+        super().__init__(win)
         self._roots = set(roots)
 
-    def __getattr__(self, name):
-        return getattr(self._win, name)
-
     def rep_t(self, root):
-        t = self._win.rep_t(root)
-        return t + self._win.basis(root)[0] if root in self._roots else t
+        t = super().rep_t(root)
+        return t + self.basis(root)[0] if root in self._roots else t
 
 
 def _met_second_before_a_later_pair(win):
@@ -795,13 +821,16 @@ class _ToyDivisionWindow:
     and [x0, y0] = [x1, y1] = h, [x0, y1] = k, [x1, y0] = m, extended
     bilinearly and antisymmetrically.  Every basis vector solves, but
     c0 x0 + c1 x1 brackets y0 and y1 to c0 h + c1 m and c0 k + c1 h, whose
-    span misses h when c0 c1 != 0; the same holds at -1."""
+    span misses h when c0 c1 != 0; the same holds at -1.  The window's
+    bracket table is ``RootSystemWindow``'s own."""
 
     _table = {("x0", "y0"): "h", ("x1", "y1"): "h", ("x0", "y1"): "k", ("x1", "y0"): "m"}
+    bracket_table = RootSystemWindow.bracket_table
 
     def __init__(self):
         self.pieces = {r: tuple(_Toy({f"{v}{i}": 1}) for i in range(2)) for r, v in ((1, "x"), (-1, "y"))}
         self.alg = self
+        self._tables = {}
 
     def zero(self):
         return _Toy({})
@@ -863,10 +892,12 @@ def test_first_unsolvable_root_brackets_each_basis_pair_once(request, fixture, b
 
 @pytest.mark.parametrize("fixture", DIVISION_WINDOWS)
 def test_bracket_table_premises_hold_on_every_pair_and_drawn_combination(request, fixture):
-    """The table's premises as T3 uses them: exact antisymmetry on every basis
-    pair, [y_j, x_i] = -M[i][j], and bilinearity on every drawn combination,
-    [sum c_i x_i, y_j] = sum c_i M[i][j] and [sum d_j y_j, x_i] = -sum d_j M[i][j]."""
-    win = request.getfixturevalue(fixture)
+    """The table's premises as T3 uses them, on a fresh window: the second
+    root of each +-alpha pair reads the first one's table transposed and
+    negated, which equals the literal coords([y_j, x_i]) on every basis pair
+    (exact antisymmetry), and bilinearity on every drawn combination,
+    [sum c_i x_i, y_j] = sum c_i M[i][j] at either root of the pair."""
+    win = _Rebuilt(request.getfixturevalue(fixture))
     rng = random.Random(1)
     zero = win.alg.zero()
     roots = win.nonisotropic_roots()
@@ -875,37 +906,33 @@ def test_bracket_table_premises_hold_on_every_pair_and_drawn_combination(request
     for alpha in roots:
         if roots.index(alpha) > roots.index(-alpha):
             continue
-        table = axioms._bracket_table(win, alpha)
-        for x, row in zip(win.basis(alpha), table):
-            for y, xy in zip(win.basis(-alpha), row):
-                assert win.coords(win.bracket(y, x)) == {k: -v for k, v in xy.items()}
-        for side, rows, sign in ((alpha, table, 1), (-alpha, list(zip(*table)), -1)):
+        table, view = win.bracket_table(alpha), win.bracket_table(-alpha)
+        for i, x in enumerate(win.basis(alpha)):
+            for j, y in enumerate(win.basis(-alpha)):
+                assert view[j][i] == win.coords(win.bracket(y, x))
+        for side, rows in ((alpha, table), (-alpha, view)):
             for coeffs in draws[side]:
                 combo = combine(win.basis(side), [Fraction(c) for c in coeffs], zero)
                 for z, col in zip(win.basis(-side), zip(*rows)):
-                    expected = {k: sign * v for k, v in axioms._combined(coeffs, col).items()}
-                    assert win.coords(win.bracket(combo, z)) == expected
+                    assert win.coords(win.bracket(combo, z)) == axioms._combined(coeffs, col)
 
 
 # -- graded form checks by support degrees ----------------------------------------
 
 
-class _MixedVector:
-    """Window wrapper whose i-th basis vector of slice ``root`` gains ``extra``,
-    a component at another lattice degree."""
+class _MixedVector(_Rebuilt):
+    """A fixture window whose i-th basis vector of slice ``root`` gains
+    ``extra``, a component at another lattice degree."""
 
     def __init__(self, win, root, i, extra):
-        self._win = win
+        super().__init__(win)
         self._root = root
         basis = list(win.basis(root))
         basis[i] = self.vector = basis[i] + extra
         self._basis = tuple(basis)
 
-    def __getattr__(self, name):
-        return getattr(self._win, name)
-
     def basis(self, root):
-        return self._basis if root == self._root else self._win.basis(root)
+        return self._basis if root == self._root else super().basis(root)
 
     def all_basis(self):
         for root in self.roots():
@@ -1118,18 +1145,15 @@ def test_pairings_rational_witness_is_literal_first_pair(aff_win, aff_core, monk
     _assert_pairings_rational_literal(aff_win, byname)
 
 
-class _PairingShifted:
-    """Window wrapper adding 1/3 to (r1, r2) wherever ``shifted(r1, r2)`` holds."""
+class _PairingShifted(_Rebuilt):
+    """A fixture window adding 1/3 to (r1, r2) wherever ``shifted(r1, r2)`` holds."""
 
     def __init__(self, win, shifted):
-        self._win = win
+        super().__init__(win)
         self._shifted = shifted
 
-    def __getattr__(self, name):
-        return getattr(self._win, name)
-
     def pairing(self, r1, r2):
-        val = self._win.pairing(r1, r2)
+        val = super().pairing(r1, r2)
         return val + Fraction(1, 3) if self._shifted(r1, r2) else val
 
 
@@ -1231,19 +1255,16 @@ def test_serre_rank_three():
     assert report.cartan == [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 
 
-class _CartansDoNotCommute:
-    """Window wrapper whose bracket of two different Serre Cartan elements h_i, h_j
-    returns h_i instead of 0."""
+class _CartansDoNotCommute(_Rebuilt):
+    """A fixture window whose bracket of two different Serre Cartan elements
+    h_i, h_j returns h_i instead of 0."""
 
     def __init__(self, win):
-        self._win = win
+        super().__init__(win)
         self._hs = [
             sl2_triple(win, Root(finite=a, lattice=(0,) * win.alg.nu))[1]
             for a in win.fin.simple_roots
         ]
-
-    def __getattr__(self, name):
-        return getattr(self._win, name)
 
     def _index(self, x):
         return next((k for k, h in enumerate(self._hs) if x == h), None)
@@ -1252,7 +1273,7 @@ class _CartansDoNotCommute:
         i, j = self._index(x), self._index(y)
         if i is not None and j is not None and i != j:
             return x
-        return self._win.bracket(x, y)
+        return super().bracket(x, y)
 
 
 def test_serre_witness_is_first_failing_pair(torus_win):

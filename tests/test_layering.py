@@ -86,6 +86,17 @@ def test_oracles_stay_independent_of_the_nullspace_routes():
     assert from_linalg <= {"SpanDict"}
 
 
+def test_oracles_stay_independent_of_the_bracket_table():
+    """``literal_first_unsolvable_root`` brackets and solves each probe
+    itself, so the oracles neither import ``sl2_search`` nor read a window's
+    ``bracket_table``."""
+    tree = source_tree(Path(__file__).parent / "oracles.py")
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not names & {"sl2_search", "bracket_table"}
+
+
 def private_imports(path):
     """(module, name) for each ``_``-prefixed name a source file imports from an ealie module."""
     out = []

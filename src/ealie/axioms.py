@@ -33,6 +33,7 @@ from itertools import chain
 
 from .decomp import (
     combine,
+    fill_span,
     isotropic_pair,
     normalized_pair,
     opposite_brackets,
@@ -87,93 +88,6 @@ def _metadata(win):
     }
 
 
-def _zero_sum_triples(win):
-    """Root triples summing to zero; only these can carry a nonzero form value.
-
-    Roots are matched by their flat vectors ``finite + lattice``, as
-    ``RootSystemWindow.member`` reads them, so no ``Root`` sum is built; the
-    list is that of the loop over ``Root`` pairs, in the same order.
-    """
-    flat = [(r, r.finite + r.lattice) for r in win.roots()]
-    by_vector = {v: r for r, v in flat}
-    out = []
-    for r1, v1 in flat:
-        for r2, v2 in flat:
-            r3 = by_vector.get(tuple(-a - b for a, b in zip(v1, v2)))
-            if r3 is not None:
-                out.append((r1, r2, r3))
-    return out
-
-
-def _first_non_invariant_triple(win, triples, symmetric):
-    """The first triple of ``triples``, in their order, carrying basis vectors
-    with ([x, y], z) != (x, [y, z]), as a list of roots; None if there is none.
-
-    ``triples`` is closed under rotation.  The rotations (a, b, c), (b, c, a)
-    and (c, a, b) form a cyclic class, and (a, a, a) is a class of one.  Each
-    class is decided once, at the first of its triples the loop meets: the
-    blocks [a, b], [b, c] and [c, a] are bracketed once each, and every
-    rotation (r, s, t) gets L_rst[i][j][k] = ([x_i, y_j], z_k) and R_rst[i][j][k]
-    = (z_k, [x_i, y_j]) over the bases x, y, z of slices r, s and t.  Since
-    R_str[j][k][i] = (x_i, [y_j, z_k]), the rotation (r, s, t) fails exactly
-    when L_rst[i][j][k] != R_str[j][k][i] somewhere.
-
-    With ``symmetric`` the form is symmetric on slice a x slice -a for every
-    root a, and [x, y] lies in slice -c, so R = L and one form value per basis
-    triple suffices.  Such a class is also decided together with its mirror
-    class, the rotations of (c, b, a).  This assumes the bracket is exactly
-    antisymmetric, [y, x] = -[x, y], as the matrix commutator x y - y x and
-    the affinized central and derivation terms are (``opposite_brackets``
-    rests on the same premise).  Then ([z, y], x) = -(x, [y, z]) and
-    (z, [y, x]) = -([x, y], z), so the mirror (t, s, r) on (z, y, x) fails
-    exactly when (r, s, t) fails on (x, y, z).  Without ``symmetric`` there is
-    no mirror rule, since it needs the symmetry that was not found.
-
-    Every failing rotation, and with ``symmetric`` its mirror, is recorded;
-    the witness is the first recorded triple in the order of ``triples``.
-    """
-    decided = set()
-    failed = set()
-    for triple in triples:
-        if triple in decided:
-            continue
-        a, b, c = triple
-        rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
-        decided.update(rotations)
-        if symmetric:
-            decided.update(rot[::-1] for rot in rotations)
-        blocks = {
-            (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
-            for r, s, _ in rotations
-        }
-        lhs = {
-            (r, s, t): [[[win.form(xy, z) for z in win.basis(t)] for xy in row]
-                        for row in blocks[r, s]]
-            for r, s, t in rotations
-        }
-        rhs = lhs if symmetric else {
-            (r, s, t): [[[win.form(z, xy) for z in win.basis(t)] for xy in row]
-                        for row in blocks[r, s]]
-            for r, s, t in rotations
-        }
-        for r, s, t in rotations:
-            if _tensors_differ(lhs[r, s, t], rhs[s, t, r]):
-                failed.add((r, s, t))
-                if symmetric:
-                    failed.add((t, s, r))
-    return next((list(t) for t in triples if t in failed), None) if failed else None
-
-
-def _tensors_differ(lhs, rhs):
-    """Whether lhs[i][j][k] != rhs[j][k][i] for some i, j, k."""
-    for i, plane in enumerate(lhs):
-        for row, rhs_row in zip(plane, rhs):
-            for value, rhs_col in zip(row, rhs_row):
-                if value != rhs_col[i]:
-                    return True
-    return False
-
-
 def _form_checks(win, prefix, rng, seed):
     """Symmetry, per-root nondegeneracy and invariance of the form, under two
     premises: P1, the bracket adds roots; P2, the form pairs only opposite roots.
@@ -181,21 +95,22 @@ def _form_checks(win, prefix, rng, seed):
     By P2 the form is 0 in both orders off opposite slices, so symmetry and
     nondegeneracy read the window's opposite-slice Gram matrices,
     ``win.gram(r)[i][j]`` = (x_i, y_j) for x in slice r and y in slice -r,
-    over the roots whose opposite is in the window, formed once per window
-    (D1 on T1's window forms none again).  The form is symmetric exactly when each gram(r) is
-    the transpose of gram(-r); the witness is the first root where it is
-    not.  By P1 and P2 invariance scans only zero-sum triples.  Witnesses
-    name the first failure found.  The sampled invariance branch always makes
-    all of its draws from ``rng``, so the stream after it does not depend on
-    where (or whether) a failure was found.
+    over the roots whose opposite is in the window, formed once per window.
+    The form is symmetric exactly when each gram(r) is the transpose of
+    gram(-r); the witness is the first root where it is not
+    (``win.asymmetric_root``).  By P1 and P2 invariance scans only zero-sum
+    triples.  The exhaustive branch reads the window's invariance record,
+    scanned once per window (``win.invariance``): T1 and D1 on one window
+    share it, and D1 on a base view reads its parent's, restricted to lifted
+    indices, once the parent has scanned.  Its witness is the first triple of ``win.zero_sum_triples()``
+    in the record.  Witnesses name the first failure found.  The sampled
+    invariance branch always makes all of its draws from ``rng``, so the
+    stream after it does not depend on where (or whether) a failure was
+    found.
     """
     results = []
     roots = win.roots()
-    bad_root = next(
-        (r for r in roots
-         if -r in win.pieces and win.gram(r) != [list(col) for col in zip(*win.gram(-r))]),
-        None,
-    )
+    bad_root = win.asymmetric_root()
     sym_ok = bad_root is None
     results.append(CheckResult(
         f"{prefix}-form-symmetric",
@@ -220,16 +135,16 @@ def _form_checks(win, prefix, rng, seed):
         nondeg_witness,
     ))
 
-    triples = _zero_sum_triples(win)
+    triples = win.zero_sum_triples()
     total = sum(
         win.dim(r1) * win.dim(r2) * win.dim(r3) for r1, r2, r3 in triples
     )
     inv_witness = None
     if total <= EXHAUSTIVE_LIMIT:
         mode = f"exhaustive on all {total} zero-sum basis triples"
-        bad_roots = _first_non_invariant_triple(win, triples, sym_ok)
-        if bad_roots is not None:
-            inv_witness = {"roots": bad_roots}
+        failed = win.invariance()
+        if failed:
+            inv_witness = {"roots": next(list(t) for t in triples if t in failed)}
     else:
         n = 2000
         mode = f"sampled: {n} of {total} zero-sum basis triples (seed {seed})"
@@ -517,8 +432,60 @@ def check_T(win, seed=0):
 # -- the D suite ---------------------------------------------------------------
 
 
+def _first_unspanned_zero_weight(win):
+    """D8's witness: the first window degree sigma whose weight-0 slice, the
+    claim, is not the span of the brackets [x, y], x at (w, tau) and y at
+    (-w, sigma - tau), over the nonzero weights w and every tau with tau and
+    sigma - tau in the box of max-norm w + SPAN_MARGIN; None if there is none.
+
+    The brackets come from ``opposite_brackets``, which builds each slice once
+    per scan and skips a slice pair whose mirror came earlier.  Every bracket
+    lies in the algebra's weight-0 slice at sigma, the ceiling
+    (``alg.zero_weight_ceiling(sigma)``; ``zero_root_component``'s stop rests
+    on the same premise).  The brackets are read through ``fill_span``, which
+    stops once the span is the whole ceiling: later brackets cannot change
+    the span, so the verdict and both dimensions are those of
+    ``tests/oracles.py``'s literal loop, which reads every bracket.  Where
+    the brackets never fill the ceiling, each is read.
+    """
+    alg, fin = win.alg, win.fin
+    margin_box = lattice_box(alg.nu, win.w + SPAN_MARGIN)
+    margin_set = set(margin_box)
+    weights = sorted(fin.nonzero_roots)
+    slices = {}
+
+    def piece(root):
+        # The scans of neighbouring degrees share most slices; build each once.
+        if root not in slices:
+            slices[root] = alg.root_piece(root)
+        return slices[root]
+
+    for sigma in lattice_box(alg.nu, win.w):
+        claim = SpanDict(
+            win.coords(x) for x in win.basis(Root(finite=fin.zero, lattice=sigma))
+        )
+        degrees = [
+            tau for tau in margin_box
+            if tuple(s - t for s, t in zip(sigma, tau)) in margin_set
+        ]
+        brackets = opposite_brackets(piece, alg.bracket, weights, sigma, degrees)
+        ceiling = SpanDict(alg.coords(x) for x in alg.zero_weight_ceiling(sigma))
+        bracketed = fill_span(brackets, alg.coords, ceiling)[0]
+        if not span_equal(claim, bracketed):
+            return {"degree": list(sigma), "slice_dim": claim.dim, "bracket_span_dim": bracketed.dim}
+    return None
+
+
 def check_D(win, seed=0):
-    """The twelve-axiom suite on a graded algebra window."""
+    """The twelve-axiom suite on a graded algebra window.
+
+    ``win`` is a window of the graded torus algebra: decomposed on its own,
+    or the ``base_view()`` of an affinized window.  D1's exhaustive
+    invariance verdict reads ``win.invariance()``, which a view takes from
+    its parent's record, restricted to lifted indices, once T1 has scanned
+    the parent, so T1 and D1 share one scan.  D8 stops where its brackets fill the ceiling
+    (``_first_unspanned_zero_weight``).
+    """
     rng = random.Random(seed)
     alg = win.alg
     fin = win.fin
@@ -599,40 +566,10 @@ def check_D(win, seed=0):
         "toral generators lie in the weight-0 degree-0 slice",
     ))
 
-    d8_ok = True
-    d8_witness = None
-    margin_box = lattice_box(alg.nu, win.w + SPAN_MARGIN)
-    margin_set = set(margin_box)
-    weights = sorted(fin.nonzero_roots)
-    slices = {}
-
-    def piece(root):
-        # The scans of neighbouring degrees share most slices; build each once.
-        if root not in slices:
-            slices[root] = alg.root_piece(root)
-        return slices[root]
-
-    for sigma in lattice_box(alg.nu, win.w):
-        claim = SpanDict(
-            win.coords(x) for x in win.basis(Root(finite=fin.zero, lattice=sigma))
-        )
-        degrees = [
-            tau for tau in margin_box
-            if tuple(s - t for s, t in zip(sigma, tau)) in margin_set
-        ]
-        brackets = opposite_brackets(piece, alg.bracket, weights, sigma, degrees)
-        bracketed = SpanDict(alg.coords(b) for b in brackets)
-        if not span_equal(claim, bracketed):
-            d8_ok = False
-            d8_witness = {
-                "degree": list(sigma),
-                "slice_dim": claim.dim,
-                "bracket_span_dim": bracketed.dim,
-            }
-            break
+    d8_witness = _first_unspanned_zero_weight(win)
     results.append(CheckResult(
         "D8-zero-weight-spanned",
-        d8_ok,
+        d8_witness is None,
         f"weight-0 slices equal the span of opposite-weight brackets (margin {SPAN_MARGIN})",
         d8_witness,
     ))

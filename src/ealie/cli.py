@@ -151,24 +151,18 @@ def _instance_meta(args, extra=None):
 
 
 def _build_algebra(parser, args):
-    """The algebra plus, when distinct, the underlying graded algebra for D."""
+    """The windowed algebra of the construction."""
     c = args.construction
     try:
-        if c == "quantum-torus":
+        if c in ("quantum-torus", "affinized"):
             q = _parse_q(parser, args.nu, args.q)
             alg = TorusMatrixAlgebra(args.ell, q, derived=not args.underived)
-            return alg, alg
-        if c == "affinized":
-            q = _parse_q(parser, args.nu, args.q)
-            base = TorusMatrixAlgebra(args.ell, q, derived=not args.underived)
-            return affinize(base), base
+            return affinize(alg) if c == "affinized" else alg
         if c == "sp-classical":
-            alg = TorusMatrixAlgebra(args.ell, SignMatrix(0), real_only=True)
-            return alg, alg
+            return TorusMatrixAlgebra(args.ell, SignMatrix(0), real_only=True)
         if c == "sqrt-extension":
             primes = _parse_primes(parser, args.primes or "2,3")
-            alg = SqrtExtensionAlgebra(args.ell, primes)
-            return alg, None
+            return SqrtExtensionAlgebra(args.ell, primes)
     except ValueError as err:
         parser.error(str(err))
     parser.error(f"construction {c} does not build a windowed algebra")
@@ -201,23 +195,27 @@ def _ears_report(args, win):
 
 
 def _collect_reports(parser, args, suites):
+    """The report of each requested suite, all read from one decomposed window.
+
+    D runs on the graded torus algebra: on ``affinized`` that is the base
+    view of the affinized window (``RootSystemWindow.base_view``), so the
+    torus algebra is not decomposed again, and D1 reads the invariance
+    record T1 keeps on the affinized window, restricted to lifted vectors
+    (alone, D scans the view).  Elsewhere T and D share the window and its record.
+    """
     if args.construction == "cocycle-extension":
         return {"CON": _run_con_suite(parser, args)}
 
-    alg, graded = _build_algebra(parser, args)
+    alg = _build_algebra(parser, args)
     win = decompose_window(alg, args.window)
     reports = {}
-    win_graded = None
     core = None
     for suite in suites:
         if suite == "T":
             reports["T"] = check_T(win, seed=args.seed)
         elif suite == "D":
-            if graded is alg:
-                win_graded = win
-            elif win_graded is None:
-                win_graded = decompose_window(graded, args.window)
-            reports["D"] = check_D(win_graded, seed=args.seed)
+            graded = win.base_view() if args.construction == "affinized" else win
+            reports["D"] = check_D(graded, seed=args.seed)
         elif suite == "EARS":
             reports["EARS"] = _ears_report(args, win)[0]
         elif suite == "SERRE":
@@ -260,7 +258,7 @@ def _cmd_check(parser, args):
 def _cmd_export(parser, args):
     if args.construction == "cocycle-extension":
         parser.error("cocycle-extension has no windowed root data to export")
-    alg, _ = _build_algebra(parser, args)
+    alg = _build_algebra(parser, args)
     win = decompose_window(alg, args.window)
     lines = []
     for root in sorted(win.roots()):
@@ -286,7 +284,7 @@ def _cmd_export(parser, args):
 def _cmd_serre(parser, args):
     if "SERRE" not in ALLOWED_SUITES[args.construction]:
         parser.error(f"suite SERRE is not applicable to {args.construction}")
-    alg, _ = _build_algebra(parser, args)
+    alg = _build_algebra(parser, args)
     win = decompose_window(alg, args.window)
     report = serre_check(win)
     payload = {"instance": _instance_meta(args), "serre": report.as_json()}
@@ -297,7 +295,7 @@ def _cmd_serre(parser, args):
 def _cmd_ears(parser, args):
     if "EARS" not in ALLOWED_SUITES[args.construction]:
         parser.error(f"suite EARS is not applicable to {args.construction}")
-    alg, _ = _build_algebra(parser, args)
+    alg = _build_algebra(parser, args)
     win = decompose_window(alg, args.window)
     report, sup = _ears_report(args, win)
     payload = {

@@ -135,6 +135,12 @@ class TorusMatrixAlgebra:
 
     # -- grading -------------------------------------------------------------
 
+    def zero_weight_ceiling(self, sigma):
+        """B's weight-0 slice at degree sigma, which holds every bracket of
+        opposite-weight slices whose degrees sum to sigma: the ceiling of D8's
+        span at sigma."""
+        return skew_root_basis(self.ell, self.q, self.fin.zero, tuple(sigma), self.real_only)
+
     def root_piece(self, root):
         weight = tuple(root.finite)
         sigma = tuple(root.lattice)
@@ -258,6 +264,15 @@ class AffinizedAlgebra:
     def zero(self):
         return self.lift(self.base.zero())
 
+    def base_part(self, x):
+        """The base element that x lifts, or None when x has a c or d part."""
+        return None if any(x.c) or any(x.d) else x.g
+
+    def extension_basis(self):
+        """c_0, ..., c_(nu-1), then d_0, ..., d_(nu-1): the vectors that follow
+        the lifts in the weight-0 degree-0 slice and in the toral basis."""
+        return tuple([self.c_gen(i) for i in range(self.nu)] + [self.d_gen(i) for i in range(self.nu)])
+
     # -- structure ------------------------------------------------------------
 
     def bracket(self, x, y):
@@ -291,19 +306,15 @@ class AffinizedAlgebra:
     # -- grading ---------------------------------------------------------------
 
     def root_piece(self, root):
-        basis = [self.lift(g) for g in self.base.root_piece(root)]
+        basis = tuple(self.lift(g) for g in self.base.root_piece(root))
         if not any(root.finite) and not any(root.lattice):
-            basis += [self.c_gen(i) for i in range(self.nu)]
-            basis += [self.d_gen(i) for i in range(self.nu)]
-        return tuple(basis)
+            basis += self.extension_basis()
+        return basis
 
     # -- toral data --------------------------------------------------------------
 
     def toral_basis(self):
-        out = [self.lift(h) for h in self.base.toral_basis()]
-        out += [self.c_gen(i) for i in range(self.nu)]
-        out += [self.d_gen(i) for i in range(self.nu)]
-        return tuple(out)
+        return tuple(self.lift(h) for h in self.base.toral_basis()) + self.extension_basis()
 
     def root_functional(self, root):
         vals = [Fraction(v) for v in root.finite]

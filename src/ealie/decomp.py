@@ -15,16 +15,24 @@ the window degrees are ``lattice_box(nu, w)``, ``graded_pieces(alg, sigma)``
 lists the slices of one degree, and beyond the window a root is a member
 exactly when its finite part lies in ``fin``.
 
+An algebra that extends a base algebra (the affinized one) also provides
+``base``, ``base_part(x)`` (the base element x lifts, or None) and
+``extension_basis()``, the vectors that close its weight-0 degree-0 slice
+after the lifts.
+
 decompose_window builds the slices for all lattice degrees of max-norm <= w
 and verifies, entry by entry, that every claimed basis vector is an exact
 simultaneous eigenvector of the toral generators, that slices of a common
 degree are linearly independent, and that the membership rule agrees with
-the computed slices inside the window.  Everything downstream (sl2 triples,
-reflections, core/center/radical extraction) works through the verified
-window object.  The window brackets and forms opposite slices once, on
-first use: ``bracket_table`` per +-root pair, read by T3, D12a, the sl2
-triples and PROPS, and ``gram`` per root, read by the form checks of T1 and
-D1 and by PROPS.
+the computed slices inside the window.  ``RootSystemWindow.base_view`` makes
+the window of the base algebra from the window of an extension, without
+building its slices again, and runs the same checks on it.  Everything
+downstream (sl2 triples, reflections, core/center/radical extraction) works
+through the verified window object.  The window brackets and forms opposite
+slices once, on first use: ``bracket_table`` per +-root pair, read by T3,
+D12a, the sl2 triples and PROPS, and ``gram`` per root, read by the form
+checks of T1 and D1 and by PROPS.  It scans form invariance once too
+(``invariance``), for T1 and D1 on the window and for D1 on its base view.
 
 ``fill_span`` is the one stop rule for spans of brackets known to lie in a
 given slice: the isotropic core slices here and the derived weight-0 slices
@@ -53,8 +61,10 @@ __all__ = [
     "NilpotencyError",
     "GradedPiece",
     "RootSystemWindow",
+    "BaseView",
     "decompose_window",
     "graded_pieces",
+    "invariance_failures",
     "toral_commute",
     "combine",
     "sl2_search",
@@ -128,6 +138,8 @@ class RootSystemWindow:
         self._tables = {}  # root -> bracket_table(root), first root of each +-root pair
         self._grams = {}  # root -> gram(root)
         self._strings = None  # (first_broken_string(self),) once scanned
+        self._triples = None  # zero_sum_triples(), once built
+        self._invariance = None  # invariance(), once scanned
         self._toral = tuple(alg.toral_basis())
         self._gram = [[alg.form(h1, h2) for h2 in self._toral] for h1 in self._toral]
 
@@ -237,6 +249,94 @@ class RootSystemWindow:
             self._grams[root] = [[self.form(x, y) for y in self.basis(-root)] for x in self.basis(root)]
         return self._grams[root]
 
+    def asymmetric_root(self):
+        """The first root r whose ``gram(r)`` is not the transpose of
+        ``gram(-r)``, over the roots whose opposite is in the window; None
+        when the form is symmetric on every pair of opposite slices."""
+        return next(
+            (r for r in self._roots
+             if -r in self.pieces and self.gram(r) != [list(col) for col in zip(*self.gram(-r))]),
+            None,
+        )
+
+    def zero_sum_triples(self):
+        """Root triples summing to zero, built once; only these can carry a
+        nonzero form value.
+
+        Roots are matched by their flat vectors ``finite + lattice``, as
+        ``member`` reads them, so no ``Root`` sum is built; the list is that
+        of the loop over ``Root`` pairs, in the same order.
+        """
+        if self._triples is None:
+            flat = [(r, r.finite + r.lattice) for r in self._roots]
+            by_vector = {v: r for r, v in flat}
+            out = []
+            for r1, v1 in flat:
+                for r2, v2 in flat:
+                    r3 = by_vector.get(tuple(-a - b for a, b in zip(v1, v2)))
+                    if r3 is not None:
+                        out.append((r1, r2, r3))
+            self._triples = out
+        return self._triples
+
+    def lifted_dims(self):
+        """{root: n} for each slice whose first n basis vectors alone lift
+        slices of the base algebra: the weight-0 degree-0 slice of an
+        algebra that extends a base, which ends with ``extension_basis()``.
+        Empty for any other algebra, where no slice is cut."""
+        extension = getattr(self.alg, "extension_basis", None)
+        zero = Root(finite=self.fin.zero, lattice=(0,) * self.alg.nu)
+        if extension is None or zero not in self.pieces:
+            return {}
+        return {zero: self.dim(zero) - len(extension())}
+
+    def invariance(self):
+        """``invariance_failures`` of this window's zero-sum triples, scanned
+        once: {failing rotation: whether it fails on lifted indices}.
+
+        The scan takes the mirror rule exactly when ``asymmetric_root`` finds
+        no asymmetric pair of opposite slices, and cuts slices by
+        ``lifted_dims``.  T1 and D1 on this window, and D1 on its base view
+        once this window has scanned, read this one record.
+        """
+        if self._invariance is None:
+            self._invariance = invariance_failures(
+                self, self.zero_sum_triples(), self.asymmetric_root() is None, self.lifted_dims())
+        return self._invariance
+
+    def base_view(self):
+        """The window of the base algebra ``alg.base`` under this window of
+        an extension of it, made from this window's slices.
+
+        Each view slice holds the base parts of the slice's lifted basis
+        vectors, in order (``lifted_dims``: every vector but the trailing
+        ``extension_basis()`` of the zero slice).  A slice whose lifted part
+        holds a vector that is no lift, or whose remaining vectors are not
+        exactly ``extension_basis()`` at the zero slice and none elsewhere,
+        raises DecompositionError; that check is O(n) per slice.  The view
+        is then verified as ``decompose_window`` verifies a window: its
+        toral generators commute, every basis vector is an exact eigenvector
+        of them, and each degree's vectors are independent.  The view
+        shares this window's zero-sum triples and reads its invariance
+        record restricted to lifted indices (``BaseView``).
+        """
+        alg = self.alg
+        base = alg.base
+        cut = self.lifted_dims()
+        extension = alg.extension_basis()
+        degrees = {}
+        for root in self._roots:
+            basis = self.basis(root)
+            n = cut.get(root, len(basis))
+            parts = tuple(alg.base_part(x) for x in basis[:n])
+            if any(x is None for x in parts) or basis[n:] != (extension if root in cut else ()):
+                raise DecompositionError(f"slice at {root} is not the lift of a base slice")
+            degrees.setdefault(root.lattice, []).append(GradedPiece(root=root, basis=parts))
+        toral = _commuting_toral(base)
+        for degree in degrees.values():
+            _verify_degree(base, toral, degree)
+        return BaseView(self, {p.root: p for degree in degrees.values() for p in degree})
+
     def broken_string(self):
         """``ears.first_broken_string`` of this window, scanned once: R4 and PROPS share it."""
         if self._strings is None:
@@ -267,33 +367,156 @@ def graded_pieces(alg, sigma):
     return {weight: alg.root_piece(Root(finite=weight, lattice=sigma)) for weight in weights}
 
 
-def decompose_window(alg, w):
-    """Decompose all lattice degrees with max-norm <= w and verify exactness."""
+def _commuting_toral(alg):
+    """``alg.toral_basis()`` as a tuple, once its generators are seen to commute."""
     toral = tuple(alg.toral_basis())
     if not toral_commute(alg, toral):
         raise DecompositionError("toral generators do not commute")
+    return toral
+
+
+def _verify_degree(alg, toral, degree):
+    """Raise DecompositionError unless the slices of one lattice degree,
+    ``degree`` a list of GradedPiece, are nonempty, hold exact eigenvectors
+    of the toral generators with the slice's eigenvalues, and together are
+    linearly independent."""
+    degree_span = SpanDict()
+    for piece in degree:
+        root = piece.root
+        if not piece.basis:  # every finite root is a member at every degree
+            raise DecompositionError(f"membership rule disagrees with window at {root}")
+        lams = alg.root_functional(root)
+        for x in piece.basis:
+            for lam, h in zip(lams, toral):
+                if not (alg.bracket(h, x) - x * lam).is_zero():
+                    raise DecompositionError(
+                        f"basis vector at {root} is not an exact eigenvector of toral generator"
+                    )
+            if not degree_span.add(alg.coords(x)):
+                raise DecompositionError(f"dependent basis vector at {root}")
+
+
+def decompose_window(alg, w):
+    """Decompose all lattice degrees with max-norm <= w and verify exactness:
+    each degree's slices are built, then checked by ``_verify_degree``."""
+    toral = _commuting_toral(alg)
     pieces = {}
     for sigma in lattice_box(alg.nu, w):
-        degree_span = SpanDict()
-        total = 0
-        for weight, basis in sorted(graded_pieces(alg, sigma).items()):
-            root = Root(finite=weight, lattice=sigma)
-            if not basis:  # every finite root is a member at every degree
-                raise DecompositionError(f"membership rule disagrees with window at {root}")
-            lams = alg.root_functional(root)
-            for x in basis:
-                for lam, h in zip(lams, toral):
-                    if not (alg.bracket(h, x) - x * lam).is_zero():
-                        raise DecompositionError(
-                            f"basis vector at {root} is not an exact eigenvector of toral generator"
-                        )
-                if not degree_span.add(alg.coords(x)):
-                    raise DecompositionError(f"dependent basis vector at {root}")
-                total += 1
-            pieces[root] = GradedPiece(root=root, basis=tuple(basis))
-        if degree_span.dim != total:  # unreachable: add() counted each vector
-            raise DecompositionError("slice dimensions do not add up")
+        degree = [GradedPiece(root=Root(finite=weight, lattice=sigma), basis=tuple(basis))
+                  for weight, basis in sorted(graded_pieces(alg, sigma).items())]
+        _verify_degree(alg, toral, degree)
+        pieces.update((piece.root, piece) for piece in degree)
     return RootSystemWindow(alg, w, pieces)
+
+
+class BaseView(RootSystemWindow):
+    """``RootSystemWindow.base_view`` of ``parent``: a verified window of
+    ``parent.alg.base`` with the same roots, in the same order.
+
+    On lifted vectors the parent's bracket is the lifted base bracket plus a
+    central part, and its form is the base form; the tests pin both.  So
+    ([x, y], z) and (x, [y, z]) agree on lifted triples in both algebras,
+    and this window's invariance record is the parent's restricted to the
+    rotations that fail on lifted indices, once the parent has scanned.  If
+    it has not (D alone), the view scans itself, the base window being the
+    smaller of the two.  Its zero-sum triples are the parent's list.
+    """
+
+    def __init__(self, parent, pieces):
+        super().__init__(parent.alg.base, parent.w, pieces)
+        self.parent = parent
+
+    def zero_sum_triples(self):
+        return self.parent.zero_sum_triples()
+
+    def invariance(self):
+        if self._invariance is None and self.parent._invariance is not None:
+            self._invariance = {
+                rot: True for rot, on_lifts in self.parent._invariance.items() if on_lifts}
+        return super().invariance()
+
+
+def invariance_failures(win, triples, symmetric, cut=None):
+    """The rotations of ``triples`` carrying basis vectors with ([x, y], z)
+    != (x, [y, z]), each mapped to whether it fails on lifted indices.
+
+    ``triples`` is closed under rotation.  The rotations (a, b, c), (b, c, a)
+    and (c, a, b) form a cyclic class, and (a, a, a) is a class of one.  Each
+    class is decided once, at the first of its triples the loop meets: the
+    blocks [a, b], [b, c] and [c, a] are bracketed once each, and every
+    rotation (r, s, t) gets L_rst[i][j][k] = ([x_i, y_j], z_k) and R_rst[i][j][k]
+    = (z_k, [x_i, y_j]) over the bases x, y, z of slices r, s and t.  Since
+    R_str[j][k][i] = (x_i, [y_j, z_k]), the rotation (r, s, t) fails exactly
+    when L_rst[i][j][k] != R_str[j][k][i] somewhere.
+
+    With ``symmetric`` the form is symmetric on slice a x slice -a for every
+    root a, and [x, y] lies in slice -c, so R = L and one form value per basis
+    triple suffices.  Such a class is also decided together with its mirror
+    class, the rotations of (c, b, a).  This assumes the bracket is exactly
+    antisymmetric, [y, x] = -[x, y], as the matrix commutator x y - y x and
+    the affinized central and derivation terms are (``opposite_brackets``
+    rests on the same premise).  Then ([z, y], x) = -(x, [y, z]) and
+    (z, [y, x]) = -([x, y], z), so the mirror (t, s, r) on (z, y, x) fails
+    exactly when (r, s, t) fails on (x, y, z).  Without ``symmetric`` there is
+    no mirror rule, since it needs the symmetry that was not found.
+
+    Every failing rotation, and with ``symmetric`` its mirror, is recorded.
+    ``cut`` (``RootSystemWindow.lifted_dims``) maps a root to the number of
+    leading basis vectors of its slice that are lifted; a failing rotation
+    through such a slice is compared again on lifted indices alone, and any
+    other failure lies on lifted indices.  A passing rotation costs nothing
+    more.  The mirror of a rotation fails on the same indices, reversed.
+    """
+    cut = cut or {}
+    decided = set()
+    failed = {}
+    for triple in triples:
+        if triple in decided:
+            continue
+        a, b, c = triple
+        rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
+        decided.update(rotations)
+        if symmetric:
+            decided.update(rot[::-1] for rot in rotations)
+        blocks = {
+            (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
+            for r, s, _ in rotations
+        }
+        lhs = {
+            (r, s, t): [[[win.form(xy, z) for z in win.basis(t)] for xy in row]
+                        for row in blocks[r, s]]
+            for r, s, t in rotations
+        }
+        rhs = lhs if symmetric else {
+            (r, s, t): [[[win.form(z, xy) for z in win.basis(t)] for xy in row]
+                        for row in blocks[r, s]]
+            for r, s, t in rotations
+        }
+        for r, s, t in rotations:
+            if _tensors_differ(lhs[r, s, t], rhs[s, t, r]):
+                n = [cut.get(r), cut.get(s), cut.get(t)]
+                on_lifts = n == [None] * 3 or _tensors_differ(
+                    _cut(lhs[r, s, t], n), _cut(rhs[s, t, r], n[1:] + n[:1]))
+                failed[r, s, t] = on_lifts
+                if symmetric:
+                    failed[t, s, r] = on_lifts
+    return failed
+
+
+def _tensors_differ(lhs, rhs):
+    """Whether lhs[i][j][k] != rhs[j][k][i] for some i, j, k."""
+    for i, plane in enumerate(lhs):
+        for row, rhs_row in zip(plane, rhs):
+            for value, rhs_col in zip(row, rhs_row):
+                if value != rhs_col[i]:
+                    return True
+    return False
+
+
+def _cut(tensor, dims):
+    """tensor[i][j][k] over i, j, k below the bounds ``dims``; None keeps an axis whole."""
+    ni, nj, nk = dims
+    return [[row[:nk] for row in plane[:nj]] for plane in tensor[:ni]]
 
 
 def sl2_search(win, root):

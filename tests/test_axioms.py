@@ -6,11 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ealie import axioms
+from ealie import axioms, decomp
 from ealie.axioms import (
-    _first_non_invariant_triple,
     _form_checks,
-    _zero_sum_triples,
     check_D,
     check_props,
     check_T,
@@ -28,11 +26,13 @@ from ealie.constructions import (
     affinize,
 )
 from ealie.decomp import (
+    DecompositionError,
     GradedPiece,
     RootSystemWindow,
     combine,
     core_and_center_window,
     decompose_window,
+    invariance_failures,
     isotropic_pair,
     sl2_triple,
 )
@@ -256,6 +256,13 @@ class _Counting(_Recording, _Rebuilt):
     """A fixture window rebuilt to record its brackets and count its forms."""
 
 
+def _first_non_invariant_triple(win, triples, symmetric):
+    """The first triple of ``triples`` that ``invariance_failures`` records,
+    as a list of roots, as ``_form_checks`` names its witness; None if none."""
+    failed = invariance_failures(win, triples, symmetric)
+    return next((list(t) for t in triples if t in failed), None)
+
+
 _LEAN_SCANS = {}
 
 
@@ -264,7 +271,7 @@ def _lean_scan(fixture, win):
     per fixture and shared by the tests that read its brackets."""
     if fixture not in _LEAN_SCANS:
         scan = _Counting(win)
-        assert _first_non_invariant_triple(scan, _zero_sum_triples(win), True) is None
+        assert _first_non_invariant_triple(scan, win.zero_sum_triples(), True) is None
         _LEAN_SCANS[fixture] = scan
     return _LEAN_SCANS[fixture]
 
@@ -276,7 +283,7 @@ def _lean_scan(fixture, win):
 ], ids=["aff_win", "torus_win", "sp4_win"])
 def test_invariance_scan_halves_brackets_and_forms(fixture, brackets, forms, request):
     win = request.getfixturevalue(fixture)
-    triples = _zero_sum_triples(win)
+    triples = win.zero_sum_triples()
     literal, both_sides = _Counting(win), _Counting(win)
     assert literal_first_non_invariant_triple(literal, triples) is None
     lean = _lean_scan(fixture, win)
@@ -346,11 +353,124 @@ def test_invariance_witness_matches_literal_loop_on_perturbed_windows(
     fixture, a, b, ijk, first, request
 ):
     win = _PerturbedBracket(request.getfixturevalue(fixture), a, b, *ijk)
-    triples = _zero_sum_triples(win)
+    triples = win.zero_sum_triples()
     witness = literal_first_non_invariant_triple(win, triples)
     assert triples.index(tuple(witness)) == first
     assert _first_non_invariant_triple(win, triples, True) == witness
     assert _first_non_invariant_triple(win, triples, False) == witness
+
+
+# -- D on the base view of an affinized window ----------------------------------
+
+
+def test_bracket_on_lifts_is_the_lifted_bracket_plus_a_central_part(aff_win):
+    """The base view's first premise, on every pair of lifted vectors the
+    invariance scan of ``aff_win`` brackets: [x, y] has the g part
+    [x.g, y.g] of the base algebra and no d part."""
+    alg = aff_win.alg
+    lifted = [(x, y, xy) for x, y, xy in _lean_scan("aff_win", aff_win).bracketed
+              if alg.base_part(x) is not None and alg.base_part(y) is not None]
+    assert len(lifted) > 4000
+    for x, y, xy in lifted:
+        assert xy.g == alg.base.bracket(x.g, y.g) and not any(xy.d)
+
+
+def test_form_on_lifts_is_the_base_form(aff_win):
+    """The base view's second premise: lifted vectors of opposite slices pair
+    as their base parts do, and a central vector pairs to 0 with every lift,
+    so a lift plus a central part pairs with a lift as the base form says."""
+    alg = aff_win.alg
+    central = [alg.c_gen(i) for i in range(alg.nu)]
+    for root, x in aff_win.all_basis():
+        if alg.base_part(x) is None:
+            continue
+        for y in aff_win.basis(-root):
+            if alg.base_part(y) is not None:
+                assert alg.form(x, y) == alg.base.form(x.g, y.g)
+        assert all(alg.form(c, x) == alg.form(x, c) == 0 for c in central)
+
+
+def test_base_view_slices_are_the_lifted_parts(aff_win, torus_win):
+    """The view keeps the roots and their order, drops the c and d vectors of
+    the zero slice, and holds the base parts of the rest."""
+    view = aff_win.base_view()
+    assert view.alg is aff_win.alg.base and view.roots() == aff_win.roots()
+    assert view.zero_sum_triples() is aff_win.zero_sum_triples()
+    for root in view.roots():
+        lifted = aff_win.basis(root)[:aff_win.lifted_dims().get(root, aff_win.dim(root))]
+        assert view.basis(root) == tuple(x.g for x in lifted)
+        assert view.dim(root) == torus_win.dim(root)
+    assert aff_win.dim(_ZERO2) - view.dim(_ZERO2) == 2 * aff_win.alg.nu
+
+
+class _ExtraLiftedVector(_Rebuilt):
+    """A fixture window whose zero slice gains a vector after its c and d
+    vectors: the slice is no longer lifts followed by ``extension_basis()``."""
+
+    def __init__(self, win):
+        super().__init__(win)
+        self.pieces = dict(win.pieces)
+        basis = win.basis(_ZERO2)
+        self.pieces[_ZERO2] = GradedPiece(root=_ZERO2, basis=basis + basis[:1])
+
+
+def test_base_view_refuses_a_slice_that_is_no_lift(aff_win):
+    with pytest.raises(DecompositionError, match=r"slice at .* is not the lift of a base slice"):
+        _ExtraLiftedVector(aff_win).base_view()
+
+
+@pytest.mark.parametrize("name", ["aff_win", "underived_win"])
+def test_D_on_the_base_view_is_D_on_the_decomposed_base_window(request, torus_win, name):
+    """check_D on the view reports what it reports on the base algebra
+    decomposed on its own; ``torus_win`` decomposes the algebra ``aff_win``
+    affinizes, with the same parameters."""
+    win = request.getfixturevalue(name)
+    base = win.alg.base
+    if name == "aff_win":
+        assert (torus_win.alg.ell, torus_win.alg.q, torus_win.alg.derived, torus_win.w) == (
+            base.ell, base.q, base.derived, win.w)
+        separate = _d_report("torus_win", torus_win)
+    else:
+        separate = check_D(decompose_window(base, win.w), seed=1)
+    assert _d_report(name, win.base_view()).as_json() == separate.as_json()
+
+
+def _cd_perturbed(aff_win):
+    """``aff_win`` with c_0 added to [d_0, d_1]: invariance breaks only on
+    triples through c and d vectors."""
+    n, nu = aff_win.dim(_ZERO2), aff_win.alg.nu
+    return _PerturbedBracket(aff_win, _ZERO2, _ZERO2, n - nu, n - nu + 1, n - 2 * nu)
+
+
+def _form_check(win, name):
+    prefix = name.split("-")[0]
+    return {r.name: r for r in _form_checks(win, prefix, random.Random(1), 1)}[name]
+
+
+def test_invariance_broken_off_the_lifts_fails_T1_only(aff_win):
+    win = _cd_perturbed(aff_win)
+    assert win.invariance() == {(_ZERO2, _ZERO2, _ZERO2): False}
+    t1 = _form_check(win, "T1-form-invariant")
+    assert t1.witness == {"roots": [_ZERO2, _ZERO2, _ZERO2]}
+    assert _form_check(win.base_view(), "D1-form-invariant").passed
+
+
+@pytest.mark.parametrize("a, b, ijk", [
+    # lifted vectors of the zero slice, whose c and d vectors the record cuts off
+    (_ZERO2, _ZERO2, (0, 1, 1)),
+    (_root((2, 0), (0, 1)), _root((-1, -1), (1, 0)), (0, 0, 0)),
+], ids=["zero-slice", "root-slices"])
+def test_invariance_broken_on_the_lifts_names_the_literal_base_witness(aff_win, torus_win, a, b, ijk):
+    """D1 on the view of a perturbed affinized window, read from the
+    parent's record once T1's scan has run, names the first failing triple
+    of the literal loop on the base window perturbed alike."""
+    parent = _PerturbedBracket(aff_win, a, b, *ijk)
+    parent.invariance()
+    view = parent.base_view()
+    base = _PerturbedBracket(torus_win, a, b, *ijk)
+    witness = literal_first_non_invariant_triple(base, base.zero_sum_triples())
+    assert witness is not None
+    assert _form_check(view, "D1-form-invariant").witness == {"roots": witness}
 
 
 class _ToyWindow:
@@ -486,17 +606,18 @@ def _t1_form_checks(win):
 
 def test_form_checks_pass_the_symmetry_verdict_to_invariance(sp4_win, monkeypatch):
     seen = []
-    helper = axioms._first_non_invariant_triple
+    helper = decomp.invariance_failures
 
-    def spy(win, triples, symmetric):
+    def spy(win, triples, symmetric, cut=None):
         seen.append(symmetric)
-        return helper(win, triples, symmetric)
+        return helper(win, triples, symmetric, cut)
 
-    monkeypatch.setattr(axioms, "_first_non_invariant_triple", spy)
+    monkeypatch.setattr(decomp, "invariance_failures", spy)
     asymmetric = _TwoAsymmetricRoots(sp4_win, [_root((1, 1), ())])
-    for win in (sp4_win, asymmetric):
+    # rebuilt, so that no record the session window keeps is read instead
+    for win in (_Rebuilt(sp4_win), asymmetric):
         byname = _t1_form_checks(win)
-        expected = literal_first_non_invariant_triple(win, _zero_sum_triples(win))
+        expected = literal_first_non_invariant_triple(win, win.zero_sum_triples())
         witness = byname["T1-form-invariant"].witness
         assert (witness and witness["roots"]) == expected
     assert seen == [True, False]
@@ -518,7 +639,7 @@ def test_D8_verdict_and_witness_are_the_literal_loops(request, name):
     on passing windows and on two underived ones that fail."""
     win = request.getfixturevalue(name)
     if name == "underived_win":  # D runs on the base view of an affinized algebra
-        win = decompose_window(win.alg.base, win.w)
+        win = win.base_view()
     d8 = next(r for r in _d_report(name, win).results if r.name == "D8-zero-weight-spanned")
     witness = literal_zero_weight_spanned(win, axioms.SPAN_MARGIN)
     assert (d8.passed, d8.witness) == (witness is None, witness)
@@ -526,6 +647,36 @@ def test_D8_verdict_and_witness_are_the_literal_loops(request, name):
     if name == "underived_torus_win":
         # the witness in the pinned check-underived-D-EARS report
         assert witness == {"degree": [0, 0], "slice_dim": 4, "bracket_span_dim": 3}
+
+
+def test_D8_brackets_stop_where_the_slice_fills_the_ceiling(torus_win, monkeypatch):
+    """At the 8 degrees of ``torus_win`` whose weight-0 slice has the
+    dimension of B's, D8 stops once its span is the ceiling; at (0, 0), where
+    the derived slice is smaller, the brackets never fill the ceiling and
+    every one is read.  1,690 brackets in the full scan, 510 read."""
+    alg = torus_win.alg
+    smaller = [s for s in lattice_box(alg.nu, torus_win.w)
+               if torus_win.dim(_root((0, 0), s)) < len(alg.zero_weight_ceiling(s))]
+    assert smaller == [(0, 0)]
+    count = []
+    bracket = alg.bracket
+    monkeypatch.setattr(alg, "bracket", lambda x, y: count.append(1) or bracket(x, y))
+    assert axioms._first_unspanned_zero_weight(torus_win) is None
+    assert len(count) == 510
+
+
+def test_D8_reads_every_bracket_where_the_slice_is_below_the_ceiling(torus_win):
+    """The derived slice at (0, 0), 3 of B's 4 dimensions, without its last
+    vector: the brackets fill the first two vectors' span before they leave
+    it, so a D8 that stopped at the claim's own dimension would pass.  D8
+    reads every bracket there and names the literal loop's witness."""
+    zero = _root((0, 0), (0, 0))
+    pieces = dict(torus_win.pieces)
+    pieces[zero] = GradedPiece(root=zero, basis=torus_win.basis(zero)[:-1])
+    win = RootSystemWindow(torus_win.alg, torus_win.w, pieces)
+    witness = literal_zero_weight_spanned(win, axioms.SPAN_MARGIN)
+    assert witness == {"degree": [0, 0], "slice_dim": 2, "bracket_span_dim": 3}
+    assert axioms._first_unspanned_zero_weight(win) == witness
 
 
 def test_D6_fails_when_a_slice_holds_another_degree(torus_win):
@@ -1074,7 +1225,7 @@ def test_form_pairs_only_opposite_roots(request, fixture, pairs):
 @pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sqrt_win"])
 def test_zero_sum_triples_match_root_sums(request, fixture):
     win = request.getfixturevalue(fixture)
-    assert _zero_sum_triples(win) == literal_zero_sum_triples(win)
+    assert win.zero_sum_triples() == literal_zero_sum_triples(win)
 
 
 # -- PROPS root-pair checks by bilinearity and finite parts -------------------------

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from ealie import cli
+from ealie import cli, decomp
 from ealie.cli import main
 
 
@@ -230,6 +231,56 @@ def test_check_exit_one_with_witnesses(capsys):
     payload = json.loads(out)
     names = [w["name"] for w in payload["witnesses"]["D"]]
     assert names == ["D8-zero-weight-spanned"]
+
+
+def _count_windows_and_scans(monkeypatch):
+    """Counts of ``cli.decompose_window`` calls, keyed by the algebra's class
+    name, and of invariance scans under ``"scan"``."""
+    calls = Counter()
+    decompose, scan = cli.decompose_window, decomp.invariance_failures
+
+    def counted_decompose(alg, w):
+        calls[type(alg).__name__] += 1
+        return decompose(alg, w)
+
+    def counted_scan(*args):
+        calls["scan"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(cli, "decompose_window", counted_decompose)
+    monkeypatch.setattr(decomp, "invariance_failures", counted_scan)
+    return calls
+
+
+def _d_section(out):
+    return json.dumps(json.loads(out)["suite_results"]["D"], sort_keys=True, indent=2)
+
+
+def test_affinized_check_decomposes_once_and_scans_invariance_once(capsys, monkeypatch):
+    """T1 scans the affinized window; D runs on its base view and reads that
+    scan.  Alone, D scans the base view once, with the same D section."""
+    calls = _count_windows_and_scans(monkeypatch)
+    argv = "check --construction affinized --nu 2 --q -1 --window 1".split()
+    rc, full, _ = _run(capsys, argv)
+    assert rc == 0
+    assert calls == {"AffinizedAlgebra": 1, "scan": 1}
+    calls.clear()
+    rc, d_only, _ = _run(capsys, argv + ["--suites", "D"])
+    assert rc == 0
+    assert calls == {"AffinizedAlgebra": 1, "scan": 1}
+    assert _d_section(d_only) == _d_section(full)
+
+
+@pytest.mark.parametrize("argv", [
+    "check --construction sp-classical --ell 2",
+    "check --construction quantum-torus --nu 1",
+], ids=["sp-classical", "quantum-torus"])
+def test_one_window_scans_invariance_once(capsys, monkeypatch, argv):
+    # sp-classical runs T1 and D1 on one window; quantum-torus runs D1 alone
+    calls = _count_windows_and_scans(monkeypatch)
+    rc, _, _ = _run(capsys, argv.split())
+    assert rc == 0
+    assert calls == {"TorusMatrixAlgebra": 1, "scan": 1}
 
 
 def test_cocycle_suite(capsys):

@@ -100,7 +100,8 @@ def _form_checks(win, prefix, rng, seed):
     gram(-r); the witness is the first root where it is not
     (``win.asymmetric_root``).  By P1 and P2 invariance scans only zero-sum
     triples.  The exhaustive branch reads the window's invariance record,
-    scanned once per window (``win.invariance``): T1 and D1 on one window
+    scanned once per window, one class of rotations, mirrors and Weyl
+    images at a time (``win.invariance``): T1 and D1 on one window
     share it, and D1 on a base view reads its parent's, restricted to lifted
     indices, once the parent has scanned.  Its witness is the first triple of ``win.zero_sum_triples()``
     in the record.  Witnesses name the first failure found.  The sampled
@@ -677,15 +678,14 @@ def serre_check(win):
         return None
 
     def h_action(i, j):
-        if not (win.bracket(h[i], e[j]) - e[j] * Fraction(c[i][j])).is_zero():
+        if win.bracket(h[i], e[j]) != e[j] * c[i][j]:
             return {"relation": "h-e", "i": i, "j": j}
-        if not (win.bracket(h[i], f[j]) + f[j] * Fraction(c[i][j])).is_zero():
+        if win.bracket(h[i], f[j]) != f[j] * -c[i][j]:
             return {"relation": "h-f", "i": i, "j": j}
         return None
 
     def e_f_pairing(i, j):
-        b = win.bracket(e[i], f[j])
-        if not (b - h[i] if i == j else b).is_zero():
+        if win.bracket(e[i], f[j]) != (h[i] if i == j else win.alg.zero()):
             return {"i": i, "j": j}
         return None
 

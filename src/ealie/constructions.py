@@ -133,6 +133,9 @@ class TorusMatrixAlgebra:
     def coords(self, x):
         return x.coords()
 
+    def simple_reflections(self):
+        return self.fin.simple_reflections()
+
     # -- grading -------------------------------------------------------------
 
     def zero_weight_ceiling(self, sigma):
@@ -220,6 +223,10 @@ class AffinizedElement:
     def __repr__(self):
         return f"AffinizedElement(g={self.g!r}, c={self.c}, d={self.d})"
 
+    def reflect(self, moves):
+        """The simple reflection ``moves`` applied to ``g``; c and d are fixed."""
+        return AffinizedElement(self.g.reflect(moves), self.c, self.d)
+
     def support_degrees(self):
         """The lattice degrees of ``g``, plus degree 0 when a c or d entry is nonzero."""
         degs = self.g.support_degrees()
@@ -302,6 +309,9 @@ class AffinizedAlgebra:
             if v:
                 out[("d", i)] = v
         return out
+
+    def simple_reflections(self):
+        return self.fin.simple_reflections()
 
     # -- grading ---------------------------------------------------------------
 
@@ -609,6 +619,9 @@ class SqrtExtensionAlgebra:
 
     def coords(self, x):
         return x.coords()
+
+    def simple_reflections(self):
+        return self.fin.simple_reflections()
 
     # -- grading -----------------------------------------------------------------
 

@@ -18,7 +18,10 @@ exactly when its finite part lies in ``fin``.
 An algebra that extends a base algebra (the affinized one) also provides
 ``base``, ``base_part(x)`` (the base element x lifts, or None) and
 ``extension_basis()``, the vectors that close its weight-0 degree-0 slice
-after the lifts.
+after the lifts.  An algebra whose elements carry ``reflect(moves)``, the
+action of a simple reflection of W(C_l), provides ``simple_reflections()``,
+the table ``FiniteRootSystem.simple_reflections`` those moves come from; the
+invariance scan then merges the Weyl images of its classes.
 
 decompose_window builds the slices for all lattice degrees of max-norm <= w
 and verifies, entry by entry, that every claimed basis vector is an exact
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ears import first_broken_string
-from .finroot import Root
+from .finroot import Root, reflect_weight
 from .linalg import (
     SpanDict,
     nullspace_dense,
@@ -140,6 +143,7 @@ class RootSystemWindow:
         self._strings = None  # (first_broken_string(self),) once scanned
         self._triples = None  # zero_sum_triples(), once built
         self._invariance = None  # invariance(), once scanned
+        self._weyl = None  # weyl_maps(), once checked
         self._toral = tuple(alg.toral_basis())
         self._gram = [[alg.form(h1, h2) for h2 in self._toral] for h1 in self._toral]
 
@@ -292,10 +296,11 @@ class RootSystemWindow:
 
     def invariance(self):
         """``invariance_failures`` of this window's zero-sum triples, scanned
-        once: {failing rotation: whether it fails on lifted indices}.
+        once: {failing triple: whether it fails on lifted indices}.
 
         The scan takes the mirror rule exactly when ``asymmetric_root`` finds
-        no asymmetric pair of opposite slices, and cuts slices by
+        no asymmetric pair of opposite slices, the Weyl rule for the
+        reflections ``weyl_maps`` keeps, and cuts slices by
         ``lifted_dims``.  T1 and D1 on this window, and D1 on its base view
         once this window has scanned, read this one record.
         """
@@ -303,6 +308,54 @@ class RootSystemWindow:
             self._invariance = invariance_failures(
                 self, self.zero_sum_triples(), self.asymmetric_root() is None, self.lifted_dims())
         return self._invariance
+
+    def weyl_maps(self):
+        """The simple reflections the invariance scan may merge classes by,
+        each as its map {root: reflected root} on this window's roots;
+        checked once, at the first scan.
+
+        A reflection s of ``alg.simple_reflections()`` acts on a root's
+        finite part (``reflect_weight``) and keeps its lattice degree.  It is
+        kept when, for every root r, s(r) is a window root, each basis
+        vector's image ``x.reflect(s)`` lies in the span of slice s(r), and
+        each lifted vector's image (``lifted_dims``) in the span of the
+        lifted vectors of s(r).  Spans are ``SpanDict`` memberships, not
+        equalities: at l = 3, i(hddot_r - hddot_(r+1)) maps to a sum of two
+        basis vectors.  s then permutes the window's roots and, being
+        invertible and of finite order, maps each slice, and its lifted
+        part, onto those of s(r).  A reflection that fails is dropped,
+        which leaves the scan more classes to decide.
+
+        The scan's Weyl rule rests on the algebra's bracket and form being
+        W-equivariant, which tests pin for every algebra with a table.  An
+        algebra without a table, or a window whose class overrides
+        ``bracket`` or ``form``, gets no reflection.
+        """
+        if self._weyl is None:
+            table = getattr(self.alg, "simple_reflections", None)
+            own = type(self).bracket is RootSystemWindow.bracket and type(self).form is RootSystemWindow.form
+            self._weyl = tuple(filter(None, map(self._slice_map, table()))) if table and own else ()
+        return self._weyl
+
+    def _slice_map(self, moves):
+        """``weyl_maps``' map for one reflection, or None when it fails the slice check."""
+        cut = self.lifted_dims()
+        spans = {}
+        # each image is the window's own Root object: the scan's lookups of
+        # image triples then match roots by identity, without Root.__eq__
+        own = {r: r for r in self._roots}
+        roots = {r: own.get(Root(finite=reflect_weight(moves, r.finite), lattice=r.lattice)) for r in self._roots}
+        for r, image in roots.items():
+            if image is None:
+                return None
+            lifted = cut.get(r, self.dim(r))
+            for i, x in enumerate(self.basis(r)):
+                key = image, (cut.get(image, self.dim(image)) if i < lifted else self.dim(image))
+                if key not in spans:
+                    spans[key] = SpanDict(self.coords(y) for y in self.basis(image)[:key[1]])
+                if not spans[key].contains(self.coords(x.reflect(moves))):
+                    return None
+        return roots
 
     def base_view(self):
         """The window of the base algebra ``alg.base`` under this window of
@@ -388,7 +441,7 @@ def _verify_degree(alg, toral, degree):
         lams = alg.root_functional(root)
         for x in piece.basis:
             for lam, h in zip(lams, toral):
-                if not (alg.bracket(h, x) - x * lam).is_zero():
+                if alg.bracket(h, x) != x * lam:
                     raise DecompositionError(
                         f"basis vector at {root} is not an exact eigenvector of toral generator"
                     )
@@ -417,7 +470,7 @@ class BaseView(RootSystemWindow):
     central part, and its form is the base form; the tests pin both.  So
     ([x, y], z) and (x, [y, z]) agree on lifted triples in both algebras,
     and this window's invariance record is the parent's restricted to the
-    rotations that fail on lifted indices, once the parent has scanned.  If
+    triples that fail on lifted indices, once the parent has scanned.  If
     it has not (D alone), the view scans itself, the base window being the
     smaller of the two.  Its zero-sum triples are the parent's list.
     """
@@ -437,7 +490,7 @@ class BaseView(RootSystemWindow):
 
 
 def invariance_failures(win, triples, symmetric, cut=None):
-    """The rotations of ``triples`` carrying basis vectors with ([x, y], z)
+    """The triples of ``triples`` carrying basis vectors with ([x, y], z)
     != (x, [y, z]), each mapped to whether it fails on lifted indices.
 
     ``triples`` is closed under rotation.  The rotations (a, b, c), (b, c, a)
@@ -460,7 +513,18 @@ def invariance_failures(win, triples, symmetric, cut=None):
     exactly when (r, s, t) fails on (x, y, z).  Without ``symmetric`` there is
     no mirror rule, since it needs the symmetry that was not found.
 
-    Every failing rotation, and with ``symmetric`` its mirror, is recorded.
+    ``win.weyl_maps()`` adds the Weyl rule; a window without that method
+    has none.  A kept simple reflection s maps each slice onto the slice of
+    the reflected root, and its lifted part onto that slice's lifted part,
+    and the algebra's bracket and form are W-equivariant (the tests pin
+    this), so ([sx, sy], sz) = ([x, y], z) and (sx, [sy, sz]) = (x, [y, z]).
+    So (s(r), s(u), s(t)) fails exactly when (r, u, t) fails, and on lifted
+    indices exactly when (r, u, t) does.  The class of a triple is then
+    closed under the kept reflections too, and each Weyl image takes the
+    verdict of the member it is the image of.  Only the first triple of a
+    class, in list order, is bracketed and formed.
+
+    Every failing member of a class is recorded.
     ``cut`` (``RootSystemWindow.lifted_dims``) maps a root to the number of
     leading basis vectors of its slice that are lifted; a failing rotation
     through such a slice is compared again on lifted indices alone, and any
@@ -468,6 +532,7 @@ def invariance_failures(win, triples, symmetric, cut=None):
     more.  The mirror of a rotation fails on the same indices, reversed.
     """
     cut = cut or {}
+    weyl = win.weyl_maps() if hasattr(win, "weyl_maps") else ()
     decided = set()
     failed = {}
     for triple in triples:
@@ -475,9 +540,7 @@ def invariance_failures(win, triples, symmetric, cut=None):
             continue
         a, b, c = triple
         rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
-        decided.update(rotations)
-        if symmetric:
-            decided.update(rot[::-1] for rot in rotations)
+        members = rotations + ([rot[::-1] for rot in rotations] if symmetric else [])
         blocks = {
             (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
             for r, s, _ in rotations
@@ -492,14 +555,24 @@ def invariance_failures(win, triples, symmetric, cut=None):
                         for row in blocks[r, s]]
             for r, s, t in rotations
         }
+        fails = {}
         for r, s, t in rotations:
             if _tensors_differ(lhs[r, s, t], rhs[s, t, r]):
                 n = [cut.get(r), cut.get(s), cut.get(t)]
                 on_lifts = n == [None] * 3 or _tensors_differ(
                     _cut(lhs[r, s, t], n), _cut(rhs[s, t, r], n[1:] + n[:1]))
-                failed[r, s, t] = on_lifts
+                fails[r, s, t] = on_lifts
                 if symmetric:
-                    failed[t, s, r] = on_lifts
+                    fails[t, s, r] = on_lifts
+        verdicts = {m: fails.get(m) for m in members}
+        for m in members:  # grows with each new Weyl image, until the class is closed
+            for roots in weyl:
+                image = (roots[m[0]], roots[m[1]], roots[m[2]])
+                if image not in verdicts:
+                    verdicts[image] = verdicts[m]
+                    members.append(image)
+        decided.update(verdicts)
+        failed.update((m, v) for m, v in verdicts.items() if v is not None)
     return failed
 
 

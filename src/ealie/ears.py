@@ -267,26 +267,27 @@ def check_semilattice(members, nu, bound):
     rank nu.  The first violated condition is reported with a witness.
     """
     members = set(tuple(m) for m in members)
+    ordered = sorted(members)
     zero = (0,) * nu
     if zero not in members:
         return CheckResult("semilattice", False, "0 is missing", {"missing": zero})
-    for sigma in sorted(members):
+    for sigma in ordered:
         neg = tuple(-v for v in sigma)
         if neg not in members:
             return CheckResult(
                 "semilattice", False, "set is not symmetric", {"sigma": sigma, "missing": neg}
             )
-    for sigma in sorted(members):
-        for tau in sorted(members):
+    for sigma in ordered:
+        for tau in ordered:
             out = tuple(s + 2 * t for s, t in zip(sigma, tau))
-            if all(abs(v) <= bound for v in out) and out not in members:
+            if out not in members and all(abs(v) <= bound for v in out):
                 return CheckResult(
                     "semilattice",
                     False,
                     "sigma + 2 tau escapes the set inside the window",
                     {"sigma": sigma, "tau": tau, "missing": out},
                 )
-    rank = int_rank([list(m) for m in sorted(members)], nu)
+    rank = int_rank([list(m) for m in ordered], nu)
     if rank != nu:
         return CheckResult(
             "semilattice", False, f"span rank {rank} is less than the ambient rank {nu}", None
@@ -296,12 +297,13 @@ def check_semilattice(members, nu, bound):
 
 def _first_escaping_sum(win, da, db):
     """The first s + t (s in da, t in db) inside the window that is not an isotropic root."""
+    zero = win.fin.zero
+    isotropic = {r.lattice for r in win.pieces if r.finite == zero}
+    db = sorted(db)
     for s in sorted(da):
-        for t in sorted(db):
+        for t in db:
             tot = tuple(x + y for x, y in zip(s, t))
-            if not win.in_box(tot):
-                continue
-            if Root(finite=win.fin.zero, lattice=tot) not in win.pieces:
+            if tot not in isotropic and win.in_box(tot):
                 return {"first": s, "second": t, "sum": tot}
     return None
 

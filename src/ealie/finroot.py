@@ -8,6 +8,7 @@ product).  Zero is always treated as a member alongside the nonzero roots.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 # Offsets -STRING_SCAN..STRING_SCAN along alpha that a root string is probed at;
@@ -19,6 +20,7 @@ __all__ = [
     "RootStringError",
     "FiniteRootSystem",
     "components",
+    "reflect_weight",
     "root_string",
 ]
 
@@ -185,8 +187,52 @@ class FiniteRootSystem:
         n = int(c)
         return tuple(b - n * a for b, a in zip(beta, alpha))
 
+    def simple_reflections(self):
+        """The simple reflections of W(C_l), in the order of ``simple_roots``,
+        as signed permutations of the 2l indices of the symplectic matrices:
+        ``moves[j] = (pi(j), s_j)`` for the matrix P with P e_j = s_j e_pi(j).
+
+        Index j < l carries the weight e_j and index l + j the weight -e_j.
+        The reflection in e_i - e_(i+1) swaps i with i + 1 and l + i with
+        l + i + 1; the one in 2e_l maps e_(l-1) to e_(2l-1) and e_(2l-1) to
+        -e_(l-1), which keeps P symplectic.  Conjugation by P is the
+        elements' ``reflect``; ``reflect_weight`` reads the weight action off
+        the same table.  Built once per rank, at the first call.
+        """
+        return _simple_reflections(self.rank)
+
     def __repr__(self):
         return f"FiniteRootSystem({self.label}{self.rank}, {len(self.nonzero_roots)} nonzero roots)"
+
+
+@cache
+def _simple_reflections(ell):
+    table = []
+    for i in range(ell):
+        moves = [(j, 1) for j in range(2 * ell)]
+        if i < ell - 1:
+            for a in (i, ell + i):
+                moves[a], moves[a + 1] = (a + 1, 1), (a, 1)
+        else:
+            moves[i], moves[ell + i] = (ell + i, 1), (i, -1)
+        table.append(tuple(moves))
+    return tuple(table)
+
+
+def reflect_weight(moves, weight):
+    """The weight of P x P^-1 for x of the given weight, P the signed
+    permutation ``moves`` (``FiniteRootSystem.simple_reflections``): the
+    matrix unit e_ab has weight wt(a) - wt(b), and P moves it to e_pi(a)pi(b)."""
+    ell = len(weight)
+    out = [0] * ell
+    for j, f in enumerate(weight):
+        if f:
+            target = moves[j][0]
+            if target < ell:
+                out[target] += f
+            else:
+                out[target - ell] -= f
+    return tuple(out)
 
 
 def _vector(dim, entries):

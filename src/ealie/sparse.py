@@ -155,6 +155,17 @@ class SparseMatrix:
                     del out[key]
         return self._with(out)
 
+    def reflect(self, moves):
+        """P x P^-1 for the signed permutation P e_j = s_j e_pi(j) given as
+        ``moves[j] = (pi(j), s_j)`` (``FiniteRootSystem.simple_reflections``):
+        entry (a, b) moves to (pi(a), pi(b)), negated where s_a != s_b.  A
+        reindex: no coefficient is multiplied."""
+        out = {}
+        for (a, b), val in self.entries.items():
+            (pa, sa), (pb, sb) = moves[a], moves[b]
+            out[pa, pb] = val if sa == sb else -val
+        return self._with(out)
+
     def is_zero(self):
         return not self.entries
 

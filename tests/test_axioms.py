@@ -162,9 +162,10 @@ def test_tameness_brackets_and_forms_nothing(aff_win, aff_core):
 def test_only_check_T_brackets_opposite_nonisotropic_basis_pairs(aff_win):
     """Over a counted algebra, core_and_center_window brackets no pair of
     opposite nonisotropic basis vectors.  check_T brackets each of the 90
-    such +-alpha basis pairs twice: once for the window's bracket table,
-    which T3 builds, and once in T1's invariance scan, which keeps the
-    (alpha, -alpha) block as elements to form them with the zero slice.
+    such +-alpha basis pairs once for the window's bracket table, which T3
+    builds.  T1's invariance scan, which keeps the (alpha, -alpha) block as
+    elements to form them with the zero slice, brackets 25 of them again:
+    those of the classes it decides, the others being Weyl images.
     serre_check and check_props then bracket none: SERRE's sl2 triples and
     PROPS' prop-h-alpha-sum and prop-bracket-form-normalization read the
     tables.  PROPS forms no opposite basis pair that T1's Gram tables
@@ -189,7 +190,7 @@ def test_only_check_T_brackets_opposite_nonisotropic_basis_pairs(aff_win):
     pairs, t_formed = opposite(alg.bracketed, True), opposite(alg.formed, False)
     nonisotropic = win.nonisotropic_roots()
     assert len(pairs) == sum(win.dim(a) * win.dim(-a) for a in nonisotropic) // 2 == 90
-    assert set(pairs.values()) == {2}
+    assert Counter(pairs.values()) == Counter({1: 65, 2: 25})
     assert serre_check(win).passed
     props = check_props(win, core)
     assert props.passed, _failed(props)
@@ -267,11 +268,14 @@ _LEAN_SCANS = {}
 
 
 def _lean_scan(fixture, win):
-    """The symmetric invariance scan of a session window, counted; run once
-    per fixture and shared by the tests that read its brackets."""
+    """The symmetric invariance scan of a session window, counted, with its
+    record; run once per fixture and shared by the tests that read its
+    brackets.  The counting window overrides ``bracket`` and ``form``, so
+    the scan merges no Weyl images."""
     if fixture not in _LEAN_SCANS:
         scan = _Counting(win)
-        assert _first_non_invariant_triple(scan, win.zero_sum_triples(), True) is None
+        scan.record = invariance_failures(scan, win.zero_sum_triples(), True, win.lifted_dims())
+        assert scan.record == {}
         _LEAN_SCANS[fixture] = scan
     return _LEAN_SCANS[fixture]
 
@@ -358,6 +362,217 @@ def test_invariance_witness_matches_literal_loop_on_perturbed_windows(
     assert triples.index(tuple(witness)) == first
     assert _first_non_invariant_triple(win, triples, True) == witness
     assert _first_non_invariant_triple(win, triples, False) == witness
+
+
+# -- form invariance by Weyl classes --------------------------------------------
+
+
+class _TableAlgebra:
+    """Algebra wrapper whose ``simple_reflections()`` is the given table."""
+
+    def __init__(self, alg, table):
+        self._alg = alg
+        self._table = table
+
+    def __getattr__(self, name):
+        return getattr(self._alg, name)
+
+    def simple_reflections(self):
+        return self._table
+
+
+def _wrong_sign(moves):
+    """``moves`` with the sign of index 0 flipped: the matrix is no longer symplectic."""
+    (p, s), *rest = moves
+    return ((p, -s), *rest)
+
+
+def _scan_counts(alg, fixture_win):
+    """The invariance record of ``fixture_win``'s slices over ``alg``, and
+    the brackets and forms of that scan alone, counted through the algebra:
+    the window keeps its own ``bracket`` and ``form``, so the scan merges
+    the Weyl images of every reflection the window keeps."""
+    counted = _CountingAlgebra(alg)
+    win = RootSystemWindow(counted, fixture_win.w, fixture_win.pieces)
+    win.asymmetric_root()
+    counted.bracketed.clear()
+    counted.formed.clear()
+    record = win.invariance()
+    return record, len(counted.bracketed), len(counted.formed)
+
+
+@pytest.mark.parametrize("fixture, brackets, forms", [
+    ("aff_win", 1544, 4480),
+    ("torus_win", 1256, 3096),
+    ("sp4_win", 17, 23),
+], ids=["aff_win", "torus_win", "sp4_win"])
+def test_weyl_classes_cut_brackets_and_forms(fixture, brackets, forms, request):
+    """Beside the counts of the scan without Weyl images: each
+    <W, rotation, mirror> class is bracketed and formed once."""
+    win = request.getfixturevalue(fixture)
+    assert _scan_counts(win.alg, win) == ({}, brackets, forms)
+
+
+@pytest.mark.parametrize("fixture", ["sp4_win", "torus_win", "aff_win"])
+def test_bracket_and_form_are_weyl_equivariant(fixture, request):
+    """The Weyl rule's premise, [sx, sy] = s[x, y] and (sx, sy) = (x, y) for
+    each simple reflection s: on every basis pair of ``sp4_win``, on every
+    pair the invariance scans of ``torus_win`` and ``aff_win`` bracket, and
+    for the form on every pair of opposite basis vectors, the only pairs it
+    can pair to nonzero."""
+    win = request.getfixturevalue(fixture)
+    alg = win.alg
+    if fixture == "sp4_win":
+        flat = [x for _, x in win.all_basis()]
+        pairs = [(x, y, alg.bracket(x, y)) for x in flat for y in flat]
+    else:
+        pairs = _lean_scan(fixture, win).bracketed
+    opposite = [(x, y) for root, x in win.all_basis() if -root in win.pieces for y in win.basis(-root)]
+    for moves in alg.simple_reflections():
+        for x, y, xy in pairs:
+            sx, sy = x.reflect(moves), y.reflect(moves)
+            assert alg.bracket(sx, sy) == xy.reflect(moves)
+            assert alg.form(sx, sy) == alg.form(x, y)
+        for x, y in opposite:
+            assert alg.form(x.reflect(moves), y.reflect(moves)) == alg.form(x, y)
+
+
+@pytest.mark.parametrize("fixture", [
+    "torus_win", "torus_win2", "aff_win", "aff_win2", "sp4_win", "sqrt_win", "underived_win",
+])
+def test_every_fixture_window_keeps_every_simple_reflection(fixture, request):
+    """The runtime slice map holds on every fixture window and on the base
+    view of each affinized one, and each kept map is ``fin.reflect`` in the
+    simple root on finite parts, degrees kept."""
+    win = request.getfixturevalue(fixture)
+    for w in [win, win.base_view()] if hasattr(win.alg, "base") else [win]:
+        maps = w.weyl_maps()
+        assert len(maps) == w.fin.rank
+        for alpha, roots in zip(w.fin.simple_roots, maps):
+            assert roots == {r: Root(finite=w.fin.reflect(alpha, r.finite), lattice=r.lattice)
+                             for r in w.roots()}
+
+
+def test_slice_map_reads_spans_not_basis_vectors():
+    """At l = 3 a reflection maps i(hddot_r - hddot_(r+1)) in the zero slice
+    to a sum of two basis vectors, which is no basis vector up to sign; the
+    reflection is kept, since the image lies in the slice's span."""
+    win = decompose_window(TorusMatrixAlgebra(3, Q_MIXED), 0)
+    assert len(win.weyl_maps()) == 3
+    zero = Root(finite=(0, 0, 0), lattice=(0, 0))
+    basis = [win.coords(x) for x in win.basis(zero)]
+    images = [win.coords(x.reflect(moves)) for moves in win.alg.simple_reflections()
+              for x in win.basis(zero)]
+    assert any(c not in basis and {k: -v for k, v in c.items()} not in basis for c in images)
+
+
+def test_a_reflection_with_a_wrong_sign_is_dropped(aff_win):
+    """Mutation: one wrong sign in the table drops that reflection and keeps
+    the others.  A table holding only that entry leaves the scan without
+    Weyl images: its record and counts are those of the scan without them."""
+    table = aff_win.alg.simple_reflections()
+    for i in range(len(table)):
+        mutated = table[:i] + (_wrong_sign(table[i]),) + table[i + 1:]
+        win = RootSystemWindow(_TableAlgebra(aff_win.alg, mutated), aff_win.w, aff_win.pieces)
+        assert win.weyl_maps() == aff_win.weyl_maps()[:i] + aff_win.weyl_maps()[i + 1:]
+    lean = _lean_scan("aff_win", aff_win)
+    alone = _TableAlgebra(aff_win.alg, (_wrong_sign(table[0]),))
+    assert _scan_counts(alone, aff_win) == (lean.record, lean.brackets, lean.forms) == ({}, 5263, 11497)
+
+
+class _LiftsCutAcrossAnOrbit(_Rebuilt):
+    """A fixture window whose zero slice holds hdot_0, the imaginary lift,
+    c_0, then hdot_1 and the other c and d vectors: the slice spans what it
+    spanned, but its leading vectors, those ``lifted_dims`` counts as
+    lifted, hold c_0 and not hdot_1."""
+
+    def __init__(self, win):
+        super().__init__(win)
+        h0, h1, imaginary, c0, *rest = win.basis(_ZERO2)
+        self.pieces = {**win.pieces, _ZERO2: GradedPiece(root=_ZERO2, basis=(h0, imaginary, c0, h1, *rest))}
+
+
+def test_a_reflection_that_moves_lifted_vectors_off_the_lifts_is_dropped(aff_win):
+    """The reflection in e_1 - e_2 maps hdot_0 to hdot_1, which is no longer
+    among the lifted vectors, so it is dropped; the one in 2e_2 keeps them."""
+    win = _LiftsCutAcrossAnOrbit(aff_win)
+    assert win.lifted_dims() == aff_win.lifted_dims()
+    assert win.weyl_maps() == aff_win.weyl_maps()[1:]
+
+
+@pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sp4_win", "sqrt_win", "aff_view"])
+def test_weyl_record_is_the_record_without_weyl_images(fixture, request):
+    """On the fixture windows and on the base view of ``aff_win``, which
+    scans itself when its parent has not scanned."""
+    if fixture == "aff_view":
+        win = request.getfixturevalue("aff_win").base_view()
+    else:
+        win = request.getfixturevalue(fixture)
+    fresh = RootSystemWindow(win.alg, win.w, win.pieces)
+    assert fresh.weyl_maps() and fresh.invariance() == _lean_scan(fixture, win).record
+
+
+def _up_to_sign(alg, x):
+    """x's coordinates scaled by the sign that makes the first one positive, and that sign."""
+    c = alg.coords(x)
+    sign = 1 if not c or c[min(c)] > 0 else -1
+    return frozenset((k, sign * v) for k, v in c.items()), sign
+
+
+class _OrbitPerturbed:
+    """Algebra wrapper whose bracket adds s(v) to [s(x), s(y)] and -s(v) to
+    [s(y), s(x)] over the whole orbit of (x, y, v) under the table's
+    reflections, x, y and v basis vectors of slices a, b and a + b; operands
+    are matched up to sign.  Where the orbit meets the window's basis
+    vectors up to sign, the bracket stays antisymmetric, graded and
+    W-equivariant on them, and the form is no longer invariant."""
+
+    def __init__(self, alg, x, y, v):
+        self._alg = alg
+        self._delta = {}
+        orbit = [(x, y, v)]
+        for x, y, v in orbit:
+            (kx, sx), (ky, sy) = _up_to_sign(alg, x), _up_to_sign(alg, y)
+            signed = v * (sx * sy)
+            if (kx, ky) in self._delta:
+                assert self._delta[kx, ky] == signed  # one perturbation per pair
+                continue
+            self._delta[kx, ky], self._delta[ky, kx] = signed, -signed
+            orbit.extend((x.reflect(m), y.reflect(m), v.reflect(m)) for m in alg.simple_reflections())
+
+    def __getattr__(self, name):
+        return getattr(self._alg, name)
+
+    def bracket(self, x, y):
+        out = self._alg.bracket(x, y)
+        (kx, sx), (ky, sy) = _up_to_sign(self._alg, x), _up_to_sign(self._alg, y)
+        delta = self._delta.get((kx, ky))
+        return out if delta is None else out + delta * (sx * sy)
+
+
+@pytest.mark.parametrize("fixture, a, b", [
+    ("sp4_win", _root((2, 0), ()), _root((-1, -1), ())),
+    ("aff_win", _root((2, 0), (0, 1)), _root((-1, -1), (1, 0))),
+])
+def test_weyl_scan_names_the_literal_witness_of_an_equivariant_perturbation(fixture, a, b, request):
+    """A perturbation of the algebra's bracket over a whole Weyl orbit keeps
+    the Weyl rule's premises, so the window keeps every reflection; the
+    record is that of the scan without Weyl images, and T1 names the first
+    failing triple of the literal loop.  With a table whose one entry has a
+    wrong sign, the scan merges nothing and counts what the scan without
+    Weyl images counts."""
+    base = request.getfixturevalue(fixture)
+    alg = _OrbitPerturbed(base.alg, base.basis(a)[0], base.basis(b)[0], base.basis(a + b)[0])
+    win = RootSystemWindow(alg, base.w, base.pieces)
+    assert len(win.weyl_maps()) == win.fin.rank
+    triples = win.zero_sum_triples()
+    witness = literal_first_non_invariant_triple(win, triples)
+    assert witness is not None
+    assert _form_check(win, "T1-form-invariant").witness == {"roots": witness}
+    plain = _Counting(win)
+    assert win.invariance() == invariance_failures(plain, triples, True, win.lifted_dims())
+    wrong = _TableAlgebra(alg, (_wrong_sign(alg.simple_reflections()[0]),))
+    assert _scan_counts(wrong, base) == (win.invariance(), plain.brackets, plain.forms)
 
 
 # -- D on the base view of an affinized window ----------------------------------

@@ -8,6 +8,7 @@ from ealie.finroot import (
     Root,
     RootStringError,
     components,
+    reflect_weight,
     root_string,
 )
 
@@ -34,6 +35,21 @@ def test_reflection_closure_and_irreducibility(rank):
     assert all(fin.reflect(alpha, beta) in roots for alpha in roots for beta in roots)
     assert len(components(roots, lambda a, b: bool(fin.pairing(a, b)))) == 1
     assert len(fin.simple_roots) == rank
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_simple_reflection_table_acts_on_weights_as_reflect(rank):
+    """Each entry is a signed permutation of the 2l matrix indices, one per
+    simple root, and the weight action read off it is ``reflect``."""
+    fin = FiniteRootSystem(rank)
+    table = fin.simple_reflections()
+    assert table is FiniteRootSystem(rank).simple_reflections()  # built once per rank
+    assert len(table) == rank
+    for alpha, moves in zip(fin.simple_roots, table):
+        assert sorted(p for p, _ in moves) == list(range(2 * rank))
+        assert {s for _, s in moves} <= {1, -1}
+        for beta in fin.nonzero_roots | {fin.zero}:
+            assert reflect_weight(moves, beta) == fin.reflect(alpha, beta)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])

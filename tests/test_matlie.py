@@ -86,6 +86,22 @@ def test_star_involutive_antiautomorphism():
         assert star(x @ y) == star(y) @ star(x)
 
 
+@pytest.mark.parametrize("ell, q", [(2, Q2), (3, Q3)])
+def test_simple_reflections_are_symplectic_and_commute_with_star(ell, q):
+    """Conjugation by each signed permutation of the table fixes E, so the
+    matrix lies in Sp(2l); it then commutes with the involution and with
+    products, so it maps B to itself and preserves the bracket."""
+    rng = random.Random(4)
+    box = lattice_box(q.nu, 1)
+    for moves in FiniteRootSystem(ell).simple_reflections():
+        assert big_e(ell, q).reflect(moves) == big_e(ell, q)
+        for _ in range(10):
+            x, y = (_random_element(rng, ell, q, box) for _ in range(2))
+            assert star(x.reflect(moves)) == star(x).reflect(moves)
+            assert (x @ y).reflect(moves) == x.reflect(moves) @ y.reflect(moves)
+            assert trace_form(x.reflect(moves), y.reflect(moves)) == trace_form(x, y)
+
+
 def _degree_slice(ell, q, sigma, real_only=False):
     """skew_root_basis joined over weight 0 and the sorted type-C roots."""
     weights = [(0,) * ell] + sorted(FiniteRootSystem(ell).nonzero_roots)

@@ -278,7 +278,12 @@ class AffinizedAlgebra:
     def extension_basis(self):
         """c_0, ..., c_(nu-1), then d_0, ..., d_(nu-1): the vectors that follow
         the lifts in the weight-0 degree-0 slice and in the toral basis."""
-        return tuple([self.c_gen(i) for i in range(self.nu)] + [self.d_gen(i) for i in range(self.nu)])
+        return tuple(self.c_gen(i) for i in range(self.nu)) + self.derivation_basis()
+
+    def derivation_basis(self):
+        """d_0, ..., d_(nu-1): the slice vectors outside [L, L], since no
+        bracket has a d part."""
+        return tuple(self.d_gen(i) for i in range(self.nu))
 
     # -- structure ------------------------------------------------------------
 

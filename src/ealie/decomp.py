@@ -18,9 +18,11 @@ exactly when its finite part lies in ``fin``.
 An algebra that extends a base algebra (the affinized one) also provides
 ``base``, ``base_part(x)`` (the base element x lifts, or None) and
 ``extension_basis()``, the vectors that close its weight-0 degree-0 slice
-after the lifts.  An algebra whose elements carry ``reflect(moves)``, the
-action of a simple reflection of W(C_l), provides ``simple_reflections()``,
-the table ``FiniteRootSystem.simple_reflections`` those moves come from; the
+after the lifts; one whose slices hold vectors that no bracket reaches
+(the affinized degree derivations) names them in ``derivation_basis()``.
+An algebra whose elements carry ``reflect(moves)``, the action of a simple
+reflection of W(C_l), provides ``simple_reflections()``, the table
+``FiniteRootSystem.simple_reflections`` those moves come from; the
 invariance scan then merges the Weyl images of its classes.
 
 decompose_window builds the slices for all lattice degrees of max-norm <= w
@@ -821,11 +823,17 @@ def _core_basis(win, delta):
     Brackets [x, y] of opposite nonzero-weight slices with lattice degrees
     sigma and delta - sigma, sigma in the box of max-norm w + EXTRA_MARGIN, in
     box order; each one that grows the span joins the basis.  Every bracket
-    lies in the algebra's slice at delta, which the window built from the
-    same graded pieces, so that slice is the ceiling of ``fill_span``.
+    lies in [L, L] and in the algebra's slice at delta, which the window
+    built from the same graded pieces.  So the ceiling of ``fill_span`` is
+    that slice without the vectors of ``alg.derivation_basis()``, which no
+    bracket reaches: on the affinized algebra the d_i of the degree-0 slice,
+    which a full ceiling would keep the span from ever filling.  A bracket
+    with a d part would leave this ceiling, and the scan would then read
+    its whole box.
     """
     alg = win.alg
-    ceiling = SpanDict(alg.coords(v) for v in win.basis(delta))
+    outside = getattr(alg, "derivation_basis", tuple)()
+    ceiling = SpanDict(alg.coords(v) for v in win.basis(delta) if v not in outside)
     weights = sorted({r.finite for r in win.nonisotropic_roots()})
     degrees = lattice_box(alg.nu, win.w + EXTRA_MARGIN)
     brackets = opposite_brackets(alg.root_piece, alg.bracket, weights, delta.lattice, degrees)
@@ -848,7 +856,9 @@ def core_and_center_window(win):
 
     The core piece at a nonisotropic root is the full slice; at an isotropic
     root it is the exact span of all brackets of opposite nonzero-weight
-    slices whose lattice degrees stay within w + EXTRA_MARGIN.  The
+    slices whose lattice degrees stay within w + EXTRA_MARGIN, read until the
+    span fills the part of the window slice in [L, L] (``_core_basis``: the
+    slice without the affinized d_i).  The
     centralizer is solved per isotropic degree on the window slice against a
     small generating set, survivors re-verified against every core vector;
     nonisotropic slices cannot meet it because a toral generator already acts

@@ -6,10 +6,10 @@ shortest nonzero roots have norm 1 (the bilinear form is half the dot
 product).  Zero is always treated as a member alongside the nonzero roots.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 # Offsets -STRING_SCAN..STRING_SCAN along alpha that a root string is probed at;
 # a string reaching either end is reported as unbounded.
@@ -25,9 +25,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """A root of a lattice-graded decomposition: finite part plus lattice degree."""
+class Root(NamedTuple):
+    """A root of a lattice-graded decomposition: finite part plus lattice degree.
+
+    A named pair, so hashing, equality and order run as the tuple's
+    ``(finite, lattice)``.
+    """
 
     finite: tuple
     lattice: tuple

@@ -6,7 +6,7 @@ import pytest
 
 from ealie import decomp
 from ealie.axioms import check_props
-from ealie.constructions import TorusMatrixAlgebra
+from ealie.constructions import AffinizedAlgebra, AffinizedElement, TorusMatrixAlgebra
 from ealie.decomp import (
     EXTRA_MARGIN,
     DecompositionError,
@@ -354,17 +354,49 @@ def test_core_pieces_match_full_box_oracle(request, name):
         assert _layout(win, got) == _layout(win, expected)
 
 
+_ZERO = Root(finite=(0, 0), lattice=(0, 0))
+
+
 def test_core_scan_stops_when_each_span_is_full(monkeypatch, aff_win):
     calls = _counting_brackets(monkeypatch, aff_win.alg)
-    fewer = 0
+    read = {}
     for delta in aff_win.isotropic_roots():
         calls.clear()
         _core_basis(aff_win, delta)
         box = sum(1 for _ in _box_pairs(aff_win, delta, distinct=True))
-        assert len(calls) <= box
-        fewer += len(calls) < box
-    # every degree but 0, whose window slice also holds c and d, stops early
-    assert fewer == len(aff_win.isotropic_roots()) - 1
+        assert len(calls) < box, delta
+        read[delta] = (len(calls), box)
+    # degree 0 too: its ceiling leaves out d_0 and d_1, which no bracket reaches
+    assert read[_ZERO] == (21, 490)
+
+
+def test_no_bracket_of_the_degree_zero_core_box_has_a_derivation_part(aff_win):
+    """The premise of the degree-0 ceiling, on every bracket the scan may read."""
+    alg = aff_win.alg
+    brackets = [alg.bracket(x, y) for x, y in _box_pairs(aff_win, _ZERO, distinct=True)]
+    assert len(brackets) == 490
+    assert not any(any(b.d) for b in brackets)
+    # the central part is there, so the brackets do leave the lifts
+    assert any(any(b.c) for b in brackets)
+
+
+class _BracketWithDerivationPart(AffinizedAlgebra):
+    """Mutation: every bracket also carries its central part as a d part."""
+
+    def bracket(self, x, y):
+        b = super().bracket(x, y)
+        return AffinizedElement(b.g, b.c, b.c)
+
+
+def test_core_scan_reads_the_whole_box_when_a_bracket_has_a_derivation_part(monkeypatch, aff_win):
+    win = RootSystemWindow(_BracketWithDerivationPart(aff_win.alg.base), aff_win.w, aff_win.pieces)
+    calls = _counting_brackets(monkeypatch, win.alg)
+    got = _core_basis(win, _ZERO)
+    assert len(calls) == sum(1 for _ in _box_pairs(win, _ZERO, distinct=True)) == 490
+    expected = _full_box_core(win, _ZERO)
+    assert any(any(b.d) for b in expected)
+    assert list(got) == expected
+    assert _layout(win, got) == _layout(win, expected)
 
 
 def _reading():

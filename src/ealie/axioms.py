@@ -20,11 +20,10 @@ Four families of checks:
   perfectness, the center/radical identities).
 
 Every universally quantified statement is truncated to the window basis, as
-each detail string says.  Three checks also draw, from one seeded stream per
-suite: invariance above ``EXHAUSTIVE_LIMIT`` draws its sampled triples, and
-T3 and D12a draw coefficient lists for their combinations (two and one per
-slice of dimension above 1), all before deciding any root.  All arithmetic
-is exact.
+each detail string says.  Two checks also draw, from one seeded stream per
+suite: T3 and D12a draw coefficient lists for their combinations (two and
+one per slice of dimension above 1), all before deciding any root.  All
+arithmetic is exact.
 """
 
 import random
@@ -64,9 +63,6 @@ __all__ = [
     "check_props",
 ]
 
-# Zero-sum basis triples up to which form invariance is checked exhaustively;
-# above it, a seeded sample of 2000 is checked.
-EXHAUSTIVE_LIMIT = 100_000
 # Longest ad-chain T4 accepts; a longer one fails T4 with its length.
 NILPOTENCY_BOUND = 9
 # Brackets after which an ad-chain that is still nonzero fails T4.
@@ -88,7 +84,7 @@ def _metadata(win):
     }
 
 
-def _form_checks(win, prefix, rng, seed):
+def _form_checks(win, prefix):
     """Symmetry, per-root nondegeneracy and invariance of the form, under two
     premises: P1, the bracket adds roots; P2, the form pairs only opposite roots.
 
@@ -99,15 +95,15 @@ def _form_checks(win, prefix, rng, seed):
     The form is symmetric exactly when each gram(r) is the transpose of
     gram(-r); the witness is the first root where it is not
     (``win.asymmetric_root``).  By P1 and P2 invariance scans only zero-sum
-    triples.  The exhaustive branch reads the window's invariance record,
+    triples, exhaustively.  It reads the window's invariance record,
     scanned once per window, one class of rotations, mirrors and Weyl
-    images at a time (``win.invariance``): T1 and D1 on one window
-    share it, and D1 on a base view reads its parent's, restricted to lifted
-    indices, once the parent has scanned.  Its witness is the first triple of ``win.zero_sum_triples()``
-    in the record.  Witnesses name the first failure found.  The sampled
-    invariance branch always makes all of its draws from ``rng``, so the
-    stream after it does not depend on where (or whether) a failure was
-    found.
+    images at a time (``win.invariance``): T1 and D1 on one window share
+    it, and D1 on a base view reads its parent's, restricted to lifted
+    indices, once the parent has scanned.  Its witness is the first triple
+    of ``win.zero_sum_triples()`` in the record, which is listed only when
+    the record holds a failure; the count of basis triples comes from the
+    window's classes (``win.basis_triple_count``).  Witnesses name the
+    first failure found.
     """
     results = []
     roots = win.roots()
@@ -136,28 +132,11 @@ def _form_checks(win, prefix, rng, seed):
         nondeg_witness,
     ))
 
-    triples = win.zero_sum_triples()
-    total = sum(
-        win.dim(r1) * win.dim(r2) * win.dim(r3) for r1, r2, r3 in triples
-    )
+    failed = win.invariance()
     inv_witness = None
-    if total <= EXHAUSTIVE_LIMIT:
-        mode = f"exhaustive on all {total} zero-sum basis triples"
-        failed = win.invariance()
-        if failed:
-            inv_witness = {"roots": next(list(t) for t in triples if t in failed)}
-    else:
-        n = 2000
-        mode = f"sampled: {n} of {total} zero-sum basis triples (seed {seed})"
-        for _ in range(n):
-            r1, r2, r3 = triples[rng.randrange(len(triples))]
-            x = win.basis(r1)[rng.randrange(win.dim(r1))]
-            y = win.basis(r2)[rng.randrange(win.dim(r2))]
-            z = win.basis(r3)[rng.randrange(win.dim(r3))]
-            if inv_witness is None and (
-                win.form(win.bracket(x, y), z) != win.form(x, win.bracket(y, z))
-            ):
-                inv_witness = {"roots": [r1, r2, r3]}
+    if failed:
+        inv_witness = {"roots": next(list(t) for t in win.zero_sum_triples() if t in failed)}
+    mode = f"exhaustive on all {win.basis_triple_count()} zero-sum basis triples"
     results.append(CheckResult(f"{prefix}-form-invariant", inv_witness is None, mode, inv_witness))
     return results
 
@@ -359,7 +338,7 @@ def _first_unsolvable_root(win, rng, combos):
 def check_T(win, seed=0):
     """The six-axiom suite on a windowed algebra with form and toral basis."""
     rng = random.Random(seed)
-    results = list(_form_checks(win, "T1", rng, seed))
+    results = list(_form_checks(win, "T1"))
     results.append(_graded_form_check(win, _Supports(win), "T1-form-graded"))
 
     toral = win.toral
@@ -490,7 +469,7 @@ def check_D(win, seed=0):
     rng = random.Random(seed)
     alg = win.alg
     fin = win.fin
-    results = list(_form_checks(win, "D1", rng, seed))
+    results = list(_form_checks(win, "D1"))
     table = _Supports(win)
 
     toral = win.toral
@@ -907,7 +886,11 @@ def check_props(win, core):
     prop-bracket-form-normalization (``sl2_search``) read the window's
     bracket and Gram tables, which T3 and T1 have built when ``check_T``
     ran first on the same window, and bracket or form no opposite slice
-    pair themselves.
+    pair themselves.  prop-t-delta-central brackets t_delta against the
+    window only when coords(t_delta) grows the span of the earlier ones: any
+    other t_delta is a combination of earlier representatives that commute
+    with the window, and the bracket is bilinear, so the first failing delta
+    grows the span and the witness is the literal loop's.
     """
     alg = win.alg
     results = []
@@ -948,23 +931,17 @@ def check_props(win, core):
         t_core_witness,
     ))
 
-    flat = [(root, x) for root, x in win.all_basis()]
-    t_central_ok = True
+    flat = [x for _, x in win.all_basis()]
+    spanned = SpanDict()
     t_central_witness = None
-    for delta in win.isotropic_roots():
+    for delta in isotropic:
         t = win.rep_t(delta)
-        if t.is_zero():
-            continue
-        for _, z in flat:
-            if not win.bracket(t, z).is_zero():
-                t_central_ok = False
-                t_central_witness = {"delta": delta}
-                break
-        if not t_central_ok:
+        if spanned.add(win.coords(t)) and not all(win.bracket(t, z).is_zero() for z in flat):
+            t_central_witness = {"delta": delta}
             break
     results.append(CheckResult(
         "prop-t-delta-central",
-        t_central_ok,
+        t_central_witness is None,
         "isotropic representatives commute with the whole window",
         t_central_witness,
     ))

@@ -37,7 +37,9 @@ through the verified window object.  The window brackets and forms opposite
 slices once, on first use: ``bracket_table`` per +-root pair, read by T3,
 D12a, the sl2 triples and PROPS, and ``gram`` per root, read by the form
 checks of T1 and D1 and by PROPS.  It scans form invariance once too
-(``invariance``), for T1 and D1 on the window and for D1 on its base view.
+(``invariance``), for T1 and D1 on the window and for D1 on its base view:
+by the classes ``weyl_classes`` enumerates without listing a triple, and
+over the listed triples only when a premise or a class fails.
 
 ``fill_span`` is the one stop rule for spans of brackets known to lie in a
 given slice: the isotropic core slices here and the derived weight-0 slices
@@ -47,6 +49,7 @@ layer only computes spans; the suites decide every claim about them.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .ears import first_broken_string
 from .finroot import Root, reflect_weight
@@ -70,6 +73,7 @@ __all__ = [
     "decompose_window",
     "graded_pieces",
     "invariance_failures",
+    "failing_class",
     "toral_commute",
     "combine",
     "sl2_search",
@@ -139,13 +143,15 @@ class RootSystemWindow:
         for r in self._roots:
             split[self.is_isotropic(r)].append(r)
         self._nonisotropic, self._isotropic = map(tuple, split)
-        self._t_cache = {}
+        self._t_cache = {}  # root -> rep_t(root), and tuple(root_functional(root)) -> the same
         self._tables = {}  # root -> bracket_table(root), first root of each +-root pair
         self._grams = {}  # root -> gram(root)
+        self._asymmetric = None  # (asymmetric_root(),) once found
         self._strings = None  # (first_broken_string(self),) once scanned
         self._triples = None  # zero_sum_triples(), once built
         self._invariance = None  # invariance(), once scanned
         self._weyl = None  # weyl_maps(), once checked
+        self._classes = None  # (weyl_classes(),) once enumerated
         self._toral = tuple(alg.toral_basis())
         self._gram = [[alg.form(h1, h2) for h2 in self._toral] for h1 in self._toral]
 
@@ -217,14 +223,23 @@ class RootSystemWindow:
         return [row[:] for row in self._gram]
 
     def rep_t(self, root):
-        """The form representative t with (t, h) = root(h) for all toral h."""
+        """The form representative t with (t, h) = root(h) for all toral h.
+
+        t depends on the functional root(h) alone, so roots with one
+        functional share one solve: on a torus algebra, whose functional
+        reads finite parts only, every root with the same finite part.
+        """
         cached = self._t_cache.get(root)
         if cached is None:
             rhs = self.alg.root_functional(root)
-            sol = solve_dense(self._gram, rhs)
-            if sol is None:
-                raise DecompositionError(f"toral form is degenerate against {root}")
-            cached = combine(self._toral, sol, self.alg.zero())
+            key = tuple(rhs)
+            cached = self._t_cache.get(key)
+            if cached is None:
+                sol = solve_dense(self._gram, rhs)
+                if sol is None:
+                    raise DecompositionError(f"toral form is degenerate against {root}")
+                cached = combine(self._toral, sol, self.alg.zero())
+                self._t_cache[key] = cached
             self._t_cache[root] = cached
         return cached
 
@@ -258,12 +273,15 @@ class RootSystemWindow:
     def asymmetric_root(self):
         """The first root r whose ``gram(r)`` is not the transpose of
         ``gram(-r)``, over the roots whose opposite is in the window; None
-        when the form is symmetric on every pair of opposite slices."""
-        return next(
-            (r for r in self._roots
-             if -r in self.pieces and self.gram(r) != [list(col) for col in zip(*self.gram(-r))]),
-            None,
-        )
+        when the form is symmetric on every pair of opposite slices.  Found
+        once: T1/D1's symmetry check and the invariance scan both read it."""
+        if self._asymmetric is None:
+            self._asymmetric = (next(
+                (r for r in self._roots
+                 if -r in self.pieces and self.gram(r) != [list(col) for col in zip(*self.gram(-r))]),
+                None,
+            ),)
+        return self._asymmetric[0]
 
     def zero_sum_triples(self):
         """Root triples summing to zero, built once; only these can carry a
@@ -297,19 +315,64 @@ class RootSystemWindow:
         return {zero: self.dim(zero) - len(extension())}
 
     def invariance(self):
-        """``invariance_failures`` of this window's zero-sum triples, scanned
-        once: {failing triple: whether it fails on lifted indices}.
+        """Form invariance on this window's zero-sum triples, scanned once:
+        {failing triple: whether it fails on lifted indices}.
 
         The scan takes the mirror rule exactly when ``asymmetric_root`` finds
         no asymmetric pair of opposite slices, the Weyl rule for the
-        reflections ``weyl_maps`` keeps, and cuts slices by
-        ``lifted_dims``.  T1 and D1 on this window, and D1 on its base view
-        once this window has scanned, read this one record.
+        reflections ``weyl_maps`` keeps, and cuts slices by ``lifted_dims``.
+        When ``weyl_classes`` holds, ``failing_class`` decides each class
+        from its first member and lists nothing; if every class passes, no
+        triple fails.  Otherwise (a premise fails, or a class does)
+        ``invariance_failures`` scans the listed ``zero_sum_triples()``: it
+        names every failing member, as T1's witness and D1's record on
+        lifted indices need.  T1 and D1 on this window, and D1 on its base
+        view once this window has scanned, read this one record.
         """
         if self._invariance is None:
-            self._invariance = invariance_failures(
-                self, self.zero_sum_triples(), self.asymmetric_root() is None, self.lifted_dims())
+            symmetric = self.asymmetric_root() is None
+            cut = self.lifted_dims()
+            classes = self.weyl_classes()
+            if classes is not None and failing_class(self, classes, symmetric, cut) is None:
+                self._invariance = {}
+            else:
+                self._invariance = invariance_failures(self, self.zero_sum_triples(), symmetric, cut)
         return self._invariance
+
+    def weyl_classes(self):
+        """The <W, rotation, mirror> classes of the zero-sum root triples, in
+        list order: (first member, member count) per class, the classes
+        ``invariance_failures`` decides on the listed triples, enumerated
+        without that list.  None when a premise fails; checked once.
+
+        The premises: the window is full, every finite part at every degree
+        of its box (a size test, since every root lies in the box), and
+        ``weyl_maps`` keeps every simple reflection of
+        ``fin.simple_reflections()``, so the Weyl rule merges by all of
+        W(C_l), the signed permutations of the coordinates (Bourbaki, ch. VI,
+        plate III).  The mirror rule is taken as the scan takes it.
+        """
+        if self._classes is None:
+            table = getattr(self.alg, "simple_reflections", None)
+            finite = sorted({r.finite for r in self._roots})
+            full = len(self._roots) == len(finite) * (2 * self.w + 1) ** self.alg.nu
+            whole = (table is not None and table() == self.fin.simple_reflections()
+                     and len(self.weyl_maps()) == self.fin.rank)
+            mirror = self.asymmetric_root() is None
+            self._classes = (_classes(finite, self.w, self.alg.nu, mirror) if full and whole else None,)
+        return self._classes[0]
+
+    def basis_triple_count(self):
+        """The number of zero-sum basis triples: d1 d2 d3 summed over the
+        zero-sum root triples, d the slice dimensions.  Dimensions are
+        constant on a class of ``weyl_classes`` (a kept reflection maps each
+        slice onto the reflected one), so each class adds its member count
+        times its first member's product; without the classes, the listed
+        triples are summed."""
+        classes = self.weyl_classes()
+        if classes is None:
+            classes = ((triple, 1) for triple in self.zero_sum_triples())
+        return sum(n * self.dim(a) * self.dim(b) * self.dim(c) for (a, b, c), n in classes)
 
     def weyl_maps(self):
         """The simple reflections the invariance scan may merge classes by,
@@ -474,7 +537,11 @@ class BaseView(RootSystemWindow):
     and this window's invariance record is the parent's restricted to the
     triples that fail on lifted indices, once the parent has scanned.  If
     it has not (D alone), the view scans itself, the base window being the
-    smaller of the two.  Its zero-sum triples are the parent's list.
+    smaller of the two.  Its zero-sum triples are the parent's list.  Once
+    the parent has scanned, the parent's ``weyl_classes`` serve the view's
+    ``basis_triple_count``: the roots are the same, and the view's slice
+    dimensions are the parent's lifted ones, which the parent's kept
+    reflections preserve.
     """
 
     def __init__(self, parent, pieces):
@@ -483,6 +550,10 @@ class BaseView(RootSystemWindow):
 
     def zero_sum_triples(self):
         return self.parent.zero_sum_triples()
+
+    def weyl_classes(self):
+        classes = self.parent.weyl_classes() if self.parent._invariance is not None else None
+        return super().weyl_classes() if classes is None else classes
 
     def invariance(self):
         if self._invariance is None and self.parent._invariance is not None:
@@ -540,32 +611,7 @@ def invariance_failures(win, triples, symmetric, cut=None):
     for triple in triples:
         if triple in decided:
             continue
-        a, b, c = triple
-        rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
-        members = rotations + ([rot[::-1] for rot in rotations] if symmetric else [])
-        blocks = {
-            (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
-            for r, s, _ in rotations
-        }
-        lhs = {
-            (r, s, t): [[[win.form(xy, z) for z in win.basis(t)] for xy in row]
-                        for row in blocks[r, s]]
-            for r, s, t in rotations
-        }
-        rhs = lhs if symmetric else {
-            (r, s, t): [[[win.form(z, xy) for z in win.basis(t)] for xy in row]
-                        for row in blocks[r, s]]
-            for r, s, t in rotations
-        }
-        fails = {}
-        for r, s, t in rotations:
-            if _tensors_differ(lhs[r, s, t], rhs[s, t, r]):
-                n = [cut.get(r), cut.get(s), cut.get(t)]
-                on_lifts = n == [None] * 3 or _tensors_differ(
-                    _cut(lhs[r, s, t], n), _cut(rhs[s, t, r], n[1:] + n[:1]))
-                fails[r, s, t] = on_lifts
-                if symmetric:
-                    fails[t, s, r] = on_lifts
+        members, fails = _class_failures(win, triple, symmetric, cut)
         verdicts = {m: fails.get(m) for m in members}
         for m in members:  # grows with each new Weyl image, until the class is closed
             for roots in weyl:
@@ -576,6 +622,110 @@ def invariance_failures(win, triples, symmetric, cut=None):
         decided.update(verdicts)
         failed.update((m, v) for m, v in verdicts.items() if v is not None)
     return failed
+
+
+def failing_class(win, classes, symmetric, cut=None):
+    """The first member of the first class of ``classes``
+    (``RootSystemWindow.weyl_classes``) whose rotations fail, or None.
+
+    Each class is decided from its first member, as ``invariance_failures``
+    decides it on the listed triples, with the same brackets and forms; no
+    member is listed or closed over.  A class fails exactly when some member
+    does (the Weyl, rotation and mirror rules of ``invariance_failures``), so
+    None means no zero-sum triple fails.
+    """
+    cut = cut or {}
+    return next((triple for triple, _ in classes if _class_failures(win, triple, symmetric, cut)[1]), None)
+
+
+def _class_failures(win, triple, symmetric, cut):
+    """The rotations of ``triple``, then their mirrors when ``symmetric``, and
+    {failing one: whether it fails on lifted indices}: one class of
+    ``invariance_failures`` before its Weyl images, decided by bracketing
+    and forming the rotations."""
+    a, b, c = triple
+    rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
+    members = rotations + ([rot[::-1] for rot in rotations] if symmetric else [])
+    blocks = {
+        (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
+        for r, s, _ in rotations
+    }
+    lhs = {
+        (r, s, t): [[[win.form(xy, z) for z in win.basis(t)] for xy in row]
+                    for row in blocks[r, s]]
+        for r, s, t in rotations
+    }
+    rhs = lhs if symmetric else {
+        (r, s, t): [[[win.form(z, xy) for z in win.basis(t)] for xy in row]
+                    for row in blocks[r, s]]
+        for r, s, t in rotations
+    }
+    fails = {}
+    for r, s, t in rotations:
+        if _tensors_differ(lhs[r, s, t], rhs[s, t, r]):
+            n = [cut.get(r), cut.get(s), cut.get(t)]
+            on_lifts = n == [None] * 3 or _tensors_differ(
+                _cut(lhs[r, s, t], n), _cut(rhs[s, t, r], n[1:] + n[:1]))
+            fails[r, s, t] = on_lifts
+            if symmetric:
+                fails[t, s, r] = on_lifts
+    return members, fails
+
+
+def _least_image(f1, f2):
+    """The least (w f1, w f2), in lexicographic order, over the signed
+    permutations w of the coordinates, W(C_l).
+
+    Read the pair as columns (f1[i], f2[i]).  The least w f1 has the
+    entries -|f1[i]| in ascending order, which fixes the sign of every
+    column with f1[i] != 0; a column with f1[i] = 0 takes the sign that
+    makes its f2 entry -|f2[i]|.  Columns with equal f1 entries may still
+    be permuted among themselves, so the least w f2 sorts them by their f2
+    entries: one sort of the signed columns.
+    """
+    cols = sorted((a, b) if a < 0 else (-a, -b) if a else (0, -abs(b)) for a, b in zip(f1, f2))
+    return tuple(a for a, _ in cols), tuple(b for _, b in cols)
+
+
+def _classes(finite, w, nu, mirror):
+    """``RootSystemWindow.weyl_classes`` of the full window with the sorted
+    finite parts ``finite`` at every degree of ``lattice_box(nu, w)``, with
+    or without the mirror rule: counted over the W-orbits of the zero-sum
+    finite triples and the zero-sum lattice triples of the box, never over
+    root triples.
+
+    A root triple is a zero-sum finite triple F and a zero-sum lattice
+    triple L of the box.  W acts on F and keeps L; a rotation or mirror p
+    permutes the positions of both.  So the class of (F, L) is the union of
+    the W-orbits of p(F), each with the degrees p(L), and holds |W F|
+    triples per distinct (W p(F), p(L)).  List order compares (r1, r2), and
+    W keeps the degrees, so the class's first member is, over p, the least
+    of ``_least_image`` of p(F)'s first two finite parts with p(L)'s
+    degrees beside them.
+    """
+    members = set(finite)
+    orbits = {}  # _least_image of a triple's first two parts -> [W-orbit size, one member]
+    for f1 in finite:
+        for f2 in finite:
+            f3 = tuple(-a - b for a, b in zip(f1, f2))
+            if f3 in members:
+                orbits.setdefault(_least_image(f1, f2), [0, (f1, f2, f3)])[0] += 1
+    # positions of the rotations, then of the mirror (c, b, a) and its rotations
+    perms = ((0, 1, 2), (1, 2, 0), (2, 0, 1)) + (((2, 1, 0), (1, 0, 2), (0, 2, 1)) if mirror else ())
+    images = []  # per W-orbit: its size, and per permutation p its positions and least parts
+    for size, f in orbits.values():
+        least = (_least_image(f[i], f[j]) for i, j, _ in perms)
+        images.append((size, [(i, j, k, g1, g2, tuple(-a - b for a, b in zip(g1, g2)))
+                              for (i, j, k), (g1, g2) in zip(perms, least)]))
+    steps = [(a, b, -a - b) for a in range(-w, w + 1) for b in range(-w, w + 1) if -w <= a + b <= w]
+    counts = {}  # first member, flat as (f1, l1, f2, l2, f3, l3) -> member count
+    for combo in product(steps, repeat=nu):
+        lat = tuple(zip(*combo)) if nu else ((), (), ())
+        for size, by_perm in images:
+            first = min((g1, lat[i], g2, lat[j], g3, lat[k]) for i, j, k, g1, g2, g3 in by_perm)
+            counts[first] = counts.get(first, 0) + size
+    return [((Root(f1, l1), Root(f2, l2), Root(f3, l3)), n)
+            for (f1, l1, f2, l2, f3, l3), n in sorted(counts.items())]
 
 
 def _tensors_differ(lhs, rhs):

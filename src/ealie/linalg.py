@@ -132,16 +132,13 @@ class SpanDict:
 
     @staticmethod
     def _to_int_row(v):
-        den = 1
-        for x in v.values():
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        w = {}
-        for k, x in v.items():
-            n = int(x * den)
-            if n:
-                w[k] = n
-        return w
+        """v's nonzero entries times the least common denominator, as a new dict."""
+        dens = [x.denominator for x in v.values() if type(x) is not int]
+        if not dens:
+            return {k: x for k, x in v.items() if x}
+        den = lcm(*dens)
+        return {k: x * den if type(x) is int else x.numerator * (den // x.denominator)
+                for k, x in v.items() if x}
 
     @staticmethod
     def _primitive(w):
@@ -155,6 +152,14 @@ class SpanDict:
         return w
 
     def _reduce(self, v):
+        """v's integer row with every stored pivot eliminated, made primitive.
+
+        One step against the row at pivot k, with p = row[k] and c = w[k]
+        divided by gcd(p, c), replaces w by p w - c row, whose k entry is 0
+        and is popped rather than computed; w is scaled only when p != 1.
+        The old step's vector is gcd(p, c) times this one, so the primitive
+        rows kept are the same.
+        """
         w = self._to_int_row(v)
         while w:
             k = min(w)
@@ -162,15 +167,21 @@ class SpanDict:
             if row is None:
                 return w
             p = row[k]
-            c = w[k]
-            new = {kk: vv * p for kk, vv in w.items()}
+            c = w.pop(k)
+            g = gcd(p, c)
+            if g != 1:
+                p //= g
+                c //= g
+            if p != 1:
+                w = {kk: vv * p for kk, vv in w.items()}
             for kk, vv in row.items():
-                nv = new.get(kk, 0) - vv * c
-                if nv:
-                    new[kk] = nv
-                elif kk in new:
-                    del new[kk]
-            w = self._primitive(new)
+                if kk != k:
+                    nv = w.get(kk, 0) - vv * c
+                    if nv:
+                        w[kk] = nv
+                    else:
+                        del w[kk]
+            w = self._primitive(w)
         return w
 
     def add(self, v):

@@ -19,6 +19,11 @@ negatives; only the string rule itself,
 ``finroot.root_string``, is shared.  ``probe_flags`` builds the flag list
 that rule reads from any membership callable.
 
+The invariance class oracle is the listed scan's partition written out:
+each zero-sum triple not yet met, closed one image at a time under
+rotation, the mirror and the window's kept reflections, with no canonical
+form and no counting.
+
 The weight-0 span oracle is the literal spanning loop behind
 ``matlie.zero_root_component``: every slice pair in both orientations, each
 slice rebuilt, with no mirror skip and no early stop.  The D8 oracle is the
@@ -48,6 +53,10 @@ the literal centralizer solve of that core piece, its survivors bracketed
 with every core vector, and the radical at each root is the literal
 nullspace of the core piece's Gram matrix against the opposite core piece.
 
+The span oracle is ``SpanDict``'s elimination before its gcd step: each
+step scales the whole vector by the pivot, cancels the pivot entry by
+subtraction, and reads Fractions through ``int(x * den)``.
+
 The division oracle is T3/D12a's per-probe loop: root by root, each basis
 vector and each seeded combination, built as an element, is bracketed with
 the opposite basis here and solved for [x, y] = t_alpha by ``literal_solve``,
@@ -60,7 +69,7 @@ table.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ealie.decomp import combine
 from ealie.finroot import FiniteRootSystem, Root, RootStringError, root_string
@@ -202,6 +211,77 @@ def literal_first_non_invariant_triple(win, triples):
     return None
 
 
+def literal_invariance_classes(win, triples, symmetric):
+    """{first member: member count} over the classes the listed invariance
+    scan decides, in the order of ``triples``: each triple not yet met,
+    closed under the rotation (a, b, c) -> (b, c, a), the mirror (c, b, a)
+    when ``symmetric``, and every map of ``win.weyl_maps()``."""
+    met = set()
+    classes = {}
+    for triple in triples:
+        if triple in met:
+            continue
+        members = {triple}
+        todo = [triple]
+        while todo:
+            a, b, c = todo.pop()
+            images = [(b, c, a)] + [(c, b, a)] * symmetric + [(m[a], m[b], m[c]) for m in win.weyl_maps()]
+            for image in images:
+                if image not in members:
+                    members.add(image)
+                    todo.append(image)
+        met |= members
+        classes[triple] = len(members)
+    return classes
+
+
+class LiteralSpanDict:
+    """``SpanDict``'s add and contains with the elimination step written out."""
+
+    def __init__(self):
+        self.rows = {}
+
+    @staticmethod
+    def _to_int_row(v):
+        den = 1
+        for x in v.values():
+            if isinstance(x, Fraction):
+                den = lcm(den, x.denominator)
+        return {k: int(x * den) for k, x in v.items() if int(x * den)}
+
+    @staticmethod
+    def _primitive(w):
+        g = 0
+        for v in w.values():
+            g = gcd(g, abs(v))
+        return {k: v // g for k, v in w.items()} if g > 1 else w
+
+    def _reduce(self, v):
+        w = self._to_int_row(v)
+        while w:
+            k = min(w)
+            row = self.rows.get(k)
+            if row is None:
+                return w
+            p, c = row[k], w[k]
+            new = {kk: vv * p for kk, vv in w.items()}
+            for kk, vv in row.items():
+                new[kk] = new.get(kk, 0) - vv * c
+            w = self._primitive({kk: vv for kk, vv in new.items() if vv})
+        return w
+
+    def add(self, v):
+        w = self._reduce(v)
+        if not w:
+            return False
+        k = min(w)
+        self.rows[k] = {kk: -vv for kk, vv in w.items()} if w[k] < 0 else w
+        return True
+
+    def contains(self, v):
+        return not self._reduce(v)
+
+
 def literal_zero_span(ell, q, gamma, margin, real_only=False):
     """The span, greedy basis and nonzero-weight span dimension of the weight-0
     spanning loops written out, each slice pair in both orientations: nonzero
@@ -334,6 +414,17 @@ def literal_cartan_scan(win):
                 return biggest, {"alpha": alpha, "beta": beta, "value": val}
             biggest = max(biggest, abs(int(val)))
     return biggest, None
+
+
+def literal_first_noncentral_delta(win):
+    """prop-t-delta-central written out: the first isotropic root whose
+    nonzero representative brackets some window basis vector to nonzero,
+    every representative bracketed with every basis vector; None if none."""
+    for delta in win.isotropic_roots():
+        t = win.rep_t(delta)
+        if not t.is_zero() and any(not win.bracket(t, z).is_zero() for _, z in win.all_basis()):
+            return delta
+    return None
 
 
 def literal_first_unequal_pairing(win):

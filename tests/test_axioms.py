@@ -32,6 +32,7 @@ from ealie.decomp import (
     combine,
     core_and_center_window,
     decompose_window,
+    failing_class,
     invariance_failures,
     isotropic_pair,
     sl2_triple,
@@ -50,10 +51,12 @@ from oracles import (
     literal_first_asymmetric_root,
     literal_first_non_additive_pair,
     literal_first_non_invariant_triple,
+    literal_first_noncentral_delta,
     literal_first_nonorthogonal_isotropic,
     literal_first_unsolvable_root,
     literal_first_unequal_pairing,
     literal_first_ungraded_pair,
+    literal_invariance_classes,
     literal_longest_ad_chain,
     literal_zero_sum_triples,
     literal_zero_weight_spanned,
@@ -401,16 +404,18 @@ def _scan_counts(alg, fixture_win):
     return record, len(counted.bracketed), len(counted.formed)
 
 
-@pytest.mark.parametrize("fixture, brackets, forms", [
-    ("aff_win", 1544, 4480),
-    ("torus_win", 1256, 3096),
-    ("sp4_win", 17, 23),
+@pytest.mark.parametrize("fixture, brackets, forms, classes, members", [
+    ("aff_win", 1544, 4480, 84, 2401),
+    ("torus_win", 1256, 3096, 84, 2401),
+    ("sp4_win", 17, 23, 4, 49),
 ], ids=["aff_win", "torus_win", "sp4_win"])
-def test_weyl_classes_cut_brackets_and_forms(fixture, brackets, forms, request):
+def test_weyl_classes_cut_brackets_and_forms(fixture, brackets, forms, classes, members, request):
     """Beside the counts of the scan without Weyl images: each
     <W, rotation, mirror> class is bracketed and formed once."""
     win = request.getfixturevalue(fixture)
     assert _scan_counts(win.alg, win) == ({}, brackets, forms)
+    assert len(win.weyl_classes()) == classes
+    assert sum(n for _, n in win.weyl_classes()) == len(win.zero_sum_triples()) == members
 
 
 @pytest.mark.parametrize("fixture", ["sp4_win", "torus_win", "aff_win"])
@@ -512,6 +517,75 @@ def test_weyl_record_is_the_record_without_weyl_images(fixture, request):
     assert fresh.weyl_maps() and fresh.invariance() == _lean_scan(fixture, win).record
 
 
+def _fresh(fixture, request):
+    """A fixture window rebuilt with no record, or, for ``aff_view``, the base
+    view of a rebuilt ``aff_win`` that has not scanned, so the view scans
+    itself."""
+    name = "aff_win" if fixture == "aff_view" else fixture
+    win = request.getfixturevalue(name)
+    fresh = RootSystemWindow(win.alg, win.w, win.pieces)
+    return fresh.base_view() if fixture == "aff_view" else fresh
+
+
+@pytest.mark.parametrize("fixture", ["torus_win", "aff_win", "sp4_win", "sqrt_win", "aff_view", "torus_win2"])
+def test_weyl_classes_are_the_listed_scan_classes(fixture, request, monkeypatch):
+    """The enumerated classes are the listed scan's: the same first members,
+    in list order, and member counts.  The class route's record and its
+    count of basis triples are the listed scan's, and it lists no triple."""
+    win = _fresh(fixture, request)
+    triples = win.zero_sum_triples()
+    symmetric = win.asymmetric_root() is None
+    classes = win.weyl_classes()
+    assert classes == list(literal_invariance_classes(win, triples, symmetric).items())
+    listed = invariance_failures(win, triples, symmetric, win.lifted_dims())
+    count = sum(win.dim(a) * win.dim(b) * win.dim(c) for a, b, c in triples)
+    monkeypatch.setattr(RootSystemWindow, "zero_sum_triples", None)
+    assert win.invariance() == listed == {}
+    assert win.basis_triple_count() == count
+
+
+def _spy_scans(monkeypatch):
+    """Counts of class scans and listed scans, under ``"classes"`` and ``"list"``."""
+    calls = Counter()
+
+    def spied(route, helper):
+        def spy(*args):
+            calls[route] += 1
+            return helper(*args)
+        return spy
+
+    monkeypatch.setattr(decomp, "failing_class", spied("classes", decomp.failing_class))
+    monkeypatch.setattr(decomp, "invariance_failures", spied("list", decomp.invariance_failures))
+    return calls
+
+
+def test_a_dropped_reflection_falls_back_to_the_listed_scan(aff_win, monkeypatch):
+    table = aff_win.alg.simple_reflections()
+    alg = _TableAlgebra(aff_win.alg, (_wrong_sign(table[0]),) + table[1:])
+    win = RootSystemWindow(alg, aff_win.w, aff_win.pieces)
+    assert len(win.weyl_maps()) == win.fin.rank - 1 and win.weyl_classes() is None
+    calls = _spy_scans(monkeypatch)
+    assert win.invariance() == {} and calls == {"list": 1}
+    assert win.basis_triple_count() == aff_win.basis_triple_count()
+
+
+class _WithoutDegree(RootSystemWindow):
+    """A fixture window without the slices of one lattice degree: every
+    reflection still maps its roots onto its roots, but it is not full."""
+
+    def __init__(self, win, degree):
+        super().__init__(win.alg, win.w, {r: p for r, p in win.pieces.items() if r.lattice != degree})
+
+
+def test_a_window_that_is_not_full_falls_back_to_the_listed_scan(torus_win, monkeypatch):
+    win = _WithoutDegree(torus_win, (1, 1))
+    triples = win.zero_sum_triples()
+    assert len(win.weyl_maps()) == win.fin.rank and win.weyl_classes() is None
+    calls = _spy_scans(monkeypatch)
+    assert win.invariance() == {} and calls == {"list": 1}
+    assert win.basis_triple_count() == sum(win.dim(a) * win.dim(b) * win.dim(c) for a, b, c in triples)
+
+
 def _up_to_sign(alg, x):
     """x's coordinates scaled by the sign that makes the first one positive, and that sign."""
     c = alg.coords(x)
@@ -569,6 +643,8 @@ def test_weyl_scan_names_the_literal_witness_of_an_equivariant_perturbation(fixt
     witness = literal_first_non_invariant_triple(win, triples)
     assert witness is not None
     assert _form_check(win, "T1-form-invariant").witness == {"roots": witness}
+    # the class route finds a failing class, and the listed scan names the witness
+    assert failing_class(win, win.weyl_classes(), True, win.lifted_dims()) is not None
     plain = _Counting(win)
     assert win.invariance() == invariance_failures(plain, triples, True, win.lifted_dims())
     wrong = _TableAlgebra(alg, (_wrong_sign(alg.simple_reflections()[0]),))
@@ -659,7 +735,7 @@ def _cd_perturbed(aff_win):
 
 def _form_check(win, name):
     prefix = name.split("-")[0]
-    return {r.name: r for r in _form_checks(win, prefix, random.Random(1), 1)}[name]
+    return {r.name: r for r in _form_checks(win, prefix)}[name]
 
 
 def test_invariance_broken_off_the_lifts_fails_T1_only(aff_win):
@@ -815,19 +891,23 @@ def test_invariance_asymmetric_form_takes_both_literal_sides():
 
 
 def _t1_form_checks(win):
-    """``_form_checks`` results under the prefix T1 and seed 1, by name."""
-    return {r.name: r for r in _form_checks(win, "T1", random.Random(1), 1)}
+    """``_form_checks`` results under the prefix T1, by name."""
+    return {r.name: r for r in _form_checks(win, "T1")}
 
 
 def test_form_checks_pass_the_symmetry_verdict_to_invariance(sp4_win, monkeypatch):
+    """The rebuilt window keeps every reflection and scans by classes; the
+    asymmetric one overrides ``form``, keeps none and scans the list."""
     seen = []
-    helper = decomp.invariance_failures
 
-    def spy(win, triples, symmetric, cut=None):
-        seen.append(symmetric)
-        return helper(win, triples, symmetric, cut)
+    def spied(route, helper):
+        def spy(win, triples, symmetric, cut=None):
+            seen.append((route, symmetric))
+            return helper(win, triples, symmetric, cut)
+        return spy
 
-    monkeypatch.setattr(decomp, "invariance_failures", spy)
+    monkeypatch.setattr(decomp, "failing_class", spied("classes", decomp.failing_class))
+    monkeypatch.setattr(decomp, "invariance_failures", spied("list", decomp.invariance_failures))
     asymmetric = _TwoAsymmetricRoots(sp4_win, [_root((1, 1), ())])
     # rebuilt, so that no record the session window keeps is read instead
     for win in (_Rebuilt(sp4_win), asymmetric):
@@ -835,7 +915,7 @@ def test_form_checks_pass_the_symmetry_verdict_to_invariance(sp4_win, monkeypatc
         expected = literal_first_non_invariant_triple(win, win.zero_sum_triples())
         witness = byname["T1-form-invariant"].witness
         assert (witness and witness["roots"]) == expected
-    assert seen == [True, False]
+    assert seen == [("classes", True), ("list", False)]
 
 
 # -- the full matrix algebra is not graded-simple --------------------------------
@@ -1509,6 +1589,39 @@ def test_pairings_rational_witness_is_literal_first_pair(aff_win, aff_core, monk
     byname = _props_byname(aff_win, aff_core)
     assert byname["prop-pairings-rational"].witness == {"first": roots[0], "second": r}
     _assert_pairings_rational_literal(aff_win, byname)
+
+
+class _RepShifted(_Rebuilt):
+    """A fixture window whose representative at ``delta`` gains the first
+    basis vector of the nonisotropic slice at ``root``, so it no longer
+    commutes with the window."""
+
+    def __init__(self, win, delta, root):
+        super().__init__(win)
+        self._shift = delta, win.basis(root)[0]
+
+    def rep_t(self, root):
+        t = super().rep_t(root)
+        delta, x = self._shift
+        return t + x if root == delta else t
+
+
+@pytest.mark.parametrize("lattice", [(-1, 0), (1, 1)], ids=["second-basis-delta", "combination-delta"])
+def test_t_delta_central_witness_is_literal(aff_win, aff_core, lattice):
+    """The representatives at (-1, -1) and (-1, 0) span those of every
+    isotropic root of ``aff_win``, so only they are bracketed against the
+    window.  Perturbed at the second of them, or at (1, 1), whose
+    representative was a combination of theirs, the check names the literal
+    loop's first failing delta."""
+    zero = (0,) * aff_win.fin.rank
+    span = SpanDict()
+    grew = [d.lattice for d in aff_win.isotropic_roots() if span.add(aff_win.coords(aff_win.rep_t(d)))]
+    assert grew == [(-1, -1), (-1, 0)]
+    assert _props_byname(aff_win, aff_core)["prop-t-delta-central"].passed
+    win = _RepShifted(aff_win, _root(zero, lattice), _root((2, 0), (0, 0)))
+    witness = literal_first_noncentral_delta(win)
+    assert witness == _root(zero, lattice)
+    assert _props_byname(win, aff_core)["prop-t-delta-central"].witness == {"delta": witness}
 
 
 class _PairingShifted(_Rebuilt):

@@ -235,20 +235,28 @@ def test_check_exit_one_with_witnesses(capsys):
 
 def _count_windows_and_scans(monkeypatch):
     """Counts of ``cli.decompose_window`` calls, keyed by the algebra's class
-    name, and of invariance scans under ``"scan"``."""
+    name, of invariance scans by classes under ``"class scan"``, of listed
+    scans (``invariance_failures``, whose loop closes each class member by
+    member) under ``"listed scan"``, and of ``zero_sum_triples`` lists built
+    or read under ``"triple list"``."""
     calls = Counter()
-    decompose, scan = cli.decompose_window, decomp.invariance_failures
+    decompose = cli.decompose_window
+    spied = {"class scan": (decomp, "failing_class"), "listed scan": (decomp, "invariance_failures"),
+             "triple list": (decomp.RootSystemWindow, "zero_sum_triples")}
 
     def counted_decompose(alg, w):
         calls[type(alg).__name__] += 1
         return decompose(alg, w)
 
-    def counted_scan(*args):
-        calls["scan"] += 1
-        return scan(*args)
+    def counted(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
 
     monkeypatch.setattr(cli, "decompose_window", counted_decompose)
-    monkeypatch.setattr(decomp, "invariance_failures", counted_scan)
+    for key, (owner, name) in spied.items():
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     return calls
 
 
@@ -257,17 +265,19 @@ def _d_section(out):
 
 
 def test_affinized_check_decomposes_once_and_scans_invariance_once(capsys, monkeypatch):
-    """T1 scans the affinized window; D runs on its base view and reads that
-    scan.  Alone, D scans the base view once, with the same D section."""
+    """T1 scans the affinized window by classes; D runs on its base view
+    and reads that scan.  Alone, D scans the base view once, with the same
+    D section.  A passing check lists no zero-sum triple and runs no listed
+    scan."""
     calls = _count_windows_and_scans(monkeypatch)
     argv = "check --construction affinized --nu 2 --q -1 --window 1".split()
     rc, full, _ = _run(capsys, argv)
     assert rc == 0
-    assert calls == {"AffinizedAlgebra": 1, "scan": 1}
+    assert calls == {"AffinizedAlgebra": 1, "class scan": 1}
     calls.clear()
     rc, d_only, _ = _run(capsys, argv + ["--suites", "D"])
     assert rc == 0
-    assert calls == {"AffinizedAlgebra": 1, "scan": 1}
+    assert calls == {"AffinizedAlgebra": 1, "class scan": 1}
     assert _d_section(d_only) == _d_section(full)
 
 
@@ -280,7 +290,7 @@ def test_one_window_scans_invariance_once(capsys, monkeypatch, argv):
     calls = _count_windows_and_scans(monkeypatch)
     rc, _, _ = _run(capsys, argv.split())
     assert rc == 0
-    assert calls == {"TorusMatrixAlgebra": 1, "scan": 1}
+    assert calls == {"TorusMatrixAlgebra": 1, "class scan": 1}
 
 
 def test_cocycle_suite(capsys):
@@ -352,9 +362,9 @@ PINNED_REPORTS = [
     ("check --construction affinized --nu 2 --q -1 --window 1", 0,
      "da7a03200f408e7c7c9de52e99c4f2f4e19df380c3695b538c6a426ee184118b"),
     # three primes: products such as sqrt6 * sqrt10 = 2 sqrt15 reach the report;
-    # its T1 invariance is sampled (2,000 of 158,208 triples, seed 0)
+    # its T1 invariance is exhaustive on all 158,208 zero-sum basis triples
     ("check --construction sqrt-extension --rank 3 --primes 2,3,5", 0,
-     "e5472d76105eba48344351db15df6b32d3d7a171eceb922efae1d96a70aeb56a"),
+     "5ba3e5a6ff0d0debcfb7d10091ac6b231a64876491df305cad159fa26e101eef"),
     # underived at nullity 1: D8, TAME and PROPS witnesses from the affinized path
     ("check --construction affinized --nu 1 --window 1 --underived", 1,
      "7fd3f72b1ff138184e9b23aca478f483d630597ceb3d218a1ac6ea4f445689b1"),

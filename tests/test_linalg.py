@@ -15,7 +15,7 @@ from ealie.linalg import (
     sparse_nullspace,
 )
 
-from oracles import literal_relations, literal_solve
+from oracles import LiteralSpanDict, literal_relations, literal_solve
 
 
 def test_solve_dense_square():
@@ -261,3 +261,37 @@ def test_integer_lattice_random_consistency():
             assert integer_lattice_member(basis, tuple(v))
         # the basis spans the same rational space
         assert SpanDict(dict(enumerate(r)) for r in rows).dim == len(basis)
+
+
+def _random_entry(rng):
+    value = rng.randint(-6, 6)
+    return Fraction(value, rng.choice([1, 2, 3, 4, 6, 9])) if rng.random() < 0.4 else value
+
+
+def test_spandict_elimination_matches_the_literal_step():
+    """Rows, growth and membership equal those of the elimination that
+    scales by the pivot and cancels it, on random int and Fraction vectors,
+    a third of them combinations of earlier ones."""
+    rng = random.Random(53)
+    for _ in range(60):
+        span, literal = SpanDict(), LiteralSpanDict()
+        vecs = []
+        for _ in range(rng.randint(1, 9)):
+            if vecs and rng.random() < 0.35:
+                picks = rng.sample(vecs, min(len(vecs), rng.randint(1, 3)))
+                v = {}
+                for u in picks:
+                    c = _random_entry(rng)
+                    for k, x in u.items():
+                        v[k] = v.get(k, 0) + c * x
+            else:
+                v = {k: _random_entry(rng) for k in rng.sample(range(7), rng.randint(0, 5))}
+            vecs.append(v)
+            before = dict(v)
+            assert span.add(v) == literal.add(v)
+            assert v == before  # the caller's vector is not changed
+            assert span._rows == literal.rows
+        for _ in range(5):
+            probe = {k: _random_entry(rng) for k in rng.sample(range(7), rng.randint(0, 4))}
+            assert span.contains(probe) == literal.contains(probe)
+            assert all(span.contains(u) for u in vecs)

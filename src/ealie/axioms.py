@@ -96,12 +96,12 @@ def _form_checks(win, prefix):
     gram(-r); the witness is the first root where it is not
     (``win.asymmetric_root``).  By P1 and P2 invariance scans only zero-sum
     triples, exhaustively.  It reads the window's invariance record,
-    scanned once per window, one class of rotations, mirrors and Weyl
-    images at a time (``win.invariance``): T1 and D1 on one window share
-    it, and D1 on a base view reads its parent's, restricted to lifted
-    indices, once the parent has scanned.  Its witness is the first triple
-    of ``win.zero_sum_triples()`` in the record, which is listed only when
-    the record holds a failure; the count of basis triples comes from the
+    scanned once per window by one loop over the classes of rotations,
+    mirrors and Weyl images (``win.invariance``): T1 and D1 on one window
+    share it, and D1 on a base view reads its parent's, restricted to
+    lifted indices, once the parent has scanned.  Its witness is the least
+    triple in the record, the first that the literal loop over root pairs
+    (r1, r2) in root order meets; the count of basis triples comes from the
     window's classes (``win.basis_triple_count``).  Witnesses name the
     first failure found.
     """
@@ -135,7 +135,7 @@ def _form_checks(win, prefix):
     failed = win.invariance()
     inv_witness = None
     if failed:
-        inv_witness = {"roots": next(list(t) for t in win.zero_sum_triples() if t in failed)}
+        inv_witness = {"roots": list(min(failed))}
     mode = f"exhaustive on all {win.basis_triple_count()} zero-sum basis triples"
     results.append(CheckResult(f"{prefix}-form-invariant", inv_witness is None, mode, inv_witness))
     return results

@@ -131,13 +131,15 @@ def _parse_suites(parser, construction, text):
 
 
 def _instance_meta(args, extra=None):
+    """The report's instance metadata; ``window`` and ``seed`` appear only
+    for a construction that reads them (``UNREAD_OPTIONS``)."""
     meta = {
         "construction": args.construction,
         "ell": args.ell,
         "nu": args.nu,
-        "window": args.window,
-        "seed": args.seed,
     }
+    unread = UNREAD_OPTIONS[args.construction]
+    meta.update((name, getattr(args, name)) for name in ("window", "seed") if name not in unread)
     if args.construction in ("quantum-torus", "affinized", "cocycle-extension"):
         meta["q_upper"] = args.q or ""
     if args.construction in ("sp-classical", "sqrt-extension"):
@@ -201,7 +203,9 @@ def _collect_reports(parser, args, suites):
     view of the affinized window (``RootSystemWindow.base_view``), so the
     torus algebra is not decomposed again, and D1 reads the invariance
     record T1 keeps on the affinized window, restricted to lifted vectors
-    (alone, D scans the view).  Elsewhere T and D share the window and its record.
+    (alone, D scans the view by its own classes).  Elsewhere T and D share
+    the window and its record.  Every invariance record is one loop over
+    the window's ``weyl_classes``.
     """
     if args.construction == "cocycle-extension":
         return {"CON": _run_con_suite(parser, args)}

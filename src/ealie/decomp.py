@@ -37,9 +37,9 @@ through the verified window object.  The window brackets and forms opposite
 slices once, on first use: ``bracket_table`` per +-root pair, read by T3,
 D12a, the sl2 triples and PROPS, and ``gram`` per root, read by the form
 checks of T1 and D1 and by PROPS.  It scans form invariance once too
-(``invariance``), for T1 and D1 on the window and for D1 on its base view:
-by the classes ``weyl_classes`` enumerates without listing a triple, and
-over the listed triples only when a premise or a class fails.
+(``invariance``), for T1 and D1 on the window and for D1 on its base view,
+one loop over the classes ``weyl_classes`` enumerates without listing a
+triple: a class whose representative fails is closed to name its members.
 
 ``fill_span`` is the one stop rule for spans of brackets known to lie in a
 given slice: the isotropic core slices here and the derived weight-0 slices
@@ -72,8 +72,6 @@ __all__ = [
     "BaseView",
     "decompose_window",
     "graded_pieces",
-    "invariance_failures",
-    "failing_class",
     "toral_commute",
     "combine",
     "sl2_search",
@@ -148,10 +146,9 @@ class RootSystemWindow:
         self._grams = {}  # root -> gram(root)
         self._asymmetric = None  # (asymmetric_root(),) once found
         self._strings = None  # (first_broken_string(self),) once scanned
-        self._triples = None  # zero_sum_triples(), once built
         self._invariance = None  # invariance(), once scanned
         self._weyl = None  # weyl_maps(), once checked
-        self._classes = None  # (weyl_classes(),) once enumerated
+        self._classes = None  # weyl_classes(), once enumerated
         self._toral = tuple(alg.toral_basis())
         self._gram = [[alg.form(h1, h2) for h2 in self._toral] for h1 in self._toral]
 
@@ -283,26 +280,6 @@ class RootSystemWindow:
             ),)
         return self._asymmetric[0]
 
-    def zero_sum_triples(self):
-        """Root triples summing to zero, built once; only these can carry a
-        nonzero form value.
-
-        Roots are matched by their flat vectors ``finite + lattice``, as
-        ``member`` reads them, so no ``Root`` sum is built; the list is that
-        of the loop over ``Root`` pairs, in the same order.
-        """
-        if self._triples is None:
-            flat = [(r, r.finite + r.lattice) for r in self._roots]
-            by_vector = {v: r for r, v in flat}
-            out = []
-            for r1, v1 in flat:
-                for r2, v2 in flat:
-                    r3 = by_vector.get(tuple(-a - b for a, b in zip(v1, v2)))
-                    if r3 is not None:
-                        out.append((r1, r2, r3))
-            self._triples = out
-        return self._triples
-
     def lifted_dims(self):
         """{root: n} for each slice whose first n basis vectors alone lift
         slices of the base algebra: the weight-0 degree-0 slice of an
@@ -318,78 +295,91 @@ class RootSystemWindow:
         """Form invariance on this window's zero-sum triples, scanned once:
         {failing triple: whether it fails on lifted indices}.
 
-        The scan takes the mirror rule exactly when ``asymmetric_root`` finds
-        no asymmetric pair of opposite slices, the Weyl rule for the
-        reflections ``weyl_maps`` keeps, and cuts slices by ``lifted_dims``.
-        When ``weyl_classes`` holds, ``failing_class`` decides each class
-        from its first member and lists nothing; if every class passes, no
-        triple fails.  Otherwise (a premise fails, or a class does)
-        ``invariance_failures`` scans the listed ``zero_sum_triples()``: it
-        names every failing member, as T1's witness and D1's record on
+        One loop over ``weyl_classes``: ``_class_failures`` brackets and
+        forms each class's first member with its rotations, and their
+        mirrors when ``asymmetric_root`` finds no asymmetric pair of opposite
+        slices, and cuts slices by ``lifted_dims``.  A class that passes
+        costs nothing more.  A class that fails is closed under the
+        reflections ``weyl_maps`` keeps, each Weyl image taking the verdict
+        of the member it is the image of: the algebra's bracket and form are
+        W-equivariant (the tests pin this), and a kept reflection s maps each
+        slice, and its lifted part, onto those of the reflected root, so
+        ([sx, sy], sz) = ([x, y], z) and (sx, [sy, sz]) = (x, [y, z]).  So the
+        record names every failing triple, as T1's witness (the least one,
+        the first of the literal loop over root pairs) and D1's record on
         lifted indices need.  T1 and D1 on this window, and D1 on its base
         view once this window has scanned, read this one record.
         """
         if self._invariance is None:
             symmetric = self.asymmetric_root() is None
             cut = self.lifted_dims()
-            classes = self.weyl_classes()
-            if classes is not None and failing_class(self, classes, symmetric, cut) is None:
-                self._invariance = {}
-            else:
-                self._invariance = invariance_failures(self, self.zero_sum_triples(), symmetric, cut)
+            failed = {}
+            for triple, _ in self.weyl_classes():
+                members, fails = _class_failures(self, triple, symmetric, cut)
+                if not fails:
+                    continue
+                verdicts = {m: fails.get(m) for m in members}
+                for m in members:  # grows with each new Weyl image, until the class is closed
+                    for roots in self.weyl_maps():
+                        image = (roots[m[0]], roots[m[1]], roots[m[2]])
+                        if image not in verdicts:
+                            verdicts[image] = verdicts[m]
+                            members.append(image)
+                failed.update((m, v) for m, v in verdicts.items() if v is not None)
+            self._invariance = failed
         return self._invariance
 
     def weyl_classes(self):
         """The <W, rotation, mirror> classes of the zero-sum root triples, in
-        list order: (first member, member count) per class, the classes
-        ``invariance_failures`` decides on the listed triples, enumerated
-        without that list.  None when a premise fails; checked once.
+        root order: (least member, member count) per class, enumerated once
+        without listing a triple.  Triples compare root by root, so the
+        least member is the first the literal loop over root pairs meets.
 
-        The premises: the window is full, every finite part at every degree
-        of its box (a size test, since every root lies in the box), and
-        ``weyl_maps`` keeps every simple reflection of
-        ``fin.simple_reflections()``, so the Weyl rule merges by all of
-        W(C_l), the signed permutations of the coordinates (Bourbaki, ch. VI,
-        plate III).  The mirror rule is taken as the scan takes it.
+        A class is closed under the rotation (a, b, c) -> (b, c, a), under
+        the mirror (c, b, a) exactly when ``asymmetric_root()`` is None, and
+        under W(C_l), the signed permutations of the coordinates (Bourbaki,
+        ch. VI, plate III), when ``weyl_maps`` keeps the simple reflections;
+        otherwise the classes are those of rotations and mirrors alone.
+        ``_classes`` counts them over the window's finite parts at every
+        degree of its box.  Rotations, mirrors and kept reflections map
+        window root triples to window root triples, so a class lies wholly
+        inside the window or wholly outside it, and a class is kept exactly
+        when its least member's three roots are window roots.
         """
         if self._classes is None:
-            table = getattr(self.alg, "simple_reflections", None)
             finite = sorted({r.finite for r in self._roots})
-            full = len(self._roots) == len(finite) * (2 * self.w + 1) ** self.alg.nu
-            whole = (table is not None and table() == self.fin.simple_reflections()
-                     and len(self.weyl_maps()) == self.fin.rank)
             mirror = self.asymmetric_root() is None
-            self._classes = (_classes(finite, self.w, self.alg.nu, mirror) if full and whole else None,)
-        return self._classes[0]
+            pieces = self.pieces
+            counted = _classes(finite, self.w, self.alg.nu, mirror, bool(self.weyl_maps()))
+            self._classes = [(t, n) for t, n in counted if t[0] in pieces and t[1] in pieces and t[2] in pieces]
+        return self._classes
 
     def basis_triple_count(self):
         """The number of zero-sum basis triples: d1 d2 d3 summed over the
         zero-sum root triples, d the slice dimensions.  Dimensions are
         constant on a class of ``weyl_classes`` (a kept reflection maps each
         slice onto the reflected one), so each class adds its member count
-        times its first member's product; without the classes, the listed
-        triples are summed."""
-        classes = self.weyl_classes()
-        if classes is None:
-            classes = ((triple, 1) for triple in self.zero_sum_triples())
-        return sum(n * self.dim(a) * self.dim(b) * self.dim(c) for (a, b, c), n in classes)
+        times its least member's product."""
+        return sum(n * self.dim(a) * self.dim(b) * self.dim(c) for (a, b, c), n in self.weyl_classes())
 
     def weyl_maps(self):
-        """The simple reflections the invariance scan may merge classes by,
-        each as its map {root: reflected root} on this window's roots;
-        checked once, at the first scan.
+        """The simple reflections the invariance scan merges classes by, each
+        as its map {root: reflected root} on this window's roots: all of
+        ``fin.simple_reflections()`` or none; checked once, at the first scan.
 
         A reflection s of ``alg.simple_reflections()`` acts on a root's
-        finite part (``reflect_weight``) and keeps its lattice degree.  It is
-        kept when, for every root r, s(r) is a window root, each basis
+        finite part (``reflect_weight``) and keeps its lattice degree.  It
+        passes when, for every root r, s(r) is a window root, each basis
         vector's image ``x.reflect(s)`` lies in the span of slice s(r), and
         each lifted vector's image (``lifted_dims``) in the span of the
         lifted vectors of s(r).  Spans are ``SpanDict`` memberships, not
         equalities: at l = 3, i(hddot_r - hddot_(r+1)) maps to a sum of two
         basis vectors.  s then permutes the window's roots and, being
         invertible and of finite order, maps each slice, and its lifted
-        part, onto those of s(r).  A reflection that fails is dropped,
-        which leaves the scan more classes to decide.
+        part, onto those of s(r).  The reflections are kept when the
+        algebra's table is ``fin.simple_reflections()`` and every one of
+        them passes; then they generate W(C_l), which ``weyl_classes``
+        merges by.  Otherwise none is kept.
 
         The scan's Weyl rule rests on the algebra's bracket and form being
         W-equivariant, which tests pin for every algebra with a table.  An
@@ -399,7 +389,9 @@ class RootSystemWindow:
         if self._weyl is None:
             table = getattr(self.alg, "simple_reflections", None)
             own = type(self).bracket is RootSystemWindow.bracket and type(self).form is RootSystemWindow.form
-            self._weyl = tuple(filter(None, map(self._slice_map, table()))) if table and own else ()
+            whole = own and table and table() == self.fin.simple_reflections()
+            maps = tuple(map(self._slice_map, table())) if whole else ()
+            self._weyl = () if None in maps else maps
         return self._weyl
 
     def _slice_map(self, moves):
@@ -434,9 +426,9 @@ class RootSystemWindow:
         raises DecompositionError; that check is O(n) per slice.  The view
         is then verified as ``decompose_window`` verifies a window: its
         toral generators commute, every basis vector is an exact eigenvector
-        of them, and each degree's vectors are independent.  The view
-        shares this window's zero-sum triples and reads its invariance
-        record restricted to lifted indices (``BaseView``).
+        of them, and each degree's vectors are independent.  The view reads
+        this window's invariance record restricted to lifted indices
+        (``BaseView``).
         """
         alg = self.alg
         base = alg.base
@@ -536,24 +528,19 @@ class BaseView(RootSystemWindow):
     ([x, y], z) and (x, [y, z]) agree on lifted triples in both algebras,
     and this window's invariance record is the parent's restricted to the
     triples that fail on lifted indices, once the parent has scanned.  If
-    it has not (D alone), the view scans itself, the base window being the
-    smaller of the two.  Its zero-sum triples are the parent's list.  Once
-    the parent has scanned, the parent's ``weyl_classes`` serve the view's
-    ``basis_triple_count``: the roots are the same, and the view's slice
-    dimensions are the parent's lifted ones, which the parent's kept
-    reflections preserve.
+    it has not (D alone), the view scans itself, by its own classes, the
+    base window being the smaller of the two.  Once the parent has scanned,
+    the parent's ``weyl_classes`` serve the view's ``basis_triple_count``:
+    the roots are the same, and the view's slice dimensions are the
+    parent's lifted ones, which the parent's kept reflections preserve.
     """
 
     def __init__(self, parent, pieces):
         super().__init__(parent.alg.base, parent.w, pieces)
         self.parent = parent
 
-    def zero_sum_triples(self):
-        return self.parent.zero_sum_triples()
-
     def weyl_classes(self):
-        classes = self.parent.weyl_classes() if self.parent._invariance is not None else None
-        return super().weyl_classes() if classes is None else classes
+        return (self.parent if self.parent._invariance is not None else super()).weyl_classes()
 
     def invariance(self):
         if self._invariance is None and self.parent._invariance is not None:
@@ -562,22 +549,22 @@ class BaseView(RootSystemWindow):
         return super().invariance()
 
 
-def invariance_failures(win, triples, symmetric, cut=None):
-    """The triples of ``triples`` carrying basis vectors with ([x, y], z)
-    != (x, [y, z]), each mapped to whether it fails on lifted indices.
+def _class_failures(win, triple, symmetric, cut):
+    """The rotations of ``triple``, then their mirrors when ``symmetric``, and
+    {failing one: whether it fails on lifted indices}: one class of
+    ``RootSystemWindow.invariance`` before its Weyl images.
 
-    ``triples`` is closed under rotation.  The rotations (a, b, c), (b, c, a)
-    and (c, a, b) form a cyclic class, and (a, a, a) is a class of one.  Each
-    class is decided once, at the first of its triples the loop meets: the
-    blocks [a, b], [b, c] and [c, a] are bracketed once each, and every
-    rotation (r, s, t) gets L_rst[i][j][k] = ([x_i, y_j], z_k) and R_rst[i][j][k]
-    = (z_k, [x_i, y_j]) over the bases x, y, z of slices r, s and t.  Since
-    R_str[j][k][i] = (x_i, [y_j, z_k]), the rotation (r, s, t) fails exactly
-    when L_rst[i][j][k] != R_str[j][k][i] somewhere.
+    The rotations (a, b, c), (b, c, a) and (c, a, b) form a cyclic class,
+    and (a, a, a) is a class of one.  The blocks [a, b], [b, c] and [c, a]
+    are bracketed once each, and every rotation (r, s, t) gets
+    L_rst[i][j][k] = ([x_i, y_j], z_k) and R_rst[i][j][k] = (z_k, [x_i, y_j])
+    over the bases x, y, z of slices r, s and t.  Since R_str[j][k][i] =
+    (x_i, [y_j, z_k]), the rotation (r, s, t) fails exactly when
+    L_rst[i][j][k] != R_str[j][k][i] somewhere.
 
     With ``symmetric`` the form is symmetric on slice a x slice -a for every
     root a, and [x, y] lies in slice -c, so R = L and one form value per basis
-    triple suffices.  Such a class is also decided together with its mirror
+    triple suffices.  The class is then decided together with its mirror
     class, the rotations of (c, b, a).  This assumes the bracket is exactly
     antisymmetric, [y, x] = -[x, y], as the matrix commutator x y - y x and
     the affinized central and derivation terms are (``opposite_brackets``
@@ -586,63 +573,12 @@ def invariance_failures(win, triples, symmetric, cut=None):
     exactly when (r, s, t) fails on (x, y, z).  Without ``symmetric`` there is
     no mirror rule, since it needs the symmetry that was not found.
 
-    ``win.weyl_maps()`` adds the Weyl rule; a window without that method
-    has none.  A kept simple reflection s maps each slice onto the slice of
-    the reflected root, and its lifted part onto that slice's lifted part,
-    and the algebra's bracket and form are W-equivariant (the tests pin
-    this), so ([sx, sy], sz) = ([x, y], z) and (sx, [sy, sz]) = (x, [y, z]).
-    So (s(r), s(u), s(t)) fails exactly when (r, u, t) fails, and on lifted
-    indices exactly when (r, u, t) does.  The class of a triple is then
-    closed under the kept reflections too, and each Weyl image takes the
-    verdict of the member it is the image of.  Only the first triple of a
-    class, in list order, is bracketed and formed.
-
-    Every failing member of a class is recorded.
     ``cut`` (``RootSystemWindow.lifted_dims``) maps a root to the number of
     leading basis vectors of its slice that are lifted; a failing rotation
     through such a slice is compared again on lifted indices alone, and any
     other failure lies on lifted indices.  A passing rotation costs nothing
     more.  The mirror of a rotation fails on the same indices, reversed.
     """
-    cut = cut or {}
-    weyl = win.weyl_maps() if hasattr(win, "weyl_maps") else ()
-    decided = set()
-    failed = {}
-    for triple in triples:
-        if triple in decided:
-            continue
-        members, fails = _class_failures(win, triple, symmetric, cut)
-        verdicts = {m: fails.get(m) for m in members}
-        for m in members:  # grows with each new Weyl image, until the class is closed
-            for roots in weyl:
-                image = (roots[m[0]], roots[m[1]], roots[m[2]])
-                if image not in verdicts:
-                    verdicts[image] = verdicts[m]
-                    members.append(image)
-        decided.update(verdicts)
-        failed.update((m, v) for m, v in verdicts.items() if v is not None)
-    return failed
-
-
-def failing_class(win, classes, symmetric, cut=None):
-    """The first member of the first class of ``classes``
-    (``RootSystemWindow.weyl_classes``) whose rotations fail, or None.
-
-    Each class is decided from its first member, as ``invariance_failures``
-    decides it on the listed triples, with the same brackets and forms; no
-    member is listed or closed over.  A class fails exactly when some member
-    does (the Weyl, rotation and mirror rules of ``invariance_failures``), so
-    None means no zero-sum triple fails.
-    """
-    cut = cut or {}
-    return next((triple for triple, _ in classes if _class_failures(win, triple, symmetric, cut)[1]), None)
-
-
-def _class_failures(win, triple, symmetric, cut):
-    """The rotations of ``triple``, then their mirrors when ``symmetric``, and
-    {failing one: whether it fails on lifted indices}: one class of
-    ``invariance_failures`` before its Weyl images, decided by bracketing
-    and forming the rotations."""
     a, b, c = triple
     rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
     members = rotations + ([rot[::-1] for rot in rotations] if symmetric else [])
@@ -687,38 +623,40 @@ def _least_image(f1, f2):
     return tuple(a for a, _ in cols), tuple(b for _, b in cols)
 
 
-def _classes(finite, w, nu, mirror):
-    """``RootSystemWindow.weyl_classes`` of the full window with the sorted
+def _classes(finite, w, nu, mirror, weyl):
+    """The classes of ``RootSystemWindow.weyl_classes`` over the sorted
     finite parts ``finite`` at every degree of ``lattice_box(nu, w)``, with
-    or without the mirror rule: counted over the W-orbits of the zero-sum
-    finite triples and the zero-sum lattice triples of the box, never over
-    root triples.
+    or without the mirror rule, and with W = W(C_l) when ``weyl`` (``finite``
+    is then closed under W) or the trivial group otherwise: counted
+    over the W-orbits of the zero-sum finite triples and the zero-sum
+    lattice triples of the box, never over root triples.
 
     A root triple is a zero-sum finite triple F and a zero-sum lattice
     triple L of the box.  W acts on F and keeps L; a rotation or mirror p
     permutes the positions of both.  So the class of (F, L) is the union of
     the W-orbits of p(F), each with the degrees p(L), and holds |W F|
-    triples per distinct (W p(F), p(L)).  List order compares (r1, r2), and
-    W keeps the degrees, so the class's first member is, over p, the least
-    of ``_least_image`` of p(F)'s first two finite parts with p(L)'s
-    degrees beside them.
+    triples per distinct (W p(F), p(L)).  Root order compares (r1, r2), and
+    W keeps the degrees, so the class's least member is, over p, the least
+    image under W of p(F)'s first two finite parts (``_least_image``, or the
+    parts themselves) with p(L)'s degrees beside them.
     """
+    least_image = _least_image if weyl else (lambda f1, f2: (f1, f2))
     members = set(finite)
-    orbits = {}  # _least_image of a triple's first two parts -> [W-orbit size, one member]
+    orbits = {}  # least image of a triple's first two parts -> [W-orbit size, one member]
     for f1 in finite:
         for f2 in finite:
             f3 = tuple(-a - b for a, b in zip(f1, f2))
             if f3 in members:
-                orbits.setdefault(_least_image(f1, f2), [0, (f1, f2, f3)])[0] += 1
+                orbits.setdefault(least_image(f1, f2), [0, (f1, f2, f3)])[0] += 1
     # positions of the rotations, then of the mirror (c, b, a) and its rotations
     perms = ((0, 1, 2), (1, 2, 0), (2, 0, 1)) + (((2, 1, 0), (1, 0, 2), (0, 2, 1)) if mirror else ())
     images = []  # per W-orbit: its size, and per permutation p its positions and least parts
     for size, f in orbits.values():
-        least = (_least_image(f[i], f[j]) for i, j, _ in perms)
+        least = (least_image(f[i], f[j]) for i, j, _ in perms)
         images.append((size, [(i, j, k, g1, g2, tuple(-a - b for a, b in zip(g1, g2)))
                               for (i, j, k), (g1, g2) in zip(perms, least)]))
     steps = [(a, b, -a - b) for a in range(-w, w + 1) for b in range(-w, w + 1) if -w <= a + b <= w]
-    counts = {}  # first member, flat as (f1, l1, f2, l2, f3, l3) -> member count
+    counts = {}  # least member, flat as (f1, l1, f2, l2, f3, l3) -> member count
     for combo in product(steps, repeat=nu):
         lat = tuple(zip(*combo)) if nu else ((), (), ())
         for size, by_perm in images:

@@ -10,7 +10,9 @@ q entries square to 1, so only the letter index matters.
 The invariance oracle is the literal double loop over triples and basis
 vectors: it brackets [x, y] and [y, z] for every triple and evaluates both
 sides of ([x, y], z) = (x, [y, z]), with no cyclic classes and no appeal to
-symmetry of the form.
+symmetry of the form.  The invariance record oracle is the same loop over
+every triple, each failing triple marked by whether some failing basis
+triple lies on lifted indices.
 
 The root-string oracle is the literal double loop of the EARS R4 axiom:
 every nonisotropic alpha against every root beta, each offset of the string
@@ -19,8 +21,8 @@ negatives; only the string rule itself,
 ``finroot.root_string``, is shared.  ``probe_flags`` builds the flag list
 that rule reads from any membership callable.
 
-The invariance class oracle is the listed scan's partition written out:
-each zero-sum triple not yet met, closed one image at a time under
+The invariance class oracle is the partition of the listed zero-sum
+triples written out: each triple not yet met, closed one image at a time under
 rotation, the mirror and the window's kept reflections, with no canonical
 form and no counting.
 
@@ -211,9 +213,34 @@ def literal_first_non_invariant_triple(win, triples):
     return None
 
 
+def literal_invariance_record(win, triples, cut):
+    """{triple: whether it fails on lifted indices} over the triples of
+    ``triples`` carrying basis vectors with ([x, y], z) != (x, [y, z]), every
+    basis triple formed on both sides.  ``cut`` maps a root to the number of
+    leading basis vectors of its slice that are lifted; a triple fails on
+    lifted indices when some failing basis triple has all three indices
+    below those bounds."""
+    record = {}
+    for triple in triples:
+        xs, ys, zs = (win.basis(r) for r in triple)
+        bounds = [cut.get(r, len(win.basis(r))) for r in triple]
+        yz = [[win.bracket(y, z) for z in zs] for y in ys]
+        failing = [
+            (i, j, k)
+            for i, x in enumerate(xs)
+            for j, (y, y_zs) in enumerate(zip(ys, yz))
+            for xy in [win.bracket(x, y)]
+            for k, (z, y_z) in enumerate(zip(zs, y_zs))
+            if win.form(xy, z) != win.form(x, y_z)
+        ]
+        if failing:
+            record[triple] = any(all(n < b for n, b in zip(ijk, bounds)) for ijk in failing)
+    return record
+
+
 def literal_invariance_classes(win, triples, symmetric):
-    """{first member: member count} over the classes the listed invariance
-    scan decides, in the order of ``triples``: each triple not yet met,
+    """{first member: member count} over the invariance classes of the
+    listed ``triples``, in their order: each triple not yet met,
     closed under the rotation (a, b, c) -> (b, c, a), the mirror (c, b, a)
     when ``symmetric``, and every map of ``win.weyl_maps()``."""
     met = set()

@@ -32,8 +32,6 @@ from ealie.decomp import (
     combine,
     core_and_center_window,
     decompose_window,
-    failing_class,
-    invariance_failures,
     isotropic_pair,
     sl2_triple,
 )
@@ -57,6 +55,7 @@ from oracles import (
     literal_first_unequal_pairing,
     literal_first_ungraded_pair,
     literal_invariance_classes,
+    literal_invariance_record,
     literal_longest_ad_chain,
     literal_zero_sum_triples,
     literal_zero_weight_spanned,
@@ -260,27 +259,37 @@ class _Counting(_Recording, _Rebuilt):
     """A fixture window rebuilt to record its brackets and count its forms."""
 
 
-def _first_non_invariant_triple(win, triples, symmetric):
-    """The first triple of ``triples`` that ``invariance_failures`` records,
-    as a list of roots, as ``_form_checks`` names its witness; None if none."""
-    failed = invariance_failures(win, triples, symmetric)
-    return next((list(t) for t in triples if t in failed), None)
+def _scanned(scan):
+    """``scan`` after its invariance scan, its record kept as ``record``, with
+    the brackets and forms of the scan alone: those of the Gram tables
+    ``asymmetric_root`` reads are cleared first."""
+    scan.asymmetric_root()
+    scan.bracketed.clear()
+    scan.forms = 0
+    scan.record = scan.invariance()
+    return scan
 
 
 _LEAN_SCANS = {}
 
 
 def _lean_scan(fixture, win):
-    """The symmetric invariance scan of a session window, counted, with its
-    record; run once per fixture and shared by the tests that read its
-    brackets.  The counting window overrides ``bracket`` and ``form``, so
-    the scan merges no Weyl images."""
+    """The invariance scan of a session window, counted, with its record;
+    run once per fixture and shared by the tests that read its brackets.
+    The form is symmetric, so the scan takes the mirror rule; the counting
+    window overrides ``bracket`` and ``form``, so it merges no Weyl images."""
     if fixture not in _LEAN_SCANS:
-        scan = _Counting(win)
-        scan.record = invariance_failures(scan, win.zero_sum_triples(), True, win.lifted_dims())
+        scan = _scanned(_Counting(win))
+        assert scan.asymmetric_root() is None and not scan.weyl_maps()
         assert scan.record == {}
         _LEAN_SCANS[fixture] = scan
     return _LEAN_SCANS[fixture]
+
+
+def _t1_witness(win):
+    """The roots of T1's invariance witness on ``win``, or None."""
+    witness = _form_check(win, "T1-form-invariant").witness
+    return witness and witness["roots"]
 
 
 @pytest.mark.parametrize("fixture, brackets, forms", [
@@ -289,12 +298,15 @@ def _lean_scan(fixture, win):
     ("sp4_win", 36, 44),
 ], ids=["aff_win", "torus_win", "sp4_win"])
 def test_invariance_scan_halves_brackets_and_forms(fixture, brackets, forms, request):
+    """The scan of a window whose form is found asymmetric forms both
+    sides; the form there differs only on two basis vectors, which no
+    invariance form value reads, so the scan passes as the literal loop does."""
     win = request.getfixturevalue(fixture)
-    triples = win.zero_sum_triples()
-    literal, both_sides = _Counting(win), _Counting(win)
-    assert literal_first_non_invariant_triple(literal, triples) is None
+    literal = _Counting(win)
+    assert literal_first_non_invariant_triple(literal, literal_zero_sum_triples(win)) is None
     lean = _lean_scan(fixture, win)
-    assert _first_non_invariant_triple(both_sides, triples, False) is None
+    both_sides = _scanned(_CountingOneSided(win, win.nonisotropic_roots()[:1]))
+    assert both_sides.asymmetric_root() is not None and both_sides.record == {}
     # without symmetry: one bracket per ordered block of a cyclic class, both sides
     assert 2 * both_sides.brackets == literal.brackets
     assert both_sides.forms == literal.forms
@@ -340,6 +352,21 @@ class _PerturbedBracket(_Rebuilt):
         return out if delta is None else out + delta
 
 
+class _PerturbedOneSided(_PerturbedBracket):
+    """A ``_PerturbedBracket`` window whose form gains 1 on (x, y), in that
+    order only, x and y the first basis vectors of the slices of the first
+    nonisotropic root and of its opposite."""
+
+    def __init__(self, win, a, b, i=0, j=0, k=0):
+        super().__init__(win, a, b, i, j, k)
+        root = win.nonisotropic_roots()[0]
+        self._pair = id(win.basis(root)[0]), id(win.basis(-root)[0])
+
+    def form(self, x, y):
+        val = super().form(x, y)
+        return val + 1 if (id(x), id(y)) == self._pair else val
+
+
 def _root(finite, lattice):
     return Root(finite=finite, lattice=lattice)
 
@@ -359,12 +386,17 @@ _ZERO2 = _root((0, 0), (0, 0))
 def test_invariance_witness_matches_literal_loop_on_perturbed_windows(
     fixture, a, b, ijk, first, request
 ):
-    win = _PerturbedBracket(request.getfixturevalue(fixture), a, b, *ijk)
-    triples = win.zero_sum_triples()
+    """With the mirror rule, and without it on the same window with a form
+    found asymmetric on two basis vectors, which no invariance form value
+    reads."""
+    fixture_win = request.getfixturevalue(fixture)
+    win = _PerturbedBracket(fixture_win, a, b, *ijk)
+    one_sided = _PerturbedOneSided(fixture_win, a, b, *ijk)
+    assert win.asymmetric_root() is None and one_sided.asymmetric_root() is not None
+    triples = literal_zero_sum_triples(win)
     witness = literal_first_non_invariant_triple(win, triples)
     assert triples.index(tuple(witness)) == first
-    assert _first_non_invariant_triple(win, triples, True) == witness
-    assert _first_non_invariant_triple(win, triples, False) == witness
+    assert _t1_witness(win) == _t1_witness(one_sided) == witness
 
 
 # -- form invariance by Weyl classes --------------------------------------------
@@ -415,7 +447,7 @@ def test_weyl_classes_cut_brackets_and_forms(fixture, brackets, forms, classes, 
     win = request.getfixturevalue(fixture)
     assert _scan_counts(win.alg, win) == ({}, brackets, forms)
     assert len(win.weyl_classes()) == classes
-    assert sum(n for _, n in win.weyl_classes()) == len(win.zero_sum_triples()) == members
+    assert sum(n for _, n in win.weyl_classes()) == len(literal_zero_sum_triples(win)) == members
 
 
 @pytest.mark.parametrize("fixture", ["sp4_win", "torus_win", "aff_win"])
@@ -472,14 +504,16 @@ def test_slice_map_reads_spans_not_basis_vectors():
 
 
 def test_a_reflection_with_a_wrong_sign_is_dropped(aff_win):
-    """Mutation: one wrong sign in the table drops that reflection and keeps
-    the others.  A table holding only that entry leaves the scan without
-    Weyl images: its record and counts are those of the scan without them."""
+    """Mutation: a reflection with one wrong sign fails the slice check, and
+    a table holding it keeps no reflection at all.  A table holding only
+    that entry leaves the scan without Weyl images: its record and counts
+    are those of the scan without them."""
     table = aff_win.alg.simple_reflections()
     for i in range(len(table)):
+        assert aff_win._slice_map(_wrong_sign(table[i])) is None
         mutated = table[:i] + (_wrong_sign(table[i]),) + table[i + 1:]
         win = RootSystemWindow(_TableAlgebra(aff_win.alg, mutated), aff_win.w, aff_win.pieces)
-        assert win.weyl_maps() == aff_win.weyl_maps()[:i] + aff_win.weyl_maps()[i + 1:]
+        assert win.weyl_maps() == ()
     lean = _lean_scan("aff_win", aff_win)
     alone = _TableAlgebra(aff_win.alg, (_wrong_sign(table[0]),))
     assert _scan_counts(alone, aff_win) == (lean.record, lean.brackets, lean.forms) == ({}, 5263, 11497)
@@ -499,10 +533,13 @@ class _LiftsCutAcrossAnOrbit(_Rebuilt):
 
 def test_a_reflection_that_moves_lifted_vectors_off_the_lifts_is_dropped(aff_win):
     """The reflection in e_1 - e_2 maps hdot_0 to hdot_1, which is no longer
-    among the lifted vectors, so it is dropped; the one in 2e_2 keeps them."""
+    among the lifted vectors, so it fails the slice check and no reflection
+    is kept; the one in 2e_2 keeps them."""
     win = _LiftsCutAcrossAnOrbit(aff_win)
     assert win.lifted_dims() == aff_win.lifted_dims()
-    assert win.weyl_maps() == aff_win.weyl_maps()[1:]
+    first, second = win.alg.simple_reflections()
+    assert win._slice_map(first) is None and win._slice_map(second) == aff_win.weyl_maps()[1]
+    assert win.weyl_maps() == ()
 
 
 @pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sp4_win", "sqrt_win", "aff_view"])
@@ -528,45 +565,18 @@ def _fresh(fixture, request):
 
 
 @pytest.mark.parametrize("fixture", ["torus_win", "aff_win", "sp4_win", "sqrt_win", "aff_view", "torus_win2"])
-def test_weyl_classes_are_the_listed_scan_classes(fixture, request, monkeypatch):
-    """The enumerated classes are the listed scan's: the same first members,
-    in list order, and member counts.  The class route's record and its
-    count of basis triples are the listed scan's, and it lists no triple."""
+def test_weyl_classes_are_the_listed_scan_classes(fixture, request):
+    """The enumerated classes are those of the literal listed scan: the same
+    first members, in list order, and member counts.  The record is the
+    literal loop's (``torus_win2``'s, 17,689 root triples, is left to the
+    other windows), and the count of basis triples is the literal sum."""
     win = _fresh(fixture, request)
-    triples = win.zero_sum_triples()
+    triples = literal_zero_sum_triples(win)
     symmetric = win.asymmetric_root() is None
-    classes = win.weyl_classes()
-    assert classes == list(literal_invariance_classes(win, triples, symmetric).items())
-    listed = invariance_failures(win, triples, symmetric, win.lifted_dims())
-    count = sum(win.dim(a) * win.dim(b) * win.dim(c) for a, b, c in triples)
-    monkeypatch.setattr(RootSystemWindow, "zero_sum_triples", None)
-    assert win.invariance() == listed == {}
-    assert win.basis_triple_count() == count
-
-
-def _spy_scans(monkeypatch):
-    """Counts of class scans and listed scans, under ``"classes"`` and ``"list"``."""
-    calls = Counter()
-
-    def spied(route, helper):
-        def spy(*args):
-            calls[route] += 1
-            return helper(*args)
-        return spy
-
-    monkeypatch.setattr(decomp, "failing_class", spied("classes", decomp.failing_class))
-    monkeypatch.setattr(decomp, "invariance_failures", spied("list", decomp.invariance_failures))
-    return calls
-
-
-def test_a_dropped_reflection_falls_back_to_the_listed_scan(aff_win, monkeypatch):
-    table = aff_win.alg.simple_reflections()
-    alg = _TableAlgebra(aff_win.alg, (_wrong_sign(table[0]),) + table[1:])
-    win = RootSystemWindow(alg, aff_win.w, aff_win.pieces)
-    assert len(win.weyl_maps()) == win.fin.rank - 1 and win.weyl_classes() is None
-    calls = _spy_scans(monkeypatch)
-    assert win.invariance() == {} and calls == {"list": 1}
-    assert win.basis_triple_count() == aff_win.basis_triple_count()
+    assert win.weyl_classes() == list(literal_invariance_classes(win, triples, symmetric).items())
+    literal = {} if fixture == "torus_win2" else literal_invariance_record(win, triples, win.lifted_dims())
+    assert win.invariance() == literal == {}
+    assert win.basis_triple_count() == sum(win.dim(a) * win.dim(b) * win.dim(c) for a, b, c in triples)
 
 
 class _WithoutDegree(RootSystemWindow):
@@ -577,13 +587,55 @@ class _WithoutDegree(RootSystemWindow):
         super().__init__(win.alg, win.w, {r: p for r, p in win.pieces.items() if r.lattice != degree})
 
 
-def test_a_window_that_is_not_full_falls_back_to_the_listed_scan(torus_win, monkeypatch):
-    win = _WithoutDegree(torus_win, (1, 1))
-    triples = win.zero_sum_triples()
-    assert len(win.weyl_maps()) == win.fin.rank and win.weyl_classes() is None
-    calls = _spy_scans(monkeypatch)
-    assert win.invariance() == {} and calls == {"list": 1}
+class _WithoutRoot(RootSystemWindow):
+    """A fixture window without the slice of one root: a reflection maps a
+    window root onto it, so no reflection is kept."""
+
+    def __init__(self, win, root):
+        super().__init__(win.alg, win.w, {r: p for r, p in win.pieces.items() if r != root})
+
+
+def _irregular(name, request):
+    """A window off the full-window route: not full with every reflection
+    kept, missing one root, or with a table one of whose signs is wrong."""
+    if name == "without-degree":
+        return _WithoutDegree(request.getfixturevalue("torus_win"), (1, 1))
+    if name == "without-root":
+        return _WithoutRoot(request.getfixturevalue("torus_win"), _root((1, 1), (1, 0)))
+    aff_win = request.getfixturevalue("aff_win")
+    table = aff_win.alg.simple_reflections()
+    alg = _TableAlgebra(aff_win.alg, (_wrong_sign(table[0]),) + table[1:])
+    return RootSystemWindow(alg, aff_win.w, aff_win.pieces)
+
+
+@pytest.mark.parametrize("name", ["without-degree", "without-root", "wrong-sign"])
+def test_classes_of_irregular_windows_are_the_literal_classes(name, request):
+    """Classes that lie outside the window are left out, and a window that
+    keeps no reflection has the classes of rotations and mirrors alone;
+    record and count of basis triples are the literal loop's."""
+    win = _irregular(name, request)
+    assert bool(win.weyl_maps()) == (name == "without-degree")
+    triples = literal_zero_sum_triples(win)
+    assert win.asymmetric_root() is None
+    assert win.weyl_classes() == list(literal_invariance_classes(win, triples, True).items())
+    assert win.invariance() == literal_invariance_record(win, triples, win.lifted_dims()) == {}
     assert win.basis_triple_count() == sum(win.dim(a) * win.dim(b) * win.dim(c) for a, b, c in triples)
+
+
+@pytest.mark.parametrize("fixture", ["torus_win", "aff_win"])
+@pytest.mark.parametrize("gone", [(1, 1), (0, 0), (-1, 0), _root((1, 1), (1, 0))],
+                         ids=["degree-1-1", "degree-0-0", "degree-m1-0", "root"])
+def test_invariance_witness_matches_literal_loop_on_perturbed_windows_that_are_not_full(
+    fixture, gone, request
+):
+    """The perturbed slices (2, 0)@(-1, 1), (-1, -1)@(1, 0), their sum and its
+    opposite all stay in the window."""
+    win = request.getfixturevalue(fixture)
+    partial = _WithoutRoot(win, gone) if isinstance(gone, Root) else _WithoutDegree(win, gone)
+    perturbed = _PerturbedBracket(partial, _root((2, 0), (-1, 1)), _root((-1, -1), (1, 0)))
+    witness = literal_first_non_invariant_triple(perturbed, literal_zero_sum_triples(perturbed))
+    assert witness is not None
+    assert _t1_witness(perturbed) == witness
 
 
 def _up_to_sign(alg, x):
@@ -631,24 +683,38 @@ class _OrbitPerturbed:
 def test_weyl_scan_names_the_literal_witness_of_an_equivariant_perturbation(fixture, a, b, request):
     """A perturbation of the algebra's bracket over a whole Weyl orbit keeps
     the Weyl rule's premises, so the window keeps every reflection; the
-    record is that of the scan without Weyl images, and T1 names the first
-    failing triple of the literal loop.  With a table whose one entry has a
-    wrong sign, the scan merges nothing and counts what the scan without
-    Weyl images counts."""
+    failing classes closed under the reflections give the literal loop's
+    record, which is that of the scan without Weyl images, and T1 names the
+    first failing triple of the literal loop.  With a table whose one entry
+    has a wrong sign, the scan merges nothing and counts what the scan
+    without Weyl images counts."""
     base = request.getfixturevalue(fixture)
     alg = _OrbitPerturbed(base.alg, base.basis(a)[0], base.basis(b)[0], base.basis(a + b)[0])
     win = RootSystemWindow(alg, base.w, base.pieces)
     assert len(win.weyl_maps()) == win.fin.rank
-    triples = win.zero_sum_triples()
+    triples = literal_zero_sum_triples(win)
     witness = literal_first_non_invariant_triple(win, triples)
     assert witness is not None
-    assert _form_check(win, "T1-form-invariant").witness == {"roots": witness}
-    # the class route finds a failing class, and the listed scan names the witness
-    assert failing_class(win, win.weyl_classes(), True, win.lifted_dims()) is not None
-    plain = _Counting(win)
-    assert win.invariance() == invariance_failures(plain, triples, True, win.lifted_dims())
+    assert _t1_witness(win) == witness
+    assert win.invariance() == literal_invariance_record(win, triples, win.lifted_dims())
+    plain = _scanned(_Counting(win))
+    assert plain.record == win.invariance()
     wrong = _TableAlgebra(alg, (_wrong_sign(alg.simple_reflections()[0]),))
     assert _scan_counts(wrong, base) == (win.invariance(), plain.brackets, plain.forms)
+
+
+def test_weyl_scan_names_the_literal_witness_on_a_window_that_is_not_full(aff_win):
+    """The equivariant perturbation of ``aff_win`` on a window without the
+    degree (0, -1), which none of its slices uses: every reflection is kept,
+    the classes through that degree are left out, and T1 names the first
+    failing triple of the literal loop."""
+    a, b = _root((2, 0), (0, 1)), _root((-1, -1), (1, 0))
+    alg = _OrbitPerturbed(aff_win.alg, aff_win.basis(a)[0], aff_win.basis(b)[0], aff_win.basis(a + b)[0])
+    win = _WithoutDegree(RootSystemWindow(alg, aff_win.w, aff_win.pieces), (0, -1))
+    assert len(win.weyl_maps()) == win.fin.rank
+    witness = literal_first_non_invariant_triple(win, literal_zero_sum_triples(win))
+    assert witness is not None
+    assert _t1_witness(win) == witness
 
 
 # -- D on the base view of an affinized window ----------------------------------
@@ -683,10 +749,12 @@ def test_form_on_lifts_is_the_base_form(aff_win):
 
 def test_base_view_slices_are_the_lifted_parts(aff_win, torus_win):
     """The view keeps the roots and their order, drops the c and d vectors of
-    the zero slice, and holds the base parts of the rest."""
+    the zero slice, and holds the base parts of the rest.  Once the parent
+    has scanned, the view counts its basis triples by the parent's classes."""
     view = aff_win.base_view()
     assert view.alg is aff_win.alg.base and view.roots() == aff_win.roots()
-    assert view.zero_sum_triples() is aff_win.zero_sum_triples()
+    aff_win.invariance()
+    assert view.weyl_classes() is aff_win.weyl_classes()
     for root in view.roots():
         lifted = aff_win.basis(root)[:aff_win.lifted_dims().get(root, aff_win.dim(root))]
         assert view.basis(root) == tuple(x.g for x in lifted)
@@ -754,14 +822,18 @@ def test_invariance_broken_off_the_lifts_fails_T1_only(aff_win):
 def test_invariance_broken_on_the_lifts_names_the_literal_base_witness(aff_win, torus_win, a, b, ijk):
     """D1 on the view of a perturbed affinized window, read from the
     parent's record once T1's scan has run, names the first failing triple
-    of the literal loop on the base window perturbed alike."""
+    of the literal loop on the base window perturbed alike.  The parent's
+    record and the view's are the literal loop's, on lifted indices for the
+    view."""
     parent = _PerturbedBracket(aff_win, a, b, *ijk)
-    parent.invariance()
+    triples = literal_zero_sum_triples(parent)
+    assert parent.invariance() == literal_invariance_record(parent, triples, parent.lifted_dims())
     view = parent.base_view()
     base = _PerturbedBracket(torus_win, a, b, *ijk)
-    witness = literal_first_non_invariant_triple(base, base.zero_sum_triples())
+    witness = literal_first_non_invariant_triple(base, triples)
     assert witness is not None
     assert _form_check(view, "D1-form-invariant").witness == {"roots": witness}
+    assert view.invariance() == literal_invariance_record(base, triples, {})
 
 
 class _ToyWindow:
@@ -798,10 +870,27 @@ def _rotations(a, b, c):
     return [(a, b, c), (b, c, a), (c, a, b)]
 
 
+def _toy_record(win, triples, symmetric):
+    """The record ``RootSystemWindow.invariance`` keeps, on a toy window whose
+    zero-sum triples are ``triples``: each class not yet met is decided at
+    its least member by ``decomp._class_failures``, with the mirror rule
+    when ``symmetric``; failing triples outside ``triples`` are dropped."""
+    met, failed = set(), {}
+    for triple in sorted(triples):
+        if triple not in met:
+            members, fails = decomp._class_failures(win, triple, symmetric, {})
+            met.update(members)
+            failed.update(fails)
+    return {t: v for t, v in failed.items() if t in triples}
+
+
 def _all_variants(win, triples):
-    witness = literal_first_non_invariant_triple(win, triples)
-    assert _first_non_invariant_triple(win, triples, True) == witness
-    assert _first_non_invariant_triple(win, triples, False) == witness
+    """The least failing triple of the literal loop, which ``_form_checks``
+    names from the record, with and without the mirror rule."""
+    witness = literal_first_non_invariant_triple(win, sorted(triples))
+    for symmetric in (True, False):
+        failed = _toy_record(win, triples, symmetric)
+        assert (list(min(failed)) if failed else None) == witness
     return witness
 
 
@@ -809,23 +898,24 @@ def test_invariance_witness_when_earliest_rotation_passes():
     # a, b, c = 1, 2, -3: T_abc = C[1, 2], T_bca = C[2, -3], T_cab = C[-3, 1]
     win = _ToyWindow({(1, 2): 1, (2, -3): 2, (-3, 1): 1})
     triples = [(-3, 1, 2), (1, 2, -3), (2, -3, 1)]
-    # T_abc = T_cab != T_bca: the earliest rotation (c, a, b) passes
+    # T_abc = T_cab != T_bca: the least rotation (c, a, b), where the class is decided, passes
     assert _all_variants(win, triples) == [1, 2, -3]
 
 
 def test_invariance_witness_finishes_earlier_classes():
-    # class P = (1, 2, -3) fails at its second and third rotations only, class
-    # Q = (4, 5, -9) at its first; P is decided first, but q1 precedes p2 and p3
+    # class Q = (-9, 4, 5) is decided first, at its least member q3, which
+    # passes; it fails at q1 and q2 only.  Class P, decided later at p2, fails
+    # there and at p3: p2 precedes q1 and q2, so the witness waits for P
     win = _ToyWindow({
         (1, 2): 1, (2, -3): 2, (-3, 1): 2,
-        (4, 5): 1, (5, -9): 2, (-9, 4): 3,
+        (4, 5): 1, (5, -9): 2, (-9, 4): 1,
     })
     p1, p2, p3 = _rotations(2, -3, 1)
     q1, q2, q3 = _rotations(4, 5, -9)
     triples = [p1, q1, q2, p2, p3, q3]
-    assert literal_first_non_invariant_triple(win, [p1]) is None
-    assert _all_variants(win, triples) == list(q1)
-    assert _all_variants(win, [p1, p2, p3]) == list(p2)
+    assert literal_first_non_invariant_triple(win, [q3, p1]) is None
+    assert _all_variants(win, triples) == list(p2)
+    assert _all_variants(win, [q1, q2, q3]) == list(q1)
 
 
 def _antisymmetric(table):
@@ -843,25 +933,25 @@ _P_FAILS_TWICE = _antisymmetric({(1, 2): 1, (2, -3): 2, (-3, 1): 1})
 
 
 def test_invariance_mirror_class_decided_with_its_class():
-    # the symmetric scan decides P at P3, which passes; P1 and P2 fail, so their
-    # mirrors M1 and M3 are recorded too and M is decided unbracketed; M1 is the
-    # first recorded triple in list order
+    # the symmetric scan decides P at P3, its least member, which passes; P1 and
+    # P2 fail, so their mirrors M1 and M3 are recorded too and M is decided
+    # unbracketed; M1 is the least recorded triple
     win = _ToyWindow(_P_FAILS_TWICE)
     triples = [_P3, _M1, _P1, _P2, _M2, _M3]
-    witness = literal_first_non_invariant_triple(win, triples)
+    witness = literal_first_non_invariant_triple(win, sorted(triples))
     assert witness == list(_M1)
     lean, both_sides = _CountingToy(_P_FAILS_TWICE), _CountingToy(_P_FAILS_TWICE)
-    assert _first_non_invariant_triple(lean, triples, True) == witness
-    assert _first_non_invariant_triple(both_sides, triples, False) == witness
+    literal = literal_invariance_record(win, triples, {})
+    assert _toy_record(lean, triples, True) == _toy_record(both_sides, triples, False) == literal
+    assert set(literal) == {_P1, _P2, _M1, _M3}
     # the symmetric scan brackets the three blocks of P only, the asymmetric one M's too
     assert (lean.brackets, both_sides.brackets) == (3, 6)
-    # P1 precedes P2, but P2's recorded mirror M3 precedes P1 and is the witness
-    assert _all_variants(win, [_P3, _M3, _P1, _P2, _M2, _M1]) == list(_M3)
+    assert _all_variants(win, triples) == witness
 
 
 def test_invariance_mirror_rule_off_without_the_mirror():
-    # M is absent, so the recorded mirrors M1 and M3 are not in the list: P1 is
-    # the first recorded triple there
+    # M is absent, so the recorded mirrors M1 and M3 are not among the toy's
+    # triples: P1 is the least recorded triple there
     assert _all_variants(_ToyWindow(_P_FAILS_TWICE), [_P3, _P1, _P2]) == list(_P1)
 
 
@@ -872,9 +962,9 @@ def test_invariance_mirror_rule_off_without_symmetry():
                      {(a, -a): v for a, v in f.items()})
     triples = [_P1, _P2, _P3, _M1, _M2, _M3]
     assert literal_first_non_invariant_triple(win, [_P1, _P2, _P3]) is None
-    # M starts after its mirror class P, which holds: skipping M would miss M1
-    assert literal_first_non_invariant_triple(win, triples) == list(_M1)
-    assert _first_non_invariant_triple(win, triples, False) == list(_M1)
+    # M is decided after its mirror class P, which holds: skipping M would miss M1
+    assert literal_first_non_invariant_triple(win, sorted(triples)) == list(_M1)
+    assert min(_toy_record(win, triples, False)) == _M1
 
 
 def test_invariance_asymmetric_form_takes_both_literal_sides():
@@ -885,9 +975,9 @@ def test_invariance_asymmetric_form_takes_both_literal_sides():
     )
     triples = _rotations(-3, 1, 2)
     assert literal_first_non_invariant_triple(win, triples) is None
-    assert _first_non_invariant_triple(win, triples, False) is None
+    assert _toy_record(win, triples, False) == {}
     # the symmetric variant's precondition fails here, and so does its verdict
-    assert _first_non_invariant_triple(win, triples, True) == [-3, 1, 2]
+    assert min(_toy_record(win, triples, True)) == (-3, 1, 2)
 
 
 def _t1_form_checks(win):
@@ -896,26 +986,23 @@ def _t1_form_checks(win):
 
 
 def test_form_checks_pass_the_symmetry_verdict_to_invariance(sp4_win, monkeypatch):
-    """The rebuilt window keeps every reflection and scans by classes; the
-    asymmetric one overrides ``form``, keeps none and scans the list."""
+    """The rebuilt window decides its classes with the mirror rule; the
+    asymmetric one, whose form differs only on two basis vectors, without."""
     seen = []
+    class_failures = decomp._class_failures
 
-    def spied(route, helper):
-        def spy(win, triples, symmetric, cut=None):
-            seen.append((route, symmetric))
-            return helper(win, triples, symmetric, cut)
-        return spy
+    def spy(win, triple, symmetric, cut):
+        seen.append(symmetric)
+        return class_failures(win, triple, symmetric, cut)
 
-    monkeypatch.setattr(decomp, "failing_class", spied("classes", decomp.failing_class))
-    monkeypatch.setattr(decomp, "invariance_failures", spied("list", decomp.invariance_failures))
+    monkeypatch.setattr(decomp, "_class_failures", spy)
     asymmetric = _TwoAsymmetricRoots(sp4_win, [_root((1, 1), ())])
     # rebuilt, so that no record the session window keeps is read instead
-    for win in (_Rebuilt(sp4_win), asymmetric):
-        byname = _t1_form_checks(win)
-        expected = literal_first_non_invariant_triple(win, win.zero_sum_triples())
-        witness = byname["T1-form-invariant"].witness
-        assert (witness and witness["roots"]) == expected
-    assert seen == [("classes", True), ("list", False)]
+    for win, symmetric in ((_Rebuilt(sp4_win), True), (asymmetric, False)):
+        seen.clear()
+        expected = literal_first_non_invariant_triple(win, literal_zero_sum_triples(win))
+        assert _t1_witness(win) == expected
+        assert seen and set(seen) == {symmetric}
 
 
 # -- the full matrix algebra is not graded-simple --------------------------------
@@ -1017,6 +1104,10 @@ class _TwoAsymmetricRoots(_Rebuilt):
     def form(self, x, y):
         val = super().form(x, y)
         return val + 1 if (id(x), id(y)) in self._pairs else val
+
+
+class _CountingOneSided(_Recording, _TwoAsymmetricRoots):
+    """A ``_TwoAsymmetricRoots`` window recording its brackets and counting its forms."""
 
 
 def test_form_symmetry_witness_is_first_root(sp4_win):
@@ -1519,8 +1610,12 @@ def test_form_pairs_only_opposite_roots(request, fixture, pairs):
 
 @pytest.mark.parametrize("fixture", ["aff_win", "torus_win", "sqrt_win"])
 def test_zero_sum_triples_match_root_sums(request, fixture):
+    """The classes cover the root triples (r1, r2, -(r1 + r2)) of the window,
+    each once, and count their basis triples."""
     win = request.getfixturevalue(fixture)
-    assert win.zero_sum_triples() == literal_zero_sum_triples(win)
+    triples = literal_zero_sum_triples(win)
+    assert sum(n for _, n in win.weyl_classes()) == len(triples)
+    assert win.basis_triple_count() == sum(win.dim(a) * win.dim(b) * win.dim(c) for a, b, c in triples)
 
 
 # -- PROPS root-pair checks by bilinearity and finite parts -------------------------

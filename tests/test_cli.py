@@ -235,28 +235,23 @@ def test_check_exit_one_with_witnesses(capsys):
 
 def _count_windows_and_scans(monkeypatch):
     """Counts of ``cli.decompose_window`` calls, keyed by the algebra's class
-    name, of invariance scans by classes under ``"class scan"``, of listed
-    scans (``invariance_failures``, whose loop closes each class member by
-    member) under ``"listed scan"``, and of ``zero_sum_triples`` lists built
-    or read under ``"triple list"``."""
+    name, and of invariance class enumerations (``decomp._classes``, which
+    ``RootSystemWindow.weyl_classes`` calls once per scanned window) under
+    ``"class enumeration"``."""
     calls = Counter()
     decompose = cli.decompose_window
-    spied = {"class scan": (decomp, "failing_class"), "listed scan": (decomp, "invariance_failures"),
-             "triple list": (decomp.RootSystemWindow, "zero_sum_triples")}
+    classes = decomp._classes
 
     def counted_decompose(alg, w):
         calls[type(alg).__name__] += 1
         return decompose(alg, w)
 
-    def counted(key, fn):
-        def spy(*args):
-            calls[key] += 1
-            return fn(*args)
-        return spy
+    def counted_classes(*args):
+        calls["class enumeration"] += 1
+        return classes(*args)
 
     monkeypatch.setattr(cli, "decompose_window", counted_decompose)
-    for key, (owner, name) in spied.items():
-        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    monkeypatch.setattr(decomp, "_classes", counted_classes)
     return calls
 
 
@@ -265,19 +260,18 @@ def _d_section(out):
 
 
 def test_affinized_check_decomposes_once_and_scans_invariance_once(capsys, monkeypatch):
-    """T1 scans the affinized window by classes; D runs on its base view
-    and reads that scan.  Alone, D scans the base view once, with the same
-    D section.  A passing check lists no zero-sum triple and runs no listed
-    scan."""
+    """T1 scans the affinized window by its classes; D runs on its base
+    view and reads that scan and those classes.  Alone, D scans the base
+    view by its own classes, once, with the same D section."""
     calls = _count_windows_and_scans(monkeypatch)
     argv = "check --construction affinized --nu 2 --q -1 --window 1".split()
     rc, full, _ = _run(capsys, argv)
     assert rc == 0
-    assert calls == {"AffinizedAlgebra": 1, "class scan": 1}
+    assert calls == {"AffinizedAlgebra": 1, "class enumeration": 1}
     calls.clear()
     rc, d_only, _ = _run(capsys, argv + ["--suites", "D"])
     assert rc == 0
-    assert calls == {"AffinizedAlgebra": 1, "class scan": 1}
+    assert calls == {"AffinizedAlgebra": 1, "class enumeration": 1}
     assert _d_section(d_only) == _d_section(full)
 
 
@@ -290,7 +284,7 @@ def test_one_window_scans_invariance_once(capsys, monkeypatch, argv):
     calls = _count_windows_and_scans(monkeypatch)
     rc, _, _ = _run(capsys, argv.split())
     assert rc == 0
-    assert calls == {"TorusMatrixAlgebra": 1, "class scan": 1}
+    assert calls == {"TorusMatrixAlgebra": 1, "class enumeration": 1}
 
 
 def test_cocycle_suite(capsys):
@@ -300,6 +294,22 @@ def test_cocycle_suite(capsys):
     payload = json.loads(out)
     assert set(payload["suite_results"]) == {"CON"}
     assert payload["suite_results"]["CON"]["passed"] is True
+
+
+def test_cocycle_metadata_names_no_unread_option(capsys):
+    """CON reads neither ``--window`` nor ``--seed`` (``UNREAD_OPTIONS``), so
+    neither the instance nor the CON metadata names them; a construction
+    that reads them keeps both."""
+    rc, out, _ = _run(capsys, "check --construction cocycle-extension --nu 2 --q -1".split())
+    assert rc == 0
+    payload = json.loads(out)
+    con = payload["suite_results"]["CON"]["metadata"]
+    assert {"window", "seed"} <= set(cli.UNREAD_OPTIONS["cocycle-extension"])
+    assert payload["instance"] == {"construction": "cocycle-extension", "ell": 2, "nu": 2, "q_upper": "-1"}
+    assert con == {**payload["instance"], "extension": "degree-derivations"}
+    rc, out, _ = _run(capsys, "check --construction sp-classical --ell 2 --suites SERRE".split())
+    assert rc == 0
+    assert {"window": 1, "seed": 0}.items() <= json.loads(out)["instance"].items()
 
 
 def test_serre_command(capsys):
@@ -378,6 +388,15 @@ PINNED_REPORTS = [
     # degrees carry different kappa signs
     ("ears --construction quantum-torus --nu 3 --q=-1,1,-1 --window 1", 0,
      "9bedd6f18b0dbf61e5b5ffd4d6c287c83ccd49dd07cd91e8d8c20e7234281801"),
+    # D alone: the base view scans its own invariance by its own classes
+    ("check --construction affinized --nu 2 --q -1 --window 1 --suites D", 0,
+     "2d42de02fb6975de22cf6930135326e7500c2cbda470c123138d8451b697d55e"),
+    # the default check at window 2: 620 invariance classes
+    ("check --construction affinized --nu 2 --q -1 --window 2", 0,
+     "b390ad32caf689a6f667ec6521570f4559e391d8fdd7c4529983b88c80f734e7"),
+    # the check-sqrt benchmark workload: rank 4 over three primes
+    ("check --construction sqrt-extension --rank 4 --primes 2,3,5", 0,
+     "bb0e330cb263a2e1c6544eff554c6e842ccea19fcafcc2423cff965a5f7b5bf6"),
 ]
 
 
@@ -387,7 +406,8 @@ PINNED_REPORTS = [
                               "ears-torus-w2", "check-affinized",
                               "check-sqrt-extension-3-primes", "check-affinized-underived",
                               "check-sp-classical-3", "ears-torus-w3",
-                              "ears-torus-nu3-mixed"])
+                              "ears-torus-nu3-mixed", "check-affinized-D",
+                              "check-affinized-w2", "check-sqrt-rank4"])
 def test_report_bytes_pinned(capsys, argv, code, digest):
     rc, out, _ = _run(capsys, argv.split())
     assert rc == code

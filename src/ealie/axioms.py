@@ -22,7 +22,9 @@ Four families of checks:
 Every universally quantified statement is truncated to the window basis, as
 each detail string says.  Two checks also draw, from one seeded stream per
 suite: T3 and D12a draw coefficient lists for their combinations (two and
-one per slice of dimension above 1), all before deciding any root.  All
+one per slice of dimension above 1), all before deciding any root.  A root
+whose opposite slices are lines over the scalar field reads no combination:
+its first basis vector decides it, and every draw is still made.  All
 arithmetic is exact.
 """
 
@@ -311,7 +313,10 @@ def _first_unsolvable_root(win, rng, combos):
 
     The probes of a root are its slice basis plus, when the slice has more than
     one vector, ``combos`` seeded random combinations of it; every coefficient
-    list is drawn first, in root order.  Each root is decided, in root order,
+    list is drawn first, in root order.  A root whose slices at alpha and
+    -alpha are both lines over the scalar field (``win.scalar_line``) has
+    one probe, the first basis vector x_0, and no combination: every nonzero
+    vector of the slice solves exactly when x_0 does.  Each root is decided, in root order,
     from ``win.bracket_table(alpha)``, M[i][j] = coords([x_i, y_j]) over the
     bases x of slice alpha and y of slice -alpha, which the window brackets
     once per +-alpha pair.  By bilinearity a combination sum c_i x_i brackets
@@ -325,9 +330,12 @@ def _first_unsolvable_root(win, rng, combos):
     draws = {r: [_coefficients(rng, win.dim(r)) for _ in range(combos)] if win.dim(r) > 1 else []
              for r in roots}
     for alpha in roots:
-        if -alpha not in win.pieces or _misses(
-            win.bracket_table(alpha), draws[alpha], win.coords(win.rep_t(alpha))
-        ):
+        if -alpha not in win.pieces:
+            return alpha
+        rows, combined = win.bracket_table(alpha), draws[alpha]
+        if win.scalar_line(alpha) and win.scalar_line(-alpha):
+            rows, combined = rows[:1], ()
+        if _misses(rows, combined, win.coords(win.rep_t(alpha))):
             return alpha
     return None
 
@@ -363,11 +371,15 @@ def check_T(win, seed=0):
     t3_root = _first_unsolvable_root(win, rng, 2)
     if t3_root is None:
         t3_root = next((d for d in win.isotropic_roots() if isotropic_pair(win, d) is None), None)
+    if all(win.scalar_line(r) for r in win.nonisotropic_roots()):
+        probed = ("every nonzero nonisotropic vector solves [x, y] = t, each slice a line"
+                  " over the scalar field decided by its first basis vector")
+    else:
+        probed = "every nonisotropic basis vector and sampled combinations solve [x, y] = t"
     results.append(CheckResult(
         "T3-bracket-representatives",
         t3_root is None,
-        "window-verified: every nonisotropic basis vector and sampled combinations"
-        " solve [x, y] = t; every isotropic window root has a normalized pair",
+        f"window-verified: {probed}; every isotropic window root has a normalized pair",
         None if t3_root is None else {"root": t3_root},
     ))
 

@@ -130,16 +130,24 @@ def _parse_suites(parser, construction, text):
     return [s for s in SUITE_ORDER if s in picked]
 
 
-def _instance_meta(args, extra=None):
-    """The report's instance metadata; ``window`` and ``seed`` appear only
-    for a construction that reads them (``UNREAD_OPTIONS``)."""
+# The suites that draw from the seed: T3 and D12a.
+SEEDED_SUITES = ("T", "D")
+
+
+def _instance_meta(args, suites, extra=None):
+    """The report's instance metadata; ``window`` appears only for a
+    construction that reads it (``UNREAD_OPTIONS``), and ``seed`` only when
+    ``suites``, the suites of the run, hold one that draws."""
     meta = {
         "construction": args.construction,
         "ell": args.ell,
         "nu": args.nu,
     }
     unread = UNREAD_OPTIONS[args.construction]
-    meta.update((name, getattr(args, name)) for name in ("window", "seed") if name not in unread)
+    if "window" not in unread:
+        meta["window"] = args.window
+    if any(s in SEEDED_SUITES for s in suites):
+        meta["seed"] = args.seed
     if args.construction in ("quantum-torus", "affinized", "cocycle-extension"):
         meta["q_upper"] = args.q or ""
     if args.construction in ("sp-classical", "sqrt-extension"):
@@ -187,13 +195,14 @@ def _run_con_suite(parser, args):
         CheckResult(name, passed, detail)
         for name, passed, detail in check_extension_conditions(spec, samples)
     ]
-    return AxiomReport("CON", results, _instance_meta(args, {"extension": spec.name}))
+    return AxiomReport("CON", results, _instance_meta(args, ["CON"], {"extension": spec.name}))
 
 
-def _ears_report(args, win):
-    """The EARS report (root-system axioms, then support checks) and the support sets."""
+def _ears_report(args, win, suites):
+    """The EARS report (root-system axioms, then support checks) and the
+    support sets; ``suites`` are those the run runs, for its metadata."""
     sup, sup_results = support_checks(win)
-    return AxiomReport("EARS", check_ears_axioms(win) + sup_results, _instance_meta(args)), sup
+    return AxiomReport("EARS", check_ears_axioms(win) + sup_results, _instance_meta(args, suites)), sup
 
 
 def _collect_reports(parser, args, suites):
@@ -221,7 +230,7 @@ def _collect_reports(parser, args, suites):
             graded = win.base_view() if args.construction == "affinized" else win
             reports["D"] = check_D(graded, seed=args.seed)
         elif suite == "EARS":
-            reports["EARS"] = _ears_report(args, win)[0]
+            reports["EARS"] = _ears_report(args, win, suites)[0]
         elif suite == "SERRE":
             reports["SERRE"] = serre_check(win)
         elif suite in ("TAME", "PROPS"):
@@ -251,7 +260,7 @@ def _cmd_check(parser, args):
         if failed:
             witnesses[suite] = failed
     payload = {
-        "instance": _instance_meta(args),
+        "instance": _instance_meta(args, suites),
         "suite_results": {suite: rep.as_json() for suite, rep in reports.items()},
         "witnesses": witnesses,
     }
@@ -291,7 +300,7 @@ def _cmd_serre(parser, args):
     alg = _build_algebra(parser, args)
     win = decompose_window(alg, args.window)
     report = serre_check(win)
-    payload = {"instance": _instance_meta(args), "serre": report.as_json()}
+    payload = {"instance": _instance_meta(args, ["SERRE"]), "serre": report.as_json()}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0 if report.passed else 1
 
@@ -301,9 +310,9 @@ def _cmd_ears(parser, args):
         parser.error(f"suite EARS is not applicable to {args.construction}")
     alg = _build_algebra(parser, args)
     win = decompose_window(alg, args.window)
-    report, sup = _ears_report(args, win)
+    report, sup = _ears_report(args, win, ["EARS"])
     payload = {
-        "instance": _instance_meta(args),
+        "instance": _instance_meta(args, ["EARS"]),
         "ears": report.as_json(),
         "support": {
             "S": sorted(list(s) for s in sup.s_set),

@@ -589,10 +589,12 @@ class SqrtMatrix(SparseMatrix):
 class SqrtExtensionAlgebra:
     """sp_{2l}(Q) tensored with Q(sqrt p : p in primes); nullity 0, type C_l.
 
-    Root slices are one-dimensional over the field, hence of rational
-    dimension 2^len(primes); every nonzero slice vector has an explicit
-    inverse-based partner realizing [x, y] = t, which is the strictly-division
-    property made constructive.
+    Each root slice is a line over the field K: its basis is b s for s in
+    ``scalar_basis()``, b the base matrix of the root, so its rational
+    dimension is 2^len(primes).  The bracket is K-bilinear, so a nonzero
+    slice vector x = b c solves [x, y] = t_alpha as soon as b does, with
+    y = y_b / c for the partner y_b of b: the strictly-division property.
+    T3 decides such a root from b alone (``RootSystemWindow.scalar_line``).
     """
 
     construction = "sqrt-extension"
@@ -628,6 +630,11 @@ class SqrtExtensionAlgebra:
     def simple_reflections(self):
         return self.fin.simple_reflections()
 
+    def scalar_basis(self):
+        """The field's rational basis sqrt(a), a in ``keys``: each root slice
+        is its base matrix times these, in this order."""
+        return tuple(SqrtFieldElement.sqrt(a) for a in self.keys)
+
     # -- grading -----------------------------------------------------------------
 
     def _base_matrix(self, weight):
@@ -645,8 +652,7 @@ class SqrtExtensionAlgebra:
         weight = tuple(root.finite)
         if any(root.lattice) or (any(weight) and weight not in self.fin.nonzero_roots):
             return ()
-        mats = self._base_matrix(weight)
-        return tuple(m * SqrtFieldElement.sqrt(a) for m in mats for a in self.keys)
+        return tuple(m * s for m in self._base_matrix(weight) for s in self.scalar_basis())
 
     # -- toral data -----------------------------------------------------------------
 
@@ -655,41 +661,3 @@ class SqrtExtensionAlgebra:
 
     def root_functional(self, root):
         return [Fraction(v) for v in root.finite]
-
-    # -- division structure ------------------------------------------------------------
-
-    def _pure_decomposition(self, root, x):
-        """Write x = b (x) u with b the base matrix of the slice and u in the field."""
-        b = self._base_matrix(tuple(root.finite))[0]
-        pos, cb = next(iter(sorted(b.entries.items())))
-        u = x.entries.get(pos)
-        if u is None:
-            raise ValueError("element does not lie in the requested slice")
-        u = u * cb.inverse()
-        if x != b * u:
-            raise ValueError("element does not lie in the requested slice")
-        return b, u
-
-    def division_witness(self, root, x, t_target):
-        """The partner y with [x, y] = t_target, via a field inverse.
-
-        The slice is one-dimensional over the field: x = b (x) u.  With
-        [b, b_opp] = c * t_target (a rational multiple), y = b_opp (x)
-        u^{-1}/c works, and the bracket is re-verified exactly.
-        """
-        if x.is_zero():
-            raise ValueError("zero vector has no division partner")
-        b, u = self._pure_decomposition(root, x)
-        b_opp = self._base_matrix(tuple(-v for v in root.finite))[0]
-        br = self.bracket(b, b_opp)
-        pos, val = next(iter(sorted(t_target.entries.items())))
-        c = br.entries.get(pos)
-        if c is None:
-            raise ValueError("bracket of base matrices misses the target support")
-        ratio = c * val.inverse()
-        if br != t_target * ratio:
-            raise ValueError("bracket of base matrices is not a multiple of the target")
-        y = b_opp * (u.inverse() * ratio.inverse())
-        if self.bracket(x, y) != t_target:
-            raise ValueError("division witness failed re-verification")
-        return y

@@ -23,7 +23,11 @@ after the lifts; one whose slices hold vectors that no bracket reaches
 An algebra whose elements carry ``reflect(moves)``, the action of a simple
 reflection of W(C_l), provides ``simple_reflections()``, the table
 ``FiniteRootSystem.simple_reflections`` those moves come from; the
-invariance scan then merges the Weyl images of its classes.
+invariance scan then merges the Weyl images of its classes.  An algebra
+whose bracket is bilinear over a field K larger than Q names K's rational
+basis in ``scalar_basis()``; a slice that is its first vector times that
+basis is a line over K (``RootSystemWindow.scalar_line``), and T3 and D12a
+decide it by that vector.
 
 decompose_window builds the slices for all lattice degrees of max-norm <= w
 and verifies, entry by entry, that every claimed basis vector is an exact
@@ -144,6 +148,7 @@ class RootSystemWindow:
         self._t_cache = {}  # root -> rep_t(root), and tuple(root_functional(root)) -> the same
         self._tables = {}  # root -> bracket_table(root), first root of each +-root pair
         self._grams = {}  # root -> gram(root)
+        self._lines = {}  # root -> scalar_line(root)
         self._asymmetric = None  # (asymmetric_root(),) once found
         self._strings = None  # (first_broken_string(self),) once scanned
         self._invariance = None  # invariance(), once scanned
@@ -266,6 +271,26 @@ class RootSystemWindow:
         if root not in self._grams:
             self._grams[root] = [[self.form(x, y) for y in self.basis(-root)] for x in self.basis(root)]
         return self._grams[root]
+
+    def scalar_line(self, root):
+        """Whether slice ``root`` is a line over the algebra's scalar field:
+        its basis is exactly x_0 s for s in ``alg.scalar_basis()``, x_0 its
+        first vector, checked by equality once per root.  Always False for
+        an algebra without ``scalar_basis``.
+
+        When slices root and -root are both lines, T3 and D12a decide the
+        root by x_0 alone: a nonzero x in the slice is x_0 c with c != 0 in
+        the field, and [x_0, y] = t gives [x, y / c] = t with y / c in slice
+        -root, since the bracket is bilinear over the field (tests pin this
+        on every basis pair of the square-root windows).
+        """
+        line = self._lines.get(root)
+        if line is None:
+            scalars = getattr(self.alg, "scalar_basis", None)
+            basis = self.basis(root)
+            line = scalars is not None and list(basis) == [basis[0] * s for s in scalars()]
+            self._lines[root] = line
+        return line
 
     def asymmetric_root(self):
         """The first root r whose ``gram(r)`` is not the transpose of
@@ -578,6 +603,11 @@ def _class_failures(win, triple, symmetric, cut):
     through such a slice is compared again on lifted indices alone, and any
     other failure lies on lifted indices.  A passing rotation costs nothing
     more.  The mirror of a rotation fails on the same indices, reversed.
+
+    The form is bilinear, so a zero bracket [x_i, y_j] has a row of 0s in L
+    and in R, and is formed with nothing.  An element is zero when it is
+    falsy (``not xy``), so an element type without ``__bool__`` is always
+    formed.
     """
     a, b, c = triple
     rotations = [triple] if a == b == c else [triple, (b, c, a), (c, a, b)]
@@ -586,16 +616,17 @@ def _class_failures(win, triple, symmetric, cut):
         (r, s): [[win.bracket(x, y) for y in win.basis(s)] for x in win.basis(r)]
         for r, s, _ in rotations
     }
-    lhs = {
-        (r, s, t): [[[win.form(xy, z) for z in win.basis(t)] for xy in row]
-                    for row in blocks[r, s]]
-        for r, s, t in rotations
-    }
-    rhs = lhs if symmetric else {
-        (r, s, t): [[[win.form(z, xy) for z in win.basis(t)] for xy in row]
-                    for row in blocks[r, s]]
-        for r, s, t in rotations
-    }
+
+    def values(rot, pair):
+        """pair(xy, z) over the block of ``rot`` and the basis of its third
+        slice; a zero bracket xy gets a row of 0s and forms nothing."""
+        r, s, t = rot
+        zs = win.basis(t)
+        zeros = [0] * len(zs)
+        return [[[pair(xy, z) for z in zs] if xy else zeros for xy in row] for row in blocks[r, s]]
+
+    lhs = {rot: values(rot, win.form) for rot in rotations}
+    rhs = lhs if symmetric else {rot: values(rot, lambda xy, z: win.form(z, xy)) for rot in rotations}
     fails = {}
     for r, s, t in rotations:
         if _tensors_differ(lhs[r, s, t], rhs[s, t, r]):

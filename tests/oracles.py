@@ -62,7 +62,13 @@ subtraction, and reads Fractions through ``int(x * den)``.
 The division oracle is T3/D12a's per-probe loop: root by root, each basis
 vector and each seeded combination, built as an element, is bracketed with
 the opposite basis here and solved for [x, y] = t_alpha by ``literal_solve``,
-with no bracket table, no antisymmetry and no bilinearity.
+with no bracket table, no antisymmetry and no bilinearity.  The K-line
+division oracle builds the partner of one vector of a slice that is a line
+over a field: it writes x = b u and [b, b'] = c t_alpha, with b and b' the
+first basis vectors of the slice and its opposite, reads u and c off one
+matrix entry each and checks both by equality, then takes y = b' / (u c)
+through a field inverse and checks [x, y] = t_alpha; it reads no basis
+vector past the first and solves nothing.
 
 ``tests/test_layering.py`` checks that this file imports neither
 ``ealie.axioms`` nor ``ealie.ears``, no nullspace or solve route of
@@ -418,6 +424,50 @@ def literal_first_unsolvable_root(win, rng, combos):
                              [target.get(k, 0) for k in keys]) is None:
                 return alpha
     return None
+
+
+def _field_ratio(x, b):
+    """The field element u with x = b u, read off b's least matrix entry
+    and checked by equality; None when there is none."""
+    pos, cb = min(b.entries.items())
+    u = x.entries.get(pos)
+    if u is None:
+        return None
+    u = u * cb.inverse()
+    return u if x == b * u else None
+
+
+def division_witness(win, root, x):
+    """The partner y in slice -root with [x, y] = t_root, built through a
+    field inverse, for x in a slice that is a line over the entries' field.
+
+    With b and b' the first basis vectors of slices root and -root, x = b u
+    and [b, b'] = c t_root for field elements u and c, and then
+    y = b' / (u c); the window's bracket checks [x, y] = t_root.  None when
+    [b, b'] is no field multiple of t_root, so that no y in b' times the
+    field solves.  Raises ValueError for a zero x, or one that is no field
+    multiple of b.
+    """
+    if x.is_zero():
+        raise ValueError("zero vector has no division partner")
+    b, b_opp = win.basis(root)[0], win.basis(-root)[0]
+    u = _field_ratio(x, b)
+    if u is None:
+        raise ValueError("element is no field multiple of the slice's first vector")
+    t = win.rep_t(root)
+    c = _field_ratio(win.bracket(b, b_opp), t)
+    if c is None:
+        return None
+    y = b_opp * (u * c).inverse()
+    assert win.bracket(x, y) == t
+    return y
+
+
+def literal_first_undivided_root(win):
+    """The first nonisotropic root whose first basis vector has no
+    ``division_witness``; None if there is none."""
+    return next((r for r in win.nonisotropic_roots()
+                 if division_witness(win, r, win.basis(r)[0]) is None), None)
 
 
 def literal_first_nonorthogonal_isotropic(win):

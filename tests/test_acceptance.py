@@ -46,7 +46,7 @@ from ealie.quantum_torus import (
 )
 
 from conftest import Q_MIXED
-from oracles import literal_zero_span, probe_flags
+from oracles import division_witness, literal_zero_span, probe_flags
 
 _I = GaussianRational(0, 1)
 
@@ -294,7 +294,7 @@ def test_criterion_12_division_example(sqrt_alg):
             assert win.dim(root) == 4, root
             t = win.rep_t(root)
             for x in win.basis(root):
-                y = sqrt_alg.division_witness(root, x, t)
+                y = division_witness(win, root, x)
                 assert sqrt_alg.bracket(x, y) == t
 
 

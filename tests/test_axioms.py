@@ -20,6 +20,7 @@ from ealie.constructions import (
     AffinizedElement,
     CocycleExtensionAlgebra,
     ExtensionSpec,
+    SqrtExtensionAlgebra,
     SqrtMatrix,
     TorusMatrixAlgebra,
     _degree_pairings,
@@ -51,6 +52,7 @@ from oracles import (
     literal_first_non_invariant_triple,
     literal_first_noncentral_delta,
     literal_first_nonorthogonal_isotropic,
+    literal_first_undivided_root,
     literal_first_unsolvable_root,
     literal_first_unequal_pairing,
     literal_first_ungraded_pair,
@@ -292,15 +294,16 @@ def _t1_witness(win):
     return witness and witness["roots"]
 
 
-@pytest.mark.parametrize("fixture, brackets, forms", [
-    ("aff_win", 5263, 11497),
-    ("torus_win", 4663, 9333),
-    ("sp4_win", 36, 44),
+@pytest.mark.parametrize("fixture, brackets, forms, two_sided", [
+    ("aff_win", 5263, 8306, 33224),
+    ("torus_win", 4663, 7402, 29608),
+    ("sp4_win", 36, 32, 128),
 ], ids=["aff_win", "torus_win", "sp4_win"])
-def test_invariance_scan_halves_brackets_and_forms(fixture, brackets, forms, request):
+def test_invariance_scan_halves_brackets_and_forms(fixture, brackets, forms, two_sided, request):
     """The scan of a window whose form is found asymmetric forms both
     sides; the form there differs only on two basis vectors, which no
-    invariance form value reads, so the scan passes as the literal loop does."""
+    invariance form value reads, so the scan passes as the literal loop does.
+    Neither scan forms a zero bracket, which the literal loop does."""
     win = request.getfixturevalue(fixture)
     literal = _Counting(win)
     assert literal_first_non_invariant_triple(literal, literal_zero_sum_triples(win)) is None
@@ -309,7 +312,7 @@ def test_invariance_scan_halves_brackets_and_forms(fixture, brackets, forms, req
     assert both_sides.asymmetric_root() is not None and both_sides.record == {}
     # without symmetry: one bracket per ordered block of a cyclic class, both sides
     assert 2 * both_sides.brackets == literal.brackets
-    assert both_sides.forms == literal.forms
+    assert both_sides.forms == two_sided < literal.forms
     # with symmetry: one form value per basis triple, and each class decided with
     # its mirror class; classes with a repeated root are their own mirror
     assert (lean.brackets, lean.forms) == (brackets, forms)
@@ -437,9 +440,9 @@ def _scan_counts(alg, fixture_win):
 
 
 @pytest.mark.parametrize("fixture, brackets, forms, classes, members", [
-    ("aff_win", 1544, 4480, 84, 2401),
-    ("torus_win", 1256, 3096, 84, 2401),
-    ("sp4_win", 17, 23, 4, 49),
+    ("aff_win", 1544, 2383, 84, 2401),
+    ("torus_win", 1256, 1919, 84, 2401),
+    ("sp4_win", 17, 13, 4, 49),
 ], ids=["aff_win", "torus_win", "sp4_win"])
 def test_weyl_classes_cut_brackets_and_forms(fixture, brackets, forms, classes, members, request):
     """Beside the counts of the scan without Weyl images: each
@@ -516,7 +519,7 @@ def test_a_reflection_with_a_wrong_sign_is_dropped(aff_win):
         assert win.weyl_maps() == ()
     lean = _lean_scan("aff_win", aff_win)
     alone = _TableAlgebra(aff_win.alg, (_wrong_sign(table[0]),))
-    assert _scan_counts(alone, aff_win) == (lean.record, lean.brackets, lean.forms) == ({}, 5263, 11497)
+    assert _scan_counts(alone, aff_win) == (lean.record, lean.brackets, lean.forms) == ({}, 5263, 8306)
 
 
 class _LiftsCutAcrossAnOrbit(_Rebuilt):
@@ -1359,15 +1362,18 @@ class _ToyDivisionWindow:
     bilinearly and antisymmetrically.  Every basis vector solves, but
     c0 x0 + c1 x1 brackets y0 and y1 to c0 h + c1 m and c0 k + c1 h, whose
     span misses h when c0 c1 != 0; the same holds at -1.  The window's
-    bracket table is ``RootSystemWindow``'s own."""
+    bracket table and line predicate are ``RootSystemWindow``'s own; its
+    algebra has no scalar basis, so no slice is a line."""
 
     _table = {("x0", "y0"): "h", ("x1", "y1"): "h", ("x0", "y1"): "k", ("x1", "y0"): "m"}
     bracket_table = RootSystemWindow.bracket_table
+    scalar_line = RootSystemWindow.scalar_line
 
     def __init__(self):
         self.pieces = {r: tuple(_Toy({f"{v}{i}": 1}) for i in range(2)) for r, v in ((1, "x"), (-1, "y"))}
         self.alg = self
         self._tables = {}
+        self._lines = {}
 
     def zero(self):
         return _Toy({})
@@ -1425,6 +1431,145 @@ def test_first_unsolvable_root_brackets_each_basis_pair_once(request, fixture, b
     assert axioms._first_unsolvable_root(scan, random.Random(1), 2) is None
     assert [(id(x), id(y)) for x, y, _ in scan.bracketed] == pairs
     assert len(pairs) == brackets
+
+
+# -- T3 and D12a on slices that are lines over the scalar field ------------------
+
+
+def _probes_read(monkeypatch, win, combos):
+    """``_first_unsolvable_root(win)`` with its draws seeded by ``combos``,
+    and the number of probes it read: one ``SpanDict`` per probe."""
+    made = []
+
+    class Spans(SpanDict):
+        __slots__ = ()
+
+        def __init__(self, vecs=()):
+            made.append(1)
+            super().__init__(vecs)
+
+    monkeypatch.setattr(axioms, "SpanDict", Spans)
+    return axioms._first_unsolvable_root(win, random.Random(combos), combos), len(made)
+
+
+LINE_T3 = ("window-verified: every nonzero nonisotropic vector solves [x, y] = t, each slice a line"
+           " over the scalar field decided by its first basis vector; every isotropic window root"
+           " has a normalized pair")
+
+
+def _t3(win):
+    (t3,) = (r for r in check_T(win).results if r.name == "T3-bracket-representatives")
+    return t3
+
+
+@pytest.fixture(scope="session")
+def sqrt5_win():
+    """Rank 2 over Q(sqrt2, sqrt3, sqrt5): slices of rational dimension 8."""
+    return decompose_window(SqrtExtensionAlgebra(2, [2, 3, 5]), 0)
+
+
+@pytest.mark.parametrize("fixture, probes", [
+    ("sqrt_win", 8), ("sqrt5_win", 8), ("torus_win", 180), ("aff_win", 180), ("underived_win", 60),
+])
+def test_t3_reads_one_probe_per_root_whose_slices_are_lines(request, monkeypatch, fixture, probes):
+    """A root whose slice and opposite slice are lines over the scalar field
+    is read at its first basis vector alone; every other root reads its
+    rows and its drawn combinations, as before."""
+    win = request.getfixturevalue(fixture)
+    roots = win.nonisotropic_roots()
+    lines = [r for r in roots if win.scalar_line(r)]
+    assert lines == (roots if fixture.startswith("sqrt") else [])
+    assert probes == sum(1 if r in lines else win.dim(r) + 2 * (win.dim(r) > 1) for r in roots)
+    assert _probes_read(monkeypatch, win, 2) == (None, probes)
+
+
+@pytest.mark.parametrize("fixture", ["sqrt_win", "sqrt5_win"])
+def test_t3_on_line_slices_matches_the_probe_loop_and_the_division_oracle(request, fixture):
+    """Every nonisotropic slice of a square-root window is its first vector
+    times ``scalar_basis()``; T3 passes, as the literal probe loop and the
+    K-line division oracle do, and its detail names the rule."""
+    win = request.getfixturevalue(fixture)
+    for r in win.nonisotropic_roots():
+        basis = win.basis(r)
+        assert win.scalar_line(r) and list(basis) == [basis[0] * s for s in win.alg.scalar_basis()]
+    t3 = _t3(win)
+    assert t3.passed and t3.detail == LINE_T3
+    assert literal_first_unsolvable_root(win, random.Random(2), 2) is None
+    assert literal_first_undivided_root(win) is None
+
+
+def _resliced(win, change):
+    """``win``'s slices with each basis changed by ``change(root, basis)``, as a window of its own."""
+    pieces = {r: GradedPiece(root=r, basis=tuple(change(r, p.basis))) for r, p in win.pieces.items()}
+    return RootSystemWindow(win.alg, win.w, pieces)
+
+
+SQRT_RESLICES = {
+    "reordered": lambda root, basis: basis[::-1],
+    "rescaled": lambda root, basis: (basis[0] * 2,) + basis[1:],
+    # one slice of each +-alpha pair stays a line
+    "half-reordered": lambda root, basis: basis[::-1] if root < -root else basis,
+}
+
+
+@pytest.fixture(scope="session", params=sorted(SQRT_RESLICES))
+def resliced_sqrt(request, sqrt_win):
+    """The name of a change in ``SQRT_RESLICES``, ``sqrt_win`` with its
+    slices so changed, and the literal probe loop's verdict on it, computed once."""
+    win = _resliced(sqrt_win, SQRT_RESLICES[request.param])
+    return request.param, win, literal_first_unsolvable_root(win, random.Random(2), 2)
+
+
+def test_a_slice_that_is_no_scaled_first_vector_takes_every_probe(monkeypatch, resliced_sqrt):
+    """A reordered or rescaled basis spans the same line, but the predicate
+    checks the basis itself: a root with such a slice at alpha or at -alpha
+    reads every row and drawn combination, and the verdict is the probe
+    loop's, a pass."""
+    name, win, literal = resliced_sqrt
+    roots = win.nonisotropic_roots()
+    lines = [r for r in roots if win.scalar_line(r)]
+    assert lines == ([r for r in roots if r > -r] if name == "half-reordered" else [])
+    assert _t3(win).detail.startswith("window-verified: every nonisotropic basis vector and sampled")
+    assert literal is None
+    assert _probes_read(monkeypatch, win, 2) == (None, sum(win.dim(r) + 2 for r in roots))
+
+
+class _DeadFirstVector(_Rebuilt):
+    """A fixture window whose bracket is 0 whenever an argument is the first
+    basis vector x_0 of slice ``root``.  Both slices of the pair stay lines,
+    x_0 has no partner, and neither has the first vector of slice -root:
+    its brackets with the other x_i are irrational multiples of t."""
+
+    def __init__(self, win, root):
+        super().__init__(win)
+        self._dead = self.basis(root)[0]
+
+    def bracket(self, x, y):
+        return self.alg.zero() if x is self._dead or y is self._dead else super().bracket(x, y)
+
+
+@pytest.fixture(scope="session", params=[1, 4], ids=["met-before-its-opposite", "met-after-its-opposite"])
+def dead_sqrt(request, sqrt_win):
+    """A ``_DeadFirstVector`` window of ``sqrt_win`` at its root of that
+    index, the root, and the literal probe loop's and the division
+    oracle's witnesses, computed once."""
+    root = sqrt_win.nonisotropic_roots()[request.param]
+    win = _DeadFirstVector(sqrt_win, root)
+    return win, root, literal_first_unsolvable_root(win, random.Random(2), 2), literal_first_undivided_root(win)
+
+
+def test_an_unsolvable_first_vector_is_the_literal_loops_witness(monkeypatch, dead_sqrt):
+    """T3 reads one probe a root, and fails at the first root of the dead
+    pair in root order, as the probe loop and the division oracle do."""
+    win, root, literal, undivided = dead_sqrt
+    roots = win.nonisotropic_roots()
+    first = min(root, -root, key=roots.index)
+    assert (first == root) == (roots.index(root) == 1)
+    assert win.scalar_line(root) and win.scalar_line(-root)
+    assert literal == undivided == first
+    assert _probes_read(monkeypatch, win, 2) == (first, roots.index(first) + 1)
+    t3 = _t3(win)
+    assert (t3.passed, t3.witness, t3.detail) == (False, {"root": first}, LINE_T3)
 
 
 @pytest.mark.parametrize("fixture", DIVISION_WINDOWS)

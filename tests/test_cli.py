@@ -1,6 +1,9 @@
 """Command line interface: exit codes, JSON contracts, determinism."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 from collections import Counter
 
@@ -14,6 +17,20 @@ def _run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+@functools.cache
+def _pinned_run(argv):
+    """(exit code, stdout) of ``main`` on the space-separated ``argv``, run
+    once per argument string: the pin and projection tests share it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv.split())
+    return rc, out.getvalue()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _usage_error(capsys, argv):
@@ -299,7 +316,8 @@ def test_cocycle_suite(capsys):
 def test_cocycle_metadata_names_no_unread_option(capsys):
     """CON reads neither ``--window`` nor ``--seed`` (``UNREAD_OPTIONS``), so
     neither the instance nor the CON metadata names them; a construction
-    that reads them keeps both."""
+    that reads them keeps ``window``, and ``seed`` only where a suite draws
+    from it (T or D), which SERRE does not."""
     rc, out, _ = _run(capsys, "check --construction cocycle-extension --nu 2 --q -1".split())
     assert rc == 0
     payload = json.loads(out)
@@ -309,7 +327,8 @@ def test_cocycle_metadata_names_no_unread_option(capsys):
     assert con == {**payload["instance"], "extension": "degree-derivations"}
     rc, out, _ = _run(capsys, "check --construction sp-classical --ell 2 --suites SERRE".split())
     assert rc == 0
-    assert {"window": 1, "seed": 0}.items() <= json.loads(out)["instance"].items()
+    instance = json.loads(out)["instance"]
+    assert instance["window"] == 1 and "seed" not in instance
 
 
 def test_serre_command(capsys):
@@ -356,25 +375,25 @@ PINNED_REPORTS = [
     ("export --construction affinized --nu 2 --q -1 --window 1", 0,
      "8362102dabcaff39fb31da34bd9c6bb217eee60e47078ae91f5c606604f79e41"),
     ("check --construction sqrt-extension --rank 2 --primes 2,3", 0,
-     "d07ef674aef6948dabc86023ee14a879187922b24166dbc84a3327778697c909"),
+     "b6acd61c1b310457984ccd85fb9fc81963a9a8eb9db86fe2e9e8a8a0796934f3"),
     ("check --construction sp-classical --ell 2", 0,
      "87141b61aedb635607771209ab4b63b3548b74e37bd7c1feb9f082c46e45699a"),
     ("check --construction affinized --nu 2 --q -1 --window 1 --suites T", 0,
      "d9d57f85a41406ca3b133d1ba811ef356667248ec814654ba2422bf24393fc73"),
     ("ears --construction quantum-torus --nu 2 --q -1 --window 1", 0,
-     "c27c7ed5b4cbd8bc75ba382fe26efa9623bc531768a82c8f981afc9d187db97e"),
+     "c656ae89270e7ee72ebb228ad4aa3eadd70c405443da585c0d6b900b5278edd4"),
     # fails D8 with a witness, so the failing-witness bytes are pinned too
     ("check --construction quantum-torus --nu 2 --q -1 --underived --suites D,EARS", 1,
      "a7c1ddad57f1fe55cda823ea496db7d2a3f6c35fb0f02390a3f3a59dca0c8378"),
     ("ears --construction quantum-torus --nu 2 --q -1 --window 2", 0,
-     "a264731cf43bac312f7e879008f567237a74e57d9a1e697a447a5bd14f7b8d73"),
+     "bd8af685bb9f372f4ed93a36d00df6e9dd167588290f0e7d8dc1ab91f0698507"),
     # the full default check: every suite, TAME and PROPS on the affinized core
     ("check --construction affinized --nu 2 --q -1 --window 1", 0,
      "da7a03200f408e7c7c9de52e99c4f2f4e19df380c3695b538c6a426ee184118b"),
     # three primes: products such as sqrt6 * sqrt10 = 2 sqrt15 reach the report;
     # its T1 invariance is exhaustive on all 158,208 zero-sum basis triples
     ("check --construction sqrt-extension --rank 3 --primes 2,3,5", 0,
-     "5ba3e5a6ff0d0debcfb7d10091ac6b231a64876491df305cad159fa26e101eef"),
+     "67acd80cb2ef2c9726119c0991bd3138ec770abc5ec42120dcc13f6eaf3cfb54"),
     # underived at nullity 1: D8, TAME and PROPS witnesses from the affinized path
     ("check --construction affinized --nu 1 --window 1 --underived", 1,
      "7fd3f72b1ff138184e9b23aca478f483d630597ceb3d218a1ac6ea4f445689b1"),
@@ -383,11 +402,11 @@ PINNED_REPORTS = [
      "5763ce56a95d67bfd6196d2b9eae7765f72608fd76282566e963769e858149c7"),
     # the ears-torus-w3 benchmark workload: 441 roots, strings by finite pairs
     ("ears --construction quantum-torus --nu 2 --q -1 --window 3", 0,
-     "3240d13e9388ab7ce577cdce882355c1414ab8fc8547f9e405d7e61275a2810e"),
+     "b3b9e54aba66d3d04d97336f70d308d622f1549d737724ef5d7796aee2fdc13a"),
     # mixed signs at nullity 3: the first pin whose parity classes of lattice
     # degrees carry different kappa signs
     ("ears --construction quantum-torus --nu 3 --q=-1,1,-1 --window 1", 0,
-     "9bedd6f18b0dbf61e5b5ffd4d6c287c83ccd49dd07cd91e8d8c20e7234281801"),
+     "996aee7f8b3706febf4a91bb0f912c8a827defd464f730c5f5a491e31c256ec1"),
     # D alone: the base view scans its own invariance by its own classes
     ("check --construction affinized --nu 2 --q -1 --window 1 --suites D", 0,
      "2d42de02fb6975de22cf6930135326e7500c2cbda470c123138d8451b697d55e"),
@@ -396,7 +415,7 @@ PINNED_REPORTS = [
      "b390ad32caf689a6f667ec6521570f4559e391d8fdd7c4529983b88c80f734e7"),
     # the check-sqrt benchmark workload: rank 4 over three primes
     ("check --construction sqrt-extension --rank 4 --primes 2,3,5", 0,
-     "bb0e330cb263a2e1c6544eff554c6e842ccea19fcafcc2423cff965a5f7b5bf6"),
+     "abd348c07edf67e1934b8ed49a0c75390f9e8c53e16f77bdd033073d0a27cdd6"),
 ]
 
 
@@ -408,10 +427,72 @@ PINNED_REPORTS = [
                               "check-sp-classical-3", "ears-torus-w3",
                               "ears-torus-nu3-mixed", "check-affinized-D",
                               "check-affinized-w2", "check-sqrt-rank4"])
-def test_report_bytes_pinned(capsys, argv, code, digest):
-    rc, out, _ = _run(capsys, argv.split())
+def test_report_bytes_pinned(argv, code, digest):
+    rc, out = _pinned_run(argv)
     assert rc == code
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _sha256(out) == digest
+
+
+# The T3 detail of a square-root check before each slice was decided as a
+# line over the field, by its first basis vector.
+SAMPLED_T3 = ("window-verified: every nonisotropic basis vector and sampled combinations"
+              " solve [x, y] = t; every isotropic window root has a normalized pair")
+
+
+def _sampled_t3(payload):
+    (t3,) = (r for r in payload["suite_results"]["T"]["results"] if r["name"] == "T3-bracket-representatives")
+    assert t3["detail"].endswith("decided by its first basis vector; every isotropic window root has a normalized pair")
+    t3["detail"] = SAMPLED_T3
+
+
+def _seeded(payload):
+    assert "seed" not in payload["instance"] and "seed" not in payload["ears"]["metadata"]
+    payload["instance"]["seed"] = payload["ears"]["metadata"]["seed"] = 0
+
+
+# Pins that moved by design: each report's digest before the move, and the
+# inverse of the move.  The square-root checks name the K-line rule in T3's
+# detail; the ears reports no longer write a seed, since EARS draws nothing.
+MOVED_REPORTS = [
+    ("check --construction sqrt-extension --rank 2 --primes 2,3", _sampled_t3,
+     "d07ef674aef6948dabc86023ee14a879187922b24166dbc84a3327778697c909"),
+    ("check --construction sqrt-extension --rank 3 --primes 2,3,5", _sampled_t3,
+     "5ba3e5a6ff0d0debcfb7d10091ac6b231a64876491df305cad159fa26e101eef"),
+    ("check --construction sqrt-extension --rank 4 --primes 2,3,5", _sampled_t3,
+     "bb0e330cb263a2e1c6544eff554c6e842ccea19fcafcc2423cff965a5f7b5bf6"),
+    ("ears --construction quantum-torus --nu 2 --q -1 --window 1", _seeded,
+     "c27c7ed5b4cbd8bc75ba382fe26efa9623bc531768a82c8f981afc9d187db97e"),
+    ("ears --construction quantum-torus --nu 2 --q -1 --window 2", _seeded,
+     "a264731cf43bac312f7e879008f567237a74e57d9a1e697a447a5bd14f7b8d73"),
+    ("ears --construction quantum-torus --nu 2 --q -1 --window 3", _seeded,
+     "3240d13e9388ab7ce577cdce882355c1414ab8fc8547f9e405d7e61275a2810e"),
+    ("ears --construction quantum-torus --nu 3 --q=-1,1,-1 --window 1", _seeded,
+     "9bedd6f18b0dbf61e5b5ffd4d6c287c83ccd49dd07cd91e8d8c20e7234281801"),
+]
+
+
+@pytest.mark.parametrize("argv, restore, digest", MOVED_REPORTS,
+                         ids=["check-sqrt-extension", "check-sqrt-extension-3-primes", "check-sqrt-rank4",
+                              "ears-torus", "ears-torus-w2", "ears-torus-w3", "ears-torus-nu3-mixed"])
+def test_moved_report_is_its_former_bytes_but_for_the_move(argv, restore, digest):
+    """Undoing the named change on the parsed report gives the former bytes
+    exactly, so nothing else moved; the report is its own parse, dumped."""
+    _, out = _pinned_run(argv)
+    payload = json.loads(out)
+    assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+    restore(payload)
+    assert _sha256(json.dumps(payload, sort_keys=True, indent=2) + "\n") == digest
+
+
+def test_seed_is_written_only_where_t_or_d_ran(capsys):
+    """``--seed`` reaches T3 and D12a alone, so only a run of T or D writes it."""
+    rc, out, _ = _run(capsys, "ears --construction quantum-torus --nu 1 --seed 7".split())
+    assert rc == 0 and '"seed"' not in out
+    rc, out, _ = _run(capsys, "check --construction sp-classical --suites SERRE,EARS --seed 7".split())
+    assert rc == 0 and '"seed"' not in out
+    rc, out, _ = _run(capsys, "check --construction sp-classical --suites T,EARS --seed 7".split())
+    payload = json.loads(out)
+    assert rc == 0 and payload["instance"]["seed"] == payload["suite_results"]["EARS"]["metadata"]["seed"] == 7
 
 
 def test_internal_error_exits_3_without_report(capsys, monkeypatch):

@@ -21,9 +21,11 @@ from ealie.constructions import (
 from ealie.decomp import graded_pieces
 from ealie.exact_arith import SqrtFieldElement
 from ealie.finroot import Root
+from ealie.linalg import SpanDict
 from ealie.quantum_torus import SignMatrix, lattice_box
 
 from conftest import assert_int_first
+from oracles import division_witness
 
 Q2 = SignMatrix.from_upper(2, [-1])
 
@@ -297,37 +299,61 @@ def test_sqrt_extension_jacobi(sqrt_alg):
         assert acc.is_zero()
 
 
-def test_sqrt_division_witness_every_root(sqrt_alg, sqrt_win):
+def _sqrt_combinations(alg, win, root, rng, n):
+    """``n`` nonzero combinations of the basis of slice ``root``, with
+    coefficients drawn from -2..2."""
+    out = []
+    while len(out) < n:
+        x = alg.zero()
+        for b in win.basis(root):
+            x = x + b * Fraction(rng.randint(-2, 2))
+        if not x.is_zero():
+            out.append(x)
+    return out
+
+
+def _assert_divided(sqrt_win, root, probes):
+    """The K-line oracle builds, for each probe x of slice ``root``, a
+    partner y in the opposite slice with [x, y] = t_root."""
+    t = sqrt_win.rep_t(root)
+    opposite = SpanDict(sqrt_win.coords(y) for y in sqrt_win.basis(-root))
+    for x in probes:
+        y = division_witness(sqrt_win, root, x)
+        assert sqrt_win.bracket(x, y) == t
+        assert opposite.contains(sqrt_win.coords(y))
+
+
+def test_sqrt_division_witness_every_root(sqrt_win):
     for root in sqrt_win.nonisotropic_roots():
-        t = sqrt_win.rep_t(root)
-        for x in sqrt_win.basis(root):
-            y = sqrt_alg.division_witness(root, x, t)
-            assert sqrt_alg.bracket(x, y) == t
+        _assert_divided(sqrt_win, root, sqrt_win.basis(root))
 
 
 def test_sqrt_division_witness_on_combinations(sqrt_alg, sqrt_win):
     rng = random.Random(37)
-    for root in sqrt_win.nonisotropic_roots()[:3]:
-        t = sqrt_win.rep_t(root)
-        basis = sqrt_win.basis(root)
-        for _ in range(5):
-            x = sqrt_alg.zero()
-            while x.is_zero():
-                x = sqrt_alg.zero()
-                for b in basis:
-                    x = x + b * Fraction(rng.randint(-2, 2))
-            y = sqrt_alg.division_witness(root, x, t)
-            assert sqrt_alg.bracket(x, y) == t
+    for root in sqrt_win.nonisotropic_roots():
+        _assert_divided(sqrt_win, root, _sqrt_combinations(sqrt_alg, sqrt_win, root, rng, 5))
 
 
 def test_sqrt_division_witness_errors(sqrt_alg, sqrt_win):
     root = sqrt_win.nonisotropic_roots()[0]
-    t = sqrt_win.rep_t(root)
     with pytest.raises(ValueError, match="zero vector"):
-        sqrt_alg.division_witness(root, sqrt_alg.zero(), t)
+        division_witness(sqrt_win, root, sqrt_alg.zero())
     wrong = sqrt_win.basis(sqrt_win.nonisotropic_roots()[1])[0]
-    with pytest.raises(ValueError):
-        sqrt_alg.division_witness(root, wrong, t)
+    with pytest.raises(ValueError, match="no field multiple"):
+        division_witness(sqrt_win, root, wrong)
+
+
+def test_sqrt_bracket_is_bilinear_over_the_field_on_opposite_slices(sqrt_alg, sqrt_win):
+    """The premise of T3's K-line rule: [x s, y] = [x, y] s = [x, y s] for
+    every basis pair of opposite slices and every s in ``scalar_basis()``."""
+    scalars = sqrt_alg.scalar_basis()
+    assert scalars == tuple(SqrtFieldElement.sqrt(a) for a in (1, 2, 3, 6))
+    for root in sqrt_win.roots():
+        for x in sqrt_win.basis(root):
+            for y in sqrt_win.basis(-root):
+                xy = sqrt_alg.bracket(x, y)
+                for s in scalars:
+                    assert sqrt_alg.bracket(x * s, y) == xy * s == sqrt_alg.bracket(x, y * s)
 
 
 def _assert_int_first_element(el):
